@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,10 +29,11 @@ import (
 // benchSchema versions the -json output so downstream tooling can detect
 // format changes across BENCH_*.json files. v2 added grid_bench,
 // mem_bench, and intern; v3 added batch_bench; v4 added temporal_bench;
-// v5 added netchaos_bench; v6 added dispatch_bench; v7 adds memo_bench
-// (all additive; the deterministic workload cycles and overheads are
-// unchanged from v1).
-const benchSchema = "ifp-bench/v7"
+// v5 added netchaos_bench; v6 added dispatch_bench; v7 added memo_bench;
+// v8 adds batch_bench.state and times batch_bench cold again, one fresh
+// server per op (v7's batch_bench timed memo hits after its first op).
+// The deterministic workload cycles and overheads are unchanged from v1.
+const benchSchema = "ifp-bench/v8"
 
 // benchJSON is the machine-readable benchmark summary -json emits: the
 // §5.2 per-workload cycle counts and geomean overheads, cold-vs-warm
@@ -76,14 +78,16 @@ type gridJSON struct {
 // loopback ifp-serve: request in, NDJSON cells fanned over the worker
 // pool, report reassembled byte-identical — the serving-tier number the
 // perf trajectory tracks. One op is the full campaign over a fixed
-// workload subset (perf + memory cells); ns_per_cell divides by the
-// campaign's cell count.
+// workload subset (perf + memory cells) against a fresh server, so every
+// cell is computed; state records that ("cold"). ns_per_cell divides by
+// the campaign's cell count.
 type batchJSON struct {
-	Workloads   int   `json:"workloads"`
-	Cells       int   `json:"cells"`
-	NsPerOp     int64 `json:"ns_per_op"`
-	NsPerCell   int64 `json:"ns_per_cell"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
+	State       string `json:"state"`
+	Workloads   int    `json:"workloads"`
+	Cells       int    `json:"cells"`
+	NsPerOp     int64  `json:"ns_per_op"`
+	NsPerCell   int64  `json:"ns_per_cell"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
 // memJSON times the guest-memory access paths on a warm working set: one
@@ -697,15 +701,21 @@ func benchMem() memJSON {
 // (olden + ptrdist + kernels) to track the serving tier's fan-out cost.
 var benchBatchWorkloads = []string{"treeadd", "health", "ks"}
 
-// benchBatch boots ifp-serve on a loopback port and times one full
+// benchBatch boots ifp-serve on a loopback port and times one full cold
 // /v1/batch campaign per op: stream every perf and memory cell of the
-// subset, reassemble the report.
+// subset, reassemble the report. Each op gets a fresh server.New (built
+// with the timer stopped), so its memo store starts empty; a memo hit
+// fails the section, because it would time a replay, not a campaign.
 func benchBatch() (batchJSON, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return batchJSON{}, err
 	}
-	srv := &http.Server{Handler: server.New(server.Config{})}
+	var backend atomic.Pointer[server.Server]
+	backend.Store(server.New(server.Config{}))
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		backend.Load().ServeHTTP(w, r)
+	})}
 	go srv.Serve(ln)
 	defer srv.Close()
 
@@ -725,8 +735,15 @@ func benchBatch() (batchJSON, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := server.New(server.Config{})
+			backend.Store(fresh)
+			b.StartTimer()
 			if _, err := c.BatchReport(ctx, req); err != nil && runErr == nil {
 				runErr = err
+			}
+			if hits := fresh.MemoStore().Stats().Hits; hits != 0 && runErr == nil {
+				runErr = fmt.Errorf("batch bench: cold campaign recorded %d memo hits", hits)
 			}
 		}
 	})
@@ -735,6 +752,7 @@ func benchBatch() (batchJSON, error) {
 	}
 	cells := plan.NumCells()
 	return batchJSON{
+		State:       "cold",
 		Workloads:   len(benchBatchWorkloads),
 		Cells:       cells,
 		NsPerOp:     r.NsPerOp(),

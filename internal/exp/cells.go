@@ -222,44 +222,30 @@ func (p Plan) RunCell(i int) (CellResult, error) {
 // takes a worker slot for real computation — use this pair instead of
 // RunCell so misses are counted exactly once.
 func (p Plan) LookupCell(i int) (CellResult, bool) {
-	if p.memo == nil {
-		return CellResult{}, false
-	}
 	w, mode, noPromote, scale, perf := p.cellSpec(i)
-	v, ok := p.memo.GetKind(CellDigest(w, mode, noPromote, scale), memo.KindCell)
-	if !ok {
-		return CellResult{}, false
+	if !perf {
+		fp, ok := lookupFootprint(p.memo, w, mode, scale)
+		return CellResult{Footprint: fp}, ok
 	}
-	m := v.(*ModeResult)
-	if perf {
-		return CellResult{Perf: m}, true
-	}
-	return CellResult{Footprint: m.Footprint}, true
+	m, ok := LookupOne(p.memo, w, mode, noPromote, scale)
+	return CellResult{Perf: m}, ok
 }
 
-// ComputeCell executes cell i unconditionally and, when the plan carries
-// a store, publishes the result for the next identical cell. It never
-// reads the store, so pairing LookupCell + ComputeCell counts exactly
-// one miss.
+// ComputeCell executes cell i unconditionally — a memory cell untimed,
+// through computeFootprint — and, when the plan carries a store,
+// publishes the result for the next identical cell. It never reads the
+// store, so pairing LookupCell + ComputeCell counts exactly one miss.
 func (p Plan) ComputeCell(i int) (CellResult, error) {
 	w, mode, noPromote, scale, perf := p.cellSpec(i)
-	m, err := runOne(w, mode, noPromote, scale)
+	if !perf {
+		fp, err := computeFootprint(p.memo, w, mode, scale)
+		return CellResult{Footprint: fp}, err
+	}
+	m, err := ComputeOne(p.memo, w, mode, noPromote, scale)
 	if err != nil {
-		// Errors are never memoized: a failed cell re-runs on every
-		// request, so a transient failure cannot poison the store.
 		return CellResult{}, err
 	}
-	if p.memo != nil {
-		enc, encErr := json.Marshal(&m)
-		if encErr != nil {
-			enc = nil // memory-only entry; snapshots just skip it
-		}
-		p.memo.Put(CellDigest(w, mode, noPromote, scale), memo.KindCell, &m, enc)
-	}
-	if perf {
-		return CellResult{Perf: &m}, nil
-	}
-	return CellResult{Footprint: m.Footprint}, nil
+	return CellResult{Perf: m}, nil
 }
 
 // Assembly folds cell results back into the slices a serial run

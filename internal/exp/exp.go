@@ -51,11 +51,18 @@ type Result struct {
 	Temporal ModeResult
 }
 
-// runOne executes a workload in one configuration.
-func runOne(w workloads.Workload, mode rt.Mode, noPromote bool, scale int) (ModeResult, error) {
+// runOne executes a workload in one configuration. An untimed run skips
+// the L1D model (machine.Machine.Untimed): its Counters.Cycles and
+// L1DMisses leave out the cache, and every other observable is the timed
+// run's. Only memory cells run untimed; a timed run relies on the Reset
+// inside rt.Acquire to have cleared the state.
+func runOne(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, untimed bool) (ModeResult, error) {
 	r := rt.Acquire(mode)
 	defer rt.Release(r)
 	r.M.NoPromote = noPromote
+	if untimed {
+		r.M.Untimed = true
+	}
 	sum, err := w.Run(r, scale)
 	if err != nil {
 		return ModeResult{}, fmt.Errorf("%s/%v(np=%v): %w", w.Name, mode, noPromote, err)
@@ -289,8 +296,9 @@ func RunMemSet(ws []workloads.Workload, scale, workers int) ([]MemResult, error)
 }
 
 // RunMemSetMemo is RunMemSet through a memo store (nil s is plain
-// RunMemSet). Memory cells share digests with perf cells at the same
-// effective scale, so a warm grid also warms the footprint pass.
+// RunMemSet). Its cells are the report plan's memory cells: untimed, and
+// keyed in the footprint domain, so they neither warm nor answer perf
+// cells.
 func RunMemSetMemo(s *memo.Store, ws []workloads.Workload, scale, workers int) ([]MemResult, error) {
 	out := make([]MemResult, len(ws))
 	for i, w := range ws {
@@ -298,11 +306,14 @@ func RunMemSetMemo(s *memo.Store, ws []workloads.Workload, scale, workers int) (
 	}
 	err := pool.Map(workers, len(ws)*len(memModes), func(c int) error {
 		wi, mi := c/len(memModes), c%len(memModes)
-		m, _, err := RunOneMemo(s, ws[wi], memModes[mi].mode, false, scale)
-		if err != nil {
-			return err
+		fp, ok := lookupFootprint(s, ws[wi], memModes[mi].mode, scale)
+		if !ok {
+			var err error
+			if fp, err = computeFootprint(s, ws[wi], memModes[mi].mode, scale); err != nil {
+				return err
+			}
 		}
-		*memModes[mi].dst(&out[wi]) = m.Footprint
+		*memModes[mi].dst(&out[wi]) = fp
 		return nil
 	})
 	if err != nil {

@@ -316,11 +316,11 @@ func TestHybridMode(t *testing.T) {
 	// the static choices on the representative pair.
 	for _, name := range []string{"treeadd", "yacr2"} {
 		w, _ := workloads.ByName(name)
-		base, err := runOne(w, rt.Baseline, false, 1)
+		base, err := runOne(w, rt.Baseline, false, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hyb, err := runOne(w, rt.Hybrid, false, 1)
+		hyb, err := runOne(w, rt.Hybrid, false, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}

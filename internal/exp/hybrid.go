@@ -24,7 +24,7 @@ func HybridReportN(scale, workers int) (string, error) {
 	modes := []rt.Mode{rt.Baseline, rt.Subheap, rt.Wrapped, rt.Hybrid}
 	cells := make([]ModeResult, len(workloads.All)*len(modes))
 	if err := pool.Map(workers, len(cells), func(c int) error {
-		m, err := runOne(workloads.All[c/len(modes)], modes[c%len(modes)], false, scale)
+		m, err := runOne(workloads.All[c/len(modes)], modes[c%len(modes)], false, scale, false)
 		if err != nil {
 			return err
 		}

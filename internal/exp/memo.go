@@ -2,21 +2,24 @@ package exp
 
 // Cell memoization: every campaign cell is a pure, byte-deterministic
 // function of its coordinates — (workload, mode, noPromote, scale) under
-// the machine cost model for grid cells, (scheme, fault, seed) for chaos
-// cells; the assembly- and dispatch-equivalence gates pin exactly that —
-// so a plan carrying a memo.Store (WithMemo) consults it before checking
-// a runtime out of rt.Pool and replays hits instead of recomputing.
+// the machine cost model for perf cells, (workload, mode, scale) for
+// memory cells, (scheme, fault, seed) for chaos cells; the assembly- and
+// dispatch-equivalence gates pin exactly that — so a plan carrying a
+// memo.Store (WithMemo) consults it before checking a runtime out of
+// rt.Pool and replays hits instead of recomputing.
 //
 // The hit path is zero-allocation and never touches the pool: digest
 // composition runs in a stack buffer, the store returns the shared
-// immutable *ModeResult, and RunCell hands it out without copying.
-// Callers must treat memoized results as read-only (every existing
-// consumer already copies on fold or marshals to JSON). A plan without a
-// store — the default — behaves byte-identically to the pre-memo
-// harness.
+// immutable *ModeResult (or the footprint), and RunCell hands it out
+// without copying. Callers must treat memoized results as read-only
+// (every existing consumer already copies on fold or marshals to JSON).
+// A plan without a store — the default — behaves byte-identically to
+// the pre-memo harness.
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 
 	"infat/internal/chaos"
 	"infat/internal/machine"
@@ -39,6 +42,12 @@ func init() {
 			return nil, err
 		}
 		return &o, nil
+	}})
+	memo.RegisterKind(memo.KindFootprint, memo.Codec{Decode: func(p []byte) (any, error) {
+		if len(p) != 8 {
+			return nil, errors.New("exp: footprint payload is not 8 bytes")
+		}
+		return binary.LittleEndian.Uint64(p), nil
 	}})
 }
 
@@ -95,7 +104,7 @@ func LookupOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote bool
 // it runs (batch stream, unary endpoint, bench grid). It never reads the
 // store, so a LookupOne + ComputeOne pair counts exactly one miss.
 func ComputeOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote bool, scale int) (*ModeResult, error) {
-	m, err := runOne(w, mode, noPromote, scale)
+	m, err := runOne(w, mode, noPromote, scale, false)
 	if err != nil {
 		// Errors are never memoized: a failed cell re-runs on every
 		// request, so a transient failure cannot poison the store.
@@ -119,6 +128,45 @@ func RunOneMemo(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote boo
 	}
 	m, err := ComputeOne(s, w, mode, noPromote, scale)
 	return m, false, err
+}
+
+// footprintDigest keys one Figure-12 memory cell in the footprint domain
+// (memo.FootprintDigest): workload identity, mode, and effective scale.
+// It never equals a perf cell's digest, so an untimed memory-cell result
+// cannot be served as a perf cell or a /v1/workload answer.
+func footprintDigest(w workloads.Workload, mode rt.Mode, scale int) memo.Digest {
+	return memo.FootprintDigest(memo.WorkloadDigest(w.Name, w.Suite, workloads.Version), mode.String(), uint64(scale))
+}
+
+// lookupFootprint serves one memory cell from the store (ok=false: miss,
+// or nil store) with exactly one lookup. Zero-allocation, never touches
+// rt.Pool.
+func lookupFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale int) (uint64, bool) {
+	if s == nil {
+		return 0, false
+	}
+	v, ok := s.GetKind(footprintDigest(w, mode, scale), memo.KindFootprint)
+	if !ok {
+		return 0, false
+	}
+	return v.(uint64), true
+}
+
+// computeFootprint is the one footprint function: it runs a memory cell
+// (w in mode at the already multiplied scale) on an untimed machine —
+// Figure 12 keeps only the footprint, so the L1D model's cycles would be
+// thrown away — and, when s is non-nil, publishes the footprint. It
+// never reads the store.
+func computeFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale int) (uint64, error) {
+	m, err := runOne(w, mode, false, scale, true)
+	if err != nil {
+		return 0, err
+	}
+	if s != nil {
+		s.Put(footprintDigest(w, mode, scale), memo.KindFootprint, m.Footprint,
+			binary.LittleEndian.AppendUint64(nil, m.Footprint))
+	}
+	return m.Footprint, nil
 }
 
 // WithMemo returns a copy of the plan whose RunCell consults the store
@@ -149,12 +197,15 @@ func (p Plan) cellSpec(i int) (w workloads.Workload, mode rt.Mode, noPromote boo
 }
 
 // CellDigest returns cell i's canonical memo key. Like Key, it is a pure
-// function of the cell's coordinates, not of this particular plan — a
-// perf cell and a memory cell at the same effective coordinates share a
-// digest (and therefore a memo entry), because they are the same
-// computation.
+// function of the cell's coordinates, not of this particular plan. Memory
+// cells are keyed in the footprint domain, so a memory cell never shares
+// a digest with a perf cell, even at the same effective coordinates: it
+// runs untimed and keeps only the footprint.
 func (p Plan) CellDigest(i int) memo.Digest {
-	w, mode, noPromote, scale, _ := p.cellSpec(i)
+	w, mode, noPromote, scale, perf := p.cellSpec(i)
+	if !perf {
+		return footprintDigest(w, mode, scale)
+	}
 	return CellDigest(w, mode, noPromote, scale)
 }
 

@@ -150,6 +150,17 @@ type Machine struct {
 	// bumps them on free; the machine only reads it.
 	Gens *temporal.Store
 
+	// Untimed skips the L1D model: data accesses and metadata fetches
+	// charge their base cycle but never probe the cache, so no miss
+	// cycles accrue and the cache statistics stay zero. Everything else —
+	// checks, promote, metadata, MAC verification, narrowing, guest
+	// memory — runs exactly as before, and every counter but Cycles is
+	// unchanged: the cache model never reads or writes guest memory, so
+	// skipping it cannot change what the guest computes (DESIGN.md §12).
+	// The evaluation harness sets it for Figure-12 memory cells, which
+	// keep only the footprint.
+	Untimed bool
+
 	// macMemo caches mac.Object computations for the metadata-MAC
 	// verification promote performs on every valid lookup. Hardware
 	// computes the SipHash in a fixed MacCycles pipeline (still charged);
@@ -205,9 +216,9 @@ func New() *Machine {
 // Reset restores the machine to its New-time architectural state —
 // memory unmapped, cache cold, default MAC key, control registers and
 // global-table base cleared, default cost model, all counters zero, no
-// ablation flags, no fuel limit — while keeping the backing Memory and
-// Cache structures for reuse. A reset machine is observationally
-// identical to a fresh one.
+// ablation flags, no fuel limit, timed — while keeping the backing
+// Memory and Cache structures for reuse. A reset machine is
+// observationally identical to a fresh one.
 func (m *Machine) Reset() {
 	m.Mem.Reset()
 	m.L1D.Reset()
@@ -219,6 +230,7 @@ func (m *Machine) Reset() {
 	m.NoPromote, m.NoNarrow = false, false
 	m.FuelLimit = 0
 	m.TemporalTags, m.Gens = false, nil
+	m.Untimed = false
 }
 
 // TrapKind classifies architectural traps.
@@ -342,9 +354,9 @@ func (m *Machine) Tick(n uint64) {
 // dataAccess charges one data-memory access through the L1D. The TryHit
 // probe resolves the common single-line MRU hit with inlined code — its
 // effect is exactly Access with zero misses — and everything else takes
-// the full model.
+// the full model. An untimed machine charges the base cycle only.
 func (m *Machine) dataAccess(addr uint64, size int, store bool) {
-	if m.L1D.TryHit(addr, size, store) {
+	if m.Untimed || m.L1D.TryHit(addr, size, store) {
 		m.C.Cycles++
 		return
 	}

@@ -147,11 +147,14 @@ func (m *Machine) Promote(p uint64) (uint64, BoundsReg) {
 
 // fetchMetaWord reads one object-metadata word through the L1D, charging
 // cycles; promote's metadata traffic is unpipelined in the prototype
-// (§5.2.2), which the PromoteBase constant already covers.
+// (§5.2.2), which the PromoteBase constant already covers. An untimed
+// machine skips the L1D and charges the base cycle only.
 func (m *Machine) fetchMetaWord(addr uint64) (uint64, bool) {
 	m.C.MetaFetches++
-	misses := m.L1D.Access(addr, 8, false)
-	m.C.Cycles += 1 + uint64(misses)*m.Cost.MissPenalty
+	m.C.Cycles++
+	if !m.Untimed {
+		m.C.Cycles += uint64(m.L1D.Access(addr, 8, false)) * m.Cost.MissPenalty
+	}
 	v, err := m.Mem.Load64(addr)
 	if err != nil {
 		return 0, false
@@ -181,8 +184,10 @@ func (m *Machine) fetchMetaWords(addr uint64, w []uint64) bool {
 		return true
 	}
 	m.C.MetaFetches += n
-	misses := m.L1D.AccessWords(addr, len(w))
-	m.C.Cycles += n + uint64(misses)*m.Cost.MissPenalty
+	m.C.Cycles += n
+	if !m.Untimed {
+		m.C.Cycles += uint64(m.L1D.AccessWords(addr, len(w))) * m.Cost.MissPenalty
+	}
 	for i := range w {
 		v, err := m.Mem.Load64(addr + uint64(i)*8)
 		if err != nil {

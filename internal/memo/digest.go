@@ -7,13 +7,13 @@
 // of recomputed. The store offers:
 //
 //   - Canonical digests (Digester plus the WorkloadDigest / RunDigest /
-//     ChaosDigest compositions) with unambiguous field framing — every
-//     variable-length field is length-prefixed, every integer is
-//     fixed-width little-endian, and every digest kind carries its own
-//     domain-separation prefix — so keys are stable across platforms and
-//     releases. The golden vectors under testdata/ pin the encoding; a
-//     deliberate key-schema change must bump digestVersion and the
-//     vectors together.
+//     ChaosDigest / FootprintDigest compositions) with unambiguous field
+//     framing — every variable-length field is length-prefixed, every
+//     integer is fixed-width little-endian, and every digest kind carries
+//     its own domain-separation prefix — so keys are stable across
+//     platforms and releases. The golden vectors under testdata/ pin the
+//     encoding; a deliberate key-schema change must bump digestVersion
+//     and the vectors together.
 //   - A concurrency-safe bounded in-memory LRU tier (Store) with the
 //     /v1/run cache's pending-entry coalescing semantics (StartOrJoin /
 //     Finish) alongside the plain Get / Put cell path. Hits are
@@ -46,9 +46,10 @@ const digestVersion = "infat/memo/v1"
 // Domain-separation prefixes: two digests of different kinds can never
 // collide, because the kind is the first framed field hashed.
 const (
-	domainWorkload = digestVersion + "/workload"
-	domainRun      = digestVersion + "/run"
-	domainChaos    = digestVersion + "/chaos"
+	domainWorkload  = digestVersion + "/workload"
+	domainRun       = digestVersion + "/run"
+	domainChaos     = digestVersion + "/chaos"
+	domainFootprint = digestVersion + "/footprint"
 	// DomainCell is the prefix of evaluation-grid cell digests. The
 	// composition lives in internal/exp (it folds in the machine cost
 	// model, which memo must not import), but the domain is defined here
@@ -199,5 +200,19 @@ func ChaosDigest(scheme, fault string, seed uint64, version string) Digest {
 	g.Str(fault)
 	g.U64(seed)
 	g.Str(version)
+	return g.Sum()
+}
+
+// FootprintDigest keys one Figure-12 memory cell: the workload's content
+// address (WorkloadDigest), the run mode, and the effective scale. The
+// machine cost model is left out because a footprint does not depend on
+// it; the domain keeps a memory cell, which runs untimed, from ever
+// answering a perf cell at the same coordinates.
+func FootprintDigest(workload Digest, mode string, scale uint64) Digest {
+	var g Digester
+	g.Init(domainFootprint)
+	g.Raw(workload)
+	g.Str(mode)
+	g.U64(scale)
 	return g.Sum()
 }

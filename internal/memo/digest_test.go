@@ -43,6 +43,7 @@ func goldenVectors() []struct{ label, digest string } {
 		{"chaos/seed", ChaosDigest("ifp", "tagflip", 7, "v1").String()},
 		{"cell/composed", cellish.String()},
 		{"cell/spilled", spilled.String()},
+		{"footprint/basic", FootprintDigest(WorkloadDigest("treeadd", "olden", "v1"), "subheap", 4).String()},
 	}
 }
 
@@ -84,6 +85,14 @@ func TestFramingUnambiguous(t *testing.T) {
 	}
 	if WorkloadDigest("x", "y", "v1") == ChaosDigest("x", "y", 0, "v1") {
 		t.Error("different domains with overlapping fields must not collide")
+	}
+	var cell Digester
+	cell.Init(DomainCell)
+	cell.Raw(WorkloadDigest("x", "y", "v1"))
+	cell.Str("subheap")
+	cell.U64(4)
+	if cell.Sum() == FootprintDigest(WorkloadDigest("x", "y", "v1"), "subheap", 4) {
+		t.Error("footprint and cell domains with identical fields must not collide")
 	}
 	var a, b Digester
 	a.Init(DomainCell)
@@ -151,5 +160,11 @@ func TestAllocBudgetDigest(t *testing.T) {
 		_ = ChaosDigest("ifp", "tagflip", 3, "v1")
 	}); n != 0 {
 		t.Errorf("ChaosDigest allocates %v allocs/op, want 0", n)
+	}
+	w := WorkloadDigest("treeadd", "olden", "v1")
+	if n := testing.AllocsPerRun(200, func() {
+		_ = FootprintDigest(w, "subheap", 4)
+	}); n != 0 {
+		t.Errorf("FootprintDigest allocates %v allocs/op, want 0", n)
 	}
 }

@@ -12,16 +12,17 @@ import (
 // knows which codec rehydrates each record. Kinds are part of the
 // snapshot format — never renumber, only append.
 const (
-	// KindCell is one evaluation-grid cell's observables
-	// (*exp.ModeResult): a perf cell or, at the memory experiment's
-	// larger scale, a memory cell (the footprint is a field of the same
-	// record, so the two cell flavours share entries when their
-	// effective coordinates coincide).
+	// KindCell is one evaluation-grid perf cell's observables
+	// (*exp.ModeResult).
 	KindCell byte = 1
 	// KindChaos is one fault-injection cell's outcome (chaos.Outcome).
 	KindChaos byte = 2
 	// KindRun is one /v1/run HTTP result (status + response bytes).
 	KindRun byte = 3
+	// KindFootprint is one Figure-12 memory cell's footprint (uint64),
+	// keyed by FootprintDigest. Memory cells run untimed, so they never
+	// share an entry with a perf cell.
+	KindFootprint byte = 4
 )
 
 // Entry is one store slot. An entry is born either done (Put) or pending

@@ -15,6 +15,15 @@ import (
 // counter set, runtime stats, and the memory footprint.
 func exerciseRuntime(t *testing.T, r *Runtime) string {
 	t.Helper()
+	guest := exerciseGuest(t, r)
+	return fmt.Sprintf("%s counters=%+v stats=%+v footprint=%d", guest, r.M.C, r.Stats, r.Footprint())
+}
+
+// exerciseGuest runs exerciseRuntime's program and returns the part of
+// its digest the guest computes: the loaded-value checksum and the
+// interned layout address.
+func exerciseGuest(t *testing.T, r *Runtime) string {
+	t.Helper()
 	g, err := r.RegisterGlobal(nodeT)
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +75,7 @@ func exerciseRuntime(t *testing.T, r *Runtime) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("sum=%#x layout=%#x counters=%+v stats=%+v footprint=%d",
-		sum, addr, r.M.C, r.Stats, r.Footprint())
+	return fmt.Sprintf("sum=%#x layout=%#x", sum, addr)
 }
 
 // dirty runs a different, messier program so the pre-reset state shares
@@ -89,6 +97,7 @@ func dirty(t *testing.T, r *Runtime) {
 	}
 	r.M.NoPromote = true
 	r.M.NoNarrow = true
+	r.M.Untimed = true
 	r.M.FuelLimit = 123
 	r.M.Cost.MissPenalty = 999
 	r.ForceGlobalTable = true
@@ -128,9 +137,9 @@ func TestResetClearsInjectedFaultsAndAblations(t *testing.T) {
 	dirty(t, r)
 	r.Reset(Subheap)
 	m := r.M
-	if m.NoPromote || m.NoNarrow || m.FuelLimit != 0 {
-		t.Errorf("machine flags survive reset: NoPromote=%v NoNarrow=%v FuelLimit=%d",
-			m.NoPromote, m.NoNarrow, m.FuelLimit)
+	if m.NoPromote || m.NoNarrow || m.Untimed || m.FuelLimit != 0 {
+		t.Errorf("machine flags survive reset: NoPromote=%v NoNarrow=%v Untimed=%v FuelLimit=%d",
+			m.NoPromote, m.NoNarrow, m.Untimed, m.FuelLimit)
 	}
 	if m.Cost != machine.DefaultCost {
 		t.Errorf("cost model survives reset: %+v", m.Cost)
@@ -149,6 +158,55 @@ func TestResetClearsInjectedFaultsAndAblations(t *testing.T) {
 		if _, err := r.MallocBytes(32); err != nil {
 			t.Fatalf("alloc %d after reset: %v (injected fault leaked?)", i, err)
 		}
+	}
+}
+
+// TestUntimedRuntimeComesBackTimed: in every mode, an untimed run (a
+// Figure-12 memory cell, which skips the L1D model) matches a timed run
+// of the same program in everything but Cycles, and the runtime released
+// after it comes back from Acquire timed: the L1D statistics move on its
+// next access.
+func TestUntimedRuntimeComesBackTimed(t *testing.T) {
+	defer SetReuseSystems(ReuseSystems())
+	SetReuseSystems(true)
+	for _, mode := range Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			timed := New(mode)
+			want := exerciseGuest(t, timed)
+
+			DefaultPool.Drain()
+			r := Acquire(mode)
+			r.M.Untimed = true
+			if got := exerciseGuest(t, r); got != want {
+				t.Errorf("untimed guest result %s, timed %s", got, want)
+			}
+			if st := r.M.L1D.Stats(); st.Accesses != 0 {
+				t.Errorf("untimed run made %d L1D accesses", st.Accesses)
+			}
+			uc, tc := r.M.C, timed.M.C
+			uc.Cycles, tc.Cycles = 0, 0
+			if uc != tc || r.Stats != timed.Stats || r.Footprint() != timed.Footprint() {
+				t.Errorf("untimed run differs beyond the L1D\nuntimed: %+v %+v %d\ntimed:   %+v %+v %d",
+					uc, r.Stats, r.Footprint(), tc, timed.Stats, timed.Footprint())
+			}
+			Release(r)
+
+			r2 := Acquire(mode)
+			defer Release(r2)
+			if r2 != r {
+				t.Fatal("pool did not hand the released runtime back")
+			}
+			o, err := r2.MallocBytes(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r2.Store(o.P, 1, 8, o.B); err != nil {
+				t.Fatal(err)
+			}
+			if st := r2.M.L1D.Stats(); st.Accesses == 0 {
+				t.Fatal("L1D statistics did not move after Acquire: the untimed state survived Reset")
+			}
+		})
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"infat/internal/exp"
 	"infat/internal/memo"
 )
 
@@ -127,6 +128,38 @@ func TestMemoCrossEndpointBatchToWorkload(t *testing.T) {
 	}
 	if warmResp != *coldResp {
 		t.Fatalf("memoized workload response %+v differs from cold %+v", warmResp, *coldResp)
+	}
+}
+
+// TestMemoBatchMemoryCellsNeverAnswerWorkload: a /v1/batch stream's
+// memory cells run untimed at scale*MemScale, the same coordinates a
+// /v1/workload request with scale=4 names. They are keyed in their own
+// footprint domain, so that request must still get the timed answer a
+// cold server computes.
+func TestMemoBatchMemoryCellsNeverAnswerWorkload(t *testing.T) {
+	_, c, done := newTestServer(t, Config{})
+	defer done()
+	_, coldC, coldDone := newTestServer(t, Config{})
+	defer coldDone()
+	ctx := context.Background()
+
+	_, lines, trailer := postNDJSON(t, c.BaseURL+BatchPath, `{"workloads":["treeadd"]}`)
+	if trailer.Failed != 0 || trailer.Completed != len(lines) {
+		t.Fatalf("trailer = %+v over %d lines", trailer, len(lines))
+	}
+	for _, mode := range []string{"baseline", "subheap", "wrapped"} {
+		req := WorkloadRequest{Name: "treeadd", Mode: mode, Scale: exp.MemScale}
+		got, err := c.Workload(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coldC.Workload(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Counters != want.Counters || *got != *want {
+			t.Fatalf("%s: /v1/workload after a batch stream answered %+v, a cold server %+v", mode, *got, *want)
+		}
 	}
 }
 
