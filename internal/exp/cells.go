@@ -300,35 +300,76 @@ func (a *Assembly) Add(seq int, c CellResult) error {
 	return nil
 }
 
-// AddChecked is Add with the full cell-identity contract enforced: the
-// received coordinates must match the plan's enumeration at m.Seq, and
-// the payload must have exactly the shape the cell's kind requires. A
-// streaming consumer fed by an untrusted (or faulty) backend uses this
-// so an alien or mangled cell is a typed ErrCorruptCell, never a wrong
-// slot written blindly.
+// AddChecked is Add behind CheckCell: a streaming consumer fed by an
+// untrusted (or faulty) backend uses it so an alien or mangled cell is a
+// typed ErrCorruptCell, never a wrong slot written blindly.
 func (a *Assembly) AddChecked(m CellMeta, c CellResult) error {
-	if m.Seq < 0 || m.Seq >= len(a.have) {
-		return corruptCell(m.Seq, "exp: cell seq %d out of range [0, %d)", m.Seq, len(a.have))
+	if err := CheckCell(a.p, m, &c, nil); err != nil {
+		return err
 	}
-	want := a.p.Meta(m.Seq)
-	if m.Kind != want.Kind || m.Workload != want.Workload || m.Config != want.Config {
+	return a.Add(m.Seq, c)
+}
+
+// CellPlan is what checking a streamed cell needs of its campaign: the
+// cell count and each cell's identity. Plan and ChaosPlan implement it.
+type CellPlan interface {
+	NumCells() int
+	Meta(i int) CellMeta
+}
+
+// CheckMeta checks a streamed cell's identity: m.Seq lies in the plan and
+// m's coordinates are the plan's own at that seq. It is all an error cell,
+// which carries no payload, is checked against.
+func CheckMeta(p CellPlan, m CellMeta) error {
+	if n := p.NumCells(); m.Seq < 0 || m.Seq >= n {
+		return corruptCell(m.Seq, "exp: cell seq %d out of range [0, %d)", m.Seq, n)
+	}
+	if want := p.Meta(m.Seq); m != want {
 		return corruptCell(m.Seq, "exp: cell %d identity %s|%s|%s does not match plan %s|%s|%s",
 			m.Seq, m.Kind, m.Workload, m.Config, want.Kind, want.Workload, want.Config)
 	}
-	switch want.Kind {
+	return nil
+}
+
+// CheckCell is the one contract a streamed cell meets before anything
+// uses it — the shard relay before it forwards a backend's line, and both
+// checked assemblies before they fold a payload in — so a cell the relay
+// passes is one the client's assembly accepts. Past CheckMeta, the payload
+// must have exactly the shape the cell's kind requires: a perf cell a
+// result with a perf payload and no footprint, a memory cell a result
+// with no perf payload, a chaos cell no result and an outcome whose own
+// (scheme, fault, seed) is the plan's at that seq. Violations wrap
+// ErrCorruptCell.
+func CheckCell(p CellPlan, m CellMeta, res *CellResult, out *chaos.Outcome) error {
+	if err := CheckMeta(p, m); err != nil {
+		return err
+	}
+	switch m.Kind {
 	case CellPerf:
-		if c.Perf == nil {
+		if res == nil || res.Perf == nil || out != nil {
 			return corruptCell(m.Seq, "exp: perf cell %d missing perf result", m.Seq)
 		}
-		if c.Footprint != 0 {
+		if res.Footprint != 0 {
 			return corruptCell(m.Seq, "exp: perf cell %d carries a footprint payload", m.Seq)
 		}
 	case CellMem:
-		if c.Perf != nil {
+		if res == nil || out != nil {
+			return corruptCell(m.Seq, "exp: mem cell %d missing result", m.Seq)
+		}
+		if res.Perf != nil {
 			return corruptCell(m.Seq, "exp: mem cell %d carries a perf payload", m.Seq)
 		}
+	case CellChaos:
+		cp, ok := p.(ChaosPlan)
+		if !ok || out == nil || res != nil {
+			return corruptCell(m.Seq, "exp: chaos cell %d missing outcome", m.Seq)
+		}
+		if s, f, seed := cp.coords(m.Seq); out.Scheme != s || out.Fault != f || out.Seed != seed {
+			return corruptCell(m.Seq, "exp: chaos cell %d outcome coordinates (%s,%s,%d) do not match plan (%s,%s,%d)",
+				m.Seq, out.Scheme, out.Fault, out.Seed, s, f, seed)
+		}
 	}
-	return a.Add(m.Seq, c)
+	return nil
 }
 
 // Missing lists the sequence numbers not yet added, in order.
@@ -501,24 +542,11 @@ func (a *ChaosAssembly) Add(seq int, o chaos.Outcome) error {
 	return nil
 }
 
-// AddChecked is Add with the cell-identity contract enforced: the
-// received coordinates must match the plan's enumeration at m.Seq, and
-// the outcome's own (scheme, fault, seed) must be the exact cell the
-// plan put there — a hostile or corrupted backend cannot smuggle a
-// different cell's outcome into the slot.
+// AddChecked is Add behind CheckCell: a hostile or corrupted backend
+// cannot smuggle a different cell's outcome into the slot.
 func (a *ChaosAssembly) AddChecked(m CellMeta, o chaos.Outcome) error {
-	if m.Seq < 0 || m.Seq >= len(a.have) {
-		return corruptCell(m.Seq, "exp: chaos cell seq %d out of range [0, %d)", m.Seq, len(a.have))
-	}
-	want := a.p.Meta(m.Seq)
-	if m.Kind != want.Kind || m.Workload != want.Workload || m.Config != want.Config {
-		return corruptCell(m.Seq, "exp: chaos cell %d identity %s|%s|%s does not match plan %s|%s|%s",
-			m.Seq, m.Kind, m.Workload, m.Config, want.Kind, want.Workload, want.Config)
-	}
-	s, f, seed := a.p.coords(m.Seq)
-	if o.Scheme != s || o.Fault != f || o.Seed != seed {
-		return corruptCell(m.Seq, "exp: chaos cell %d outcome coordinates (%s,%s,%d) do not match plan (%s,%s,%d)",
-			m.Seq, o.Scheme, o.Fault, o.Seed, s, f, seed)
+	if err := CheckCell(a.p, m, nil, &o); err != nil {
+		return err
 	}
 	return a.Add(m.Seq, o)
 }

@@ -335,3 +335,38 @@ func TestHybridMode(t *testing.T) {
 		}
 	}
 }
+
+// cellAllocBudget bounds the host heap allocations one report cell may
+// make once its pooled runtime is warm. The simulated accesses themselves
+// allocate nothing: what remains is per-run bookkeeping (the kernel's
+// env, the runtime's object maps, the result), measured at 26-60 per ft
+// and health cell with go1.24. Per-access allocations — a member lookup
+// cache, a child list per heap pop, a parent chain per narrowing promote —
+// cost thousands per cell and fail it.
+const cellAllocBudget = 100
+
+// TestAllocBudgetKernelCells computes the ft and health cells of a report
+// plan — perf cells at scale 1, memory cells at scale 4 — and holds each
+// to cellAllocBudget. ft is the promote-heaviest kernel and pops its
+// pairing heap thousands of times; health narrows a subobject pointer on
+// every admission.
+func TestAllocBudgetKernelCells(t *testing.T) {
+	for _, name := range []string{"ft", "health"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("no workload %s", name)
+		}
+		p := NewReportPlan([]workloads.Workload{w}, 1, 4)
+		for i := 0; i < p.NumCells(); i++ {
+			n := testing.AllocsPerRun(1, func() {
+				if _, err := p.ComputeCell(i); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > cellAllocBudget {
+				m := p.Meta(i)
+				t.Errorf("%s %s cell (%s) makes %.0f allocs, budget %d", name, m.Kind, m.Config, n, cellAllocBudget)
+			}
+		}
+	}
+}

@@ -277,8 +277,8 @@ func TestBuddyBadConstruction(t *testing.T) {
 	// construction parameters can be derived from inputs, and the chaos
 	// fault model requires every reachable failure to be classifiable.
 	cases := []struct {
-		name               string
-		base               uint64
+		name                string
+		base                uint64
 		regionLog2, minLog2 uint
 	}{
 		{"min order exceeds region", 0x4000_0000, 10, 12},

@@ -200,6 +200,10 @@ type WalkStats struct {
 // every real type while keeping the hardware state machine small.
 const maxDepth = 64
 
+// chainInline is how many parent-chain entries Narrow holds without a
+// heap allocation.
+const chainInline = 8
+
 // Narrow resolves the bounds of subobject idx of an object at [objBase,
 // objBase+objSize), where addr is the pointer's current address (used to
 // locate the array element under array-of-struct nesting). It implements
@@ -216,8 +220,11 @@ func Narrow(fetch FetchFunc, tableAddr uint64, objBase, objSize, addr uint64, id
 		return obj, st, nil
 	}
 
-	// Phase 1: climb the parent chain (Figure 9c "fetching order").
-	var chain []Entry
+	// Phase 1: climb the parent chain (Figure 9c "fetching order"). Real
+	// types nest a few levels deep, so the chain lives in a stack array;
+	// append moves it to the heap only past chainInline levels.
+	var inline [chainInline]Entry
+	chain := inline[:0]
 	cur := idx
 	for cur != 0 {
 		if st.Fetches >= maxDepth {

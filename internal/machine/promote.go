@@ -168,9 +168,11 @@ func (m *Machine) fetchMetaWord(addr uint64) (uint64, bool) {
 // probes before the memory reads is sound because the cache model never
 // reads memory and the memory never consults the cache. A non-wrapping
 // range cannot fault (Load64 only faults on address wrap), so the batched
-// path charges everything up front; the wrap fallback — unreachable from
-// real metadata addresses, which live in the 48-bit tagged space — keeps
-// word-at-a-time fault ordering.
+// path charges everything up front and reads a record within one page
+// through a single translation; a record crossing a page boundary reads
+// word by word, and the wrap fallback — unreachable from real metadata
+// addresses, which live in the 48-bit tagged space — keeps word-at-a-time
+// fault ordering.
 func (m *Machine) fetchMetaWords(addr uint64, w []uint64) bool {
 	n := uint64(len(w))
 	if addr+n*8 < addr {
@@ -187,6 +189,9 @@ func (m *Machine) fetchMetaWords(addr uint64, w []uint64) bool {
 	m.C.Cycles += n
 	if !m.Untimed {
 		m.C.Cycles += uint64(m.L1D.AccessWords(addr, len(w))) * m.Cost.MissPenalty
+	}
+	if m.Mem.LoadWords(addr, w) {
+		return true
 	}
 	for i := range w {
 		v, err := m.Mem.Load64(addr + uint64(i)*8)

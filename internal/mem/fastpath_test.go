@@ -137,13 +137,38 @@ func TestTLBInvalidatedOnReset(t *testing.T) {
 	}
 }
 
+// sameSlotPages returns n page numbers from start up that all map to
+// start's TLB slot.
+func sameSlotPages(start uint64, n int) []uint64 {
+	pns := []uint64{start}
+	for pn := start + 1; len(pns) < n; pn++ {
+		if tlbSlot(pn) == tlbSlot(start) {
+			pns = append(pns, pn)
+		}
+	}
+	return pns
+}
+
+// resident reports whether page pn's translation is in the TLB.
+func (m *Memory) resident(pn uint64) bool { return m.tlb[tlbSlot(pn)].pn == pn }
+
 // TestTLBAlternatingPages exercises TLB conflict pressure: the three pages
-// used here are tlbSize pages apart, so in the direct-mapped TLB they all
-// contend for one slot. Every access must stay coherent (still reaching
-// the frame the pages map holds) across the constant mutual eviction.
+// used here share one slot of the direct-mapped TLB, so they keep evicting
+// each other. Every access must stay coherent (still reaching the frame
+// the pages map holds) across the constant mutual eviction.
 func TestTLBAlternatingPages(t *testing.T) {
 	m := New()
-	const a, b, c = uint64(0x10_000), uint64(0x20_000), uint64(0x30_000)
+	pns := sameSlotPages(0x10, 3)
+	a, b, c := pns[0]<<PageBits, pns[1]<<PageBits, pns[2]<<PageBits
+	if err := m.StoreN(a, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StoreN(b, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	if m.resident(pns[0]) || !m.resident(pns[1]) {
+		t.Fatalf("pages %#x and %#x do not contend for one TLB slot", pns[0], pns[1])
+	}
 	for i := uint64(0); i < 64; i++ {
 		if err := m.StoreN(a+8*i, 0xA0+i, 8); err != nil {
 			t.Fatal(err)
@@ -170,6 +195,81 @@ func TestTLBAlternatingPages(t *testing.T) {
 	for i := 0; i < tlbSize; i++ {
 		if e := m.tlb[i]; e.pn != noPage && e.pg != m.pages[e.pn] {
 			t.Fatalf("tlb entry %d frame diverges from pages map", i)
+		}
+	}
+}
+
+// TestTLBRegionResidency pins what the TLB's size and slot function are
+// for: the first page of every region of internal/rt's address map and a
+// 164-page span of either heap (the largest report cells below
+// perimeter's memory cells touch 164 pages) are all resident at once.
+func TestTLBRegionResidency(t *testing.T) {
+	// Region bases of internal/rt, as page numbers: global table,
+	// layout tables, globals, stack, free-list heap, subheap.
+	regions := []uint64{0x10, 0x100, 0x1000, 0x3000, 0x1_0000, 0x4_0000}
+	for _, heap := range regions[4:] {
+		m := New()
+		touched := append([]uint64(nil), regions...)
+		for pn := heap + 1; pn < heap+164; pn++ {
+			touched = append(touched, pn)
+		}
+		for _, pn := range touched {
+			if err := m.StoreN(pn<<PageBits, pn, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, pn := range touched {
+			if !m.resident(pn) {
+				t.Errorf("heap span at page %#x: page %#x evicted (slot %d)", heap, pn, tlbSlot(pn))
+			}
+		}
+	}
+}
+
+// TestLoadWordsMatchesLoad64: a run of words within one page reads
+// through one translation exactly what per-word Load64 calls read, and
+// maps the same pages; a run that crosses a page or wraps the address
+// space reads nothing and maps nothing.
+func TestLoadWordsMatchesLoad64(t *testing.T) {
+	cases := []struct {
+		addr uint64
+		n    int
+		ok   bool
+	}{
+		{0x5000, 4, true},
+		{0x5FE0, 4, true},           // ends exactly at the page end
+		{0x5FE8, 4, false},          // last word crosses into the next page
+		{0x5003, 2, true},           // unaligned, within the page
+		{^uint64(0) - 15, 2, false}, // ends exactly at 2^64: wraps
+		{0x7000, 0, true},
+	}
+	for _, tc := range cases {
+		m, ref := New(), New()
+		for i := uint64(0); i < 64; i++ {
+			addr := tc.addr&^pageMask - 8*32 + 8*i
+			if err := m.StoreN(addr, 0x1111*i, 8); err == nil {
+				_ = ref.StoreN(addr, 0x1111*i, 8)
+			}
+		}
+		before := m.MappedBytes()
+		w := make([]uint64, tc.n)
+		if got := m.LoadWords(tc.addr, w); got != tc.ok {
+			t.Fatalf("LoadWords(%#x, %d) = %v, want %v", tc.addr, tc.n, got, tc.ok)
+		}
+		if !tc.ok {
+			if m.MappedBytes() != before {
+				t.Fatalf("failed LoadWords(%#x, %d) mapped pages", tc.addr, tc.n)
+			}
+			continue
+		}
+		for i := range w {
+			want, err := ref.Load64(tc.addr + uint64(i)*8)
+			if err != nil || w[i] != want {
+				t.Fatalf("LoadWords(%#x)[%d] = %#x, Load64 = (%#x, %v)", tc.addr, i, w[i], want, err)
+			}
+		}
+		if m.MappedBytes() != ref.MappedBytes() {
+			t.Fatalf("LoadWords(%#x, %d): MappedBytes %d, per-word %d", tc.addr, tc.n, m.MappedBytes(), ref.MappedBytes())
 		}
 	}
 }

@@ -38,16 +38,26 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x (size %d): %s", kind, f.Addr, f.Size, f.Why)
 }
 
-// tlbSize is the number of software-TLB entries; the TLB is direct-mapped
-// on the low page-number bits. Sixty-four entries cover the working set of
-// the pointer-chasing grid workloads (stack page + heap pages spread
-// across subheap blocks + the metadata pages promote reads) with few
-// conflict evictions — at sixteen, em3d/bh-style runs thrashed slots and
-// fell back to the pages map on a noticeable fraction of accesses. Direct
-// mapping keeps the hit path free of pointer writes — an MRU scheme's
-// swap-to-front stores pointers on every reordering, and each such store
-// pays a GC write barrier.
-const tlbSize = 64
+// tlbSize is the number of software-TLB entries. Direct mapping keeps the
+// hit path free of pointer writes — an MRU scheme's swap-to-front stores
+// pointers on every reordering, and each such store pays a GC write
+// barrier — so the size and the slot function (tlbSlot) are what keep a
+// cell's working set resident. With 512 entries every report-grid cell
+// up to the health and ft wrapped memory cells (163 and 164 pages) maps
+// without a conflict; only perimeter's memory cells (430-714 pages) and
+// bzip2's subheap cells, whose pools sit 256 pages apart, share slots.
+const tlbSize = 512
+
+// tlbSlot is page pn's TLB slot. The runtime's regions all start at
+// multiples of 256 pages (internal/rt: global table 0x10, layout tables
+// 0x100, globals 0x1000, stack 0x3000, free-list heap 0x10000, subheap
+// 0x40000), so indexing on the low page-number bits alone put every
+// region's first page in slot 0, where they evicted each other. Adding
+// the page number's bits from 2^10 and 2^14 pages up back in gives each
+// region its own starting slot (16, 256, 4, 12, 68 and 272), while a
+// region's consecutive pages still take consecutive slots: each heap
+// grows at least 188 pages before meeting another region's first slot.
+func tlbSlot(pn uint64) uint64 { return (pn + pn>>10 + pn>>14) & (tlbSize - 1) }
 
 // Memory is a sparse paged guest address space. It is not safe for
 // concurrent use; the simulated core is single-issue in-order (CVA6), and
@@ -55,17 +65,16 @@ const tlbSize = 64
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
 
-	// tlb is a small direct-mapped software TLB: page number pn lives in
-	// slot pn % tlbSize. It is purely a host-side lookup shortcut: a hit
+	// tlb is a direct-mapped software TLB: page number pn lives in slot
+	// tlbSlot(pn). It is purely a host-side lookup shortcut: a hit
 	// returns the same frame the pages map would, so guest-visible
 	// behavior — contents, MappedBytes, fault points, and every modeled
 	// counter (cycles and cache statistics are charged upstream in
 	// internal/machine before memory is touched) — is identical with the
 	// TLB disabled. Entries stay valid because a mapped page's frame never
 	// changes until Reset, which invalidates the TLB wholesale. Each entry
-	// pairs page number and frame in one struct so the hit path is a single
-	// index expression — small enough that page's fast path inlines into
-	// LoadN/StoreN.
+	// pairs page number and frame in one struct so the hit path (probe) is
+	// a single index expression that inlines into LoadN/StoreN.
 	tlb [tlbSize]tlbEntry
 
 	// Mapped tracks the total number of mapped pages, for the memory
@@ -151,22 +160,29 @@ func (m *Memory) Map(addr, size uint64) {
 	}
 }
 
-// page translates a page number to its frame, demand-mapping on first
-// touch. The TLB front-ends the pages map, direct-mapped on the low bits
-// of the page number; a hit performs no writes at all, a miss refills the
-// slot after the map lookup (or demand-map) resolves the frame. The hit
-// path is kept small enough to inline into LoadN/StoreN, so the common
-// aligned access resolves its frame without a function call.
-func (m *Memory) page(pn uint64) *[PageSize]byte {
-	if e := &m.tlb[pn&(tlbSize-1)]; e.pn == pn {
+// probe is the TLB hit path: page pn's frame if its slot holds it, else
+// nil. A hit performs no writes at all. It is small enough to inline at
+// every translation site, so the common aligned access resolves its frame
+// without a function call.
+func (m *Memory) probe(pn uint64) *[PageSize]byte {
+	if e := &m.tlb[tlbSlot(pn)]; e.pn == pn {
 		return e.pg
+	}
+	return nil
+}
+
+// page translates a page number to its frame, demand-mapping on first
+// touch: a TLB probe, then on a miss the pages map (or demand-map) and a
+// refill of the slot.
+func (m *Memory) page(pn uint64) *[PageSize]byte {
+	if p := m.probe(pn); p != nil {
+		return p
 	}
 	return m.pageSlow(pn)
 }
 
 // pageSlow is the TLB-miss path: pages-map lookup, demand-map, TLB refill.
-// Kept out of line so page's TLB-hit fast path stays under the inlining
-// budget at its LoadN/StoreN call sites.
+// Kept out of line so the translation sites stay small.
 //
 //go:noinline
 func (m *Memory) pageSlow(pn uint64) *[PageSize]byte {
@@ -182,7 +198,7 @@ func (m *Memory) pageSlow(pn uint64) *[PageSize]byte {
 		m.pages[pn] = p
 		m.mapped++
 	}
-	m.tlb[pn&(tlbSize-1)] = tlbEntry{pn: pn, pg: p}
+	m.tlb[tlbSlot(pn)] = tlbEntry{pn: pn, pg: p}
 	return p
 }
 
@@ -236,7 +252,10 @@ func (m *Memory) LoadN(addr uint64, size int) (uint64, error) {
 		if addr+uint64(size) < addr {
 			return 0, &Fault{Addr: addr, Size: size, Why: "address wrap"}
 		}
-		p := m.page(addr >> PageBits)
+		p := m.probe(addr >> PageBits)
+		if p == nil {
+			p = m.pageSlow(addr >> PageBits)
+		}
 		switch size {
 		case 1:
 			return uint64(p[off]), nil
@@ -265,7 +284,10 @@ func (m *Memory) StoreN(addr uint64, v uint64, size int) error {
 		if addr+uint64(size) < addr {
 			return &Fault{Addr: addr, Size: size, Write: true, Why: "address wrap"}
 		}
-		p := m.page(addr >> PageBits)
+		p := m.probe(addr >> PageBits)
+		if p == nil {
+			p = m.pageSlow(addr >> PageBits)
+		}
 		switch size {
 		case 1:
 			p[off] = byte(v)
@@ -281,6 +303,30 @@ func (m *Memory) StoreN(addr uint64, v uint64, size int) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return m.Write(addr, buf[:size])
+}
+
+// LoadWords fills w with the consecutive little-endian words at addr
+// through one translation when they all lie in one page, and reports
+// whether it did. A run that crosses a page boundary or wraps the address
+// space reads nothing and returns false, so the caller can fall back to
+// per-word loads and their per-word fault order.
+func (m *Memory) LoadWords(addr uint64, w []uint64) bool {
+	if len(w) == 0 {
+		return true
+	}
+	n := uint64(len(w)) * 8
+	off := addr & pageMask
+	if off+n > PageSize || addr+n < addr {
+		return false
+	}
+	p := m.probe(addr >> PageBits)
+	if p == nil {
+		p = m.pageSlow(addr >> PageBits)
+	}
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(p[off+uint64(i)*8:])
+	}
+	return true
 }
 
 // Load64 loads a 64-bit little-endian word.

@@ -428,12 +428,12 @@ func TestDispatchFallbackOnUnloweredProgram(t *testing.T) {
 			Name: "main",
 			Ret:  nil,
 			Code: []Insn{
-				{Op: OpConst, Imm: 1},      // 0: push
-				{Op: OpJnz, Imm: 4},        // 1: pop, jump to 4
-				{Op: OpConst, Imm: 7},      // 2: push (depth 1 path)
-				{Op: OpConst, Imm: 8},      // 3: push (depth 2 at pc 4)
-				{Op: OpConst, Imm: 9},      // 4: merge: depth 0 vs 2
-				{Op: OpRet, Sub: 1},        // 5
+				{Op: OpConst, Imm: 1}, // 0: push
+				{Op: OpJnz, Imm: 4},   // 1: pop, jump to 4
+				{Op: OpConst, Imm: 7}, // 2: push (depth 1 path)
+				{Op: OpConst, Imm: 8}, // 3: push (depth 2 at pc 4)
+				{Op: OpConst, Imm: 9}, // 4: merge: depth 0 vs 2
+				{Op: OpRet, Sub: 1},   // 5
 			},
 		}},
 		FuncIdx: map[string]int{"main": 0},

@@ -145,16 +145,16 @@ type RunStats struct {
 	CorruptRejected int `json:"corrupt_rejected"` // corrupt cells the assembly refused
 
 	// Shard-side accounting (this run's shard, so counters are absolute).
-	FailedOver    uint64 `json:"failed_over"`    // cells reassigned after a backend loss
-	Hedged        uint64 `json:"hedged"`         // straggler cells re-dispatched
-	Shed          uint64 `json:"shed"`           // cells emitted as error cells
-	CorruptLines  uint64 `json:"corrupt_lines"`  // backend lines the shard's validation rejected
-	DupSuppressed uint64 `json:"dup_suppressed"` // duplicate lines the shard's dedup dropped
+	FailedOver    uint64            `json:"failed_over"`    // cells reassigned after a backend loss
+	Hedged        uint64            `json:"hedged"`         // straggler cells re-dispatched
+	Shed          uint64            `json:"shed"`           // cells emitted as error cells
+	CorruptLines  uint64            `json:"corrupt_lines"`  // backend lines the shard's validation rejected
+	DupSuppressed uint64            `json:"dup_suppressed"` // duplicate lines the shard's dedup dropped
 	Breakers      map[string]string `json:"breakers,omitempty"`
 
 	// Gates.
-	Lost            int  `json:"lost"`             // cells never assembled (must be 0)
-	ReportIdentical bool `json:"report_identical"` // byte-identical to the serial ground truth
+	Lost            int    `json:"lost"`             // cells never assembled (must be 0)
+	ReportIdentical bool   `json:"report_identical"` // byte-identical to the serial ground truth
 	Failure         string `json:"failure,omitempty"`
 }
 
@@ -557,18 +557,18 @@ func scrapeShard(ctx context.Context, shardURL string, stats *RunStats) {
 
 // Summary condenses a campaign result for reports and the bench schema.
 type Summary struct {
-	Runs            int    `json:"runs"`
-	Failed          int    `json:"failed"`
-	Cells           int    `json:"cells"`
-	Injected        uint64 `json:"injected"`
-	Recovered       uint64 `json:"recovered"`
-	FailedOver      uint64 `json:"failed_over"`
-	Hedged          uint64 `json:"hedged"`
-	Shed            uint64 `json:"shed"`
-	CorruptLines    uint64 `json:"corrupt_lines"`
-	DupSuppressed   uint64 `json:"dup_suppressed"`
-	Lost            int    `json:"lost"`
-	AllIdentical    bool   `json:"all_identical"`
+	Runs          int    `json:"runs"`
+	Failed        int    `json:"failed"`
+	Cells         int    `json:"cells"`
+	Injected      uint64 `json:"injected"`
+	Recovered     uint64 `json:"recovered"`
+	FailedOver    uint64 `json:"failed_over"`
+	Hedged        uint64 `json:"hedged"`
+	Shed          uint64 `json:"shed"`
+	CorruptLines  uint64 `json:"corrupt_lines"`
+	DupSuppressed uint64 `json:"dup_suppressed"`
+	Lost          int    `json:"lost"`
+	AllIdentical  bool   `json:"all_identical"`
 }
 
 // Summarize folds per-run stats into campaign totals.

@@ -184,7 +184,8 @@ func cellError(cell BatchCell) error {
 		cell.Seq, cell.Kind, cell.Workload, cell.Config, cell.Error)
 }
 
-// addToAssembly folds one grid/batch cell into an exp.Assembly.
+// addToAssembly folds one grid/batch cell into an exp.Assembly, through
+// the same cell contract (exp.CheckCell) the shard relay enforces.
 func addToAssembly(a *exp.Assembly, cell BatchCell) error {
 	if cell.Error != "" {
 		return cellError(cell)
@@ -192,7 +193,7 @@ func addToAssembly(a *exp.Assembly, cell BatchCell) error {
 	if cell.Result == nil {
 		return fmt.Errorf("ifp-serve: cell %d missing result payload", cell.Seq)
 	}
-	return a.Add(cell.Seq, *cell.Result)
+	return a.AddChecked(cell.Meta(), *cell.Result)
 }
 
 // BatchReport streams a whole /v1/batch campaign (req.Cells must be
@@ -240,7 +241,7 @@ func (c *Client) ChaosReport(ctx context.Context, req ChaosRequest) (string, int
 		if cell.Chaos == nil {
 			return fmt.Errorf("ifp-serve: cell %d missing chaos payload", cell.Seq)
 		}
-		return a.Add(cell.Seq, *cell.Chaos)
+		return a.AddChecked(cell.Meta(), *cell.Chaos)
 	}); err != nil {
 		return "", 0, err
 	}

@@ -343,28 +343,16 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, plan c
 	for _, i := range part {
 		assigned[i] = true
 	}
-	isChaos := path == server.ChaosPath
 	sawTrailer := false
 	err := b.client.StreamNDJSON(ctx, path, req, func(line []byte) error {
-		var probe struct {
-			Done bool `json:"done"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			s.metrics.corruptLines.Add(1)
-			return fmt.Errorf("shard: %s: %w: undecodable line: %v", b.url, ErrCorruptLine, err)
-		}
-		if probe.Done {
-			sawTrailer = true
-			return nil
-		}
-		var cell server.BatchCell
-		if err := json.Unmarshal(line, &cell); err != nil {
-			s.metrics.corruptLines.Add(1)
-			return fmt.Errorf("shard: %s: %w: undecodable cell: %v", b.url, ErrCorruptLine, err)
-		}
-		if err := validateCell(plan, assigned, &cell, isChaos); err != nil {
+		cell, done, err := relayLine(plan, assigned, line)
+		if err != nil {
 			s.metrics.corruptLines.Add(1)
 			return fmt.Errorf("shard: %s: %w: %v", b.url, ErrCorruptLine, err)
+		}
+		if done {
+			sawTrailer = true
+			return nil
 		}
 		deliver(cell.Seq, line, cell.Error != "")
 		return nil
@@ -378,33 +366,39 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, plan c
 	return nil
 }
 
+// relayLine decodes and validates one backend stream line: either the
+// trailer (done) or a cell line validateCell accepts. Anything else is a
+// corrupt line.
+func relayLine(plan campaignPlan, assigned map[int]bool, line []byte) (cell server.BatchCell, done bool, err error) {
+	var probe struct {
+		Done bool `json:"done"`
+	}
+	if err := json.Unmarshal(line, &probe); err != nil {
+		return cell, false, fmt.Errorf("undecodable line: %v", err)
+	}
+	if probe.Done {
+		return cell, true, nil
+	}
+	if err := json.Unmarshal(line, &cell); err != nil {
+		return cell, false, fmt.Errorf("undecodable cell: %v", err)
+	}
+	return cell, false, validateCell(plan, assigned, &cell)
+}
+
 // validateCell enforces the stream contract on one decoded cell line: a
-// seq the backend was assigned (which implies in-plan range), the
-// plan's identity for that seq, and a payload whose shape matches the
-// campaign type. A violation means the backend answered a question it
+// seq the backend was assigned, then exp.CheckCell — the plan's identity
+// for that seq and the payload shape its kind requires, the same check
+// the client's checked assembly applies — or, for an error cell, the
+// identity alone. A violation means the backend answered a question it
 // was not asked — a corrupted stream, not a failed simulation.
-func validateCell(plan campaignPlan, assigned map[int]bool, cell *server.BatchCell, isChaos bool) error {
+func validateCell(plan campaignPlan, assigned map[int]bool, cell *server.BatchCell) error {
 	if !assigned[cell.Seq] {
 		return fmt.Errorf("cell seq %d not in this backend's assignment", cell.Seq)
 	}
-	m := plan.Meta(cell.Seq)
-	if cell.Kind != m.Kind || cell.Workload != m.Workload || cell.Config != m.Config {
-		return fmt.Errorf("cell seq %d identity %s|%s|%s contradicts plan %s|%s|%s",
-			cell.Seq, cell.Kind, cell.Workload, cell.Config, m.Kind, m.Workload, m.Config)
-	}
 	if cell.Error != "" {
-		return nil // error cells carry no payload
+		return exp.CheckMeta(plan, cell.Meta()) // error cells carry no payload
 	}
-	if isChaos {
-		if cell.Chaos == nil || cell.Result != nil {
-			return fmt.Errorf("cell seq %d has a malformed chaos payload", cell.Seq)
-		}
-		return nil
-	}
-	if cell.Result == nil || cell.Chaos != nil {
-		return fmt.Errorf("cell seq %d has a malformed result payload", cell.Seq)
-	}
-	return nil
+	return exp.CheckCell(plan, cell.Meta(), cell.Result, cell.Chaos)
 }
 
 func mustShardJSON(v any) []byte {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"infat/internal/chaos"
 	"infat/internal/exp"
 	"infat/internal/server"
 	"infat/internal/workloads"
@@ -467,37 +468,137 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 	}
 }
 
-// TestShardRejectsAlienCells fronts the shard over one hostile backend
-// that answers health probes but streams cells from outside its
-// assigned part (alien sequence numbers). The shard must reject every
-// such line at the trust boundary — corrupt_lines, never a wrong report
-// — fail that backend's stream, and complete the campaign on the honest
-// survivor with byte-identical output.
-func TestShardRejectsAlienCells(t *testing.T) {
-	serial, _ := serialRun(t)
+// hostileLine is one wrong cell line a hostile backend sends: either a
+// sequence number outside every part (kind "") or one of its assigned
+// cells of the given kind, with its true identity but a payload of the
+// wrong shape.
+type hostileLine struct {
+	kind    string
+	payload string // JSON members after the cell identity
+}
 
+// hostileLines lists, per campaign endpoint, the wrong lines
+// TestShardRejectsAlienCells's backend cycles through, one per request.
+func hostileLines(t *testing.T) map[string][]hostileLine {
+	// An outcome at coordinates no plan cell has.
+	outcome, err := json.Marshal(chaos.Outcome{Seed: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := `"chaos":` + string(outcome)
+	return map[string][]hostileLine{
+		server.GridPath: {
+			{"", `"result":{"perf":{}}`},
+			{exp.CellPerf, `"result":{"footprint":4096}`},
+			{exp.CellPerf, `"result":{"perf":{},"footprint":4096}`},
+			{exp.CellPerf, bad},
+		},
+		server.BatchPath: {
+			{exp.CellPerf, `"result":{"footprint":4096}`},
+			{exp.CellMem, `"result":{"perf":{},"footprint":4096}`},
+			{exp.CellMem, bad},
+		},
+		server.ChaosPath: {
+			{"", bad},
+			{exp.CellChaos, bad},
+			{exp.CellChaos, `"result":{"footprint":4096}`},
+		},
+	}
+}
+
+// TestShardRejectsAlienCells fronts the shard over one hostile backend
+// that answers health probes but streams wrong cells: sequence numbers
+// from outside its assigned part, and its assigned cells with every wrong
+// payload shape (a perf cell without a perf result or with a footprint, a
+// memory cell with a perf result, a chaos outcome at other coordinates,
+// and each campaign's payload swapped for another's). The shard must
+// reject every such line at the trust boundary — corrupt_lines, never a
+// wrong report or a client-side rejection — fail that backend's stream,
+// and complete each /v1/grid, /v1/batch and /v1/chaos campaign on the
+// honest survivor with byte-identical output.
+func TestShardRejectsAlienCells(t *testing.T) {
+	serial, serialMem := serialRun(t)
+	wantChaos, wantInternal := exp.ChaosReport(1, runtime.NumCPU())
+	lines := hostileLines(t)
+
+	var mu sync.Mutex
+	requests := map[string]int{}      // per path: which line comes next
+	sent := map[string]map[int]bool{} // per path: line indexes sent
+	badLines := 0
 	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			fmt.Fprintln(w, `{"status":"ok"}`)
 			return
 		}
-		// Valid-shaped perf cells with sequence numbers no part could
-		// contain, then a clean trailer claiming success.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		for i := 0; i < 3; i++ {
-			fmt.Fprintf(w, `{"seq":%d,"kind":"perf","workload":"treeadd","config":"baseline","result":{"perf":{}}}`+"\n", 100000+i)
+		var plan exp.CellPlan
+		var part []int
+		switch r.URL.Path {
+		case server.ChaosPath:
+			var req server.ChaosRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			plan, part = req.Plan(), req.Cells
+		default:
+			var req server.BatchRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			p, err := req.GridPlan()
+			if r.URL.Path == server.BatchPath {
+				p, err = req.BatchPlan()
+			}
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			plan, part = p, req.Cells
 		}
-		fmt.Fprintln(w, `{"done":true,"cells":3,"completed":3}`)
+		mu.Lock()
+		defer mu.Unlock()
+		// Send the next line this part has a cell for; a seq outside
+		// every part stands in when it has none of any listed kind.
+		seq, ln := 100000+part[0], hostileLine{"", `"result":{"perf":{}}`}
+		m := plan.Meta(part[0])
+		all := lines[r.URL.Path]
+	pick:
+		for k := 0; k < len(all); k++ {
+			i := (requests[r.URL.Path] + k) % len(all)
+			for _, c := range part {
+				if cm := plan.Meta(c); all[i].kind == "" || cm.Kind == all[i].kind {
+					if all[i].kind != "" {
+						seq, m = c, cm
+					}
+					ln = all[i]
+					if sent[r.URL.Path] == nil {
+						sent[r.URL.Path] = map[int]bool{}
+					}
+					sent[r.URL.Path][i] = true
+					requests[r.URL.Path] = i + 1
+					break pick
+				}
+			}
+		}
+		badLines++
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		fmt.Fprintf(w, `{"seq":%d,"kind":%q,"workload":%q,"config":%q,%s}`+"\n", seq, m.Kind, m.Workload, m.Config, ln.payload)
+		fmt.Fprintf(w, `{"done":true,"cells":%d,"completed":%d}`+"\n", len(part), len(part))
 	}))
 	t.Cleanup(hostile.Close)
 	honest := httptest.NewServer(server.New(server.Config{}))
 	t.Cleanup(honest.Close)
 
+	// Thresholds out of reach and no hedging: every campaign sends the
+	// hostile exactly its part once, so each one meets the next line.
 	sh, err := New(Config{
-		Backends:       []string{hostile.URL, honest.URL},
-		HealthInterval: 50 * time.Millisecond,
-		HealthTimeout:  time.Second,
-		DownAfter:      2,
+		Backends:         []string{hostile.URL, honest.URL},
+		HealthInterval:   50 * time.Millisecond,
+		HealthTimeout:    time.Second,
+		DownAfter:        1 << 20,
+		BreakerThreshold: 1 << 20,
+		HedgeAfter:       -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -509,15 +610,50 @@ func TestShardRejectsAlienCells(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	got, err := c.GridReport(ctx, server.BatchRequest{Workloads: testWorkloads})
-	if err != nil {
-		t.Fatalf("grid campaign over hostile backend: %v", err)
+	req := server.BatchRequest{Workloads: testWorkloads}
+	campaigns := []struct {
+		path string
+		run  func() (string, error)
+		want string
+	}{
+		{server.GridPath, func() (string, error) { return c.GridReport(ctx, req) }, exp.PerfReport(serial)},
+		{server.BatchPath, func() (string, error) { return c.BatchReport(ctx, req) }, exp.Report(serial, serialMem)},
+		{server.ChaosPath, func() (string, error) {
+			got, internal, err := c.ChaosReport(ctx, server.ChaosRequest{Scale: 1})
+			if err == nil && internal != wantInternal {
+				err = fmt.Errorf("internal outcomes %d, want %d", internal, wantInternal)
+			}
+			return got, err
+		}, wantChaos},
 	}
-	if want := exp.PerfReport(serial); got != want {
-		t.Fatal("hostile backend corrupted the assembled report")
+	for _, cp := range campaigns {
+		for range lines[cp.path] {
+			before := sh.metrics.corruptLines.Load()
+			got, err := cp.run()
+			if err != nil {
+				t.Fatalf("%s campaign over hostile backend: %v", cp.path, err)
+			}
+			if got != cp.want {
+				t.Fatalf("%s: hostile backend corrupted the assembled report", cp.path)
+			}
+			if sh.metrics.corruptLines.Load() == before {
+				t.Errorf("%s: hostile line drew no corrupt_lines", cp.path)
+			}
+		}
 	}
-	if n := sh.metrics.corruptLines.Load(); n == 0 {
-		t.Error("alien cells drew no corrupt_lines")
+	mu.Lock()
+	defer mu.Unlock()
+	if n := sh.metrics.corruptLines.Load(); n != uint64(badLines) {
+		t.Errorf("corrupt_lines = %d, hostile sent %d bad lines", n, badLines)
+	}
+	for path, all := range lines {
+		for i, ln := range all {
+			if !sent[path][i] {
+				// Only possible when the ring gave the hostile no cell of
+				// that kind (6 memory cells: 1 run in 64).
+				t.Logf("%s: line %d (%s cell, %s) never sent", path, i, ln.kind, ln.payload)
+			}
+		}
 	}
 	if n := sh.metrics.reassignedCells.Load(); n == 0 {
 		t.Error("hostile backend's part was not reassigned")

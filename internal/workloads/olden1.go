@@ -23,6 +23,9 @@ var (
 		layout.F("pos", layout.ArrayOf(layout.Long, 3)),
 		layout.F("vel", layout.ArrayOf(layout.Long, 3)),
 		layout.F("next", layout.PointerTo(nil)))
+	bhBodyKind = mustField(bhBodyT, "kind")
+	bhBodyMass = mustField(bhBodyT, "mass")
+
 	bhCellT = layout.StructOf("cell",
 		layout.F("kind", layout.Long), // 0 = cell
 		layout.F("mass", layout.Long),
@@ -48,8 +51,8 @@ func runBH(r *rt.Runtime, scale int) (uint64, error) {
 	bodies := make([]rt.Obj, 0, nBodies)
 	for i := 0; i < nBodies; i++ {
 		b := e.malloc(bhBodyT, 1)
-		e.stf(b.P, b.B, bhBodyT, "kind", 1)
-		e.stf(b.P, b.B, bhBodyT, "mass", 1+e.randn(8))
+		e.stf(b.P, b.B, bhBodyKind, 1)
+		e.stf(b.P, b.B, bhBodyMass, 1+e.randn(8))
 		for d := int64(0); d < 3; d++ {
 			e.st(e.gep(b.P, bodyPos+8*d, b.B), e.randn(1024), 8, b.B)
 		}
@@ -106,8 +109,8 @@ func runBH(r *rt.Runtime, scale int) (uint64, error) {
 		// Gravity kernel: distance, inverse square root iterations,
 		// acceleration update (pure FP compute in the original).
 		e.tick(34)
-		e.stf(body.P, body.B, bhBodyT, "mass",
-			e.ldf(body.P, body.B, bhBodyT, "mass")+(v0&3))
+		e.stf(body.P, body.B, bhBodyMass,
+			e.ldf(body.P, body.B, bhBodyMass)+(v0&3))
 		e.unlocal(dv)
 		_ = e.r.StackRelease(mark) // mark comes from StackMark above; cannot fail
 	}
@@ -116,7 +119,7 @@ func runBH(r *rt.Runtime, scale int) (uint64, error) {
 		if p == 0 || e.err != nil || depth > 8 {
 			return
 		}
-		if kind := e.ldf(p, b, bhBodyT, "kind"); kind == 1 {
+		if kind := e.ldf(p, b, bhBodyKind); kind == 1 {
 			// A body: interact and follow the collision list.
 			interact(p, b, bodyPos, body)
 			next, nb := e.ldp(e.gep(p, bodyNext, b), b)
@@ -140,7 +143,7 @@ func runBH(r *rt.Runtime, scale int) (uint64, error) {
 	}
 
 	for _, b := range bodies {
-		e.mix(e.ldf(b.P, b.B, bhBodyT, "mass"))
+		e.mix(e.ldf(b.P, b.B, bhBodyMass))
 		e.free(b)
 	}
 	return e.sum, e.err
@@ -157,6 +160,12 @@ var bisortNodeT = layout.StructOf("bisort_node",
 	layout.F("left", layout.PointerTo(nil)),
 	layout.F("right", layout.PointerTo(nil)))
 
+var (
+	bisortNodeValue = mustField(bisortNodeT, "value")
+	bisortNodeLeft  = mustField(bisortNodeT, "left")
+	bisortNodeRight = mustField(bisortNodeT, "right")
+)
+
 func runBisort(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	depth := 9 // 511 nodes at scale 1
@@ -170,11 +179,11 @@ func runBisort(r *rt.Runtime, scale int) (uint64, error) {
 			return 0, machine.Cleared
 		}
 		n := e.malloc(bisortNodeT, 1)
-		e.stf(n.P, n.B, bisortNodeT, "value", e.randn(1<<20))
+		e.stf(n.P, n.B, bisortNodeValue, e.randn(1<<20))
 		l, lb := build(d - 1)
 		rp, rb := build(d - 1)
-		e.stpf(n.P, n.B, bisortNodeT, "left", l, lb)
-		e.stpf(n.P, n.B, bisortNodeT, "right", rp, rb)
+		e.stpf(n.P, n.B, bisortNodeLeft, l, lb)
+		e.stpf(n.P, n.B, bisortNodeRight, rp, rb)
 		return n.P, n.B
 	}
 	root, rootB := build(depth)
@@ -185,14 +194,14 @@ func runBisort(r *rt.Runtime, scale int) (uint64, error) {
 		if p == 0 || e.err != nil {
 			return
 		}
-		l, lb := e.ldpf(p, b, bisortNodeT, "left")
-		rp, rb := e.ldpf(p, b, bisortNodeT, "right")
+		l, lb := e.ldpf(p, b, bisortNodeLeft)
+		rp, rb := e.ldpf(p, b, bisortNodeRight)
 		if l != 0 && rp != 0 {
-			lv := e.ldf(l, lb, bisortNodeT, "value")
-			rv := e.ldf(rp, rb, bisortNodeT, "value")
+			lv := e.ldf(l, lb, bisortNodeValue)
+			rv := e.ldf(rp, rb, bisortNodeValue)
 			if (lv > rv) == up {
-				e.stf(l, lb, bisortNodeT, "value", rv)
-				e.stf(rp, rb, bisortNodeT, "value", lv)
+				e.stf(l, lb, bisortNodeValue, rv)
+				e.stf(rp, rb, bisortNodeValue, lv)
 			}
 			e.tick(5)
 		}
@@ -209,10 +218,10 @@ func runBisort(r *rt.Runtime, scale int) (uint64, error) {
 		if p == 0 || e.err != nil {
 			return
 		}
-		l, lb := e.ldpf(p, b, bisortNodeT, "left")
+		l, lb := e.ldpf(p, b, bisortNodeLeft)
 		fold(l, lb)
-		e.mix(e.ldf(p, b, bisortNodeT, "value"))
-		rp, rb := e.ldpf(p, b, bisortNodeT, "right")
+		e.mix(e.ldf(p, b, bisortNodeValue))
+		rp, rb := e.ldpf(p, b, bisortNodeRight)
 		fold(rp, rb)
 	}
 	fold(root, rootB)
@@ -232,6 +241,13 @@ var em3dNodeT = layout.StructOf("em3d_node",
 	layout.F("from_nodes", layout.PointerTo(nil)),
 	layout.F("coeffs", layout.PointerTo(nil)))
 
+var (
+	em3dNodeValue     = mustField(em3dNodeT, "value")
+	em3dNodeFromCount = mustField(em3dNodeT, "from_count")
+	em3dNodeFromNodes = mustField(em3dNodeT, "from_nodes")
+	em3dNodeCoeffs    = mustField(em3dNodeT, "coeffs")
+)
+
 func runEM3D(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	nNodes := 120 * scale
@@ -243,7 +259,7 @@ func runEM3D(r *rt.Runtime, scale int) (uint64, error) {
 		ns := make([]node, nNodes)
 		for i := range ns {
 			ns[i].o = e.malloc(em3dNodeT, 1)
-			e.stf(ns[i].o.P, ns[i].o.B, em3dNodeT, "value", e.randn(1<<16))
+			e.stf(ns[i].o.P, ns[i].o.B, em3dNodeValue, e.randn(1<<16))
 		}
 		return ns
 	}
@@ -254,9 +270,9 @@ func runEM3D(r *rt.Runtime, scale int) (uint64, error) {
 			deg := 4 + e.randn(12) // varied degrees -> varied array sizes
 			ns[i].fromArr = e.malloc(ptrT, deg)
 			ns[i].coeffArr = e.malloc(layout.Long, deg)
-			e.stf(ns[i].o.P, ns[i].o.B, em3dNodeT, "from_count", deg)
-			e.stpf(ns[i].o.P, ns[i].o.B, em3dNodeT, "from_nodes", ns[i].fromArr.P, ns[i].fromArr.B)
-			e.stpf(ns[i].o.P, ns[i].o.B, em3dNodeT, "coeffs", ns[i].coeffArr.P, ns[i].coeffArr.B)
+			e.stf(ns[i].o.P, ns[i].o.B, em3dNodeFromCount, deg)
+			e.stpf(ns[i].o.P, ns[i].o.B, em3dNodeFromNodes, ns[i].fromArr.P, ns[i].fromArr.B)
+			e.stpf(ns[i].o.P, ns[i].o.B, em3dNodeCoeffs, ns[i].coeffArr.P, ns[i].coeffArr.B)
 			for j := uint64(0); j < deg; j++ {
 				peer := peers[e.randn(uint64(len(peers)))]
 				e.stp(e.gep(ns[i].fromArr.P, int64(j)*8, ns[i].fromArr.B), ns[i].fromArr.B, peer.o.P, peer.o.B)
@@ -270,18 +286,18 @@ func runEM3D(r *rt.Runtime, scale int) (uint64, error) {
 	compute := func(ns []node) {
 		for i := range ns {
 			p, b := ns[i].o.P, ns[i].o.B
-			deg := e.ldf(p, b, em3dNodeT, "from_count")
-			from, fb := e.ldpf(p, b, em3dNodeT, "from_nodes")
-			coef, cb := e.ldpf(p, b, em3dNodeT, "coeffs")
-			acc := e.ldf(p, b, em3dNodeT, "value")
+			deg := e.ldf(p, b, em3dNodeFromCount)
+			from, fb := e.ldpf(p, b, em3dNodeFromNodes)
+			coef, cb := e.ldpf(p, b, em3dNodeCoeffs)
+			acc := e.ldf(p, b, em3dNodeValue)
 			for j := uint64(0); j < deg && e.err == nil; j++ {
 				peer, pb := e.ldp(e.gep(from, int64(j)*8, fb), fb)
 				c := e.ld(e.gep(coef, int64(j)*8, cb), 8, cb)
-				pv := e.ldf(peer, pb, em3dNodeT, "value")
+				pv := e.ldf(peer, pb, em3dNodeValue)
 				acc -= c * pv
 				e.tick(3)
 			}
-			e.stf(p, b, em3dNodeT, "value", acc)
+			e.stf(p, b, em3dNodeValue, acc)
 		}
 	}
 	for it := 0; it < iters; it++ {
@@ -289,8 +305,8 @@ func runEM3D(r *rt.Runtime, scale int) (uint64, error) {
 		compute(hNodes)
 	}
 	for i := range eNodes {
-		e.mix(e.ldf(eNodes[i].o.P, eNodes[i].o.B, em3dNodeT, "value"))
-		e.mix(e.ldf(hNodes[i].o.P, hNodes[i].o.B, em3dNodeT, "value"))
+		e.mix(e.ldf(eNodes[i].o.P, eNodes[i].o.B, em3dNodeValue))
+		e.mix(e.ldf(hNodes[i].o.P, hNodes[i].o.B, em3dNodeValue))
 	}
 	return e.sum, e.err
 }
@@ -307,10 +323,16 @@ var (
 		layout.F("hosts", layout.Long),
 		layout.F("time", layout.Long),
 		layout.F("next", layout.PointerTo(nil)))
+	healthPatientTime  = mustField(healthPatientT, "time")
+	healthPatientNext  = mustField(healthPatientT, "next")
+	healthPatientHosts = mustField(healthPatientT, "hosts")
+
 	healthVillageT = layout.StructOf("village",
 		layout.F("id", layout.Long),
 		layout.F("waiting", layout.PointerTo(nil)),
 		layout.F("child", layout.ArrayOf(layout.PointerTo(nil), 4)))
+	healthVillageID      = mustField(healthVillageT, "id")
+	healthVillageWaiting = mustField(healthVillageT, "waiting")
 )
 
 func runHealth(r *rt.Runtime, scale int) (uint64, error) {
@@ -326,7 +348,7 @@ func runHealth(r *rt.Runtime, scale int) (uint64, error) {
 		}
 		v := e.malloc(healthVillageT, 1)
 		villages = append(villages, v)
-		e.stf(v.P, v.B, healthVillageT, "id", uint64(len(villages)))
+		e.stf(v.P, v.B, healthVillageID, uint64(len(villages)))
 		for k := int64(0); k < 4; k++ {
 			c, cb := build(d - 1)
 			e.stp(e.gep(v.P, 16+8*k, v.B), v.B, c, cb)
@@ -345,41 +367,41 @@ func runHealth(r *rt.Runtime, scale int) (uint64, error) {
 		for _, v := range villages {
 			// New patient arrives at the head of the waiting list.
 			p := e.malloc(healthPatientT, 1)
-			e.stf(p.P, p.B, healthPatientT, "time", uint64(s))
-			head, hb := e.ldpf(v.P, v.B, healthVillageT, "waiting")
-			e.stpf(p.P, p.B, healthPatientT, "next", head, hb)
-			e.stpf(v.P, v.B, healthVillageT, "waiting", p.P, p.B)
+			e.stf(p.P, p.B, healthPatientTime, uint64(s))
+			head, hb := e.ldpf(v.P, v.B, healthVillageWaiting)
+			e.stpf(p.P, p.B, healthPatientNext, head, hb)
+			e.stpf(v.P, v.B, healthVillageWaiting, p.P, p.B)
 			e.stp(lastAdmit.P, lastAdmit.B,
-				e.fieldPtr(p.P, p.B, healthPatientT, "time"), p.B)
+				e.fieldPtr(p.P, p.B, healthPatientTime), p.B)
 			tp, tb := e.ldp(lastAdmit.P, lastAdmit.B)
 			e.mix(e.ld(tp, 8, tb))
 
 			// Traverse the list, aging every patient (the hot loop).
-			cur, cb := e.ldpf(v.P, v.B, healthVillageT, "waiting")
+			cur, cb := e.ldpf(v.P, v.B, healthVillageWaiting)
 			for cur != 0 && e.err == nil {
-				t := e.ldf(cur, cb, healthPatientT, "time")
-				e.stf(cur, cb, healthPatientT, "hosts", t+uint64(s))
+				t := e.ldf(cur, cb, healthPatientTime)
+				e.stf(cur, cb, healthPatientHosts, t+uint64(s))
 				e.tick(7) // triage arithmetic
-				cur, cb = e.ldpf(cur, cb, healthPatientT, "next")
+				cur, cb = e.ldpf(cur, cb, healthPatientNext)
 			}
 			// Census pass: a second traversal tallying treatment state.
 			var treated uint64
-			cur, cb = e.ldpf(v.P, v.B, healthVillageT, "waiting")
+			cur, cb = e.ldpf(v.P, v.B, healthVillageWaiting)
 			for cur != 0 && e.err == nil {
-				treated += e.ldf(cur, cb, healthPatientT, "hosts") & 1
+				treated += e.ldf(cur, cb, healthPatientHosts) & 1
 				e.tick(3)
-				cur, cb = e.ldpf(cur, cb, healthPatientT, "next")
+				cur, cb = e.ldpf(cur, cb, healthPatientNext)
 			}
-			e.stf(v.P, v.B, healthVillageT, "id", treated)
+			e.stf(v.P, v.B, healthVillageID, treated)
 		}
 	}
 	for _, v := range villages {
 		n := uint64(0)
-		cur, cb := e.ldpf(v.P, v.B, healthVillageT, "waiting")
+		cur, cb := e.ldpf(v.P, v.B, healthVillageWaiting)
 		for cur != 0 && e.err == nil {
 			n++
-			e.mix(e.ldf(cur, cb, healthPatientT, "hosts"))
-			cur, cb = e.ldpf(cur, cb, healthPatientT, "next")
+			e.mix(e.ldf(cur, cb, healthPatientHosts))
+			cur, cb = e.ldpf(cur, cb, healthPatientNext)
 		}
 		e.mix(n)
 	}
@@ -398,10 +420,16 @@ var (
 		layout.F("mindist", layout.Long),
 		layout.F("next", layout.PointerTo(nil)),
 		layout.F("hash", layout.PointerTo(nil)))
+	mstVertexMindist = mustField(mstVertexT, "mindist")
+	mstVertexHash    = mustField(mstVertexT, "hash")
+
 	mstEntryT = layout.StructOf("mst_entry",
 		layout.F("key", layout.Long),
 		layout.F("weight", layout.Long),
 		layout.F("next", layout.PointerTo(nil)))
+	mstEntryKey    = mustField(mstEntryT, "key")
+	mstEntryWeight = mustField(mstEntryT, "weight")
+	mstEntryNext   = mustField(mstEntryT, "next")
 )
 
 func runMST(r *rt.Runtime, scale int) (uint64, error) {
@@ -413,9 +441,9 @@ func runMST(r *rt.Runtime, scale int) (uint64, error) {
 	verts := make([]rt.Obj, nVerts)
 	for i := range verts {
 		verts[i] = e.malloc(mstVertexT, 1)
-		e.stf(verts[i].P, verts[i].B, mstVertexT, "mindist", 1<<30)
+		e.stf(verts[i].P, verts[i].B, mstVertexMindist, 1<<30)
 		ht := e.malloc(ptrT, buckets)
-		e.stpf(verts[i].P, verts[i].B, mstVertexT, "hash", ht.P, ht.B)
+		e.stpf(verts[i].P, verts[i].B, mstVertexHash, ht.P, ht.B)
 		// Edges to a handful of other vertices; ~1/6 of the entries come
 		// from the legacy helper (uninstrumented code).
 		for j := 0; j < 6; j++ {
@@ -426,11 +454,11 @@ func runMST(r *rt.Runtime, scale int) (uint64, error) {
 				entry = e.malloc(mstEntryT, 1)
 			}
 			key := e.randn(uint64(nVerts))
-			e.stf(entry.P, entry.B, mstEntryT, "key", key)
-			e.stf(entry.P, entry.B, mstEntryT, "weight", 1+e.randn(97))
+			e.stf(entry.P, entry.B, mstEntryKey, key)
+			e.stf(entry.P, entry.B, mstEntryWeight, 1+e.randn(97))
 			slot := e.gep(ht.P, int64(key%buckets)*8, ht.B)
 			old, ob := e.ldp(slot, ht.B)
-			e.stpf(entry.P, entry.B, mstEntryT, "next", old, ob)
+			e.stpf(entry.P, entry.B, mstEntryNext, old, ob)
 			e.stp(slot, ht.B, entry.P, entry.B)
 		}
 	}
@@ -447,18 +475,18 @@ func runMST(r *rt.Runtime, scale int) (uint64, error) {
 			if !inTree[i] {
 				continue
 			}
-			ht, hb := e.ldpf(verts[i].P, verts[i].B, mstVertexT, "hash")
+			ht, hb := e.ldpf(verts[i].P, verts[i].B, mstVertexHash)
 			for bkt := uint64(0); bkt < buckets && e.err == nil; bkt++ {
 				cur, cb := e.ldp(e.gep(ht, int64(bkt)*8, hb), hb)
 				for cur != 0 && e.err == nil {
-					key := e.ldf(cur, cb, mstEntryT, "key")
-					w := e.ldf(cur, cb, mstEntryT, "weight")
+					key := e.ldf(cur, cb, mstEntryKey)
+					w := e.ldf(cur, cb, mstEntryWeight)
 					if !inTree[key%uint64(nVerts)] && w < best {
 						best = w
 						bestV = int(key % uint64(nVerts))
 					}
 					e.tick(9)
-					cur, cb = e.ldpf(cur, cb, mstEntryT, "next")
+					cur, cb = e.ldpf(cur, cb, mstEntryNext)
 				}
 			}
 		}

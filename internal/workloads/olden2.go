@@ -20,6 +20,10 @@ var perimNodeT = layout.StructOf("quad",
 	layout.F("color", layout.Long),
 	layout.F("child", layout.ArrayOf(layout.PointerTo(nil), 4)))
 
+var (
+	perimNodeColor = mustField(perimNodeT, "color")
+)
+
 func runPerimeter(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	depth := 6
@@ -34,10 +38,10 @@ func runPerimeter(r *rt.Runtime, scale int) (uint64, error) {
 		}
 		n := e.malloc(perimNodeT, 1)
 		if d == 0 || e.randn(8) == 0 {
-			e.stf(n.P, n.B, perimNodeT, "color", e.randn(2)) // leaf: black/white
+			e.stf(n.P, n.B, perimNodeColor, e.randn(2)) // leaf: black/white
 			return n.P, n.B
 		}
-		e.stf(n.P, n.B, perimNodeT, "color", 2) // grey
+		e.stf(n.P, n.B, perimNodeColor, 2) // grey
 		for k := int64(0); k < 4; k++ {
 			c, cb := build(d - 1)
 			e.stp(e.gep(n.P, 8+8*k, n.B), n.B, c, cb)
@@ -51,7 +55,7 @@ func runPerimeter(r *rt.Runtime, scale int) (uint64, error) {
 		if p == 0 || e.err != nil {
 			return 0
 		}
-		color := e.ldf(p, b, perimNodeT, "color")
+		color := e.ldf(p, b, perimNodeColor)
 		if color != 2 {
 			e.tick(3)
 			return color * size
@@ -89,6 +93,12 @@ var powerNodeT = layout.StructOf("power_node",
 	layout.F("nkids", layout.Long),
 	layout.F("kids", layout.ArrayOf(layout.PointerTo(nil), 8)))
 
+var (
+	powerNodeDemand = mustField(powerNodeT, "demand")
+	powerNodeNkids  = mustField(powerNodeT, "nkids")
+	powerNodePrice  = mustField(powerNodeT, "price")
+)
+
 func runPower(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	iters := 8 * scale
@@ -100,9 +110,9 @@ func runPower(r *rt.Runtime, scale int) (uint64, error) {
 			return 0, machine.Cleared
 		}
 		n := e.malloc(powerNodeT, 1)
-		e.stf(n.P, n.B, powerNodeT, "demand", 1+e.randn(100))
+		e.stf(n.P, n.B, powerNodeDemand, 1+e.randn(100))
 		if d > 0 {
-			e.stf(n.P, n.B, powerNodeT, "nkids", 8)
+			e.stf(n.P, n.B, powerNodeNkids, 8)
 			for k := int64(0); k < 8; k++ {
 				c, cb := build(d - 1)
 				e.stp(e.gep(n.P, 24+8*k, n.B), n.B, c, cb)
@@ -117,7 +127,7 @@ func runPower(r *rt.Runtime, scale int) (uint64, error) {
 		if p == 0 || e.err != nil {
 			return 0
 		}
-		demand := e.ldf(p, b, powerNodeT, "demand")
+		demand := e.ldf(p, b, powerNodeDemand)
 		// The numeric optimization loop: Newton-style iterations, all
 		// register compute in the original.
 		v := demand
@@ -125,9 +135,9 @@ func runPower(r *rt.Runtime, scale int) (uint64, error) {
 			v = (v + price*demand/(v+1)) / 2
 			e.tick(6)
 		}
-		e.stf(p, b, powerNodeT, "price", v)
+		e.stf(p, b, powerNodePrice, v)
 		total := v
-		nkids := int64(e.ldf(p, b, powerNodeT, "nkids"))
+		nkids := int64(e.ldf(p, b, powerNodeNkids))
 		for k := int64(0); k < nkids; k++ {
 			c, cb := e.ldp(e.gep(p, 24+8*k, b), b)
 			total += visit(c, cb, price)
@@ -152,6 +162,12 @@ var treeaddNodeT = layout.StructOf("tree_t",
 	layout.F("left", layout.PointerTo(nil)),
 	layout.F("right", layout.PointerTo(nil)))
 
+var (
+	treeaddNodeVal   = mustField(treeaddNodeT, "val")
+	treeaddNodeLeft  = mustField(treeaddNodeT, "left")
+	treeaddNodeRight = mustField(treeaddNodeT, "right")
+)
+
 func runTreeAdd(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	depth := 11 // 2047 nodes at scale 1
@@ -165,11 +181,11 @@ func runTreeAdd(r *rt.Runtime, scale int) (uint64, error) {
 			return 0, machine.Cleared
 		}
 		n := e.malloc(treeaddNodeT, 1)
-		e.stf(n.P, n.B, treeaddNodeT, "val", 1)
+		e.stf(n.P, n.B, treeaddNodeVal, 1)
 		l, lb := build(d - 1)
 		rp, rb := build(d - 1)
-		e.stpf(n.P, n.B, treeaddNodeT, "left", l, lb)
-		e.stpf(n.P, n.B, treeaddNodeT, "right", rp, rb)
+		e.stpf(n.P, n.B, treeaddNodeLeft, l, lb)
+		e.stpf(n.P, n.B, treeaddNodeRight, rp, rb)
 		return n.P, n.B
 	}
 	root, rootB := build(depth)
@@ -179,9 +195,9 @@ func runTreeAdd(r *rt.Runtime, scale int) (uint64, error) {
 		if p == 0 || e.err != nil {
 			return 0
 		}
-		l, lb := e.ldpf(p, b, treeaddNodeT, "left")
-		rp, rb := e.ldpf(p, b, treeaddNodeT, "right")
-		return e.ldf(p, b, treeaddNodeT, "val") + sum(l, lb) + sum(rp, rb)
+		l, lb := e.ldpf(p, b, treeaddNodeLeft)
+		rp, rb := e.ldpf(p, b, treeaddNodeRight)
+		return e.ldf(p, b, treeaddNodeVal) + sum(l, lb) + sum(rp, rb)
 	}
 	e.mix(sum(root, rootB))
 	return e.sum, e.err
@@ -200,6 +216,12 @@ var tspNodeT = layout.StructOf("tsp_node",
 	layout.F("right", layout.PointerTo(nil)),
 	layout.F("next", layout.PointerTo(nil)))
 
+var (
+	tspNodeX    = mustField(tspNodeT, "x")
+	tspNodeY    = mustField(tspNodeT, "y")
+	tspNodeNext = mustField(tspNodeT, "next")
+)
+
 func runTSP(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	nCities := 512 * scale
@@ -207,21 +229,21 @@ func runTSP(r *rt.Runtime, scale int) (uint64, error) {
 	cities := make([]rt.Obj, nCities)
 	for i := range cities {
 		cities[i] = e.malloc(tspNodeT, 1)
-		e.stf(cities[i].P, cities[i].B, tspNodeT, "x", e.randn(1<<16))
-		e.stf(cities[i].P, cities[i].B, tspNodeT, "y", e.randn(1<<16))
+		e.stf(cities[i].P, cities[i].B, tspNodeX, e.randn(1<<16))
+		e.stf(cities[i].P, cities[i].B, tspNodeY, e.randn(1<<16))
 	}
 	// Chain into an initial tour.
 	for i := range cities {
 		next := cities[(i+1)%len(cities)]
-		e.stpf(cities[i].P, cities[i].B, tspNodeT, "next", next.P, next.B)
+		e.stpf(cities[i].P, cities[i].B, tspNodeNext, next.P, next.B)
 	}
 
 	// 2-opt-ish improvement: walk the tour, compare distances, splice.
 	dist := func(a rt.Ptr, ab machine.BoundsReg, b rt.Ptr, bb machine.BoundsReg) uint64 {
-		ax := e.ldf(a, ab, tspNodeT, "x")
-		ay := e.ldf(a, ab, tspNodeT, "y")
-		bx := e.ldf(b, bb, tspNodeT, "x")
-		by := e.ldf(b, bb, tspNodeT, "y")
+		ax := e.ldf(a, ab, tspNodeX)
+		ay := e.ldf(a, ab, tspNodeY)
+		bx := e.ldf(b, bb, tspNodeX)
+		by := e.ldf(b, bb, tspNodeY)
 		dx, dy := ax-bx, ay-by
 		e.tick(8)
 		return dx*dx + dy*dy
@@ -229,19 +251,19 @@ func runTSP(r *rt.Runtime, scale int) (uint64, error) {
 	for pass := 0; pass < 12 && e.err == nil; pass++ {
 		cur, cb := cities[0].P, cities[0].B
 		for i := 0; i < nCities-2 && e.err == nil; i++ {
-			n1, n1b := e.ldpf(cur, cb, tspNodeT, "next")
-			n2, n2b := e.ldpf(n1, n1b, tspNodeT, "next")
+			n1, n1b := e.ldpf(cur, cb, tspNodeNext)
+			n2, n2b := e.ldpf(n1, n1b, tspNodeNext)
 			if n2 == 0 {
 				break
 			}
 			if dist(cur, cb, n2, n2b) < dist(cur, cb, n1, n1b) {
 				// Swap n1 and n2 in the tour.
-				n3, n3b := e.ldpf(n2, n2b, tspNodeT, "next")
-				e.stpf(cur, cb, tspNodeT, "next", n2, n2b)
-				e.stpf(n2, n2b, tspNodeT, "next", n1, n1b)
-				e.stpf(n1, n1b, tspNodeT, "next", n3, n3b)
+				n3, n3b := e.ldpf(n2, n2b, tspNodeNext)
+				e.stpf(cur, cb, tspNodeNext, n2, n2b)
+				e.stpf(n2, n2b, tspNodeNext, n1, n1b)
+				e.stpf(n1, n1b, tspNodeNext, n3, n3b)
 			}
-			cur, cb = e.ldpf(cur, cb, tspNodeT, "next")
+			cur, cb = e.ldpf(cur, cb, tspNodeNext)
 		}
 	}
 
@@ -249,7 +271,7 @@ func runTSP(r *rt.Runtime, scale int) (uint64, error) {
 	cur, cb := cities[0].P, cities[0].B
 	var total uint64
 	for i := 0; i < nCities && e.err == nil; i++ {
-		n, nb := e.ldpf(cur, cb, tspNodeT, "next")
+		n, nb := e.ldpf(cur, cb, tspNodeNext)
 		total += dist(cur, cb, n, nb)
 		cur, cb = n, nb
 	}
@@ -269,6 +291,12 @@ var voronoiEdgeT = layout.StructOf("qedge",
 	layout.F("oy", layout.Long),
 	layout.F("next", layout.PointerTo(nil)),
 	layout.F("rot", layout.PointerTo(nil)))
+
+var (
+	voronoiEdgeOX   = mustField(voronoiEdgeT, "ox")
+	voronoiEdgeNext = mustField(voronoiEdgeT, "next")
+	voronoiEdgeRot  = mustField(voronoiEdgeT, "rot")
+)
 
 func runVoronoi(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
@@ -309,14 +337,14 @@ func runVoronoi(r *rt.Runtime, scale int) (uint64, error) {
 		for i := range edges {
 			cur, cb := edges[i].P, edges[i].B
 			for hop := rep; hop < 14 && cur != 0 && e.err == nil; hop++ {
-				total += e.ldf(cur, cb, voronoiEdgeT, "ox")
+				total += e.ldf(cur, cb, voronoiEdgeOX)
 				e.tick(6)
 				var next rt.Ptr
 				var nb machine.BoundsReg
 				if hop%2 == 0 {
-					next, nb = e.ldpf(cur, cb, voronoiEdgeT, "next")
+					next, nb = e.ldpf(cur, cb, voronoiEdgeNext)
 				} else {
-					next, nb = e.ldpf(cur, cb, voronoiEdgeT, "rot")
+					next, nb = e.ldpf(cur, cb, voronoiEdgeRot)
 				}
 				if next == 0 {
 					break

@@ -100,6 +100,12 @@ var ftNodeT = layout.StructOf("ft_node",
 	layout.F("child", layout.PointerTo(nil)),
 	layout.F("sibling", layout.PointerTo(nil)))
 
+var (
+	ftNodeKey     = mustField(ftNodeT, "key")
+	ftNodeChild   = mustField(ftNodeT, "child")
+	ftNodeSibling = mustField(ftNodeT, "sibling")
+)
+
 func runFT(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	nNodes := 2600 * scale
@@ -112,16 +118,16 @@ func runFT(r *rt.Runtime, scale int) (uint64, error) {
 		if b == 0 {
 			return a, ab
 		}
-		ak := e.ldf(a, ab, ftNodeT, "key")
-		bk := e.ldf(b, bb, ftNodeT, "key")
+		ak := e.ldf(a, ab, ftNodeKey)
+		bk := e.ldf(b, bb, ftNodeKey)
 		if ak > bk {
 			a, b = b, a
 			ab, bb = bb, ab
 		}
 		// b becomes a's first child.
-		oldChild, ocb := e.ldpf(a, ab, ftNodeT, "child")
-		e.stpf(b, bb, ftNodeT, "sibling", oldChild, ocb)
-		e.stpf(a, ab, ftNodeT, "child", b, bb)
+		oldChild, ocb := e.ldpf(a, ab, ftNodeChild)
+		e.stpf(b, bb, ftNodeSibling, oldChild, ocb)
+		e.stpf(a, ab, ftNodeChild, b, bb)
 		e.tick(4)
 		return a, ab
 	}
@@ -130,40 +136,34 @@ func runFT(r *rt.Runtime, scale int) (uint64, error) {
 	var rootB machine.BoundsReg
 	for i := 0; i < nNodes; i++ {
 		n := e.malloc(ftNodeT, 1)
-		e.stf(n.P, n.B, ftNodeT, "key", e.randn(1<<30))
+		e.stf(n.P, n.B, ftNodeKey, e.randn(1<<30))
 		root, rootB = meld(root, rootB, n.P, n.B)
 	}
 
-	// Delete-min loop: pop the root, two-pass meld its children.
+	// Delete-min loop: pop the root, two-pass meld its children. The
+	// child lists are host-side buffers, reused across pops.
+	type ref struct {
+		p rt.Ptr
+		b machine.BoundsReg
+	}
+	var kids, merged []ref
 	var popped uint64
 	for root != 0 && e.err == nil {
-		e.mix(e.ldf(root, rootB, ftNodeT, "key"))
+		e.mix(e.ldf(root, rootB, ftNodeKey))
 		popped++
 		// Collect children.
-		var kids []struct {
-			p rt.Ptr
-			b machine.BoundsReg
-		}
-		c, cb := e.ldpf(root, rootB, ftNodeT, "child")
+		kids = kids[:0]
+		c, cb := e.ldpf(root, rootB, ftNodeChild)
 		for c != 0 && e.err == nil {
-			next, nb := e.ldpf(c, cb, ftNodeT, "sibling")
-			kids = append(kids, struct {
-				p rt.Ptr
-				b machine.BoundsReg
-			}{c, cb})
+			next, nb := e.ldpf(c, cb, ftNodeSibling)
+			kids = append(kids, ref{c, cb})
 			c, cb = next, nb
 		}
 		// Two-pass pairing.
-		var merged []struct {
-			p rt.Ptr
-			b machine.BoundsReg
-		}
+		merged = merged[:0]
 		for i := 0; i+1 < len(kids); i += 2 {
 			p, b := meld(kids[i].p, kids[i].b, kids[i+1].p, kids[i+1].b)
-			merged = append(merged, struct {
-				p rt.Ptr
-				b machine.BoundsReg
-			}{p, b})
+			merged = append(merged, ref{p, b})
 		}
 		if len(kids)%2 == 1 {
 			merged = append(merged, kids[len(kids)-1])
@@ -187,6 +187,11 @@ var ksNetT = layout.StructOf("ks_net",
 	layout.F("module", layout.Long),
 	layout.F("next", layout.PointerTo(nil)))
 
+var (
+	ksNetModule = mustField(ksNetT, "module")
+	ksNetNext   = mustField(ksNetT, "next")
+)
+
 func runKS(r *rt.Runtime, scale int) (uint64, error) {
 	e := newEnv(r)
 	nModules := 96 * scale
@@ -207,9 +212,9 @@ func runKS(r *rt.Runtime, scale int) (uint64, error) {
 	for n := 0; n < nNets; n++ {
 		m := e.randn(uint64(nModules))
 		net := e.malloc(ksNetT, 1)
-		e.stf(net.P, net.B, ksNetT, "module", e.randn(uint64(nModules)))
+		e.stf(net.P, net.B, ksNetModule, e.randn(uint64(nModules)))
 		old, ob := e.ldp(heads[m].P, heads[m].B)
-		e.stpf(net.P, net.B, ksNetT, "next", old, ob)
+		e.stpf(net.P, net.B, ksNetNext, old, ob)
 		e.stp(heads[m].P, heads[m].B, net.P, net.B)
 	}
 
@@ -221,13 +226,13 @@ func runKS(r *rt.Runtime, scale int) (uint64, error) {
 			var gain uint64
 			cur, cb := e.ldp(heads[m].P, heads[m].B)
 			for cur != 0 && e.err == nil {
-				peer := e.ldf(cur, cb, ksNetT, "module")
+				peer := e.ldf(cur, cb, ksNetModule)
 				peerSide := e.ld(e.gep(modules.P, int64(peer)*8, modules.B), 8, modules.B)
 				if peerSide != side {
 					gain++
 				}
 				e.tick(4)
-				cur, cb = e.ldpf(cur, cb, ksNetT, "next")
+				cur, cb = e.ldpf(cur, cb, ksNetNext)
 			}
 			if gain > 1 {
 				e.st(e.gep(modules.P, int64(m)*8, modules.B), side^1, 8, modules.B)

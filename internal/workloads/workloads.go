@@ -20,14 +20,15 @@
 // # Concurrency contract
 //
 // The package-level layout.Type values describing each kernel's node
-// types (bhBodyT, treeaddNodeT, ...) are constructed at package init and
-// are READ-ONLY afterwards — layout.Type is immutable after construction,
-// and the parallel evaluation harness (internal/exp, internal/pool)
-// shares them lock-free across worker goroutines on that basis. Workload
-// code must never mutate them; any per-run state belongs on the env
-// (RNG, field cache, checksum), which is created fresh for every run, as
-// is the rt.Runtime each cell executes against. See DESIGN.md
-// "Concurrency model".
+// types (bhBodyT, treeaddNodeT, ...) and the member handles resolved from
+// them (bhBodyMass, treeaddNodeLeft, ...) are constructed at package init
+// and are READ-ONLY afterwards — layout.Type is immutable after
+// construction, and the parallel evaluation harness (internal/exp,
+// internal/pool) shares them lock-free across worker goroutines on that
+// basis. Workload code must never mutate them; any per-run state belongs
+// on the env (RNG, checksum), which is created fresh for every run, as is
+// the rt.Runtime each cell executes against. See DESIGN.md "Concurrency
+// model".
 package workloads
 
 import (
@@ -92,36 +93,54 @@ type env struct {
 	r   *rt.Runtime
 	err error
 	rng uint64
-
-	fields map[*layout.Type]*typeFields
-	lastT  *layout.Type // fieldOf memo: kernels cluster accesses by type,
-	lastTF *typeFields  // so most lookups skip even the pointer-keyed map
-	lastT2 *layout.Type // second memo slot: kernels walking a linked
-	lastF2 *typeFields  // structure alternate node/payload types, which
-	// would thrash a single slot back to the map on every access
 	sum uint64 // running checksum
 }
 
-// typeFields caches the resolved member lookups of one type. Lookups scan
-// linearly: a kernel touches a handful of paths per type, and the path
-// arguments are call-site string literals, so the == compare is a
-// pointer-and-length check that almost never reads the bytes. This keeps
-// string hashing entirely off the access hot path (profiling showed the
-// previous map[{type,path}]field spending more grid time hashing keys
-// than the simulated cache model spent simulating).
-type typeFields struct {
-	paths  []string
-	fields []field
-}
-
+// field is a member handle: one member of a kernel's node type, resolved
+// once at package init to what the compiler's GEP instrumentation embeds
+// at each access site — its offset from the start of the outermost
+// element, its size, and its layout-table subobject index.
 type field struct {
 	off  int64
 	idx  uint16
 	size int
 }
 
+// resolvedField records one mustField resolution, so tests can check
+// every handle against resolvePath and a live runtime's SubobjIndexOf.
+type resolvedField struct {
+	t    *layout.Type
+	path string
+	f    field
+}
+
+// resolvedFields lists every handle in declaration order.
+var resolvedFields []resolvedField
+
+// mustField resolves a member path of t ("a.b[].c", the layout-table
+// path syntax) into a handle. Paths are literals next to their type, so
+// one that does not resolve is a typo: it panics at package init rather
+// than failing a run.
+func mustField(t *layout.Type, path string) field {
+	ft, off := resolvePath(t, path)
+	if ft == nil {
+		panic(fmt.Sprintf("workloads: no field %q in %s", path, t.Name))
+	}
+	tb, err := layout.Build(t)
+	if err != nil {
+		panic(fmt.Sprintf("workloads: layout table of %s: %v", t.Name, err))
+	}
+	idx, ok := tb.IndexOf(path)
+	if !ok {
+		panic(fmt.Sprintf("workloads: no subobject %q in %s's layout table", path, t.Name))
+	}
+	f := field{off: off, idx: idx, size: int(ft.Size())}
+	resolvedFields = append(resolvedFields, resolvedField{t, path, f})
+	return f
+}
+
 func newEnv(r *rt.Runtime) *env {
-	return &env{r: r, rng: 0x9E3779B97F4A7C15, fields: make(map[*layout.Type]*typeFields)}
+	return &env{r: r, rng: 0x9E3779B97F4A7C15}
 }
 
 func (e *env) fail(err error) {
@@ -151,59 +170,6 @@ func (e *env) mix(v uint64) { e.sum = (e.sum*1099511628211 ^ v) }
 
 // tick models plain computation instructions.
 func (e *env) tick(n uint64) { e.r.M.Tick(n) }
-
-// fieldOf resolves and caches a member's offset, subobject index, and
-// size. Paths address nested members the way the compiler's GEP
-// instrumentation would (layout-table paths like "array[].v3").
-func (e *env) fieldOf(t *layout.Type, path string) field {
-	tf := e.lastTF
-	if t != e.lastT || tf == nil {
-		if t == e.lastT2 && e.lastF2 != nil {
-			tf = e.lastF2
-			e.lastT, e.lastT2 = t, e.lastT
-			e.lastTF, e.lastF2 = tf, e.lastTF
-		} else {
-			tf = e.fields[t]
-			if tf == nil {
-				tf = &typeFields{}
-				e.fields[t] = tf
-			}
-			e.lastT2, e.lastF2 = e.lastT, e.lastTF
-			e.lastT, e.lastTF = t, tf
-		}
-	}
-	for i, s := range tf.paths {
-		if s == path {
-			// Transpose toward the front: hot paths migrate one slot per
-			// hit, so a kernel's inner-loop fields end up scanned first.
-			// Hits in the top two slots stay put — that way a pair of
-			// alternating hot paths settles at slots 0 and 1 with no
-			// further writes, instead of swapping on every lookup. Order
-			// is host-side cache state only — lookups are exact-match.
-			if i > 1 {
-				tf.paths[i-1], tf.paths[i] = tf.paths[i], tf.paths[i-1]
-				tf.fields[i-1], tf.fields[i] = tf.fields[i], tf.fields[i-1]
-				return tf.fields[i-1]
-			}
-			return tf.fields[i]
-		}
-	}
-	ft, off := resolvePath(t, path)
-	if ft == nil {
-		e.fail(fmt.Errorf("workloads: no field %q in %s", path, t.Name))
-		return field{}
-	}
-	var idx uint16
-	if e.r.Instrumented() {
-		if i, err := e.r.SubobjIndexOf(t, path); err == nil {
-			idx = i
-		}
-	}
-	f := field{off: off, idx: idx, size: int(ft.Size())}
-	tf.paths = append(tf.paths, path)
-	tf.fields = append(tf.fields, f)
-	return f
-}
 
 // resolvePath walks a dotted member path ("a.b[].c") returning the final
 // member's type and its offset from the start of the outermost element.
@@ -293,33 +259,28 @@ func (e *env) sub(p rt.Ptr, idx uint16) rt.Ptr {
 
 // fieldPtr derives a pointer to a member, emitting GEP + subobject-index
 // update exactly as the compiler instruments &p->member.
-func (e *env) fieldPtr(p rt.Ptr, b machine.BoundsReg, t *layout.Type, path string) rt.Ptr {
-	f := e.fieldOf(t, path)
+func (e *env) fieldPtr(p rt.Ptr, b machine.BoundsReg, f field) rt.Ptr {
 	return e.sub(e.gep(p, f.off, b), f.idx)
 }
 
 // ldf loads a member's scalar value (address computation + load; no
 // subobject-index update is needed for a transient access).
-func (e *env) ldf(p rt.Ptr, b machine.BoundsReg, t *layout.Type, path string) uint64 {
-	f := e.fieldOf(t, path)
+func (e *env) ldf(p rt.Ptr, b machine.BoundsReg, f field) uint64 {
 	return e.ld(e.gep(p, f.off, b), f.size, b)
 }
 
 // stf stores a member's scalar value.
-func (e *env) stf(p rt.Ptr, b machine.BoundsReg, t *layout.Type, path string, v uint64) {
-	f := e.fieldOf(t, path)
+func (e *env) stf(p rt.Ptr, b machine.BoundsReg, f field, v uint64) {
 	e.st(e.gep(p, f.off, b), v, f.size, b)
 }
 
 // ldpf loads a pointer member and promotes it.
-func (e *env) ldpf(p rt.Ptr, b machine.BoundsReg, t *layout.Type, path string) (rt.Ptr, machine.BoundsReg) {
-	f := e.fieldOf(t, path)
+func (e *env) ldpf(p rt.Ptr, b machine.BoundsReg, f field) (rt.Ptr, machine.BoundsReg) {
 	return e.ldp(e.gep(p, f.off, b), b)
 }
 
 // stpf stores a pointer member (demote + store).
-func (e *env) stpf(p rt.Ptr, b machine.BoundsReg, t *layout.Type, path string, v rt.Ptr, vb machine.BoundsReg) {
-	f := e.fieldOf(t, path)
+func (e *env) stpf(p rt.Ptr, b machine.BoundsReg, f field, v rt.Ptr, vb machine.BoundsReg) {
 	e.stp(e.gep(p, f.off, b), b, v, vb)
 }
 

@@ -208,6 +208,60 @@ func TestResolvePath(t *testing.T) {
 	}
 }
 
+// TestFieldHandlesMatchResolvePath: every member handle a kernel uses
+// carries the offset and size resolvePath computes for its (type, path).
+func TestFieldHandlesMatchResolvePath(t *testing.T) {
+	if len(resolvedFields) == 0 {
+		t.Fatal("no member handles resolved at init")
+	}
+	for _, rf := range resolvedFields {
+		ft, off := resolvePath(rf.t, rf.path)
+		if ft == nil {
+			t.Errorf("%s.%s: resolvePath finds no member", rf.t.Name, rf.path)
+			continue
+		}
+		if rf.f.off != off || rf.f.size != int(ft.Size()) {
+			t.Errorf("%s.%s: handle (off %d, size %d), resolvePath (off %d, size %d)",
+				rf.t.Name, rf.path, rf.f.off, rf.f.size, off, ft.Size())
+		}
+	}
+}
+
+// TestFieldHandlesMatchRuntimeIndex: every handle's subobject index is
+// the one a live instrumented runtime resolves for the same path from
+// the layout table it interns — what the kernels looked up per run before
+// the handles existed.
+func TestFieldHandlesMatchRuntimeIndex(t *testing.T) {
+	for _, mode := range []rt.Mode{rt.Subheap, rt.Wrapped} {
+		r := rt.New(mode)
+		for _, rf := range resolvedFields {
+			idx, err := r.SubobjIndexOf(rf.t, rf.path)
+			if err != nil {
+				t.Errorf("%v: %s.%s: %v", mode, rf.t.Name, rf.path, err)
+				continue
+			}
+			if idx != rf.f.idx {
+				t.Errorf("%v: %s.%s: handle index %d, runtime %d", mode, rf.t.Name, rf.path, rf.f.idx, idx)
+			}
+		}
+	}
+}
+
+// TestMustFieldPanicsOnTypo: a path that does not resolve is a literal's
+// typo and fails at package init, not in some later run.
+func TestMustFieldPanicsOnTypo(t *testing.T) {
+	for _, path := range []string{"ghost", "next[].x", "hosts.time"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("mustField(patient, %q) did not panic", path)
+				}
+			}()
+			mustField(healthPatientT, path)
+		}()
+	}
+}
+
 func TestEnvRNGDeterministic(t *testing.T) {
 	e1 := newEnv(rt.New(rt.Baseline))
 	e2 := newEnv(rt.New(rt.Subheap))
