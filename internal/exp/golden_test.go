@@ -1,0 +1,88 @@
+package exp
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"infat/internal/rt"
+	"infat/internal/workloads"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/modelled_state.golden")
+
+// modelledState runs one cell like runOne and renders everything the
+// simulator models about it at full precision: every Counters field, the
+// L1D statistics, the runtime's object statistics, the footprint and the
+// checksum. The rendered report rounds most of these (SI counts, two-
+// decimal ratios), so a change to the simulator that shifts one count by
+// a few can leave the report digest intact; this rendering cannot.
+func modelledState(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, untimed bool) (string, error) {
+	r := rt.Acquire(mode)
+	defer rt.Release(r)
+	r.M.NoPromote = noPromote
+	r.M.Untimed = untimed
+	sum, err := w.Run(r, scale)
+	if err != nil {
+		return "", err
+	}
+	l1d := r.M.L1D.Stats()
+	return fmt.Sprintf("counters %+v\nl1d accesses=%d misses=%d writebacks=%d\nstats %+v\nfootprint %d checksum %#x\n",
+		r.M.C, l1d.Accesses, l1d.Misses, l1d.Writebacks, r.Stats, r.Footprint(), sum), nil
+}
+
+// TestModelledStateGolden pins the modelled state of the report campaign
+// cell by cell: each workload in the five spatial configurations plus
+// ifp-temporal, timed at scale 1, and each Figure-12 memory cell,
+// untimed at scale 1 × MemScale. A host-side change to the access path
+// (TLB, cache probes, batched metadata reads) must leave every line
+// identical; rewrite the file with -update only for a change that is
+// meant to alter the modelled machine.
+func TestModelledStateGolden(t *testing.T) {
+	p := NewReportPlan(workloads.All, 1, MemScale).WithTemporal(true)
+	var b strings.Builder
+	for i := 0; i < p.NumCells(); i++ {
+		w, mode, noPromote, scale, perf := p.cellSpec(i)
+		s, err := modelledState(w, mode, noPromote, scale, !perf)
+		if err != nil {
+			t.Fatalf("cell %d (%s): %v", i, p.Key(i), err)
+		}
+		fmt.Fprintf(&b, "== %s scale %d\n%s", p.Key(i), scale, s)
+	}
+	got := b.String()
+	path := filepath.Join("testdata", "modelled_state.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run ModelledStateGolden -update ./internal/exp` to create)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	cell := ""
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if strings.HasPrefix(w, "== ") {
+			cell = w
+		}
+		if g != w {
+			t.Fatalf("modelled state drifted from the golden file at line %d (%s)\ngot:  %s\nwant: %s\n(run with -update only if the modelled machine is meant to change)",
+				i+1, cell, g, w)
+		}
+	}
+}

@@ -174,14 +174,20 @@ const validMark = uint64(1) << 63
 // from memory (used across spills and callee-saved save/restore, §4.1.2).
 func (m *Machine) LdBnd(addr uint64) (BoundsReg, error) {
 	m.tick1(&m.C.LdBnd)
-	m.dataAccess(addr, boundsSpillBytes, false)
-	lo, err := m.Mem.Load64(addr)
-	if err != nil {
-		return Cleared, &Trap{Kind: TrapMemory, Ptr: addr, Msg: err.Error()}
+	m.C.Cycles++
+	if !m.Untimed && !m.L1D.TryHit(addr, boundsSpillBytes, false) {
+		m.dataAccess(addr, boundsSpillBytes, false)
 	}
-	hi, err := m.Mem.Load64(addr + 8)
-	if err != nil {
-		return Cleared, &Trap{Kind: TrapMemory, Ptr: addr, Msg: err.Error()}
+	lo, ok := m.Mem.TryLoad64(addr)
+	hi, ok2 := m.Mem.TryLoad64(addr + 8)
+	if !ok || !ok2 {
+		var err error
+		if lo, err = m.Mem.Load64(addr); err != nil {
+			return Cleared, &Trap{Kind: TrapMemory, Ptr: addr, Msg: err.Error()}
+		}
+		if hi, err = m.Mem.Load64(addr + 8); err != nil {
+			return Cleared, &Trap{Kind: TrapMemory, Ptr: addr, Msg: err.Error()}
+		}
 	}
 	if hi&validMark == 0 {
 		return Cleared, nil
@@ -193,11 +199,18 @@ func (m *Machine) LdBnd(addr uint64) (BoundsReg, error) {
 // memory. Cleared bounds serialize with the valid mark unset.
 func (m *Machine) StBnd(addr uint64, breg BoundsReg) error {
 	m.tick1(&m.C.StBnd)
-	m.dataAccess(addr, boundsSpillBytes, true)
+	m.C.Cycles++
+	if !m.Untimed && !m.L1D.TryHit(addr, boundsSpillBytes, true) {
+		m.dataAccess(addr, boundsSpillBytes, true)
+	}
 	var lo, hi uint64
 	if breg.Valid {
 		lo, hi = breg.B.Lower, breg.B.Upper|validMark
 	}
+	if m.Mem.TryStore64(addr, lo) && m.Mem.TryStore64(addr+8, hi) {
+		return nil
+	}
+	// The full path may store lo a second time, with the same value.
 	if err := m.Mem.Store64(addr, lo); err != nil {
 		return &Trap{Kind: TrapMemory, Ptr: addr, Msg: err.Error()}
 	}

@@ -351,23 +351,32 @@ func (m *Machine) Tick(n uint64) {
 	m.C.Cycles += n
 }
 
-// dataAccess charges one data-memory access through the L1D. The TryHit
-// probe resolves the common single-line MRU hit with inlined code — its
-// effect is exactly Access with zero misses — and everything else takes
-// the full model. An untimed machine charges the base cycle only.
+// dataAccess charges a data-memory access's misses through the full L1D
+// model. Every data access first charges its base cycle and tries the
+// single-line MRU hit inline:
+//
+//	m.C.Cycles++
+//	if !m.Untimed && !m.L1D.TryHit(addr, size, store) {
+//		m.dataAccess(addr, size, store)
+//	}
+//
+// TryHit's effect is exactly Access with zero misses, so the pair charges
+// what Access alone would, in the same order; an untimed machine charges
+// the base cycle only. The full model stays out of line, and the inline
+// test stays out of a helper because no helper holding TryHit fits the
+// inlining budget.
+//
+//go:noinline
 func (m *Machine) dataAccess(addr uint64, size int, store bool) {
-	if m.Untimed || m.L1D.TryHit(addr, size, store) {
-		m.C.Cycles++
-		return
-	}
-	misses := m.L1D.Access(addr, size, store)
-	m.C.Cycles += 1 + uint64(misses)*m.Cost.MissPenalty
+	m.C.Cycles += uint64(m.L1D.Access(addr, size, store)) * m.Cost.MissPenalty
 }
 
 // Load performs a checked load of size bytes through pointer p. breg is
 // the bounds register paired with p's GPR; when it holds valid bounds the
 // load-store unit performs the implicit access-size check (§4.1.1). All
-// loads check poison bits (§3.2).
+// loads check poison bits (§3.2). An 8-byte word in a TLB-resident page
+// is read inline (mem.TryLoad64); every other access, and every fault,
+// takes LoadN.
 func (m *Machine) Load(p uint64, size int, breg BoundsReg) (uint64, error) {
 	m.C.Instrs++
 	m.C.Loads++
@@ -375,7 +384,15 @@ func (m *Machine) Load(p uint64, size int, breg BoundsReg) (uint64, error) {
 		return 0, m.checkTrap(p, size, breg)
 	}
 	addr := tag.Addr(p)
-	m.dataAccess(addr, size, false)
+	m.C.Cycles++
+	if !m.Untimed && !m.L1D.TryHit(addr, size, false) {
+		m.dataAccess(addr, size, false)
+	}
+	if size == 8 {
+		if v, ok := m.Mem.TryLoad64(addr); ok {
+			return v, nil
+		}
+	}
 	v, err := m.Mem.LoadN(addr, size)
 	if err != nil {
 		return 0, &Trap{Kind: TrapMemory, Ptr: p, Size: size, Msg: err.Error()}
@@ -383,7 +400,8 @@ func (m *Machine) Load(p uint64, size int, breg BoundsReg) (uint64, error) {
 	return v, nil
 }
 
-// Store performs a checked store of the low size bytes of v through p.
+// Store performs a checked store of the low size bytes of v through p,
+// with Load's split between TryStore64 and StoreN.
 func (m *Machine) Store(p uint64, v uint64, size int, breg BoundsReg) error {
 	m.C.Instrs++
 	m.C.Stores++
@@ -391,7 +409,13 @@ func (m *Machine) Store(p uint64, v uint64, size int, breg BoundsReg) error {
 		return m.checkTrap(p, size, breg)
 	}
 	addr := tag.Addr(p)
-	m.dataAccess(addr, size, true)
+	m.C.Cycles++
+	if !m.Untimed && !m.L1D.TryHit(addr, size, true) {
+		m.dataAccess(addr, size, true)
+	}
+	if size == 8 && m.Mem.TryStore64(addr, v) {
+		return nil
+	}
 	if err := m.Mem.StoreN(addr, v, size); err != nil {
 		return &Trap{Kind: TrapMemory, Ptr: p, Size: size, Msg: err.Error()}
 	}
@@ -441,7 +465,13 @@ func (m *Machine) checkTrap(p uint64, size int, breg BoundsReg) error {
 func (m *Machine) RawLoad64(addr uint64) (uint64, error) {
 	m.C.Instrs++
 	m.C.Loads++
-	m.dataAccess(addr, 8, false)
+	m.C.Cycles++
+	if !m.Untimed && !m.L1D.TryHit(addr, 8, false) {
+		m.dataAccess(addr, 8, false)
+	}
+	if v, ok := m.Mem.TryLoad64(addr); ok {
+		return v, nil
+	}
 	return m.Mem.Load64(addr)
 }
 
@@ -449,6 +479,12 @@ func (m *Machine) RawLoad64(addr uint64) (uint64, error) {
 func (m *Machine) RawStore64(addr uint64, v uint64) error {
 	m.C.Instrs++
 	m.C.Stores++
-	m.dataAccess(addr, 8, true)
+	m.C.Cycles++
+	if !m.Untimed && !m.L1D.TryHit(addr, 8, true) {
+		m.dataAccess(addr, 8, true)
+	}
+	if m.Mem.TryStore64(addr, v) {
+		return nil
+	}
 	return m.Mem.Store64(addr, v)
 }

@@ -148,7 +148,9 @@ func (m *Machine) Promote(p uint64) (uint64, BoundsReg) {
 // fetchMetaWord reads one object-metadata word through the L1D, charging
 // cycles; promote's metadata traffic is unpipelined in the prototype
 // (§5.2.2), which the PromoteBase constant already covers. An untimed
-// machine skips the L1D and charges the base cycle only.
+// machine skips the L1D and charges the base cycle only. It is the
+// word-at-a-time form fetchMetaWords falls back to for a record that wraps
+// the address space, so it keeps Load64 and its fault.
 func (m *Machine) fetchMetaWord(addr uint64) (uint64, bool) {
 	m.C.MetaFetches++
 	m.C.Cycles++
@@ -168,11 +170,11 @@ func (m *Machine) fetchMetaWord(addr uint64) (uint64, bool) {
 // probes before the memory reads is sound because the cache model never
 // reads memory and the memory never consults the cache. A non-wrapping
 // range cannot fault (Load64 only faults on address wrap), so the batched
-// path charges everything up front and reads a record within one page
-// through a single translation; a record crossing a page boundary reads
-// word by word, and the wrap fallback — unreachable from real metadata
-// addresses, which live in the 48-bit tagged space — keeps word-at-a-time
-// fault ordering.
+// path charges everything up front, then reads a record that lies in one
+// TLB-resident page inline (mem.TryLoadWords) and any other record word by
+// word through Load64, which maps its pages. The wrap fallback —
+// unreachable from real metadata addresses, which live in the 48-bit
+// tagged space — keeps word-at-a-time fault ordering.
 func (m *Machine) fetchMetaWords(addr uint64, w []uint64) bool {
 	n := uint64(len(w))
 	if addr+n*8 < addr {
@@ -190,7 +192,7 @@ func (m *Machine) fetchMetaWords(addr uint64, w []uint64) bool {
 	if !m.Untimed {
 		m.C.Cycles += uint64(m.L1D.AccessWords(addr, len(w))) * m.Cost.MissPenalty
 	}
-	if m.Mem.LoadWords(addr, w) {
+	if m.Mem.TryLoadWords(addr, w) {
 		return true
 	}
 	for i := range w {

@@ -65,30 +65,140 @@ func diffOp(t *testing.T, fast, ref *Memory, addr uint64, v uint64, size int) {
 	}
 }
 
+// helperHits counts the hits diffHelpers saw, so a test can show its
+// helper checks were not all misses.
+type helperHits struct{ load, store, words int }
+
+// diffHelpers pins the hit-only helpers to the full paths at addr: each
+// of TryLoad64, TryStore64 and TryLoadWords (1 to 4 words) either hits
+// with exactly what LoadN reads (or StoreN writes) on the reference
+// memory, or misses with no effect — the contents, MappedBytes and the
+// next LoadN stay what the reference has. The reference never runs a
+// helper, so any stray effect on fast shows as a divergence.
+func diffHelpers(t *testing.T, fast, ref *Memory, addr, v uint64, hits *helperHits) {
+	t.Helper()
+	// sync re-reads each word through LoadN on both memories (mapping the
+	// same pages on both) and asserts they agree.
+	sync := func(ctx string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			a := addr + uint64(i)*8
+			gv, gerr := fast.LoadN(a, 8)
+			wv, werr := refLoadN(ref, a, 8)
+			sameFault(t, ctx, gerr, werr)
+			if gv != wv {
+				t.Fatalf("%s: LoadN(%#x) = %#x, ref %#x", ctx, a, gv, wv)
+			}
+		}
+		if fast.MappedBytes() != ref.MappedBytes() {
+			t.Fatalf("%s at %#x: MappedBytes = %d, ref %d", ctx, addr, fast.MappedBytes(), ref.MappedBytes())
+		}
+	}
+	before := fast.MappedBytes()
+	if got, ok := fast.TryLoad64(addr); ok {
+		hits.load++
+		want, err := refLoadN(ref, addr, 8)
+		if err != nil || got != want {
+			t.Fatalf("TryLoad64(%#x) hit with %#x, LoadN = (%#x, %v)", addr, got, want, err)
+		}
+	}
+	if fast.MappedBytes() != before {
+		t.Fatalf("TryLoad64(%#x) mapped pages", addr)
+	}
+	sync("after TryLoad64", 1)
+
+	before = fast.MappedBytes()
+	if fast.TryStore64(addr, v) {
+		hits.store++
+		if err := refStoreN(ref, addr, v, 8); err != nil {
+			t.Fatalf("TryStore64(%#x) hit where StoreN faults: %v", addr, err)
+		}
+	}
+	if fast.MappedBytes() != before {
+		t.Fatalf("TryStore64(%#x) mapped pages", addr)
+	}
+	sync("after TryStore64", 1)
+
+	for n := 1; n <= 4; n++ {
+		const poison = 0x5EED5EED5EED5EED
+		w := []uint64{poison, poison, poison, poison}[:n]
+		before = fast.MappedBytes()
+		if fast.TryLoadWords(addr, w) {
+			hits.words++
+			for i := range w {
+				want, err := refLoadN(ref, addr+uint64(i)*8, 8)
+				if err != nil || w[i] != want {
+					t.Fatalf("TryLoadWords(%#x, %d)[%d] = %#x, LoadN = (%#x, %v)", addr, n, i, w[i], want, err)
+				}
+			}
+		} else {
+			for i := range w {
+				if w[i] != poison {
+					t.Fatalf("missed TryLoadWords(%#x, %d) wrote word %d", addr, n, i)
+				}
+			}
+		}
+		if fast.MappedBytes() != before {
+			t.Fatalf("TryLoadWords(%#x, %d) mapped pages", addr, n)
+		}
+	}
+	sync("after TryLoadWords", 4)
+}
+
 // TestMemFastPathDifferential pins the LoadN/StoreN fast paths to the
 // Read/Write slow path on the boundary shapes that select between them:
 // aligned and unaligned in-page accesses, accesses ending exactly at a
 // page boundary, page-straddling accesses, and wrap-adjacent addresses at
 // the top of the 64-bit space (where the fast path must reproduce the
-// slow path's wrap fault byte for byte).
+// slow path's wrap fault byte for byte). After every access the hit-only
+// helpers are checked against the full paths at the same address.
 func TestMemFastPathDifferential(t *testing.T) {
 	fast, ref := New(), New()
 	const top = ^uint64(0)
+	slot := sameSlotPages(0x20, 3) // three pages sharing one TLB slot
 	addrs := []uint64{
 		0, 1, 7, 8, 15, // low page, aligned + unaligned
 		PageSize - 8, PageSize - 7, PageSize - 4, // end exactly at boundary
 		PageSize - 1, PageSize - 3, // straddle into page 1
 		PageSize, PageSize + 1, // second page
 		5*PageSize - 2, 5 * PageSize, // straddle + fresh page
+		slot[0] << PageBits, slot[1]<<PageBits + 8, // evicts slot[0]
+		slot[0]<<PageBits + 16, slot[2]<<PageBits + PageSize - 8, // and back
+		slot[1]<<PageBits + 24,
 		top - 15, top - 8, top - 7, // highest page, in-bounds
 		top - 6, top - 3, top - 1, top, // wrap-adjacent
 	}
 	v := uint64(0x0123456789ABCDEF)
+	var hits helperHits
 	for _, addr := range addrs {
 		for _, size := range []int{1, 2, 4, 8} {
 			diffOp(t, fast, ref, addr, v, size)
 			v = v*0x9E3779B97F4A7C15 + 1
+			diffHelpers(t, fast, ref, addr, v, &hits)
+			v = v*0x9E3779B97F4A7C15 + 1
 		}
+	}
+	if hits.load == 0 || hits.store == 0 || hits.words == 0 {
+		t.Fatalf("helpers never hit (%+v): the differential checked misses only", hits)
+	}
+	// The top page: the loop mapped it, and touching the word at top-15
+	// last leaves it as resident as it can be. The word at top-7 ends
+	// exactly at 2^64, so LoadN faults on it whatever the TLB holds, and
+	// every helper must miss there rather than read or write the word.
+	if _, err := fast.LoadN(top-15, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fast.LoadN(top-7, 8); err == nil {
+		t.Fatal("LoadN at 2^64-8 did not fault")
+	}
+	if _, ok := fast.TryLoad64(top - 7); ok {
+		t.Fatal("TryLoad64 hit on a word that wraps")
+	}
+	if fast.TryStore64(top-7, 1) {
+		t.Fatal("TryStore64 hit on a word that wraps")
+	}
+	if fast.TryLoadWords(top-15, make([]uint64, 2)) {
+		t.Fatal("TryLoadWords hit on a record that wraps")
 	}
 	// Unsupported sizes fault identically on both paths.
 	for _, size := range []int{0, 3, 5, 16, -1} {
@@ -226,11 +336,13 @@ func TestTLBRegionResidency(t *testing.T) {
 	}
 }
 
-// TestLoadWordsMatchesLoad64: a run of words within one page reads
-// through one translation exactly what per-word Load64 calls read, and
-// maps the same pages; a run that crosses a page or wraps the address
-// space reads nothing and maps nothing.
-func TestLoadWordsMatchesLoad64(t *testing.T) {
+// TestTryLoadWordsMatchesLoad64: a record within one TLB-resident page
+// reads inline exactly what per-word Load64 calls read; a record that
+// crosses a page, wraps the address space, or lies in a page the TLB does
+// not hold (unmapped, or evicted by a page sharing its slot) reads
+// nothing and maps nothing, and the per-word fallback then reads it.
+func TestTryLoadWordsMatchesLoad64(t *testing.T) {
+	evicted := sameSlotPages(0x9, 2)
 	cases := []struct {
 		addr uint64
 		n    int
@@ -242,34 +354,43 @@ func TestLoadWordsMatchesLoad64(t *testing.T) {
 		{0x5003, 2, true},           // unaligned, within the page
 		{^uint64(0) - 15, 2, false}, // ends exactly at 2^64: wraps
 		{0x7000, 0, true},
+		{0x40_0000, 2, false},                 // never mapped
+		{evicted[0]<<PageBits + 64, 2, false}, // mapped, then evicted
 	}
 	for _, tc := range cases {
 		m, ref := New(), New()
 		for i := uint64(0); i < 64; i++ {
 			addr := tc.addr&^pageMask - 8*32 + 8*i
+			if tc.addr == 0x40_0000 {
+				addr = 0x3F_0000 + 8*i
+			}
 			if err := m.StoreN(addr, 0x1111*i, 8); err == nil {
 				_ = ref.StoreN(addr, 0x1111*i, 8)
 			}
 		}
+		if tc.addr>>PageBits == evicted[0] {
+			_ = m.StoreN(evicted[1]<<PageBits, 1, 8)
+			_ = ref.StoreN(evicted[1]<<PageBits, 1, 8)
+		}
 		before := m.MappedBytes()
 		w := make([]uint64, tc.n)
-		if got := m.LoadWords(tc.addr, w); got != tc.ok {
-			t.Fatalf("LoadWords(%#x, %d) = %v, want %v", tc.addr, tc.n, got, tc.ok)
+		if got := m.TryLoadWords(tc.addr, w); got != tc.ok {
+			t.Fatalf("TryLoadWords(%#x, %d) = %v, want %v", tc.addr, tc.n, got, tc.ok)
+		}
+		if m.MappedBytes() != before {
+			t.Fatalf("TryLoadWords(%#x, %d) mapped pages", tc.addr, tc.n)
 		}
 		if !tc.ok {
-			if m.MappedBytes() != before {
-				t.Fatalf("failed LoadWords(%#x, %d) mapped pages", tc.addr, tc.n)
-			}
 			continue
 		}
 		for i := range w {
 			want, err := ref.Load64(tc.addr + uint64(i)*8)
 			if err != nil || w[i] != want {
-				t.Fatalf("LoadWords(%#x)[%d] = %#x, Load64 = (%#x, %v)", tc.addr, i, w[i], want, err)
+				t.Fatalf("TryLoadWords(%#x)[%d] = %#x, Load64 = (%#x, %v)", tc.addr, i, w[i], want, err)
 			}
 		}
 		if m.MappedBytes() != ref.MappedBytes() {
-			t.Fatalf("LoadWords(%#x, %d): MappedBytes %d, per-word %d", tc.addr, tc.n, m.MappedBytes(), ref.MappedBytes())
+			t.Fatalf("TryLoadWords(%#x, %d): MappedBytes %d, per-word %d", tc.addr, tc.n, m.MappedBytes(), ref.MappedBytes())
 		}
 	}
 }
@@ -284,6 +405,8 @@ func FuzzMemFastPath(f *testing.F) {
 	f.Add(^uint64(0)-3, uint64(0x1234), byte(2))
 	f.Add(^uint64(0), ^uint64(0), byte(0))
 	f.Add(uint64(PageSize-4), uint64(0xDEADBEEF), byte(7)) // invalid size 16
+	f.Add(^uint64(0)-7, uint64(0xFEED), byte(0x13))        // top page, helpers 8 bytes below
+	f.Add(uint64(PageSize-16), uint64(0xF00D), byte(0x23)) // record ending at the page end
 	f.Fuzz(func(t *testing.T, addr, v uint64, sizeSel byte) {
 		size := 1 << (sizeSel & 7) // 1..128: sizes past 8 probe the shared fault
 		fast, ref := New(), New()
@@ -308,6 +431,11 @@ func FuzzMemFastPath(f *testing.F) {
 		if fast.MappedBytes() != ref.MappedBytes() {
 			t.Fatalf("MappedBytes = %d, ref %d", fast.MappedBytes(), ref.MappedBytes())
 		}
+		// The high bits of sizeSel pick where the hit-only helpers run:
+		// at the access, or 8 to 24 bytes below it, so a word or record
+		// can start in the page before the one the access made resident.
+		var hits helperHits
+		diffHelpers(t, fast, ref, addr-8*uint64(sizeSel>>4&3), v^0xA5A5, &hits)
 	})
 }
 

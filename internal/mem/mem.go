@@ -74,7 +74,8 @@ type Memory struct {
 	// TLB disabled. Entries stay valid because a mapped page's frame never
 	// changes until Reset, which invalidates the TLB wholesale. Each entry
 	// pairs page number and frame in one struct so the hit path (probe) is
-	// a single index expression that inlines into LoadN/StoreN.
+	// a single index expression. The top page of the address space is never
+	// entered (pageSlow), so no access that hits can wrap past 2^64.
 	tlb [tlbSize]tlbEntry
 
 	// Mapped tracks the total number of mapped pages, for the memory
@@ -99,6 +100,14 @@ type tlbEntry struct {
 
 // noPage is the empty-slot sentinel page number.
 const noPage = ^uint64(0)
+
+// topPage is the last page of the address space, the only one holding
+// addresses whose accesses can wrap. pageSlow maps it but never enters it
+// in the TLB, so the hit-only helpers (TryLoad64, TryStore64,
+// TryLoadWords) need no wrap test of their own: a hit proves the page is
+// not topPage, and an access inside such a page ends at or below
+// 2^64-PageSize.
+const topPage = ^uint64(0) >> PageBits
 
 // invalidateTLB empties every slot.
 func (m *Memory) invalidateTLB() {
@@ -161,9 +170,10 @@ func (m *Memory) Map(addr, size uint64) {
 }
 
 // probe is the TLB hit path: page pn's frame if its slot holds it, else
-// nil. A hit performs no writes at all. It is small enough to inline at
-// every translation site, so the common aligned access resolves its frame
-// without a function call.
+// nil. A hit performs no writes at all. It inlines into the full paths
+// (page, LoadN, StoreN), which are calls themselves; the machine reaches a
+// resident word without any call through the hit-only helpers
+// (TryLoad64, TryStore64, TryLoadWords), which repeat its slot test.
 func (m *Memory) probe(pn uint64) *[PageSize]byte {
 	if e := &m.tlb[tlbSlot(pn)]; e.pn == pn {
 		return e.pg
@@ -181,8 +191,9 @@ func (m *Memory) page(pn uint64) *[PageSize]byte {
 	return m.pageSlow(pn)
 }
 
-// pageSlow is the TLB-miss path: pages-map lookup, demand-map, TLB refill.
-// Kept out of line so the translation sites stay small.
+// pageSlow is the TLB-miss path: pages-map lookup, demand-map, TLB refill
+// (of every page but topPage). Kept out of line so the translation sites
+// stay small.
 //
 //go:noinline
 func (m *Memory) pageSlow(pn uint64) *[PageSize]byte {
@@ -198,7 +209,9 @@ func (m *Memory) pageSlow(pn uint64) *[PageSize]byte {
 		m.pages[pn] = p
 		m.mapped++
 	}
-	m.tlb[tlbSlot(pn)] = tlbEntry{pn: pn, pg: p}
+	if pn != topPage {
+		m.tlb[tlbSlot(pn)] = tlbEntry{pn: pn, pg: p}
+	}
 	return p
 }
 
@@ -239,11 +252,13 @@ func (m *Memory) Write(addr uint64, buf []byte) error {
 }
 
 // LoadN loads a size-byte little-endian unsigned integer (size in
-// {1,2,4,8}). Accesses contained in one page decode little-endian directly
-// from the page frame; a page-straddling access takes the Read slow path
-// through an 8-byte bounce buffer. Both paths apply the same wrap fault
-// rule, so they are observationally identical (the contract
-// TestMemFastPathDifferential and FuzzMemFastPath pin down).
+// {1,2,4,8}). It is the full path behind TryLoad64: every size, TLB
+// misses, demand-mapping and faults. Accesses contained in one page decode
+// little-endian directly from the page frame; a page-straddling access
+// takes the Read slow path through an 8-byte bounce buffer. Both paths
+// apply the same wrap fault rule, so they are observationally identical
+// (the contract TestMemFastPathDifferential and FuzzMemFastPath pin
+// down).
 func (m *Memory) LoadN(addr uint64, size int) (uint64, error) {
 	if size != 1 && size != 2 && size != 4 && size != 8 {
 		return 0, &Fault{Addr: addr, Size: size, Why: "unsupported access size"}
@@ -275,7 +290,7 @@ func (m *Memory) LoadN(addr uint64, size int) (uint64, error) {
 
 // StoreN stores the low size bytes of v little-endian (size in {1,2,4,8}),
 // with the same single-page fast path / straddling slow path split as
-// LoadN.
+// LoadN. It is the full path behind TryStore64.
 func (m *Memory) StoreN(addr uint64, v uint64, size int) error {
 	if size != 1 && size != 2 && size != 4 && size != 8 {
 		return &Fault{Addr: addr, Size: size, Write: true, Why: "unsupported access size"}
@@ -305,26 +320,50 @@ func (m *Memory) StoreN(addr uint64, v uint64, size int) error {
 	return m.Write(addr, buf[:size])
 }
 
-// LoadWords fills w with the consecutive little-endian words at addr
-// through one translation when they all lie in one page, and reports
-// whether it did. A run that crosses a page boundary or wraps the address
-// space reads nothing and returns false, so the caller can fall back to
-// per-word loads and their per-word fault order.
-func (m *Memory) LoadWords(addr uint64, w []uint64) bool {
-	if len(w) == 0 {
+// TryLoad64 is the TLB-hit half of Load64: when the word at addr lies in
+// one TLB-resident page it returns the word and true, with no other
+// effect. Otherwise it returns false with no effect at all, and the caller
+// takes Load64, which maps the page, refills the TLB or faults. A hit
+// returns exactly what Load64 would: the frame is the one the pages map
+// holds, and the word cannot wrap (topPage is never resident).
+//
+// The hit-only helpers test the TLB slot themselves rather than through
+// probe, whose nil test would push TryLoadWords past the inlining budget;
+// all three must inline into the machine to be worth having.
+func (m *Memory) TryLoad64(addr uint64) (uint64, bool) {
+	pn, off := addr>>PageBits, addr&pageMask
+	if e := &m.tlb[tlbSlot(pn)]; e.pn == pn && off <= PageSize-8 {
+		return binary.LittleEndian.Uint64(e.pg[off:]), true
+	}
+	return 0, false
+}
+
+// TryStore64 is the TLB-hit half of Store64, with TryLoad64's contract: it
+// stores v and reports true only when the word lies in one TLB-resident
+// page, and otherwise writes nothing.
+func (m *Memory) TryStore64(addr, v uint64) bool {
+	pn, off := addr>>PageBits, addr&pageMask
+	if e := &m.tlb[tlbSlot(pn)]; e.pn == pn && off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(e.pg[off:], v)
 		return true
 	}
-	n := uint64(len(w)) * 8
-	off := addr & pageMask
-	if off+n > PageSize || addr+n < addr {
+	return false
+}
+
+// TryLoadWords reads a record: it fills w with the consecutive little-
+// endian words at addr and reports true when they all lie in one
+// TLB-resident page. Otherwise it reads nothing and returns false, and the
+// caller loads the words one by one through Load64, which keeps its
+// per-word mapping and fault order.
+func (m *Memory) TryLoadWords(addr uint64, w []uint64) bool {
+	pn, off := addr>>PageBits, addr&pageMask
+	e := &m.tlb[tlbSlot(pn)]
+	if e.pn != pn || off+uint64(len(w))*8 > PageSize {
 		return false
 	}
-	p := m.probe(addr >> PageBits)
-	if p == nil {
-		p = m.pageSlow(addr >> PageBits)
-	}
 	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(p[off+uint64(i)*8:])
+		w[i] = binary.LittleEndian.Uint64(e.pg[off:])
+		off += 8
 	}
 	return true
 }
