@@ -37,9 +37,13 @@ func modelledState(w workloads.Workload, mode rt.Mode, noPromote bool, scale int
 // TestModelledStateGolden pins the modelled state of the report campaign
 // cell by cell: each workload in the five spatial configurations plus
 // ifp-temporal, timed at scale 1, and each Figure-12 memory cell,
-// untimed at scale 1 × MemScale. A host-side change to the access path
-// (TLB, cache probes, batched metadata reads) must leave every line
-// identical; rewrite the file with -update only for a change that is
+// untimed at scale 1 × MemScale. It then appends every cell of the
+// scale-1 chaos campaign, run in plan order on the same pooled runtimes,
+// as its bucket and detail: those pin MAC detection (a swapped key must
+// still be caught after the pool has recycled a machine) and every other
+// fault's outcome exactly. A host-side change to the access path (TLB,
+// cache probes, batched metadata reads, MAC memoization) must leave every
+// line identical; rewrite the file with -update only for a change that is
 // meant to alter the modelled machine.
 func TestModelledStateGolden(t *testing.T) {
 	p := NewReportPlan(workloads.All, 1, MemScale).WithTemporal(true)
@@ -51,6 +55,11 @@ func TestModelledStateGolden(t *testing.T) {
 			t.Fatalf("cell %d (%s): %v", i, p.Key(i), err)
 		}
 		fmt.Fprintf(&b, "== %s scale %d\n%s", p.Key(i), scale, s)
+	}
+	cp := NewChaosPlan(1)
+	for i := 0; i < cp.NumCells(); i++ {
+		o := cp.ComputeCell(i)
+		fmt.Fprintf(&b, "== %s\nbucket %s detail %q\n", cp.Key(i), o.Bucket, o.Detail)
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "modelled_state.golden")

@@ -5,7 +5,10 @@
 // from scratch — the repository is stdlib-only) truncated to 48 bits.
 package mac
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Size is the MAC width in bits as stored in object metadata.
 const Size = 48
@@ -34,23 +37,22 @@ func NewKey(seed uint64) Key {
 	return Key{K0: next(), K1: next()}
 }
 
-func rotl(x uint64, b uint) uint64 { return x<<b | x>>(64-b) }
+// halfRound is one half of a SipRound, over two independent lanes: the
+// SipHash reference implementation's HALF_ROUND. A full round is
+// halfRound(v0, v1, v2, v3, 13, 16) followed by
+// halfRound(v2, v1, v0, v3, 17, 21). It is small enough to inline, with
+// the rotations folded to constants, which a whole round is not.
+func halfRound(a, b, c, d uint64, s, t int) (uint64, uint64, uint64, uint64) {
+	a += b
+	c += d
+	b = bits.RotateLeft64(b, s) ^ a
+	d = bits.RotateLeft64(d, t) ^ c
+	return bits.RotateLeft64(a, 32), b, c, d
+}
 
 func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
-	v0 += v1
-	v1 = rotl(v1, 13)
-	v1 ^= v0
-	v0 = rotl(v0, 32)
-	v2 += v3
-	v3 = rotl(v3, 16)
-	v3 ^= v2
-	v0 += v3
-	v3 = rotl(v3, 21)
-	v3 ^= v0
-	v2 += v1
-	v1 = rotl(v1, 17)
-	v1 ^= v2
-	v2 = rotl(v2, 32)
+	v0, v1, v2, v3 = halfRound(v0, v1, v2, v3, 13, 16)
+	v2, v1, v0, v3 = halfRound(v2, v1, v0, v3, 17, 21)
 	return v0, v1, v2, v3
 }
 
@@ -90,10 +92,29 @@ func Sum64(k Key, data []byte) uint64 {
 // Object computes the 48-bit metadata MAC over an object's identity: its
 // base address, size, and layout-table pointer. This is the value the
 // ifpmac instruction produces and promote verifies (§3.3, §4.1).
+//
+// It equals Sum64 over the 24-byte little-endian encoding of the three
+// words, masked to 48 bits, but runs SipHash-2-4 on the words directly:
+// three message blocks, the length block (24, no tail bytes), and the
+// finalization, every round inlined. TestObjectMatchesSum64 and FuzzObject
+// hold it to Sum64.
 func Object(k Key, base, size, layoutPtr uint64) uint64 {
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], base)
-	binary.LittleEndian.PutUint64(buf[8:], size)
-	binary.LittleEndian.PutUint64(buf[16:], layoutPtr)
-	return Sum64(k, buf[:]) & Mask
+	v0 := k.K0 ^ 0x736f6d6570736575
+	v1 := k.K1 ^ 0x646f72616e646f6d
+	v2 := k.K0 ^ 0x6c7967656e657261
+	v3 := k.K1 ^ 0x7465646279746573
+	for _, m := range [4]uint64{base, size, layoutPtr, 24 << 56} {
+		v3 ^= m
+		v0, v1, v2, v3 = halfRound(v0, v1, v2, v3, 13, 16)
+		v2, v1, v0, v3 = halfRound(v2, v1, v0, v3, 17, 21)
+		v0, v1, v2, v3 = halfRound(v0, v1, v2, v3, 13, 16)
+		v2, v1, v0, v3 = halfRound(v2, v1, v0, v3, 17, 21)
+		v0 ^= m
+	}
+	v2 ^= 0xff
+	for i := 0; i < 4; i++ {
+		v0, v1, v2, v3 = halfRound(v0, v1, v2, v3, 13, 16)
+		v2, v1, v0, v3 = halfRound(v2, v1, v0, v3, 17, 21)
+	}
+	return (v0 ^ v1 ^ v2 ^ v3) & Mask
 }

@@ -76,6 +76,53 @@ func TestObjectFieldSensitivity(t *testing.T) {
 	}
 }
 
+// objectRef is Object's definition: Sum64 over the 24-byte little-endian
+// encoding of the three words, masked to 48 bits.
+func objectRef(k Key, base, size, layoutPtr uint64) uint64 {
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[0:], base)
+	binary.LittleEndian.PutUint64(buf[8:], size)
+	binary.LittleEndian.PutUint64(buf[16:], layoutPtr)
+	return Sum64(k, buf[:]) & Mask
+}
+
+func TestObjectMatchesSum64(t *testing.T) {
+	f := func(k0, k1, base, size, lt uint64) bool {
+		k := Key{K0: k0, K1: k1}
+		return Object(k, base, size, lt) == objectRef(k, base, size, lt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	edges := []uint64{0, Mask, ^uint64(0)}
+	for _, k0 := range edges {
+		for _, k1 := range edges {
+			k := Key{K0: k0, K1: k1}
+			for _, base := range edges {
+				for _, size := range edges {
+					for _, lt := range edges {
+						if got, want := Object(k, base, size, lt), objectRef(k, base, size, lt); got != want {
+							t.Errorf("Object(%#x, %#x, %#x, %#x) = %#x, Sum64 gives %#x", k, base, size, lt, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func FuzzObject(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
+	f.Add(uint64(0x0706050403020100), uint64(0x0f0e0d0c0b0a0908), uint64(0x1000), uint64(64), Mask)
+	f.Fuzz(func(t *testing.T, k0, k1, base, size, lt uint64) {
+		k := Key{K0: k0, K1: k1}
+		if got, want := Object(k, base, size, lt), objectRef(k, base, size, lt); got != want {
+			t.Fatalf("Object(%#x, %#x, %#x, %#x) = %#x, Sum64 gives %#x", k, base, size, lt, got, want)
+		}
+	})
+}
+
 func TestNewKeyDeterministic(t *testing.T) {
 	if NewKey(99) != NewKey(99) {
 		t.Error("NewKey not deterministic for a fixed seed")

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"infat/internal/layout"
-	"infat/internal/mac"
 	"infat/internal/metadata"
 	"infat/internal/tag"
 )
@@ -121,19 +120,23 @@ func (m *Machine) IfpExtract(p uint64, breg BoundsReg) uint64 {
 }
 
 // IfpMac implements the ifpmac instruction: MAC generation for object
-// metadata during allocation instrumentation (§4.1).
+// metadata during allocation instrumentation (§4.1). It computes the
+// triple promote later verifies (metadata.LocalMACFields) through the MAC
+// memo, so the object's first promote finds its MAC there; the cycle and
+// instruction charges do not depend on the memo.
 func (m *Machine) IfpMac(base, size, layoutPtr uint64) uint64 {
 	m.tick1(&m.C.IfpMac)
 	m.C.Cycles += m.Cost.MacCycles - 1
-	return mac.Object(m.Key, base, size, layoutPtr)
+	return m.objectMAC(base, size, layoutPtr)
 }
 
 // IfpMacSubheap is the ifpmac variant covering a subheap block's shared
-// metadata record.
+// metadata record. Like IfpMac it fills the MAC memo with the triple
+// promote verifies (metadata.SubheapMACFields).
 func (m *Machine) IfpMacSubheap(blockBase uint64, md metadata.Subheap) uint64 {
 	m.tick1(&m.C.IfpMac)
 	m.C.Cycles += m.Cost.MacCycles - 1
-	return metadata.SubheapMAC(m.Key, blockBase, md)
+	return m.objectMAC(metadata.SubheapMACFields(blockBase, md))
 }
 
 // IfpMdLocal implements the pointer-tag-setup flavour of ifpmd for the

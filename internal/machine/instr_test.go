@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"infat/internal/layout"
@@ -333,6 +334,33 @@ func BenchmarkPromoteBypassLegacy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Promote(0x5000)
+	}
+}
+
+// BenchmarkPromoteWorkingSet promotes in a cycle over n wrapped objects,
+// each a 32-byte local-offset object followed by its record as the wrapped
+// allocator lays them out. Once n outgrows the MAC memo, most promotes
+// take the memo's miss path and compute the MAC.
+func BenchmarkPromoteWorkingSet(b *testing.B) {
+	for _, n := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := New()
+			ps := make([]uint64, n)
+			base := uint64(0x10_0000)
+			for i := range ps {
+				ps[i] = setupLocalBench(m, base, 32, nil)
+				_, footprint := metadata.LocalPlacement(base, 32)
+				base += footprint
+			}
+			for _, p := range ps {
+				m.Promote(p) // map the pages, warm the cache
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Promote(ps[i&(n-1)])
+			}
+		})
 	}
 }
 

@@ -161,40 +161,63 @@ type Machine struct {
 	// keep only the footprint.
 	Untimed bool
 
-	// macMemo caches mac.Object computations for the metadata-MAC
-	// verification promote performs on every valid lookup. Hardware
-	// computes the SipHash in a fixed MacCycles pipeline (still charged);
-	// the memo only spares the host the recomputation when the same
-	// metadata record is verified repeatedly — the steady state of every
-	// pointer-chasing loop. An entry matches only when the key AND all
-	// three MAC'd fields are equal, so it returns exactly what
-	// mac.Object would: tampered metadata changes the fields (memo miss,
-	// honest recompute) or the stored MAC (memo hit, still a mismatch),
-	// and a chaos-swapped key misses on the key compare. Entries are
-	// pure math (key, fields) -> MAC, so they stay correct across Reset.
+	// macKey and macMemo memoize the MAC promote verifies on every
+	// metadata lookup (and ifpmac generates), so the host computes each
+	// (key, record) pair's SipHash once; see objectMAC. The hardware's
+	// fixed MacCycles latency is charged either way.
+	macKey  mac.Key
 	macMemo [macMemoSize]macEntry
 }
 
-// macMemoSize is the direct-mapped MAC memo's entry count; 256 covers the
-// distinct metadata records (blocks, stack frames) a workload's hot loops
-// revisit. Must be a power of two.
-const macMemoSize = 256
+// macMemoBits sizes the MAC memo: 2048 direct-mapped entries of 32 bytes,
+// 64 KiB per machine. Over a serial report pass it answers all but a few
+// hundred of the subheap cells' checks and 62% of the wrapped memory
+// cells' (52% at 1024 entries, 72% at 4096, which the report benchmark
+// does not tell apart from 2048): their working set, one record per live
+// object, outgrows any size worth its memory (DESIGN.md §12).
+const (
+	macMemoBits = 11
+	macMemoSize = 1 << macMemoBits
+)
 
+// macFilled marks a filled macEntry: a MAC has 48 bits, so bit 63 is
+// spare, and an entry whose mac word is zero is empty.
+const macFilled = uint64(1) << 63
+
+// macEntry is one memoized MAC: the mac.Object input triple, and the
+// 48-bit MAC it yields under the memo's key, ORed with macFilled.
 type macEntry struct {
-	key          mac.Key
 	base, f2, f3 uint64
-	got          uint64
-	ok           bool
+	mac          uint64
 }
 
-// objectMAC is a memoized mac.Object(m.Key, base, f2, f3).
+// macSlot is the memo index of a record with the given base: the top
+// macMemoBits of a Fibonacci hash of its 16-byte granule number. Low base
+// bits alone would put every 4 KiB-aligned subheap block's record in one
+// slot, and make consecutive wrapped objects skip slots.
+func macSlot(base uint64) uint64 {
+	return (base >> 4) * 0x9e3779b97f4a7c15 >> (64 - macMemoBits)
+}
+
+// objectMAC returns mac.Object(m.Key, base, f2, f3), memoized. The memo
+// holds one key and is cleared whenever m.Key differs from it (a chaos key
+// swap, or Reset restoring the default key after one), and an entry
+// matches only when all three fields are equal, so a hit returns exactly
+// what mac.Object would: tampered metadata changes a field (a miss and an
+// honest computation) or the stored MAC (a hit, still a mismatch). Entries
+// are pure functions of key and fields, so they stay valid across Reset
+// and across the modes a pooled machine serves.
 func (m *Machine) objectMAC(base, f2, f3 uint64) uint64 {
-	e := &m.macMemo[(base>>4)&(macMemoSize-1)]
-	if e.ok && e.key == m.Key && e.base == base && e.f2 == f2 && e.f3 == f3 {
-		return e.got
+	if m.Key != m.macKey {
+		m.macMemo = [macMemoSize]macEntry{}
+		m.macKey = m.Key
+	}
+	e := &m.macMemo[macSlot(base)]
+	if e.mac != 0 && e.base == base && e.f2 == f2 && e.f3 == f3 {
+		return e.mac &^ macFilled
 	}
 	got := mac.Object(m.Key, base, f2, f3)
-	*e = macEntry{key: m.Key, base: base, f2: f2, f3: f3, got: got, ok: true}
+	*e = macEntry{base: base, f2: f2, f3: f3, mac: got | macFilled}
 	return got
 }
 
