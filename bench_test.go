@@ -75,16 +75,26 @@ func BenchmarkExperiments(b *testing.B) {
 // BenchmarkExperimentsGrid measures one serial pass over the §5.2
 // (workload × configuration) grid — the per-cell simulation cost that
 // dominates campaign wall clock. Serial on purpose: its ns/op tracks the
-// simulator's hot-path efficiency across PRs (snapshotted in the
-// BENCH_*.json trajectory) independent of host core count, where the
-// memory fast paths and the zero-alloc interpreter show up directly.
+// simulator's hot-path efficiency independent of host core count, where
+// the memory fast paths and the zero-alloc interpreter show up directly.
+// EXPERIMENTS.md keeps its history; bench/ times the whole report pass.
 func BenchmarkExperimentsGrid(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunAllN(1, 1); err != nil {
+		if _, err := exp.RunSet(workloads.All, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// runWorkload runs all five configurations of one workload.
+func runWorkload(b *testing.B, w workloads.Workload) exp.Result {
+	b.Helper()
+	res, err := exp.RunSet([]workloads.Workload{w}, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res[0]
 }
 
 // BenchmarkTable4 regenerates the dynamic-event-count rows: the metric is
@@ -94,12 +104,8 @@ func BenchmarkTable4(b *testing.B) {
 		w, _ := workloads.ByName(name)
 		b.Run(name, func(b *testing.B) {
 			var res exp.Result
-			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = exp.Run(w, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runWorkload(b, w)
 			}
 			b.ReportMetric(stats.Ratio(res.Subheap.Counters.Instrs, res.Baseline.Counters.Instrs), "subheap-instr-x")
 			b.ReportMetric(stats.Ratio(res.Wrapped.Counters.Instrs, res.Baseline.Counters.Instrs), "wrapped-instr-x")
@@ -115,12 +121,8 @@ func BenchmarkFig10(b *testing.B) {
 		w, _ := workloads.ByName(name)
 		b.Run(name, func(b *testing.B) {
 			var res exp.Result
-			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = exp.Run(w, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runWorkload(b, w)
 			}
 			base := res.Baseline.Counters.Cycles
 			b.ReportMetric(stats.Overhead(stats.Ratio(res.Subheap.Counters.Cycles, base)), "subheap-ovh-%")
@@ -136,12 +138,8 @@ func BenchmarkFig11(b *testing.B) {
 		w, _ := workloads.ByName(name)
 		b.Run(name, func(b *testing.B) {
 			var res exp.Result
-			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = exp.Run(w, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res = runWorkload(b, w)
 			}
 			base := float64(res.Baseline.Counters.Instrs)
 			c := res.Subheap.Counters
@@ -160,12 +158,12 @@ func BenchmarkFig12(b *testing.B) {
 		w, _ := workloads.ByName(name)
 		b.Run(name, func(b *testing.B) {
 			var m exp.MemResult
-			var err error
 			for i := 0; i < b.N; i++ {
-				m, err = exp.RunMem(w, 2)
+				ms, err := exp.RunMemSet([]workloads.Workload{w}, 2, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
+				m = ms[0]
 			}
 			b.ReportMetric(stats.Overhead(stats.Ratio(m.Subheap, m.Baseline)), "subheap-mem-%")
 			b.ReportMetric(stats.Overhead(stats.Ratio(m.Wrapped, m.Baseline)), "wrapped-mem-%")

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ifp-bench [-scale N] [-parallel N] [-table4] [-fig10] [-fig11] [-fig12] [-bench name] [-chaos]
-//	          [-temporal] [-memo] [-memo-dir DIR] [-json path] [-cpuprofile path] [-memprofile path]
+//	          [-temporal] [-memo] [-memo-dir DIR] [-cpuprofile path] [-memprofile path]
 //
 // With no selection flags, everything is printed. The (workload ×
 // configuration) grid fans out over -parallel worker goroutines (default:
@@ -31,7 +31,6 @@ import (
 	"runtime/pprof"
 
 	"infat/internal/baseline"
-	"infat/internal/chaos"
 	"infat/internal/exp"
 	"infat/internal/memo"
 	"infat/internal/rt"
@@ -60,7 +59,6 @@ func run() int {
 	temporal := flag.Bool("temporal", false, "print the temporal axis: generation-tagging overhead over the grid plus CWE-415/416 detection rates")
 	memoFlag := flag.Bool("memo", false, "memoize report-grid cells in a content-addressed store (byte-identical output, warm cells replayed)")
 	memoDir := flag.String("memo-dir", "", "load the memo snapshot from DIR at startup and save it on exit (implies -memo)")
-	jsonPath := flag.String("json", "", "write a machine-readable benchmark summary (cycles, overheads, serve/grid/mem timings, pool and interner stats) to this path")
 	noReuse := flag.Bool("no-reuse", false, "disable runtime pooling: construct a fresh simulator per cell")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (pprof format)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this path on exit (pprof format)")
@@ -137,9 +135,9 @@ func run() int {
 	}
 
 	if *chaosFlag {
-		outcomes := exp.ChaosCampaignN(*scale, *parallel)
-		fmt.Println(chaos.Report(outcomes))
-		if internal := chaos.Summarize(outcomes).Internal; internal > 0 {
+		report, internal := exp.ChaosReport(*scale, *parallel)
+		fmt.Println(report)
+		if internal > 0 {
 			fmt.Fprintf(os.Stderr, "ifp-bench: %d internal outcomes (simulator bugs)\n", internal)
 			return 1
 		}
@@ -179,7 +177,7 @@ func run() int {
 		return 0
 	}
 	if *temporal {
-		out, err := exp.TemporalReportN(*scale, *parallel)
+		out, err := exp.TemporalReport(*scale, *parallel)
 		if err != nil {
 			return fail(err)
 		}
@@ -187,22 +185,13 @@ func run() int {
 		return 0
 	}
 
-	// -json alone emits the summary without the printed reports; combined
-	// with report flags it reuses the grid results computed for them.
 	any := *table4 || *fig10 || *fig11 || *fig12
-	if *jsonPath != "" && !any {
-		if err := writeBenchJSON(*jsonPath, nil, *scale, *parallel); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(os.Stderr, "ifp-bench: wrote", *jsonPath)
-		return 0
-	}
 	needPerf := !any || *table4 || *fig10 || *fig11
 	needMem := !any || *fig12
 
 	var results []exp.Result
 	if needPerf {
-		r, err := exp.RunSetMemo(store, selected, *scale, *parallel)
+		r, _, err := runPlan(exp.NewPlan(selected, *scale).WithMemo(store), *parallel)
 		if err != nil {
 			return fail(err)
 		}
@@ -210,7 +199,7 @@ func run() int {
 	}
 	var mem []exp.MemResult
 	if needMem {
-		m, err := exp.RunMemSetMemo(store, selected, *scale**memScale, *parallel)
+		_, m, err := runPlan(exp.NewMemPlan(selected, *scale**memScale).WithMemo(store), *parallel)
 		if err != nil {
 			return fail(err)
 		}
@@ -229,11 +218,15 @@ func run() int {
 	if !any || *fig12 {
 		fmt.Println(exp.Fig12(mem))
 	}
-	if *jsonPath != "" {
-		if err := writeBenchJSON(*jsonPath, results, *scale, *parallel); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(os.Stderr, "ifp-bench: wrote", *jsonPath)
-	}
 	return 0
+}
+
+// runPlan runs every cell of the plan and folds them into its result
+// slices.
+func runPlan(p exp.Plan, workers int) ([]exp.Result, []exp.MemResult, error) {
+	cells, err := exp.RunCampaign(p, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Results(cells)
 }

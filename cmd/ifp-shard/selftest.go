@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"time"
 
 	"infat/internal/exp"
@@ -75,17 +74,14 @@ func runSelftest() error {
 		}
 		ws = append(ws, w)
 	}
-	workers := runtime.NumCPU()
-	serialResults, err := exp.RunSet(ws, 1, workers)
+	wantReport, err := exp.RunReport(exp.NewReportPlan(ws, 1, exp.MemScale), 0)
 	if err != nil {
 		return err
 	}
-	serialMem, err := exp.RunMemSet(ws, exp.MemScale, workers)
+	wantChaos, err := exp.RunReport(exp.NewChaosPlan(1), 0)
 	if err != nil {
 		return err
 	}
-	wantReport := exp.Report(serialResults, serialMem)
-	wantChaos, wantInternal := exp.ChaosReport(1, workers)
 
 	step := func(name string, fn func() error) error {
 		if err := fn(); err != nil {
@@ -129,12 +125,12 @@ func runSelftest() error {
 			return nil
 		}},
 		{"chaos campaign equivalence", func() error {
-			got, internal, err := c.ChaosReport(ctx, server.ChaosRequest{})
+			got, err := c.ChaosReport(ctx, server.ChaosRequest{})
 			if err != nil {
 				return err
 			}
-			if got != wantChaos || internal != wantInternal {
-				return fmt.Errorf("chaos report differs (internal %d vs %d)", internal, wantInternal)
+			if got != wantChaos {
+				return errors.New("shard chaos report differs from local run")
 			}
 			return nil
 		}},

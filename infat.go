@@ -233,15 +233,7 @@ func Experiments(scale int) (string, error) { return ExperimentsParallel(scale, 
 // deterministic order, so the report is byte-identical at any worker
 // count.
 func ExperimentsParallel(scale, parallel int) (string, error) {
-	results, err := exp.RunAllN(scale, parallel)
-	if err != nil {
-		return "", err
-	}
-	mem, err := exp.RunAllMemN(scale*exp.MemScale, parallel)
-	if err != nil {
-		return "", err
-	}
-	return exp.Report(results, mem), nil
+	return exp.RunReport(exp.NewReportPlan(workloads.All, scale, exp.MemScale), parallel)
 }
 
 // ChaosCampaign runs the fault-injection campaign (DESIGN.md §10) at the

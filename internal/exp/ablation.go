@@ -71,8 +71,8 @@ func AblationsN(scale, workers int) (string, error) {
 		m   ModeResult
 		err error
 	}
-	// Per workload: one full baseline Run (the ratio denominators) plus
-	// one configured run per ablation row.
+	// Per workload: one full five-configuration run (its baseline is the
+	// ratio denominator) plus one configured run per ablation row.
 	stride := 1 + len(ablationRows)
 	baselines := make([]Result, len(ablationWorkloads))
 	cells := make([]cell, len(ablationWorkloads)*len(ablationRows))
@@ -80,11 +80,11 @@ func AblationsN(scale, workers int) (string, error) {
 		wi, ti := c/stride, c%stride
 		name := ablationWorkloads[wi]
 		if ti == 0 {
-			r, err := Run(mustWorkload(name), scale)
+			r, err := RunSet([]workloads.Workload{mustWorkload(name)}, scale, 1)
 			if err != nil {
 				return err
 			}
-			baselines[wi] = r
+			baselines[wi] = r[0]
 			return nil
 		}
 		m, err := runConfigured(name, scale, ablationRows[ti-1].cfg)

@@ -7,10 +7,11 @@ package exp
 // grid, memory, and chaos campaigns as flat lists of independent cells:
 // every cell has a stable sequence number and identity key, runs in its
 // own runtime, and can execute on any worker of any process — locally,
-// on one backend, or scattered across a shard ring — in any order. A
-// Plan is that enumeration; an Assembly folds streamed cell results back
-// into the exact []Result/[]MemResult slices a serial run produces, so
-// the reassembled report is byte-identical to what ifp-bench prints.
+// on one backend, or scattered across a shard ring — in any order. Plan
+// and ChaosPlan are those enumerations, each a Campaign (campaign.go);
+// an assembly folds streamed cells back into the exact slices a serial
+// run produces, so the reassembled report is byte-identical to what
+// ifp-bench prints.
 //
 // The enumeration contract (relied on by clients reassembling streams):
 //
@@ -24,8 +25,8 @@ package exp
 //   - Memory cells (plans built with NewReportPlan) follow: seq =
 //     perfCells + wi*len(memModes) + mi, with mi over baseline, subheap,
 //     wrapped. Memory cells run at scale*memScale (Figure 12's larger
-//     footprints).
-//   - Chaos cells (ChaosPlan) use the ChaosCampaignN order: seq =
+//     footprints). A NewMemPlan plan has only these cells.
+//   - Chaos cells (ChaosPlan) are in (scheme, fault, seed) order: seq =
 //     ((si*len(Faults))+fi)*seeds + seed.
 
 import (
@@ -99,6 +100,7 @@ type Plan struct {
 	ws       []workloads.Workload
 	scale    int
 	memScale int         // 0 = no memory cells
+	memOnly  bool        // no perf cells (NewMemPlan)
 	temporal bool        // append the ifp-temporal configuration per workload
 	memo     *memo.Store // nil = no memoization (WithMemo attaches one)
 }
@@ -125,8 +127,15 @@ func NewReportPlan(ws []workloads.Workload, scale, memScale int) Plan {
 	return p
 }
 
-// Workloads returns the plan's workload list (shared, not copied).
-func (p Plan) Workloads() []workloads.Workload { return p.ws }
+// NewMemPlan enumerates the Figure-12 memory cells only, at the given
+// (already multiplied) scale: what RunMemSet measures. scale < 1 is
+// raised to 1.
+func NewMemPlan(ws []workloads.Workload, scale int) Plan {
+	if scale < 1 {
+		scale = 1
+	}
+	return Plan{ws: ws, scale: 1, memScale: scale, memOnly: true}
+}
 
 // Scale returns the perf-grid scale.
 func (p Plan) Scale() int { return p.scale }
@@ -148,9 +157,6 @@ func (p Plan) WithTemporal(on bool) Plan {
 	return p
 }
 
-// Temporal reports whether the plan includes the ifp-temporal cells.
-func (p Plan) Temporal() bool { return p.temporal }
-
 // configs returns the plan's per-workload configuration list.
 func (p Plan) configs() []cellConfig {
 	if p.temporal {
@@ -159,7 +165,12 @@ func (p Plan) configs() []cellConfig {
 	return cellConfigs
 }
 
-func (p Plan) perfCells() int { return len(p.ws) * len(p.configs()) }
+func (p Plan) perfCells() int {
+	if p.memOnly {
+		return 0
+	}
+	return len(p.ws) * len(p.configs())
+}
 
 func (p Plan) memCells() int {
 	if p.memScale == 0 {
@@ -202,25 +213,11 @@ type CellResult struct {
 	Footprint uint64      `json:"footprint,omitempty"`
 }
 
-// RunCell executes cell i in its own pooled runtime. Cells are pure
-// functions of the plan coordinates, so they can run on any process in
-// any order — which is also what makes them memoizable: a plan built
-// WithMemo consults the store first (LookupCell), and a hit returns the
-// shared cached result without touching rt.Pool (callers must not
-// mutate it).
-func (p Plan) RunCell(i int) (CellResult, error) {
-	if c, ok := p.LookupCell(i); ok {
-		return c, nil
-	}
-	return p.ComputeCell(i)
-}
-
 // LookupCell serves cell i from the plan's memo store. ok=false means a
-// miss (or no store attached) and the caller must ComputeCell. The hit
-// path is zero-allocation and never touches rt.Pool. Callers that split
-// lookup from compute themselves — the batch serving tier, which only
-// takes a worker slot for real computation — use this pair instead of
-// RunCell so misses are counted exactly once.
+// miss (or no store attached) and the caller must ComputeCell. Cells are
+// pure functions of the plan coordinates, which is what makes them
+// memoizable: the hit path is zero-allocation, never touches rt.Pool,
+// and returns the shared cached result (callers must not mutate it).
 func (p Plan) LookupCell(i int) (CellResult, bool) {
 	w, mode, noPromote, scale, perf := p.cellSpec(i)
 	if !perf {
@@ -248,183 +245,85 @@ func (p Plan) ComputeCell(i int) (CellResult, error) {
 	return CellResult{Perf: m}, nil
 }
 
-// Assembly folds cell results back into the slices a serial run
-// produces. Add is safe for concurrent use on distinct sequence numbers
-// (each writes a disjoint slot), which lets a streaming consumer add
-// cells as they arrive in any order.
-type Assembly struct {
-	p       Plan
-	results []Result
-	mem     []MemResult
-	have    []bool
-}
-
-// NewAssembly builds an empty assembly for the plan.
-func (p Plan) NewAssembly() *Assembly {
-	a := &Assembly{p: p, results: make([]Result, len(p.ws)), have: make([]bool, p.NumCells())}
-	for i, w := range p.ws {
-		a.results[i].Name, a.results[i].Suite = w.Name, w.Suite
-	}
-	if p.HasMem() {
-		a.mem = make([]MemResult, len(p.ws))
-		for i, w := range p.ws {
-			a.mem[i].Name = w.Name
-		}
-	}
-	return a
-}
-
-// Add records cell seq's result. It rejects out-of-range sequence
-// numbers (ErrCorruptCell), duplicates (ErrDuplicateCell), and results
-// missing the payload their kind requires (ErrCorruptCell).
-func (a *Assembly) Add(seq int, c CellResult) error {
-	if seq < 0 || seq >= len(a.have) {
-		return corruptCell(seq, "exp: cell seq %d out of range [0, %d)", seq, len(a.have))
-	}
-	if a.have[seq] {
-		return duplicateCell(seq, "exp: duplicate cell seq %d", seq)
-	}
-	if pc := a.p.perfCells(); seq < pc {
+// CheckPayload checks that c has the shape cell seq's kind requires: a
+// perf cell a perf payload and no footprint, a memory cell no perf
+// payload.
+func (p Plan) CheckPayload(seq int, c CellResult) error {
+	if seq < p.perfCells() {
 		if c.Perf == nil {
 			return corruptCell(seq, "exp: perf cell %d missing perf result", seq)
 		}
-		cfgs := a.p.configs()
-		wi, ci := seq/len(cfgs), seq%len(cfgs)
-		*cfgs[ci].dst(&a.results[wi]) = *c.Perf
-	} else {
-		j := seq - pc
-		wi, mi := j/len(memModes), j%len(memModes)
-		*memModes[mi].dst(&a.mem[wi]) = c.Footprint
-	}
-	a.have[seq] = true
-	return nil
-}
-
-// AddChecked is Add behind CheckCell: a streaming consumer fed by an
-// untrusted (or faulty) backend uses it so an alien or mangled cell is a
-// typed ErrCorruptCell, never a wrong slot written blindly.
-func (a *Assembly) AddChecked(m CellMeta, c CellResult) error {
-	if err := CheckCell(a.p, m, &c, nil); err != nil {
-		return err
-	}
-	return a.Add(m.Seq, c)
-}
-
-// CellPlan is what checking a streamed cell needs of its campaign: the
-// cell count and each cell's identity. Plan and ChaosPlan implement it.
-type CellPlan interface {
-	NumCells() int
-	Meta(i int) CellMeta
-}
-
-// CheckMeta checks a streamed cell's identity: m.Seq lies in the plan and
-// m's coordinates are the plan's own at that seq. It is all an error cell,
-// which carries no payload, is checked against.
-func CheckMeta(p CellPlan, m CellMeta) error {
-	if n := p.NumCells(); m.Seq < 0 || m.Seq >= n {
-		return corruptCell(m.Seq, "exp: cell seq %d out of range [0, %d)", m.Seq, n)
-	}
-	if want := p.Meta(m.Seq); m != want {
-		return corruptCell(m.Seq, "exp: cell %d identity %s|%s|%s does not match plan %s|%s|%s",
-			m.Seq, m.Kind, m.Workload, m.Config, want.Kind, want.Workload, want.Config)
+		if c.Footprint != 0 {
+			return corruptCell(seq, "exp: perf cell %d carries a footprint payload", seq)
+		}
+	} else if c.Perf != nil {
+		return corruptCell(seq, "exp: mem cell %d carries a perf payload", seq)
 	}
 	return nil
 }
 
-// CheckCell is the one contract a streamed cell meets before anything
-// uses it — the shard relay before it forwards a backend's line, and both
-// checked assemblies before they fold a payload in — so a cell the relay
-// passes is one the client's assembly accepts. Past CheckMeta, the payload
-// must have exactly the shape the cell's kind requires: a perf cell a
-// result with a perf payload and no footprint, a memory cell a result
-// with no perf payload, a chaos cell no result and an outcome whose own
-// (scheme, fault, seed) is the plan's at that seq. Violations wrap
-// ErrCorruptCell.
-func CheckCell(p CellPlan, m CellMeta, res *CellResult, out *chaos.Outcome) error {
-	if err := CheckMeta(p, m); err != nil {
-		return err
+// Results folds a complete cell set into the slices a serial run
+// produces, after verifying the cross-mode checksum contract: every
+// instrumented configuration reproduces its workload's baseline checksum.
+func (p Plan) Results(cells []CellResult) ([]Result, []MemResult, error) {
+	results := make([]Result, len(p.ws))
+	for i, w := range p.ws {
+		results[i].Name, results[i].Suite = w.Name, w.Suite
 	}
-	switch m.Kind {
-	case CellPerf:
-		if res == nil || res.Perf == nil || out != nil {
-			return corruptCell(m.Seq, "exp: perf cell %d missing perf result", m.Seq)
-		}
-		if res.Footprint != 0 {
-			return corruptCell(m.Seq, "exp: perf cell %d carries a footprint payload", m.Seq)
-		}
-	case CellMem:
-		if res == nil || out != nil {
-			return corruptCell(m.Seq, "exp: mem cell %d missing result", m.Seq)
-		}
-		if res.Perf != nil {
-			return corruptCell(m.Seq, "exp: mem cell %d carries a perf payload", m.Seq)
-		}
-	case CellChaos:
-		cp, ok := p.(ChaosPlan)
-		if !ok || out == nil || res != nil {
-			return corruptCell(m.Seq, "exp: chaos cell %d missing outcome", m.Seq)
-		}
-		if s, f, seed := cp.coords(m.Seq); out.Scheme != s || out.Fault != f || out.Seed != seed {
-			return corruptCell(m.Seq, "exp: chaos cell %d outcome coordinates (%s,%s,%d) do not match plan (%s,%s,%d)",
-				m.Seq, out.Scheme, out.Fault, out.Seed, s, f, seed)
+	var mem []MemResult
+	if p.HasMem() {
+		mem = make([]MemResult, len(p.ws))
+		for i, w := range p.ws {
+			mem[i].Name = w.Name
 		}
 	}
-	return nil
-}
-
-// Missing lists the sequence numbers not yet added, in order.
-func (a *Assembly) Missing() []int {
-	var out []int
-	for i, ok := range a.have {
-		if !ok {
-			out = append(out, i)
+	cfgs := p.configs()
+	pc := p.perfCells()
+	for seq, c := range cells {
+		if seq < pc {
+			*cfgs[seq%len(cfgs)].dst(&results[seq/len(cfgs)]) = *c.Perf
+		} else {
+			j := seq - pc
+			*memModes[j%len(memModes)].dst(&mem[j/len(memModes)]) = c.Footprint
 		}
-	}
-	return out
-}
-
-// Results returns the assembled slices after verifying completeness and
-// the cross-mode checksum contract — the same verification RunSet
-// applies, producing the same error text.
-func (a *Assembly) Results() ([]Result, []MemResult, error) {
-	if missing := a.Missing(); len(missing) > 0 {
-		return nil, nil, fmt.Errorf("exp: assembly incomplete: %d of %d cells missing (first missing seq %d)",
-			len(missing), len(a.have), missing[0])
 	}
 	var errs []error
-	cfgs := a.p.configs()
-	for i := range a.results {
-		if err := a.results[i].verifyChecksumsFor(cfgs); err != nil {
+	for i := range results {
+		if err := results[i].verifyChecksums(cfgs); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, nil, err
 	}
-	return a.results, a.mem, nil
+	return results, mem, nil
 }
 
-// Report renders the assembled campaign: the full Report (Table 4 +
-// Figures 10–12) for plans with memory cells, PerfReport otherwise —
-// byte-identical to a serial run over the same workloads and scales.
-// Plans built WithTemporal append the temporal-axis section after the
-// spatial report, leaving the spatial portion's bytes unchanged.
-func (a *Assembly) Report() (string, error) {
-	results, mem, err := a.Results()
+// Render folds a complete cell set into the campaign's report: the full
+// Report (Table 4 + Figures 10–12) for plans with memory cells,
+// PerfReport otherwise — byte-identical to a serial run over the same
+// workloads and scales. Plans built WithTemporal append the temporal-axis
+// section after the spatial report, leaving the spatial portion's bytes
+// unchanged.
+func (p Plan) Render(cells []CellResult) (string, error) {
+	results, mem, err := p.Results(cells)
 	if err != nil {
 		return "", err
 	}
 	var rep string
-	if a.p.HasMem() {
+	if p.HasMem() {
 		rep = Report(results, mem)
 	} else {
 		rep = PerfReport(results)
 	}
-	if a.p.temporal {
+	if p.temporal {
 		rep += "\n" + TemporalSection(results)
 	}
 	return rep, nil
 }
+
+// NewAssembly builds an empty assembly for the plan.
+func (p Plan) NewAssembly() *Assembly { return NewAssembly[CellResult](p) }
 
 // PerfReport renders the perf-grid-only report (Table 4 and Figures 10
 // and 11) — what a /v1/grid stream reassembles to.
@@ -433,7 +332,7 @@ func PerfReport(results []Result) string {
 }
 
 // ChaosPlan is the cell-level view of the fault-injection campaign: the
-// (scheme × fault × seed) grid in ChaosCampaignN order.
+// (scheme × fault × seed) grid.
 type ChaosPlan struct {
 	scale int
 	seeds int
@@ -455,9 +354,7 @@ func (p ChaosPlan) Scale() int { return p.scale }
 // NumCells returns the total cell count.
 func (p ChaosPlan) NumCells() int { return len(chaos.Schemes) * len(chaos.Faults) * p.seeds }
 
-// coords maps a sequence number to its (scheme, fault, seed) — the exact
-// ChaosCampaignN indexing, so assembled outcome slices match a serial
-// campaign element-for-element.
+// coords maps a sequence number to its (scheme, fault, seed).
 func (p ChaosPlan) coords(i int) (chaos.Scheme, chaos.Fault, uint64) {
 	nf := len(chaos.Faults)
 	return chaos.Schemes[i/(nf*p.seeds)], chaos.Faults[i/p.seeds%nf], uint64(i % p.seeds)
@@ -476,16 +373,6 @@ func (p ChaosPlan) Key(i int) string {
 	return fmt.Sprintf("%s|%s|%s|%d", CellChaos, s, f, seed)
 }
 
-// RunCell executes cell i. chaos.Run classifies every outcome (panics
-// included), so cells never fail at the harness level. Plans built
-// WithMemo replay hits from the store instead of re-injecting the fault.
-func (p ChaosPlan) RunCell(i int) chaos.Outcome {
-	if o, ok := p.LookupCell(i); ok {
-		return o
-	}
-	return p.ComputeCell(i)
-}
-
 // LookupCell serves chaos cell i from the plan's memo store (ok=false:
 // miss, or no store). Zero-allocation, never touches rt.Pool.
 func (p ChaosPlan) LookupCell(i int) (chaos.Outcome, bool) {
@@ -500,8 +387,10 @@ func (p ChaosPlan) LookupCell(i int) (chaos.Outcome, bool) {
 }
 
 // ComputeCell injects chaos cell i's fault unconditionally and, when the
-// plan carries a store, publishes the outcome. It never reads the store.
-func (p ChaosPlan) ComputeCell(i int) chaos.Outcome {
+// plan carries a store, publishes the outcome. It never reads the store,
+// and never fails: chaos.Run classifies every outcome (panics included),
+// so the error is always nil.
+func (p ChaosPlan) ComputeCell(i int) (chaos.Outcome, error) {
 	s, f, seed := p.coords(i)
 	o := chaos.Run(s, f, seed)
 	if p.memo != nil {
@@ -511,63 +400,21 @@ func (p ChaosPlan) ComputeCell(i int) chaos.Outcome {
 		}
 		p.memo.Put(chaosCellDigest(s, f, seed), memo.KindChaos, &o, enc)
 	}
-	return o
+	return o, nil
 }
 
-// ChaosAssembly folds streamed chaos outcomes back into campaign order.
-// Add is safe for concurrent use on distinct sequence numbers.
-type ChaosAssembly struct {
-	p        ChaosPlan
-	outcomes []chaos.Outcome
-	have     []bool
-}
-
-// NewAssembly builds an empty assembly for the plan.
-func (p ChaosPlan) NewAssembly() *ChaosAssembly {
-	n := p.NumCells()
-	return &ChaosAssembly{p: p, outcomes: make([]chaos.Outcome, n), have: make([]bool, n)}
-}
-
-// Add records cell seq's outcome, rejecting out-of-range
-// (ErrCorruptCell) and duplicate (ErrDuplicateCell) sequence numbers.
-func (a *ChaosAssembly) Add(seq int, o chaos.Outcome) error {
-	if seq < 0 || seq >= len(a.have) {
-		return corruptCell(seq, "exp: chaos cell seq %d out of range [0, %d)", seq, len(a.have))
+// CheckPayload checks that outcome o's own (scheme, fault, seed) are the
+// plan's at seq, so no cell's outcome can land in another's slot.
+func (p ChaosPlan) CheckPayload(seq int, o chaos.Outcome) error {
+	if s, f, seed := p.coords(seq); o.Scheme != s || o.Fault != f || o.Seed != seed {
+		return corruptCell(seq, "exp: chaos cell %d outcome coordinates (%s,%s,%d) do not match plan (%s,%s,%d)",
+			seq, o.Scheme, o.Fault, o.Seed, s, f, seed)
 	}
-	if a.have[seq] {
-		return duplicateCell(seq, "exp: duplicate chaos cell seq %d", seq)
-	}
-	a.outcomes[seq] = o
-	a.have[seq] = true
 	return nil
 }
 
-// AddChecked is Add behind CheckCell: a hostile or corrupted backend
-// cannot smuggle a different cell's outcome into the slot.
-func (a *ChaosAssembly) AddChecked(m CellMeta, o chaos.Outcome) error {
-	if err := CheckCell(a.p, m, nil, &o); err != nil {
-		return err
-	}
-	return a.Add(m.Seq, o)
-}
-
-// Missing lists the sequence numbers not yet added, in order.
-func (a *ChaosAssembly) Missing() []int {
-	var out []int
-	for i, ok := range a.have {
-		if !ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Report renders the assembled campaign report and its internal-outcome
-// count — byte-identical to ChaosReport over the same scale.
-func (a *ChaosAssembly) Report() (string, int, error) {
-	if missing := a.Missing(); len(missing) > 0 {
-		return "", 0, fmt.Errorf("exp: chaos assembly incomplete: %d of %d cells missing (first missing seq %d)",
-			len(missing), len(a.have), missing[0])
-	}
-	return chaos.Report(a.outcomes), chaos.Summarize(a.outcomes).Internal, nil
+// Render renders a complete outcome set as the campaign report —
+// byte-identical to ChaosReport over the same scale.
+func (p ChaosPlan) Render(outcomes []chaos.Outcome) (string, error) {
+	return chaos.Report(outcomes), nil
 }

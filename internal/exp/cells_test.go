@@ -83,7 +83,7 @@ func TestAssemblyReportEquivalence(t *testing.T) {
 
 	a := p.NewAssembly()
 	if err := pool.Map(0, p.NumCells(), func(i int) error {
-		c, err := p.RunCell(i)
+		c, err := p.ComputeCell(i)
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func TestAssemblyReportEquivalence(t *testing.T) {
 	gp := NewPlan(ws, 1)
 	ga := gp.NewAssembly()
 	if err := pool.Map(0, gp.NumCells(), func(i int) error {
-		c, err := gp.RunCell(i)
+		c, err := gp.ComputeCell(i)
 		if err != nil {
 			return err
 		}
@@ -136,7 +136,7 @@ func TestAssemblyValidation(t *testing.T) {
 	if err := a.Add(0, CellResult{}); err == nil {
 		t.Error("perf cell without perf payload accepted")
 	}
-	c, err := p.RunCell(0)
+	c, err := p.ComputeCell(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestAddCheckedCellContract(t *testing.T) {
 // slot even with a perfectly matching envelope.
 func TestChaosAddCheckedOutcomeCoordinates(t *testing.T) {
 	p := NewChaosPlan(1)
-	a := p.NewAssembly()
+	a := NewAssembly(p)
 	s, f, seed := p.coords(0)
 	good := chaos.Outcome{Scheme: s, Fault: f, Seed: seed}
 
@@ -264,24 +264,21 @@ func TestChaosAddCheckedOutcomeCoordinates(t *testing.T) {
 // same report as the serial campaign.
 func TestChaosAssemblyEquivalence(t *testing.T) {
 	p := NewChaosPlan(1)
-	if got, want := p.NumCells(), len(ChaosCampaign(1)); got != want {
+	if got, want := p.NumCells(), len(chaos.Schemes)*len(chaos.Faults)*ChaosSeedsPerCell; got != want {
 		t.Fatalf("NumCells = %d, want %d", got, want)
 	}
-	a := p.NewAssembly()
+	a := NewAssembly(p)
 	if err := pool.Map(0, p.NumCells(), func(i int) error {
-		return a.Add(i, p.RunCell(i))
+		o, _ := p.ComputeCell(i)
+		return a.Add(i, o)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, internal, err := a.Report()
+	got, err := a.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantInternal := ChaosReport(1, 1)
-	if got != want {
+	if want, _ := ChaosReport(1, 1); got != want {
 		t.Fatal("assembled chaos report differs from serial campaign")
-	}
-	if internal != wantInternal {
-		t.Fatalf("internal = %d, want %d", internal, wantInternal)
 	}
 }

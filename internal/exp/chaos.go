@@ -1,45 +1,20 @@
 package exp
 
-import (
-	"infat/internal/chaos"
-	"infat/internal/pool"
-)
+import "infat/internal/chaos"
 
 // ChaosSeedsPerCell is the number of seeds each (scheme, fault) cell runs
 // per unit of scale.
 const ChaosSeedsPerCell = 8
 
-// ChaosCampaign runs the fault-injection grid serially (the workers=1
-// path of ChaosCampaignN, kept as the equivalence reference).
-func ChaosCampaign(scale int) []chaos.Outcome { return ChaosCampaignN(scale, 1) }
-
-// ChaosCampaignN runs the (scheme × fault × seed) fault-injection grid
-// over at most workers goroutines (workers <= 0 selects GOMAXPROCS).
-// Every cell builds its own runtime, so cells share no mutable state;
-// results land in a pre-indexed slice, making the outcome slice — and
-// therefore chaos.Report — byte-identical at any worker count.
-func ChaosCampaignN(scale, workers int) []chaos.Outcome {
-	if scale < 1 {
-		scale = 1
-	}
-	seeds := ChaosSeedsPerCell * scale
-	nf := len(chaos.Faults)
-	out := make([]chaos.Outcome, len(chaos.Schemes)*nf*seeds)
-	// chaos.Run never returns an error (panics become Internal outcomes),
-	// so the pool's error path is unused.
-	_ = pool.Map(workers, len(out), func(c int) error {
-		s := chaos.Schemes[c/(nf*seeds)]
-		f := chaos.Faults[c/seeds%nf]
-		out[c] = chaos.Run(s, f, uint64(c%seeds))
-		return nil
-	})
-	return out
-}
-
-// ChaosReport runs the campaign and renders the report, returning it
-// along with the number of internal-bucket outcomes (simulator bugs; a
-// healthy campaign returns 0).
+// ChaosReport runs the (scheme × fault × seed) fault-injection campaign
+// over at most workers goroutines (workers <= 0 selects GOMAXPROCS) and
+// renders the report, returning it along with the number of
+// internal-bucket outcomes (simulator bugs; a healthy campaign returns
+// 0). Every cell builds its own runtime, so the report is byte-identical
+// at any worker count.
 func ChaosReport(scale, workers int) (string, int) {
-	outcomes := ChaosCampaignN(scale, workers)
+	// chaos.Run classifies every outcome (panics become Internal
+	// outcomes), so the runner's error path is unused.
+	outcomes, _ := RunCampaign(NewChaosPlan(scale), workers)
 	return chaos.Report(outcomes), chaos.Summarize(outcomes).Internal
 }

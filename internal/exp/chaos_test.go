@@ -11,17 +11,24 @@ import (
 // identical outcome slice (and therefore a byte-identical report) at any
 // worker count, including the degenerate scale clamp.
 func TestChaosCampaignParallelEquivalence(t *testing.T) {
-	serial := ChaosCampaign(1)
+	run := func(scale, workers int) []chaos.Outcome {
+		t.Helper()
+		out, err := RunCampaign(NewChaosPlan(scale), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial := run(1, 1)
 	if want := len(chaos.Schemes) * len(chaos.Faults) * ChaosSeedsPerCell; len(serial) != want {
 		t.Fatalf("campaign size = %d, want %d", len(serial), want)
 	}
 	for _, workers := range []int{0, 4} {
-		par := ChaosCampaignN(1, workers)
-		if !reflect.DeepEqual(serial, par) {
+		if par := run(1, workers); !reflect.DeepEqual(serial, par) {
 			t.Fatalf("workers=%d: outcome slice differs from serial", workers)
 		}
 	}
-	if got := ChaosCampaignN(0, 1); !reflect.DeepEqual(serial, got) {
+	if got := run(0, 1); !reflect.DeepEqual(serial, got) {
 		t.Error("scale clamp: scale=0 differs from scale=1")
 	}
 	if rep1, _ := ChaosReport(1, 1); rep1 != chaos.Report(serial) {
@@ -29,7 +36,7 @@ func TestChaosCampaignParallelEquivalence(t *testing.T) {
 	}
 }
 
-func TestChaosCampaignNoInternal(t *testing.T) {
+func TestChaosReportNoInternal(t *testing.T) {
 	_, internal := ChaosReport(1, 0)
 	if internal != 0 {
 		rep, _ := ChaosReport(1, 1)

@@ -6,9 +6,10 @@
 // The grid is embarrassingly parallel — every (workload, configuration)
 // cell builds its own rt.Runtime, so cells share no mutable state — and
 // the harness fans cells out over a bounded worker pool (internal/pool).
-// Results land in pre-indexed slices, so report ordering, checksum
-// verification, and error text are identical at any worker count; a
-// worker count of 1 restores the fully serial path.
+// Every campaign runs through one runner (RunCampaign): results land in
+// pre-indexed slots, so report ordering, checksum verification, and
+// error text are identical at any worker count; a worker count of 1
+// restores the fully serial path.
 package exp
 
 import (
@@ -17,8 +18,6 @@ import (
 	"strings"
 
 	"infat/internal/machine"
-	"infat/internal/memo"
-	"infat/internal/pool"
 	"infat/internal/rt"
 	"infat/internal/stats"
 	"infat/internal/workloads"
@@ -104,9 +103,7 @@ var temporalConfigs = append(append([]cellConfig{}, cellConfigs...),
 
 // verifyChecksums asserts the instrumented configurations reproduced the
 // baseline checksum, naming each diverging mode and both values.
-func (r *Result) verifyChecksums() error { return r.verifyChecksumsFor(cellConfigs) }
-
-func (r *Result) verifyChecksumsFor(cfgs []cellConfig) error {
+func (r *Result) verifyChecksums(cfgs []cellConfig) error {
 	var errs []error
 	for _, cfg := range cfgs[1:] {
 		if got := cfg.dst(r).Checksum; got != r.Baseline.Checksum {
@@ -117,66 +114,20 @@ func (r *Result) verifyChecksumsFor(cfgs []cellConfig) error {
 	return errors.Join(errs...)
 }
 
-// Run executes all five configurations of one workload and verifies the
-// checksums agree across modes.
-func Run(w workloads.Workload, scale int) (Result, error) {
-	res, err := RunSet([]workloads.Workload{w}, scale, 1)
-	if err != nil {
-		return Result{Name: w.Name, Suite: w.Suite}, err
-	}
-	return res[0], nil
-}
-
 // RunSet executes the five configurations of each given workload, fanning
 // the (workload × configuration) cells over at most workers goroutines
-// (workers <= 0 selects GOMAXPROCS, 1 is fully serial). Results are
-// collected into a pre-indexed slice in the given workload order, so
-// output is byte-identical at any worker count; a failed cell does not
-// abort the rest of the grid — all cell and checksum errors are joined.
+// (workers <= 0 selects GOMAXPROCS, 1 is fully serial) through
+// RunCampaign. Results come back in the given workload order, so output
+// is byte-identical at any worker count; a failed cell does not abort the
+// rest of the grid — all cell and checksum errors are joined.
 func RunSet(ws []workloads.Workload, scale, workers int) ([]Result, error) {
-	return RunSetMemo(nil, ws, scale, workers)
-}
-
-// RunSetMemo is RunSet through a memo store: warm cells replay from s
-// instead of simulating, cold cells publish their results (nil s is
-// plain RunSet). The output is byte-identical either way.
-func RunSetMemo(s *memo.Store, ws []workloads.Workload, scale, workers int) ([]Result, error) {
-	out := make([]Result, len(ws))
-	for i, w := range ws {
-		out[i].Name, out[i].Suite = w.Name, w.Suite
-	}
-	err := pool.Map(workers, len(ws)*len(cellConfigs), func(c int) error {
-		wi, ci := c/len(cellConfigs), c%len(cellConfigs)
-		cfg := cellConfigs[ci]
-		m, _, err := RunOneMemo(s, ws[wi], cfg.mode, cfg.noPromote, scale)
-		if err != nil {
-			return err
-		}
-		*cfg.dst(&out[wi]) = *m
-		return nil
-	})
+	p := NewPlan(ws, scale)
+	cells, err := RunCampaign(p, workers)
 	if err != nil {
 		return nil, err
 	}
-	var errs []error
-	for i := range out {
-		if err := out[i].verifyChecksums(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunAll executes the full suite serially (the workers=1 path of
-// RunAllN, kept for API compatibility and as the equivalence reference).
-func RunAll(scale int) ([]Result, error) { return RunAllN(scale, 1) }
-
-// RunAllN executes the full suite over at most workers goroutines.
-func RunAllN(scale, workers int) ([]Result, error) {
-	return RunSet(workloads.All, scale, workers)
+	results, _, err := p.Results(cells)
+	return results, err
 }
 
 // Table4 renders the dynamic-event-count table: object instrumentation
@@ -279,56 +230,17 @@ var memModes = []struct {
 	{rt.Wrapped, func(m *MemResult) *uint64 { return &m.Wrapped }},
 }
 
-// RunMem measures footprints at the given (already multiplied) scale.
-func RunMem(w workloads.Workload, scale int) (MemResult, error) {
-	res, err := RunMemSet([]workloads.Workload{w}, scale, 1)
-	if err != nil {
-		return MemResult{Name: w.Name}, err
-	}
-	return res[0], nil
-}
-
-// RunMemSet measures the given workloads' footprints, fanning the
-// (workload × mode) cells over at most workers goroutines with the same
-// deterministic collection scheme as RunSet.
+// RunMemSet measures the given workloads' footprints at the given
+// (already multiplied) scale, fanning the (workload × mode) cells of a
+// NewMemPlan over at most workers goroutines the way RunSet does.
 func RunMemSet(ws []workloads.Workload, scale, workers int) ([]MemResult, error) {
-	return RunMemSetMemo(nil, ws, scale, workers)
-}
-
-// RunMemSetMemo is RunMemSet through a memo store (nil s is plain
-// RunMemSet). Its cells are the report plan's memory cells: untimed, and
-// keyed in the footprint domain, so they neither warm nor answer perf
-// cells.
-func RunMemSetMemo(s *memo.Store, ws []workloads.Workload, scale, workers int) ([]MemResult, error) {
-	out := make([]MemResult, len(ws))
-	for i, w := range ws {
-		out[i].Name = w.Name
-	}
-	err := pool.Map(workers, len(ws)*len(memModes), func(c int) error {
-		wi, mi := c/len(memModes), c%len(memModes)
-		fp, ok := lookupFootprint(s, ws[wi], memModes[mi].mode, scale)
-		if !ok {
-			var err error
-			if fp, err = computeFootprint(s, ws[wi], memModes[mi].mode, scale); err != nil {
-				return err
-			}
-		}
-		*memModes[mi].dst(&out[wi]) = fp
-		return nil
-	})
+	p := NewMemPlan(ws, scale)
+	cells, err := RunCampaign(p, workers)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// RunAllMem measures every workload's footprint serially.
-func RunAllMem(scale int) ([]MemResult, error) { return RunAllMemN(scale, 1) }
-
-// RunAllMemN measures every workload's footprint over at most workers
-// goroutines.
-func RunAllMemN(scale, workers int) ([]MemResult, error) {
-	return RunMemSet(workloads.All, scale, workers)
+	_, mem, err := p.Results(cells)
+	return mem, err
 }
 
 // Fig12 renders the memory-overhead figure. The paper excludes programs

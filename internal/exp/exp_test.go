@@ -14,19 +14,30 @@ var small = []string{"treeadd", "coremark", "voronoi"}
 
 func subset(t *testing.T) []Result {
 	t.Helper()
-	var out []Result
+	var ws []workloads.Workload
 	for _, name := range small {
 		w, ok := workloads.ByName(name)
 		if !ok {
 			t.Fatalf("no workload %s", name)
 		}
-		r, err := Run(w, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, r)
+		ws = append(ws, w)
+	}
+	out, err := RunSet(ws, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
+}
+
+// runMem measures one workload's footprints at the given scale.
+func runMem(t *testing.T, name string, scale int) MemResult {
+	t.Helper()
+	w, _ := workloads.ByName(name)
+	m, err := RunMemSet([]workloads.Workload{w}, scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m[0]
 }
 
 func TestRunCollectsAllConfigs(t *testing.T) {
@@ -168,11 +179,7 @@ func TestRunSetAggregatesErrors(t *testing.T) {
 }
 
 func TestRunMem(t *testing.T) {
-	w, _ := workloads.ByName("treeadd")
-	m, err := RunMem(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := runMem(t, "treeadd", 2)
 	if m.Baseline == 0 || m.Subheap == 0 || m.Wrapped == 0 {
 		t.Errorf("zero footprints: %+v", m)
 	}
@@ -298,11 +305,7 @@ func TestASICSweep(t *testing.T) {
 
 func TestReportComposes(t *testing.T) {
 	res := subset(t)
-	w, _ := workloads.ByName("treeadd")
-	m, err := RunMem(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := runMem(t, "treeadd", 1)
 	rep := Report(res, []MemResult{m})
 	for _, want := range []string{"Table 4", "Figure 10", "Figure 11", "Figure 12"} {
 		if !strings.Contains(rep, want) {

@@ -83,7 +83,7 @@ func TestMemoFootprintIsolation(t *testing.T) {
 		}
 	}
 	hits := store.Stats().Hits
-	if _, err := RunMemSetMemo(store, ws, scale, 1); err != nil {
+	if _, err := RunCampaign(NewMemPlan(ws, scale).WithMemo(store), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := store.Stats().Hits-hits, uint64(len(ws)*len(memModes)); got != want {

@@ -58,7 +58,7 @@ func TestModelledStateGolden(t *testing.T) {
 	}
 	cp := NewChaosPlan(1)
 	for i := 0; i < cp.NumCells(); i++ {
-		o := cp.ComputeCell(i)
+		o, _ := cp.ComputeCell(i)
 		fmt.Fprintf(&b, "== %s\nbucket %s detail %q\n", cp.Key(i), o.Bucket, o.Detail)
 	}
 	got := b.String()

@@ -10,7 +10,7 @@ package exp
 //
 // The hit path is zero-allocation and never touches the pool: digest
 // composition runs in a stack buffer, the store returns the shared
-// immutable *ModeResult (or the footprint), and RunCell hands it out
+// immutable *ModeResult (or the footprint), and LookupCell hands it out
 // without copying. Callers must treat memoized results as read-only
 // (every existing consumer already copies on fold or marshals to JSON).
 // A plan without a store — the default — behaves byte-identically to
@@ -120,16 +120,6 @@ func ComputeOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote boo
 	return &m, nil
 }
 
-// RunOneMemo is LookupOne-else-ComputeOne in one call; the bool reports
-// whether the result was replayed from the store.
-func RunOneMemo(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote bool, scale int) (*ModeResult, bool, error) {
-	if m, ok := LookupOne(s, w, mode, noPromote, scale); ok {
-		return m, true, nil
-	}
-	m, err := ComputeOne(s, w, mode, noPromote, scale)
-	return m, false, err
-}
-
 // footprintDigest keys one Figure-12 memory cell in the footprint domain
 // (memo.FootprintDigest): workload identity, mode, and effective scale.
 // It never equals a perf cell's digest, so an untimed memory-cell result
@@ -169,17 +159,14 @@ func computeFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale i
 	return m.Footprint, nil
 }
 
-// WithMemo returns a copy of the plan whose RunCell consults the store
-// (nil reverts to plain execution). The store is not part of the plan's
+// WithMemo returns a copy of the plan whose LookupCell serves from, and
+// ComputeCell publishes to, the store (nil reverts to plain execution). The store is not part of the plan's
 // enumeration identity: two plans differing only in store agree on every
 // seq, key, and digest.
 func (p Plan) WithMemo(s *memo.Store) Plan {
 	p.memo = s
 	return p
 }
-
-// Memo returns the plan's store (nil when memoization is off).
-func (p Plan) Memo() *memo.Store { return p.memo }
 
 // cellSpec resolves cell i to the runOne coordinates it executes:
 // (workload, mode, noPromote, effective scale), plus whether it is a
@@ -215,15 +202,13 @@ func (p Plan) ProbeCell(i int) bool {
 	return p.memo != nil && p.memo.Peek(p.CellDigest(i))
 }
 
-// WithMemo returns a copy of the chaos plan whose RunCell consults the
-// store (nil reverts to plain execution).
+// WithMemo returns a copy of the chaos plan whose LookupCell serves from,
+// and ComputeCell publishes to, the store (nil reverts to plain
+// execution).
 func (p ChaosPlan) WithMemo(s *memo.Store) ChaosPlan {
 	p.memo = s
 	return p
 }
-
-// Memo returns the plan's store (nil when memoization is off).
-func (p ChaosPlan) Memo() *memo.Store { return p.memo }
 
 // CellDigest returns chaos cell i's canonical memo key.
 func (p ChaosPlan) CellDigest(i int) memo.Digest {

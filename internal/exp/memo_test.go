@@ -5,9 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"infat/internal/chaos"
 	"infat/internal/machine"
 	"infat/internal/memo"
-	"infat/internal/pool"
 	"infat/internal/rt"
 	"infat/internal/workloads"
 )
@@ -18,23 +18,16 @@ func costWithMissPenalty(v uint64) machine.CostModel {
 	return c
 }
 
-// runPlanReport fans every cell of the plan over the given worker count,
-// folds the results through an Assembly, and renders the report — the
-// exact path the batch serving tier and ifp-bench -memo use.
+// runPlanReport runs every cell of the plan over the given worker count
+// through RunCampaign and renders the report — the exact path ifp-bench
+// -memo uses.
 func runPlanReport(t *testing.T, p Plan, workers int) string {
 	t.Helper()
-	a := p.NewAssembly()
-	err := pool.Map(workers, p.NumCells(), func(i int) error {
-		c, err := p.RunCell(i)
-		if err != nil {
-			return err
-		}
-		return a.Add(i, c)
-	})
+	cells, err := RunCampaign(p, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Report()
+	rep, err := p.Render(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,19 +36,16 @@ func runPlanReport(t *testing.T, p Plan, workers int) string {
 
 func runChaosReport(t *testing.T, p ChaosPlan, workers int) string {
 	t.Helper()
-	a := p.NewAssembly()
-	err := pool.Map(workers, p.NumCells(), func(i int) error {
-		return a.Add(i, p.RunCell(i))
-	})
+	outcomes, err := RunCampaign(p, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, internal, err := a.Report()
+	if n := chaos.Summarize(outcomes).Internal; n != 0 {
+		t.Fatalf("%d internal outcomes", n)
+	}
+	rep, err := p.Render(outcomes)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if internal != 0 {
-		t.Fatalf("%d internal outcomes", internal)
 	}
 	return rep
 }
@@ -86,9 +76,8 @@ func TestMemoEquivalence(t *testing.T) {
 				if warm != fresh {
 					t.Fatalf("workers=%d: warm memoized report differs from fresh", workers)
 				}
-				st := store.Stats()
-				if st.Hits == 0 {
-					t.Fatalf("workers=%d: warm pass recorded no hits (%+v)", workers, st)
+				if st := store.Stats(); st.Hits != uint64(p.NumCells()) {
+					t.Fatalf("workers=%d: warm pass hit %d of %d cells (%+v)", workers, st.Hits, p.NumCells(), st)
 				}
 			}
 		})
@@ -121,23 +110,17 @@ func TestMemoHitNeverTouchesPool(t *testing.T) {
 	store := memo.NewStore(0)
 	p := NewReportPlan(workloads.All[:2], 1, 2).WithMemo(store)
 	cp := NewChaosPlan(1).WithMemo(store)
-	for i := 0; i < p.NumCells(); i++ {
-		if _, err := p.RunCell(i); err != nil {
+	pass := func() {
+		if _, err := RunCampaign(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunCampaign(cp, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < cp.NumCells(); i++ {
-		cp.RunCell(i)
-	}
+	pass()
 	before := rt.DefaultPool.Stats()
-	for i := 0; i < p.NumCells(); i++ {
-		if _, err := p.RunCell(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < cp.NumCells(); i++ {
-		cp.RunCell(i)
-	}
+	pass()
 	after := rt.DefaultPool.Stats()
 	if acq, was := after.Hits+after.Misses, before.Hits+before.Misses; acq != was {
 		t.Fatalf("warm pass acquired %d runtimes from the pool, want 0", acq-was)
@@ -150,25 +133,25 @@ func TestAllocBudgetMemoHit(t *testing.T) {
 	store := memo.NewStore(0)
 	p := NewReportPlan(workloads.All[:2], 1, 2).WithMemo(store)
 	cp := NewChaosPlan(1).WithMemo(store)
-	for i := 0; i < p.NumCells(); i++ {
-		if _, err := p.RunCell(i); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := RunCampaign(p, 1); err != nil {
+		t.Fatal(err)
 	}
-	cp.RunCell(0)
+	cp.ComputeCell(0)
 	perfCell, memCell := 0, p.NumCells()-1
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := p.RunCell(perfCell); err != nil {
-			t.Fatal(err)
+		if _, ok := p.LookupCell(perfCell); !ok {
+			t.Fatal("perf cell missed")
 		}
-		if _, err := p.RunCell(memCell); err != nil {
-			t.Fatal(err)
+		if _, ok := p.LookupCell(memCell); !ok {
+			t.Fatal("mem cell missed")
 		}
 	}); n != 0 {
 		t.Errorf("plan cell hit path allocates %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		cp.RunCell(0)
+		if _, ok := cp.LookupCell(0); !ok {
+			t.Fatal("chaos cell missed")
+		}
 	}); n != 0 {
 		t.Errorf("chaos cell hit path allocates %v allocs/op, want 0", n)
 	}
@@ -231,7 +214,7 @@ func TestCellDigestPinnedVectors(t *testing.T) {
 	if got := fmt.Sprint(NewChaosPlan(1).CellDigest(0)); got != "49bef41e8fa189e065716c8221b74c7f0728bee6b321a0dff556e3d0456e78b0" {
 		t.Errorf("chaos cell 0 digest drifted: %s", got)
 	}
-	// DefaultCost must be what RunCell keys on, so a calibration change
+	// DefaultCost must be what LookupCell keys on, so a calibration change
 	// invalidates old entries.
 	alt := cellDigestCost(w, rt.Subheap, false, 1, costWithMissPenalty(21))
 	if alt == CellDigest(w, rt.Subheap, false, 1) {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"infat/internal/juliet"
-	"infat/internal/pool"
 	"infat/internal/rt"
 	"infat/internal/stats"
 	"infat/internal/workloads"
@@ -61,34 +60,18 @@ func TemporalDetection(workers int) string {
 	return "CWE-415/416 detection (spatial-only vs generation tagging)\n" + t.String()
 }
 
-// TemporalReport runs the temporal campaign serially.
-func TemporalReport(scale int) (string, error) { return TemporalReportN(scale, 1) }
-
-// TemporalReportN runs the temporal campaign: the full workload grid with
+// TemporalReport runs the temporal campaign: the full workload grid with
 // the ifp-temporal configuration appended (a WithTemporal plan, so the
 // spatial cells are the exact cells a spatial plan enumerates), fanned
 // over at most workers goroutines, plus the CWE-415/416 detection table.
 // Output is byte-identical at any worker count.
-func TemporalReportN(scale, workers int) (string, error) {
+func TemporalReport(scale, workers int) (string, error) {
 	p := NewPlan(workloads.All, scale).WithTemporal(true)
-	a := p.NewAssembly()
-	cells := make([]CellResult, p.NumCells())
-	if err := pool.Map(workers, p.NumCells(), func(i int) error {
-		c, err := p.RunCell(i)
-		if err != nil {
-			return err
-		}
-		cells[i] = c
-		return nil
-	}); err != nil {
+	cells, err := RunCampaign(p, workers)
+	if err != nil {
 		return "", err
 	}
-	for i, c := range cells {
-		if err := a.Add(i, c); err != nil {
-			return "", err
-		}
-	}
-	results, _, err := a.Results()
+	results, _, err := p.Results(cells)
 	if err != nil {
 		return "", err
 	}

@@ -27,9 +27,6 @@ func TestTemporalPlanSpatialPrefixIdentity(t *testing.T) {
 	if tp.NumCells() != len(ws)*6 {
 		t.Fatalf("temporal plan cells = %d, want %d", tp.NumCells(), len(ws)*6)
 	}
-	if sp.Temporal() || !tp.Temporal() {
-		t.Fatal("Temporal() flag mismatch")
-	}
 
 	// Per workload, the temporal plan runs the five spatial configs in the
 	// same order, then ifp-temporal.
@@ -59,7 +56,7 @@ func TestTemporalAssemblyEquivalence(t *testing.T) {
 	p := NewPlan(temporalTestWorkloads(), 1).WithTemporal(true)
 	a := p.NewAssembly()
 	for i := p.NumCells() - 1; i >= 0; i-- {
-		c, err := p.RunCell(i)
+		c, err := p.ComputeCell(i)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -67,7 +64,11 @@ func TestTemporalAssemblyEquivalence(t *testing.T) {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	results, _, err := a.Results()
+	cells, err := a.Cells()
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
+	results, _, err := p.Results(cells)
 	if err != nil {
 		t.Fatalf("Results: %v", err)
 	}
@@ -101,7 +102,7 @@ func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 	p := NewPlan(temporalTestWorkloads(), 1)
 	a := p.NewAssembly()
 	for i := 0; i < p.NumCells(); i++ {
-		c, err := p.RunCell(i)
+		c, err := p.ComputeCell(i)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -109,7 +110,11 @@ func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
-	results, _, err := a.Results()
+	cells, err := a.Cells()
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
+	results, _, err := p.Results(cells)
 	if err != nil {
 		t.Fatalf("Results: %v", err)
 	}
@@ -134,11 +139,11 @@ func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 // byte-identically at any worker count, and the detection table shows the
 // generation mode catching everything the spatial mode misses.
 func TestTemporalReportDeterministic(t *testing.T) {
-	serial, err := TemporalReportN(1, 1)
+	serial, err := TemporalReport(1, 1)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	par, err := TemporalReportN(1, 4)
+	par, err := TemporalReport(1, 4)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}

@@ -38,11 +38,11 @@ func realSnapshot(tb testing.TB) []byte {
 	}
 	plan := exp.NewReportPlan([]workloads.Workload{w}, 1, 1).WithMemo(store)
 	for _, i := range []int{0, plan.NumCells() - 1} {
-		if _, err := plan.RunCell(i); err != nil {
+		if _, err := plan.ComputeCell(i); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	exp.NewChaosPlan(1).WithMemo(store).RunCell(0)
+	exp.NewChaosPlan(1).WithMemo(store).ComputeCell(0)
 	for _, kind := range []byte{memo.KindRun, memo.KindCell, memo.KindChaos, memo.KindFootprint} {
 		if store.KindStats(kind).Entries == 0 {
 			tb.Fatalf("seed store holds no entry of kind %d", kind)

@@ -583,8 +583,7 @@ func FuzzDispatchEquivalence(f *testing.F) {
 }
 
 // Dispatch benchmarks: the same interned workload on the reference stack
-// walker vs the register loop (the `dispatch_bench` section of
-// `ifp-bench -json` reports these per workload).
+// walker vs the register loop.
 func benchDispatch(b *testing.B, refOnly bool) {
 	comp, err := DefaultInterner.Get(internSrc)
 	if err != nil {

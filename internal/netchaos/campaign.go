@@ -185,47 +185,41 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		}
 	}
 
-	// Serial ground truths, computed once: the byte-exact answers every
+	// Ground truths, computed once locally: the byte-exact answers every
 	// faulted run must still produce.
 	batchReq := server.BatchRequest{Workloads: cfg.Workloads, Scale: cfg.Scale}
 	batchPlan, err := batchReq.BatchPlan()
 	if err != nil {
 		return nil, err
 	}
-	wantBatch, err := serialBatchReport(batchPlan)
+	batch, err := newLeg("batch", server.BatchPath, batchReq, batchPlan, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var wantChaos string
-	var wantInternal int
-	chaosReq := server.ChaosRequest{Scale: cfg.ChaosScale}
-	chaosPlan := chaosReq.Plan()
+	legs := []leg{batch}
 	if !cfg.SkipChaos {
-		wantChaos, wantInternal, err = serialChaosReport(chaosPlan)
+		chaosReq := server.ChaosRequest{Scale: cfg.ChaosScale}
+		lg, err := newLeg("chaos", server.ChaosPath, chaosReq, chaosReq.Plan(), cfg)
 		if err != nil {
 			return nil, err
 		}
+		legs = append(legs, lg)
 	}
 
 	res := &CampaignResult{}
 	var failures []error
 	for _, fault := range cfg.FaultSet {
 		for _, seed := range cfg.Seeds {
-			legs := []string{"batch"}
-			if !cfg.SkipChaos {
-				legs = append(legs, "chaos")
-			}
-			for _, leg := range legs {
-				stats, err := runLeg(cfg, leg, fault, seed, batchReq, batchPlan, wantBatch,
-					chaosReq, chaosPlan, wantChaos, wantInternal)
+			for _, lg := range legs {
+				stats, err := runLeg(cfg, lg, fault, seed)
 				if err != nil {
 					stats.Failure = err.Error()
-					failures = append(failures, fmt.Errorf("netchaos: %s fault=%s seed=%d: %w", leg, fault, seed, err))
+					failures = append(failures, fmt.Errorf("netchaos: %s fault=%s seed=%d: %w", lg.name, fault, seed, err))
 					res.Failed++
 				}
 				res.Runs = append(res.Runs, stats)
 				logf("netchaos: %-5s fault=%-9s seed=%d cells=%d injected=%d rounds=%d failed_over=%d hedged=%d shed=%d corrupt_lines=%d dup_suppressed=%d retried=%d lost=%d identical=%v",
-					leg, fault, seed, stats.Cells, stats.Injected, stats.Rounds,
+					lg.name, fault, seed, stats.Cells, stats.Injected, stats.Rounds,
 					stats.FailedOver, stats.Hedged, stats.Shed, stats.CorruptLines,
 					stats.DupSuppressed, stats.RetriedCells, stats.Lost, stats.ReportIdentical)
 			}
@@ -237,32 +231,29 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	return res, nil
 }
 
-// serialBatchReport runs every plan cell locally and renders the
-// reassembled report — the ground truth a faulted run must match.
-func serialBatchReport(plan exp.Plan) (string, error) {
-	a := plan.NewAssembly()
-	for i := 0; i < plan.NumCells(); i++ {
-		r, err := plan.RunCell(i)
-		if err != nil {
-			return "", err
-		}
-		if err := a.Add(i, r); err != nil {
-			return "", err
-		}
-	}
-	return a.Report()
+// leg is one campaign type of the grid: its cell count and the client
+// side of one faulted run.
+type leg struct {
+	name  string
+	cells int
+	run   func(ctx context.Context, c *server.Client, stats *RunStats) error
 }
 
-// serialChaosReport is serialBatchReport for the chaos campaign.
-func serialChaosReport(plan exp.ChaosPlan) (string, int, error) {
-	a := plan.NewAssembly()
-	for i := 0; i < plan.NumCells(); i++ {
-		if err := a.Add(i, plan.RunCell(i)); err != nil {
-			return "", 0, err
-		}
+// newLeg computes the campaign's ground truth and binds the leg that
+// streams it from path.
+func newLeg[C any](name, path string, req campaignRequest, camp exp.Campaign[C], cfg CampaignConfig) (leg, error) {
+	want, err := exp.RunReport(camp, 0)
+	if err != nil {
+		return leg{}, err
 	}
-	return a.Report()
+	return leg{name, camp.NumCells(), func(ctx context.Context, c *server.Client, stats *RunStats) error {
+		return streamLeg(ctx, c, cfg, path, req, camp, want, stats)
+	}}, nil
 }
+
+// campaignRequest is a campaign endpoint's request body
+// (server.BatchRequest or server.ChaosRequest).
+type campaignRequest interface{ WithCells(cells []int) any }
 
 // stack is one booted serving tier: backends, proxies, shard, and the
 // handles the campaign needs to drive and then tear it all down.
@@ -350,11 +341,8 @@ func bootStack(cfg CampaignConfig, fault Fault, seed uint64) (*stack, error) {
 
 // runLeg boots a fresh faulted stack and drives one campaign leg
 // through it, enforcing the gates.
-func runLeg(cfg CampaignConfig, leg string, fault Fault, seed uint64,
-	batchReq server.BatchRequest, batchPlan exp.Plan, wantBatch string,
-	chaosReq server.ChaosRequest, chaosPlan exp.ChaosPlan, wantChaos string, wantInternal int) (RunStats, error) {
-
-	stats := RunStats{Campaign: leg, Fault: fault, Seed: seed}
+func runLeg(cfg CampaignConfig, lg leg, fault Fault, seed uint64) (RunStats, error) {
+	stats := RunStats{Campaign: lg.name, Fault: fault, Seed: seed, Cells: lg.cells}
 	st, err := bootStack(cfg, fault, seed)
 	if err != nil {
 		return stats, err
@@ -367,16 +355,7 @@ func runLeg(cfg CampaignConfig, leg string, fault Fault, seed uint64,
 		return stats, err
 	}
 
-	switch leg {
-	case "batch":
-		stats.Cells = batchPlan.NumCells()
-		err = runBatchLeg(ctx, st.client, cfg, batchReq, batchPlan, wantBatch, &stats)
-	case "chaos":
-		stats.Cells = chaosPlan.NumCells()
-		err = runChaosLeg(ctx, st.client, cfg, chaosReq, chaosPlan, wantChaos, wantInternal, &stats)
-	default:
-		err = fmt.Errorf("netchaos: unknown leg %q", leg)
-	}
+	err = lg.run(ctx, st.client, &stats)
 	stats.Injected = st.injected()
 	scrapeShard(ctx, st.shardURL, &stats)
 	if err != nil {
@@ -416,37 +395,33 @@ func addOutcome(err error, stats *RunStats) error {
 	return nil
 }
 
-// runBatchLeg streams the batch campaign, re-requesting missing cells
+// streamLeg streams the campaign from path, re-requesting missing cells
 // until the assembly completes (or rounds run out), then byte-compares
 // the reassembled report.
-func runBatchLeg(ctx context.Context, c *server.Client, cfg CampaignConfig,
-	req server.BatchRequest, plan exp.Plan, want string, stats *RunStats) error {
-	a := plan.NewAssembly()
+func streamLeg[C any](ctx context.Context, c *server.Client, cfg CampaignConfig, path string,
+	req campaignRequest, camp exp.Campaign[C], want string, stats *RunStats) error {
+	a := exp.NewAssembly(camp)
 	for round := 0; round < cfg.MaxRounds; round++ {
 		missing := a.Missing()
 		if len(missing) == 0 {
 			break
 		}
 		stats.Rounds++
-		sub := req
+		var cells []int // round 0 asks for the whole campaign
 		if round > 0 {
-			sub.Cells = missing
+			cells = missing
 			stats.RetriedCells += len(missing)
 			// Pause so the shard's health probes can close breakers the
 			// previous faulted round opened; without it the rounds spin
 			// faster than the tier can heal.
 			pauseCtx(ctx, cfg.RoundPause)
 		}
-		_, err := c.BatchStream(ctx, sub, func(cell server.BatchCell) error {
+		_, err := c.CampaignStream(ctx, path, req.WithCells(cells), func(cell server.BatchCell) error {
 			if cell.Error != "" {
 				stats.ErrorCells++
 				return nil // shed cell: re-requested next round
 			}
-			if cell.Result == nil {
-				stats.CorruptRejected++
-				return nil
-			}
-			return addOutcome(a.AddChecked(cell.Meta(), *cell.Result), stats)
+			return addOutcome(server.AddCell(a, cell), stats)
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -464,52 +439,6 @@ func runBatchLeg(ctx context.Context, c *server.Client, cfg CampaignConfig,
 		return err
 	}
 	stats.ReportIdentical = got == want
-	return nil
-}
-
-// runChaosLeg is runBatchLeg for the chaos campaign.
-func runChaosLeg(ctx context.Context, c *server.Client, cfg CampaignConfig,
-	req server.ChaosRequest, plan exp.ChaosPlan, want string, wantInternal int, stats *RunStats) error {
-	a := plan.NewAssembly()
-	for round := 0; round < cfg.MaxRounds; round++ {
-		missing := a.Missing()
-		if len(missing) == 0 {
-			break
-		}
-		stats.Rounds++
-		sub := req
-		if round > 0 {
-			sub.Cells = missing
-			stats.RetriedCells += len(missing)
-			pauseCtx(ctx, cfg.RoundPause)
-		}
-		_, err := c.ChaosStream(ctx, sub, func(cell server.BatchCell) error {
-			if cell.Error != "" {
-				stats.ErrorCells++
-				return nil
-			}
-			if cell.Chaos == nil {
-				stats.CorruptRejected++
-				return nil
-			}
-			return addOutcome(a.AddChecked(cell.Meta(), *cell.Chaos), stats)
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			stats.StreamErrors++
-		}
-	}
-	stats.Lost = len(a.Missing())
-	if stats.Lost > 0 {
-		return nil
-	}
-	got, internal, err := a.Report()
-	if err != nil {
-		return err
-	}
-	stats.ReportIdentical = got == want && internal == wantInternal
 	return nil
 }
 
@@ -555,7 +484,7 @@ func scrapeShard(ctx context.Context, shardURL string, stats *RunStats) {
 	}
 }
 
-// Summary condenses a campaign result for reports and the bench schema.
+// Summary condenses a campaign result for reports.
 type Summary struct {
 	Runs          int    `json:"runs"`
 	Failed        int    `json:"failed"`

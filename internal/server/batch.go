@@ -8,13 +8,15 @@ package server
 // deterministic ordering metadata (the cell's seq in the exp plan
 // enumeration), so a client can reassemble the stream — received in
 // completion order, not plan order — into the byte-identical report a
-// serial ifp-bench run prints (exp.Assembly). A request may name an
-// explicit cell subset, which is how the shard front tier
+// serial ifp-bench run prints (exp.CampaignAssembly). A request may name
+// an explicit cell subset, which is how the shard front tier
 // (internal/shard) scatters one campaign across several backends and
-// merges the streams.
+// merges the streams. The three endpoints are rows of one route table
+// (CampaignRoutes) over one generic campaign stream.
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -22,6 +24,7 @@ import (
 
 	"infat/internal/chaos"
 	"infat/internal/exp"
+	"infat/internal/memo"
 	"infat/internal/workloads"
 )
 
@@ -40,18 +43,24 @@ const (
 	ChaosPath = "/v1/chaos"
 )
 
+// MaxScale bounds every scale a request may ask for: /v1/workload's
+// scale, a campaign's perf or chaos scale, and — times exp.MemScale, so
+// the default memory experiment always fits — a campaign's memory-cell
+// scale.
+const MaxScale = 4
+
 // BatchRequest is the POST /v1/batch and /v1/grid body: a whole
 // (workload × configuration) campaign.
 type BatchRequest struct {
 	// Workloads selects the workload rows by name; empty selects the full
 	// §5.2 suite.
 	Workloads []string `json:"workloads,omitempty"`
-	// Scale is the perf-grid scale factor (default 1), bounded by the
-	// server's MaxScale.
+	// Scale is the perf-grid scale factor (default 1), bounded by
+	// MaxScale.
 	Scale int `json:"scale,omitempty"`
-	// MemScale is the memory-cell scale multiplier (default exp.MemScale).
-	// Memory cells run at Scale*MemScale; /v1/grid ignores it (no memory
-	// cells).
+	// MemScale is the memory-cell scale multiplier (values below 1 select
+	// exp.MemScale). Memory cells run at Scale*MemScale, bounded by
+	// MaxScale*exp.MemScale; /v1/grid ignores it (no memory cells).
 	MemScale int `json:"mem_scale,omitempty"`
 	// Cells restricts the run to an explicit subset of plan sequence
 	// numbers (empty = every cell). The shard tier uses this to scatter
@@ -84,6 +93,13 @@ func (r BatchRequest) GridPlan() (exp.Plan, error) {
 	return exp.NewPlan(ws, r.Scale).WithTemporal(r.Temporal), nil
 }
 
+// WithCells returns the request restricted to an explicit cell subset
+// (nil = every cell).
+func (r BatchRequest) WithCells(cells []int) any {
+	r.Cells = cells
+	return r
+}
+
 func resolveWorkloads(names []string) ([]workloads.Workload, error) {
 	if len(names) == 0 {
 		return workloads.All, nil
@@ -107,7 +123,7 @@ func resolveWorkloads(names []string) ([]workloads.Workload, error) {
 // ChaosRequest is the POST /v1/chaos body: one fault-injection campaign.
 type ChaosRequest struct {
 	// Scale multiplies the seeds per (scheme, fault) cell (default 1),
-	// bounded by the server's MaxScale.
+	// bounded by MaxScale.
 	Scale int `json:"scale,omitempty"`
 	// Cells restricts the run to an explicit subset of plan sequence
 	// numbers (empty = every cell).
@@ -116,6 +132,13 @@ type ChaosRequest struct {
 
 // Plan resolves the request onto its chaos cell plan.
 func (r ChaosRequest) Plan() exp.ChaosPlan { return exp.NewChaosPlan(r.Scale) }
+
+// WithCells returns the request restricted to an explicit cell subset
+// (nil = every cell).
+func (r ChaosRequest) WithCells(cells []int) any {
+	r.Cells = cells
+	return r
+}
 
 // BatchCell is one NDJSON line of a batch stream: the cell's plan
 // metadata plus its payload — Result for grid/memory cells, Chaos for
@@ -133,9 +156,8 @@ type BatchCell struct {
 }
 
 // Meta returns the cell's identity as received — the envelope a checked
-// assembly (exp.Assembly.AddChecked, exp.ChaosAssembly.AddChecked)
-// verifies against the plan's own enumeration before folding the
-// payload in.
+// assembly (exp.CampaignAssembly.AddChecked) verifies against the
+// campaign's own enumeration before folding the payload in.
 func (c BatchCell) Meta() exp.CellMeta {
 	return exp.CellMeta{Seq: c.Seq, Kind: c.Kind, Workload: c.Workload, Config: c.Config}
 }
@@ -150,148 +172,69 @@ type BatchTrailer struct {
 	Failed    int  `json:"failed"`
 }
 
-// campaign is a batch endpoint's enumerated cell plan. The two
-// implementations wrap exp.Plan and exp.ChaosPlan (carrying the server's
-// memo store); the interface is what lets one streaming handler serve
-// all three endpoints.
-type campaign interface {
-	numCells() int
-	// meta returns the cell's identity skeleton (Seq/Kind/Workload/Config).
-	meta(i int) BatchCell
-	// run executes the cell unconditionally (the memo miss path), filling
-	// the payload or Error on the skeleton and publishing the result to
-	// the store.
-	run(i int, cell *BatchCell)
-	// tryMemo serves the cell from the memo store: ok=true carries a
-	// complete line whose payload bytes are identical to a computed one.
-	// The caller skips the worker semaphore for hits — a replay costs no
-	// admission slot and no runtime checkout.
-	tryMemo(i int) (cell BatchCell, ok bool)
-	// warm reports (without counter effects) whether the cell is
-	// currently served from the store — the MemoHeader probe.
-	warm(i int) bool
+// CampaignRoute is one row of the campaign route table: a streaming
+// endpoint's path, its request counter, and the resolver that decodes a
+// request body into a bounded campaign. Backends and the shard serve the
+// same table through the same resolvers, so both tiers accept and reject
+// exactly the same requests, and the shard rejects a bad one before it
+// contacts any backend.
+type CampaignRoute struct {
+	Path string
+	// Resolve strictly decodes one request body, resolves it onto its
+	// campaign (memoized through store, which may be nil), bounds its
+	// scales, and validates its cell subset.
+	Resolve func(body io.Reader, store *memo.Store) (Campaign, error)
+	count   func(*metrics) *atomic.Uint64
 }
 
-type gridCampaign struct{ p exp.Plan }
-
-func (g gridCampaign) numCells() int { return g.p.NumCells() }
-
-func (g gridCampaign) meta(i int) BatchCell {
-	m := g.p.Meta(i)
-	return BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config}
+// CampaignRoutes is the campaign route table.
+var CampaignRoutes = []CampaignRoute{
+	{BatchPath, resolveBatch(BatchRequest.BatchPlan), func(m *metrics) *atomic.Uint64 { return &m.reqBatch }},
+	{GridPath, resolveBatch(BatchRequest.GridPlan), func(m *metrics) *atomic.Uint64 { return &m.reqGrid }},
+	{ChaosPath, resolveChaos, func(m *metrics) *atomic.Uint64 { return &m.reqChaos }},
 }
 
-func (g gridCampaign) run(i int, cell *BatchCell) {
-	res, err := g.p.ComputeCell(i)
-	if err != nil {
-		cell.Error = err.Error()
-		return
+// resolveBatch resolves a BatchRequest body onto the plan planOf builds.
+func resolveBatch(planOf func(BatchRequest) (exp.Plan, error)) func(io.Reader, *memo.Store) (Campaign, error) {
+	return func(body io.Reader, store *memo.Store) (Campaign, error) {
+		var req BatchRequest
+		if err := decodeStrict(body, &req); err != nil {
+			return nil, err
+		}
+		plan, err := planOf(req)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkScale(plan.Scale(), plan.MemScale()); err != nil {
+			return nil, err
+		}
+		return newCampaign[exp.CellResult](plan.WithMemo(store), req.Cells, req.WithCells)
 	}
-	cell.Result = &res
 }
 
-func (g gridCampaign) tryMemo(i int) (BatchCell, bool) {
-	res, ok := g.p.LookupCell(i)
-	if !ok {
-		return BatchCell{}, false
-	}
-	cell := g.meta(i)
-	cell.Result = &res
-	return cell, true
-}
-
-func (g gridCampaign) warm(i int) bool { return g.p.ProbeCell(i) }
-
-type chaosCampaign struct{ p exp.ChaosPlan }
-
-func (c chaosCampaign) numCells() int { return c.p.NumCells() }
-
-func (c chaosCampaign) meta(i int) BatchCell {
-	m := c.p.Meta(i)
-	return BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config}
-}
-
-func (c chaosCampaign) run(i int, cell *BatchCell) {
-	o := c.p.ComputeCell(i)
-	cell.Chaos = &o
-}
-
-func (c chaosCampaign) tryMemo(i int) (BatchCell, bool) {
-	o, ok := c.p.LookupCell(i)
-	if !ok {
-		return BatchCell{}, false
-	}
-	cell := c.meta(i)
-	cell.Chaos = &o
-	return cell, true
-}
-
-func (c chaosCampaign) warm(i int) bool { return c.p.ProbeCell(i) }
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, err := req.BatchPlan()
-	if err == nil {
-		err = s.checkScale(plan.Scale(), plan.Scale()*plan.MemScale())
-	}
-	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.streamCampaign(w, r, gridCampaign{plan.WithMemo(s.memo)}, req.Cells)
-}
-
-func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, err := req.GridPlan()
-	if err == nil {
-		err = s.checkScale(plan.Scale(), 0)
-	}
-	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.streamCampaign(w, r, gridCampaign{plan.WithMemo(s.memo)}, req.Cells)
-}
-
-func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
+func resolveChaos(body io.Reader, store *memo.Store) (Campaign, error) {
 	var req ChaosRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 1<<20), &req); err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
 	}
-	if err := s.checkScale(req.Plan().Scale(), 0); err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
+	plan := req.Plan()
+	if err := checkScale(plan.Scale(), 0); err != nil {
+		return nil, err
 	}
-	s.streamCampaign(w, r, chaosCampaign{req.Plan().WithMemo(s.memo)}, req.Cells)
+	return newCampaign[chaos.Outcome](plan.WithMemo(store), req.Cells, req.WithCells)
 }
 
-// checkScale bounds campaign scales the same way /v1/workload bounds its
-// scale parameter: the perf scale by MaxScale, and the memory cells'
-// effective scale (scale×memScale) by MaxScale×exp.MemScale, so the
-// default memory experiment always fits and a request cannot smuggle an
-// oversized run in through the multiplier.
-func (s *Server) checkScale(scale, memEffective int) error {
-	if scale > s.cfg.MaxScale {
-		return fmt.Errorf("scale %d out of range [1, %d]", scale, s.cfg.MaxScale)
+// checkScale bounds campaign scales the way /v1/workload bounds its
+// scale: the perf scale (already at least 1) by MaxScale, and the memory
+// cells' effective scale (scale×memScale; 0 = no memory cells) by
+// MaxScale×exp.MemScale. The bound is divided rather than the scales
+// multiplied, so no mem_scale can overflow its way under it.
+func checkScale(scale, memScale int) error {
+	if scale > MaxScale {
+		return fmt.Errorf("scale %d out of range [1, %d]", scale, MaxScale)
 	}
-	if max := s.cfg.MaxScale * exp.MemScale; memEffective > max {
-		return fmt.Errorf("scale*mem_scale %d out of range [1, %d]", memEffective, max)
+	if max := MaxScale * exp.MemScale; memScale > max/scale {
+		return fmt.Errorf("scale*mem_scale %d*%d out of range [1, %d]", scale, memScale, max)
 	}
 	return nil
 }
@@ -320,21 +263,126 @@ func resolveSubset(n int, subset []int) ([]int, error) {
 	return subset, nil
 }
 
-// streamCampaign fans the requested cells over the worker semaphore and
-// streams each result as an NDJSON line the moment it completes, then a
-// trailer. Admission is per cell — every cell holds one semaphore slot
-// while simulating, the same slot pool the unary endpoints draw from, so
-// one batch request cannot starve /v1/run beyond its fair share of
-// workers. When the client disconnects (or the batch deadline passes)
-// no new cells are dispatched; in-flight cells finish, release their
-// slots and runtimes, and their lines are dropped.
-func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, camp campaign, subset []int) {
-	cells, err := resolveSubset(camp.numCells(), subset)
+// Campaign is a campaign request a CampaignRoute resolved: the exp
+// campaign it names and its validated cell subset.
+type Campaign interface {
+	exp.CellPlan
+	// Cells is the requested subset: every cell when the request named
+	// none.
+	Cells() []int
+	// Request returns the request restricted to cells: the body the shard
+	// sends the backend that owns them.
+	Request(cells []int) any
+	// CheckCell checks one decoded stream line against the campaign: an
+	// error cell's identity, or a cell's identity and payload (its
+	// campaign's payload field, and no other, of the shape its kind
+	// requires). Violations wrap exp.ErrCorruptCell.
+	CheckCell(cell BatchCell) error
+	// stream serves the campaign on a backend.
+	stream(s *Server, w http.ResponseWriter, r *http.Request)
+}
+
+// campaign is the Campaign of an exp campaign with payload type C.
+type campaign[C any] struct {
+	exp.Campaign[C]
+	cells []int
+	sub   func(cells []int) any
+}
+
+func newCampaign[C any](c exp.Campaign[C], subset []int, sub func([]int) any) (Campaign, error) {
+	cells, err := resolveSubset(c.NumCells(), subset)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
+	return campaign[C]{c, cells, sub}, nil
+}
+
+func (c campaign[C]) Cells() []int            { return c.cells }
+func (c campaign[C]) Request(cells []int) any { return c.sub(cells) }
+
+func (c campaign[C]) CheckCell(cell BatchCell) error {
+	if err := exp.CheckMeta(c, cell.Meta()); err != nil || cell.Error != "" {
+		return err // an error cell carries no payload
+	}
+	v, err := cellPayload[C](cell)
+	if err != nil {
+		return err
+	}
+	return c.CheckPayload(cell.Seq, v)
+}
+
+// AddCell folds one streamed cell line into a checked assembly: the
+// client's side of the contract CheckCell enforces at the shard relay.
+// Error cells carry no payload and are the caller's to handle.
+func AddCell[C any](a *exp.CampaignAssembly[C], cell BatchCell) error {
+	v, err := cellPayload[C](cell)
+	if err != nil {
+		return err
+	}
+	return a.AddChecked(cell.Meta(), v)
+}
+
+// cellPayload returns the payload a cell line carries for a campaign of
+// payload type C: Result for exp.CellResult, Chaos for chaos.Outcome. The
+// line must set that field and no other; anything else wraps
+// exp.ErrCorruptCell.
+func cellPayload[C any](cell BatchCell) (C, error) {
+	var v C
+	ok := false
+	switch p := any(&v).(type) {
+	case *exp.CellResult:
+		if ok = cell.Result != nil && cell.Chaos == nil; ok {
+			*p = *cell.Result
+		}
+	case *chaos.Outcome:
+		if ok = cell.Chaos != nil && cell.Result == nil; ok {
+			*p = *cell.Chaos
+		}
+	}
+	if !ok {
+		return v, fmt.Errorf("%w: %s cell %d does not carry exactly a %T payload", exp.ErrCorruptCell, cell.Kind, cell.Seq, v)
+	}
+	return v, nil
+}
+
+// setPayload stores v in the BatchCell field cellPayload reads it from.
+func setPayload[C any](cell *BatchCell, v C) {
+	switch p := any(&v).(type) {
+	case *exp.CellResult:
+		cell.Result = p
+	case *chaos.Outcome:
+		cell.Chaos = p
+	}
+}
+
+// metaCell is a cell line carrying m's identity and no payload yet.
+func metaCell(m exp.CellMeta) BatchCell {
+	return BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config}
+}
+
+// handleCampaign serves one route of the campaign table.
+func (s *Server) handleCampaign(route CampaignRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, 1<<20), s.memo)
+		if err != nil {
+			s.metrics.badRequests.Add(1)
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		camp.stream(s, w, r)
+	}
+}
+
+// stream fans the requested cells over the worker semaphore and streams
+// each result as an NDJSON line the moment it completes, then a trailer.
+// Admission is per cell — every cell holds one semaphore slot while
+// simulating, the same slot pool the unary endpoints draw from, so one
+// batch request cannot starve /v1/run beyond its fair share of workers.
+// When the client disconnects (or the batch deadline passes) no new
+// cells are dispatched; in-flight cells finish, release their slots and
+// runtimes, and their lines are dropped.
+func (c campaign[C]) stream(s *Server, w http.ResponseWriter, r *http.Request) {
+	cells := c.cells
 	s.metrics.batchStreams.Add(1)
 	ctx := r.Context()
 
@@ -344,7 +392,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, camp cam
 	// between the probe and the cell's turn.
 	warm := 0
 	for _, i := range cells {
-		if camp.warm(i) {
+		if c.ProbeCell(i) {
 			warm++
 		}
 	}
@@ -389,7 +437,9 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, camp cam
 				// semaphore slot: a hit is a map lookup plus a JSON encode —
 				// no simulation, no rt.Pool checkout — so it must not queue
 				// behind real work (or displace it from admission control).
-				if cell, ok := camp.tryMemo(cells[k]); ok {
+				if v, ok := c.LookupCell(cells[k]); ok {
+					cell := metaCell(c.Meta(cells[k]))
+					setPayload(&cell, v)
 					s.metrics.batchCells.Add(1)
 					completed.Add(1)
 					emit(mustJSON(cell))
@@ -402,7 +452,7 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, camp cam
 				case <-ctx.Done():
 					return
 				}
-				cell := s.runCellRecovered(camp, cells[k])
+				cell := c.computeRecovered(s, cells[k])
 				<-s.sem
 				s.metrics.batchCells.Add(1)
 				if cell.Error != "" {
@@ -429,12 +479,12 @@ func (s *Server) streamCampaign(w http.ResponseWriter, r *http.Request, camp cam
 	}))
 }
 
-// runCellRecovered executes one campaign cell, converting an escaped
+// computeRecovered computes one campaign cell, converting an escaped
 // panic into an error cell — the streaming twin of runRecovered: a
 // simulator bug a cell tickles costs that cell only, never the stream or
 // the daemon.
-func (s *Server) runCellRecovered(camp campaign, i int) (cell BatchCell) {
-	cell = camp.meta(i)
+func (c campaign[C]) computeRecovered(s *Server, i int) (cell BatchCell) {
+	cell = metaCell(c.Meta(i))
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.internalPanics.Add(1)
@@ -442,6 +492,11 @@ func (s *Server) runCellRecovered(camp campaign, i int) (cell BatchCell) {
 			cell.Error = fmt.Sprintf("internal error: recovered panic: %v", r)
 		}
 	}()
-	camp.run(i, &cell)
+	v, err := c.ComputeCell(i)
+	if err != nil {
+		cell.Error = err.Error()
+		return cell
+	}
+	setPayload(&cell, v)
 	return cell
 }

@@ -74,16 +74,12 @@ func TestBatchStreamEquivalence(t *testing.T) {
 func TestChaosStreamEquivalence(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
-	got, internal, err := c.ChaosReport(context.Background(), ChaosRequest{})
+	got, err := c.ChaosReport(context.Background(), ChaosRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantInternal := exp.ChaosReport(1, runtime.NumCPU())
-	if got != want {
+	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
 		t.Fatal("streamed chaos report differs from serial campaign")
-	}
-	if internal != wantInternal {
-		t.Fatalf("internal = %d, want %d", internal, wantInternal)
 	}
 }
 
@@ -137,6 +133,8 @@ func TestBatchValidation(t *testing.T) {
 		"duplicate cell":      `{"cells":[1,1]}`,
 		"unknown field":       `{"bogus":true}`,
 		"trailing data":       `{} {}`,
+		// scale*mem_scale wraps around to a negative effective scale.
+		"mem_scale overflow": `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`,
 	} {
 		resp, err := http.Post(c.BaseURL+BatchPath, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -159,7 +157,7 @@ func TestGridStreamTemporalEquivalence(t *testing.T) {
 	plan := exp.NewPlan(ws, 1).WithTemporal(true)
 	a := plan.NewAssembly()
 	for i := 0; i < plan.NumCells(); i++ {
-		cell, err := plan.RunCell(i)
+		cell, err := plan.ComputeCell(i)
 		if err != nil {
 			t.Fatal(err)
 		}

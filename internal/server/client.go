@@ -197,6 +197,19 @@ func (c *Client) get(ctx context.Context, path string, resp any) error {
 // marshaled body each attempt (readers cannot be replayed) and retries
 // transient failures with exponential backoff.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, resp any) (http.Header, error) {
+	var hdr http.Header
+	err := c.retry(ctx, func() (bool, error) {
+		var err error
+		hdr, err = c.doOnce(ctx, method, path, body, resp)
+		return retryable(err), err
+	})
+	return hdr, err
+}
+
+// retry runs attempt until it succeeds, fails for good (attempt reports
+// the failure not worth retrying), or the attempt budget runs out,
+// backing off exponentially between attempts.
+func (c *Client) retry(ctx context.Context, attempt func() (retry bool, err error)) error {
 	attempts := c.MaxAttempts
 	if attempts <= 0 {
 		attempts = DefaultMaxAttempts
@@ -208,33 +221,28 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, resp 
 	if base <= 0 {
 		base = DefaultRetryBase
 	}
-	var hdr http.Header
-	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			d := c.backoff(base, attempt-1)
-			// The server's own back-pressure estimate beats the client's
-			// blind schedule: an admission rejection's Retry-After says how
-			// long a worker slot realistically takes to drain.
-			if hint := retryAfterHint(err); hint > 0 {
-				if hint > maxRetryAfterHint {
-					hint = maxRetryAfterHint
-				}
-				d = hint
-			}
-			if serr := sleepCtx(ctx, d); serr != nil {
-				// Context expired while backing off: surface the context
-				// error promptly, joined with the last real failure so
-				// callers can still errors.As the APIError they observed.
-				return hdr, errors.Join(serr, err)
-			}
+	for n := 1; ; n++ {
+		again, err := attempt()
+		if err == nil || !again || n >= attempts {
+			return err
 		}
-		hdr, err = c.doOnce(ctx, method, path, body, resp)
-		if err == nil || !retryable(err) {
-			return hdr, err
+		d := c.backoff(base, n)
+		// The server's own back-pressure estimate beats the client's
+		// blind schedule: an admission rejection's Retry-After says how
+		// long a worker slot realistically takes to drain.
+		if hint := retryAfterHint(err); hint > 0 {
+			if hint > maxRetryAfterHint {
+				hint = maxRetryAfterHint
+			}
+			d = hint
+		}
+		if serr := sleepCtx(ctx, d); serr != nil {
+			// Context expired while backing off: surface the context
+			// error promptly, joined with the last real failure so
+			// callers can still errors.As the APIError they observed.
+			return errors.Join(serr, err)
 		}
 	}
-	return hdr, err
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, resp any) (http.Header, error) {
@@ -264,20 +272,25 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, r
 		return nil, err
 	}
 	if hresp.StatusCode/100 != 2 {
-		var apiErr ErrorResponse
-		if json.Unmarshal(rbody, &apiErr) != nil || apiErr.Error == "" {
-			apiErr.Error = strings.TrimSpace(string(rbody))
-		}
-		return hresp.Header, &APIError{
-			Status:     hresp.StatusCode,
-			Message:    apiErr.Error,
-			RetryAfter: parseRetryAfter(hresp.Header.Get(RetryAfterHeader)),
-		}
+		return hresp.Header, newAPIError(hresp, rbody)
 	}
 	if err := json.Unmarshal(rbody, resp); err != nil {
 		return hresp.Header, fmt.Errorf("ifp-serve: bad response body: %w", err)
 	}
 	return hresp.Header, nil
+}
+
+// newAPIError decodes a non-2xx response into an APIError.
+func newAPIError(hresp *http.Response, body []byte) *APIError {
+	var apiErr ErrorResponse
+	if json.Unmarshal(body, &apiErr) != nil || apiErr.Error == "" {
+		apiErr.Error = strings.TrimSpace(string(body))
+	}
+	return &APIError{
+		Status:     hresp.StatusCode,
+		Message:    apiErr.Error,
+		RetryAfter: parseRetryAfter(hresp.Header.Get(RetryAfterHeader)),
+	}
 }
 
 // retryable reports whether a failure is worth another attempt: 503

@@ -1,9 +1,8 @@
 package server
 
 // Streaming client for the batch endpoints: StreamNDJSON is the
-// line-delivery engine, the typed campaign wrappers (BatchStream,
-// GridStream, ChaosStream) decode cells and enforce the trailer
-// contract, and the report helpers (BatchReport, GridReport,
+// line-delivery engine, CampaignStream decodes cells and enforces the
+// trailer contract, and the report helpers (BatchReport, GridReport,
 // ChaosReport) reassemble a whole streamed campaign into the
 // byte-identical report a serial ifp-bench run prints.
 
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"infat/internal/exp"
 )
@@ -40,36 +38,10 @@ func (c *Client) StreamNDJSON(ctx context.Context, path string, req any, onLine 
 	if err != nil {
 		return err
 	}
-	attempts := c.MaxAttempts
-	if attempts <= 0 {
-		attempts = DefaultMaxAttempts
-	}
-	if c.NoRetry {
-		attempts = 1
-	}
-	base := c.RetryBase
-	if base <= 0 {
-		base = DefaultRetryBase
-	}
-	for attempt := 1; ; attempt++ {
+	return c.retry(ctx, func() (bool, error) {
 		delivered, err := c.streamOnce(ctx, path, body, onLine)
-		if err == nil {
-			return nil
-		}
-		if delivered > 0 || attempt >= attempts || !retryable(err) {
-			return err
-		}
-		d := c.backoff(base, attempt)
-		if hint := retryAfterHint(err); hint > 0 {
-			if hint > maxRetryAfterHint {
-				hint = maxRetryAfterHint
-			}
-			d = hint
-		}
-		if serr := sleepCtx(ctx, d); serr != nil {
-			return errors.Join(serr, err)
-		}
-	}
+		return delivered == 0 && retryable(err), err
+	})
 }
 
 // streamOnce performs one streaming attempt, reporting how many lines
@@ -100,15 +72,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onLin
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
 		rbody, _ := io.ReadAll(io.LimitReader(hresp.Body, maxStreamLineBytes))
-		var apiErr ErrorResponse
-		if json.Unmarshal(rbody, &apiErr) != nil || apiErr.Error == "" {
-			apiErr.Error = strings.TrimSpace(string(rbody))
-		}
-		return 0, &APIError{
-			Status:     hresp.StatusCode,
-			Message:    apiErr.Error,
-			RetryAfter: parseRetryAfter(hresp.Header.Get(RetryAfterHeader)),
-		}
+		return 0, newAPIError(hresp, rbody)
 	}
 	sc := bufio.NewScanner(hresp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), maxStreamLineBytes)
@@ -133,26 +97,16 @@ func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onLin
 // crash) and the received cells are an incomplete set.
 var ErrTruncatedStream = errors.New("ifp-serve: truncated stream: no trailer")
 
-// BatchStream posts a full-report campaign to /v1/batch, invoking
-// onCell for every cell line in arrival (completion) order, and returns
-// the stream's trailer. A stream that ends without a trailer returns
-// ErrTruncatedStream.
+// BatchStream is CampaignStream for the full-report /v1/batch campaign.
 func (c *Client) BatchStream(ctx context.Context, req BatchRequest, onCell func(BatchCell) error) (*BatchTrailer, error) {
-	return c.campaignStream(ctx, BatchPath, req, onCell)
+	return c.CampaignStream(ctx, BatchPath, req, onCell)
 }
 
-// GridStream is BatchStream for the perf-only /v1/grid campaign.
-func (c *Client) GridStream(ctx context.Context, req BatchRequest, onCell func(BatchCell) error) (*BatchTrailer, error) {
-	return c.campaignStream(ctx, GridPath, req, onCell)
-}
-
-// ChaosStream is BatchStream for the /v1/chaos fault-injection
-// campaign; cells carry Chaos payloads.
-func (c *Client) ChaosStream(ctx context.Context, req ChaosRequest, onCell func(BatchCell) error) (*BatchTrailer, error) {
-	return c.campaignStream(ctx, ChaosPath, req, onCell)
-}
-
-func (c *Client) campaignStream(ctx context.Context, path string, req any, onCell func(BatchCell) error) (*BatchTrailer, error) {
+// CampaignStream posts a campaign request to one of the campaign paths,
+// invoking onCell for every cell line in arrival (completion) order, and
+// returns the stream's trailer. A stream that ends without a trailer
+// returns ErrTruncatedStream.
+func (c *Client) CampaignStream(ctx context.Context, path string, req any, onCell func(BatchCell) error) (*BatchTrailer, error) {
 	var trailer *BatchTrailer
 	err := c.StreamNDJSON(ctx, path, req, func(line []byte) error {
 		// The trailer is the one line with done=true; cell lines have no
@@ -177,25 +131,6 @@ func (c *Client) campaignStream(ctx context.Context, path string, req any, onCel
 	return trailer, nil
 }
 
-// cellError converts an error cell into the error the report helpers
-// surface.
-func cellError(cell BatchCell) error {
-	return fmt.Errorf("ifp-serve: cell %d (%s|%s|%s) failed: %s",
-		cell.Seq, cell.Kind, cell.Workload, cell.Config, cell.Error)
-}
-
-// addToAssembly folds one grid/batch cell into an exp.Assembly, through
-// the same cell contract (exp.CheckCell) the shard relay enforces.
-func addToAssembly(a *exp.Assembly, cell BatchCell) error {
-	if cell.Error != "" {
-		return cellError(cell)
-	}
-	if cell.Result == nil {
-		return fmt.Errorf("ifp-serve: cell %d missing result payload", cell.Seq)
-	}
-	return a.AddChecked(cell.Meta(), *cell.Result)
-}
-
 // BatchReport streams a whole /v1/batch campaign (req.Cells must be
 // empty: reports need every cell) and reassembles the byte-identical
 // full report — Table 4 plus Figures 10–12 — a serial ifp-bench run
@@ -205,13 +140,7 @@ func (c *Client) BatchReport(ctx context.Context, req BatchRequest) (string, err
 	if err != nil {
 		return "", err
 	}
-	a := plan.NewAssembly()
-	if _, err := c.BatchStream(ctx, req, func(cell BatchCell) error {
-		return addToAssembly(a, cell)
-	}); err != nil {
-		return "", err
-	}
-	return a.Report()
+	return streamReport(ctx, c, BatchPath, req, plan)
 }
 
 // GridReport is BatchReport for the perf-only campaign, reassembling
@@ -221,29 +150,28 @@ func (c *Client) GridReport(ctx context.Context, req BatchRequest) (string, erro
 	if err != nil {
 		return "", err
 	}
-	a := plan.NewAssembly()
-	if _, err := c.GridStream(ctx, req, func(cell BatchCell) error {
-		return addToAssembly(a, cell)
-	}); err != nil {
-		return "", err
-	}
-	return a.Report()
+	return streamReport(ctx, c, GridPath, req, plan)
 }
 
 // ChaosReport streams a whole /v1/chaos campaign and reassembles the
-// report plus internal-outcome count exp.ChaosReport produces.
-func (c *Client) ChaosReport(ctx context.Context, req ChaosRequest) (string, int, error) {
-	a := req.Plan().NewAssembly()
-	if _, err := c.ChaosStream(ctx, req, func(cell BatchCell) error {
+// report exp.ChaosReport renders.
+func (c *Client) ChaosReport(ctx context.Context, req ChaosRequest) (string, error) {
+	return streamReport(ctx, c, ChaosPath, req, req.Plan())
+}
+
+// streamReport streams a whole campaign from path and reassembles its
+// report, every cell through the campaign's own checked assembly — the
+// contract the shard relay enforces too.
+func streamReport[C any](ctx context.Context, c *Client, path string, req any, camp exp.Campaign[C]) (string, error) {
+	a := exp.NewAssembly(camp)
+	if _, err := c.CampaignStream(ctx, path, req, func(cell BatchCell) error {
 		if cell.Error != "" {
-			return cellError(cell)
+			return fmt.Errorf("ifp-serve: cell %d (%s|%s|%s) failed: %s",
+				cell.Seq, cell.Kind, cell.Workload, cell.Config, cell.Error)
 		}
-		if cell.Chaos == nil {
-			return fmt.Errorf("ifp-serve: cell %d missing chaos payload", cell.Seq)
-		}
-		return a.AddChecked(cell.Meta(), *cell.Chaos)
+		return AddCell(a, cell)
 	}); err != nil {
-		return "", 0, err
+		return "", err
 	}
 	return a.Report()
 }

@@ -129,7 +129,7 @@ type WorkloadRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// NoPromote selects the no-promote variant of an instrumented mode.
 	NoPromote bool `json:"no_promote,omitempty"`
-	// Scale defaults to 1; bounded by the server's MaxScale.
+	// Scale defaults to 1; bounded by MaxScale.
 	Scale int `json:"scale,omitempty"`
 }
 
@@ -394,10 +394,10 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	if req.Scale == 0 {
 		req.Scale = 1
 	}
-	if req.Scale < 1 || req.Scale > s.cfg.MaxScale {
+	if req.Scale < 1 || req.Scale > MaxScale {
 		s.metrics.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("scale %d out of range [1, %d]", req.Scale, s.cfg.MaxScale))
+			fmt.Errorf("scale %d out of range [1, %d]", req.Scale, MaxScale))
 		return
 	}
 	wl, ok := workloads.ByName(req.Name)

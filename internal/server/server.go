@@ -29,7 +29,8 @@
 //     never in payload bytes.
 //
 // Endpoints: POST /v1/run, POST /v1/juliet (GET lists cases),
-// POST /v1/workload, GET /healthz, GET /metrics.
+// POST /v1/workload, the streaming campaigns POST /v1/batch, /v1/grid
+// and /v1/chaos (CampaignRoutes), GET /healthz, GET /metrics.
 package server
 
 import (
@@ -61,7 +62,6 @@ const (
 	// worst-case worker hold time bounded to tens of seconds.
 	DefaultMaxFuel        = 10 * DefaultFuel
 	DefaultMaxSourceBytes = 1 << 20
-	DefaultMaxScale       = 4
 	// DefaultBatchTimeout is the per-request deadline of the streaming
 	// batch endpoints: a whole campaign per request, so the budget is a
 	// multiple of the unary deadline rather than sharing it.
@@ -102,9 +102,6 @@ type Config struct {
 	// MaxSourceBytes bounds submitted program size (0 =
 	// DefaultMaxSourceBytes).
 	MaxSourceBytes int
-	// MaxScale bounds the workload-cell scale parameter (0 =
-	// DefaultMaxScale).
-	MaxScale int
 	// BatchTimeout is the per-request deadline of the streaming batch
 	// endpoints (0 = DefaultBatchTimeout, raised to RequestTimeout if
 	// smaller).
@@ -135,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = DefaultMaxSourceBytes
-	}
-	if c.MaxScale <= 0 {
-		c.MaxScale = DefaultMaxScale
 	}
 	if c.BatchTimeout <= 0 {
 		c.BatchTimeout = DefaultBatchTimeout
@@ -188,9 +182,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/juliet", s.instrument(&s.metrics.reqJuliet, true, s.handleJuliet))
 	s.mux.HandleFunc("GET /v1/juliet", s.instrument(&s.metrics.reqJuliet, false, s.handleJulietList))
 	s.mux.HandleFunc("POST /v1/workload", s.instrument(&s.metrics.reqWorkload, true, s.handleWorkload))
-	s.mux.HandleFunc("POST "+BatchPath, s.instrumentTimeout(&s.metrics.reqBatch, cfg.BatchTimeout, s.handleBatch))
-	s.mux.HandleFunc("POST "+GridPath, s.instrumentTimeout(&s.metrics.reqGrid, cfg.BatchTimeout, s.handleGrid))
-	s.mux.HandleFunc("POST "+ChaosPath, s.instrumentTimeout(&s.metrics.reqChaos, cfg.BatchTimeout, s.handleChaos))
+	for _, route := range CampaignRoutes {
+		s.mux.HandleFunc("POST "+route.Path, s.instrumentTimeout(route.count(&s.metrics), cfg.BatchTimeout, s.handleCampaign(route)))
+	}
 	s.mux.HandleFunc("GET /healthz", s.instrument(&s.metrics.reqHealthz, false, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument(&s.metrics.reqMetrics, false, s.handleMetrics))
 	return s

@@ -1,7 +1,8 @@
 package shard
 
 // Batch fan-out: the shard serves the same streaming campaign endpoints
-// as one backend (/v1/batch, /v1/grid, /v1/chaos) by scattering the
+// as one backend (/v1/batch, /v1/grid, /v1/chaos: server.CampaignRoutes,
+// resolved and bounded by the backends' own resolvers) by scattering the
 // campaign's cells across the ring — each cell to the backend owning
 // its stable plan key — and merging the backends' NDJSON streams into
 // one, in completion order, cell lines passed through byte-for-byte.
@@ -35,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"infat/internal/exp"
 	"infat/internal/server"
 )
 
@@ -46,108 +46,26 @@ import (
 // get a new home — and never forwards the line to the client.
 var ErrCorruptLine = errors.New("shard: corrupt stream line")
 
-// campaignPlan is the slice of exp.Plan / exp.ChaosPlan the fan-out
-// needs: the cell count, each cell's routing key, and its identity for
-// synthesizing error cells.
-type campaignPlan interface {
-	NumCells() int
-	Key(i int) string
-	Meta(i int) exp.CellMeta
-}
-
-func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
-	if !s.decodeBatchBody(w, r, &req) {
-		return
-	}
-	plan, err := req.BatchPlan()
-	if err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.streamScattered(w, r, server.BatchPath, plan, req.Cells, func(cells []int) any {
-		sub := req
-		sub.Cells = cells
-		return sub
-	})
-}
-
-func (s *Shard) handleGrid(w http.ResponseWriter, r *http.Request) {
-	var req server.BatchRequest
-	if !s.decodeBatchBody(w, r, &req) {
-		return
-	}
-	plan, err := req.GridPlan()
-	if err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.streamScattered(w, r, server.GridPath, plan, req.Cells, func(cells []int) any {
-		sub := req
-		sub.Cells = cells
-		return sub
-	})
-}
-
-func (s *Shard) handleChaos(w http.ResponseWriter, r *http.Request) {
-	var req server.ChaosRequest
-	if !s.decodeBatchBody(w, r, &req) {
-		return
-	}
-	s.streamScattered(w, r, server.ChaosPath, req.Plan(), req.Cells, func(cells []int) any {
-		sub := req
-		sub.Cells = cells
-		return sub
-	})
-}
-
-// decodeBatchBody strictly decodes a batch request body, bounded.
-func (s *Shard) decodeBatchBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeShardError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	if dec.More() {
-		writeShardError(w, http.StatusBadRequest, errors.New("bad request body: trailing data after request object"))
-		return false
-	}
-	return true
-}
-
-// validateSubset mirrors the backend's cell-subset rules so a bad
-// subset fails fast at the front tier.
-func validateSubset(n int, subset []int) ([]int, error) {
-	if len(subset) == 0 {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
+// handleCampaign serves one route of the backends' campaign table: the
+// request is resolved and bounded exactly as a backend resolves it, so a
+// request every backend would reject is answered 400 here, before any
+// backend is contacted or charged with a failure.
+func (s *Shard) handleCampaign(route server.CampaignRoute) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), nil)
+		if err != nil {
+			writeShardError(w, http.StatusBadRequest, err)
+			return
 		}
-		return all, nil
+		s.streamScattered(w, r, route.Path, camp)
 	}
-	seen := make(map[int]bool, len(subset))
-	for _, i := range subset {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("cell %d out of range [0, %d)", i, n)
-		}
-		if seen[i] {
-			return nil, fmt.Errorf("duplicate cell %d", i)
-		}
-		seen[i] = true
-	}
-	return subset, nil
 }
 
 // streamScattered fans the cells over their ring owners, merges the
 // backend streams into one NDJSON response, reassigns cells lost to a
 // failed backend, and closes with the merged trailer.
-func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path string, plan campaignPlan, subset []int, subReq func(cells []int) any) {
-	cells, err := validateSubset(plan.NumCells(), subset)
-	if err != nil {
-		writeShardError(w, http.StatusBadRequest, err)
-		return
-	}
+func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path string, camp server.Campaign) {
+	cells := camp.Cells()
 	s.metrics.batchStreams.Add(1)
 	ctx := r.Context()
 
@@ -157,7 +75,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	flusher, _ := w.(http.Flusher)
 
 	var mu sync.Mutex // serializes receipt tracking and response writes
-	received := make([]bool, plan.NumCells())
+	received := make([]bool, camp.NumCells())
 	completed, failed := 0, 0
 	emitLocked := func(line []byte) {
 		if ctx.Err() != nil {
@@ -214,7 +132,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 				rctx, cancel = context.WithTimeout(ctx, s.cfg.RelayTimeout)
 				defer cancel()
 			}
-			if err := s.relayStream(rctx, s.backends[bi], path, plan, part, subReq(part), deliver); err != nil {
+			if err := s.relayStream(rctx, s.backends[bi], path, camp, part, deliver); err != nil {
 				s.noteFailure(s.backends[bi])
 				exMu.Lock()
 				excluded[bi] = true
@@ -232,7 +150,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 		}
 		parts := make(map[int][]int)
 		for _, i := range pending {
-			bi := s.ring.owner(plan.Key(i), func(b int) bool { return !excluded[b] && s.backends[b].eligible() })
+			bi := s.ring.owner(camp.Key(i), func(b int) bool { return !excluded[b] && s.backends[b].eligible() })
 			if bi < 0 {
 				continue // orphan: retried next round if a backend recovers, else error cell
 			}
@@ -272,7 +190,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 						if received[i] {
 							continue
 						}
-						hb := s.ring.owner(plan.Key(i), func(b int) bool {
+						hb := s.ring.owner(camp.Key(i), func(b int) bool {
 							return b != bi && !isExcluded(b) && s.backends[b].eligible()
 						})
 						if hb >= 0 {
@@ -310,7 +228,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	// so the client sees a complete, honest accounting instead of silent
 	// gaps.
 	for _, i := range pending {
-		m := plan.Meta(i)
+		m := camp.Meta(i)
 		cell := server.BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config,
 			Error: "no backend available"}
 		mu.Lock()
@@ -338,14 +256,14 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 // corrupt lines — the cases where the backend's remaining cells need a
 // new home. Valid lines are relayed byte-for-byte, so the client's
 // reassembled report stays identical to a serial run's.
-func (s *Shard) relayStream(ctx context.Context, b *backend, path string, plan campaignPlan, part []int, req any, deliver func(seq int, line []byte, isErr bool)) error {
+func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp server.Campaign, part []int, deliver func(seq int, line []byte, isErr bool)) error {
 	assigned := make(map[int]bool, len(part))
 	for _, i := range part {
 		assigned[i] = true
 	}
 	sawTrailer := false
-	err := b.client.StreamNDJSON(ctx, path, req, func(line []byte) error {
-		cell, done, err := relayLine(plan, assigned, line)
+	err := b.client.StreamNDJSON(ctx, path, camp.Request(part), func(line []byte) error {
+		cell, done, err := relayLine(camp, assigned, line)
 		if err != nil {
 			s.metrics.corruptLines.Add(1)
 			return fmt.Errorf("shard: %s: %w: %v", b.url, ErrCorruptLine, err)
@@ -369,7 +287,7 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, plan c
 // relayLine decodes and validates one backend stream line: either the
 // trailer (done) or a cell line validateCell accepts. Anything else is a
 // corrupt line.
-func relayLine(plan campaignPlan, assigned map[int]bool, line []byte) (cell server.BatchCell, done bool, err error) {
+func relayLine(camp server.Campaign, assigned map[int]bool, line []byte) (cell server.BatchCell, done bool, err error) {
 	var probe struct {
 		Done bool `json:"done"`
 	}
@@ -382,23 +300,20 @@ func relayLine(plan campaignPlan, assigned map[int]bool, line []byte) (cell serv
 	if err := json.Unmarshal(line, &cell); err != nil {
 		return cell, false, fmt.Errorf("undecodable cell: %v", err)
 	}
-	return cell, false, validateCell(plan, assigned, &cell)
+	return cell, false, validateCell(camp, assigned, cell)
 }
 
 // validateCell enforces the stream contract on one decoded cell line: a
-// seq the backend was assigned, then exp.CheckCell — the plan's identity
-// for that seq and the payload shape its kind requires, the same check
-// the client's checked assembly applies — or, for an error cell, the
-// identity alone. A violation means the backend answered a question it
+// seq the backend was assigned, then the campaign's own check — the
+// plan's identity for that seq and, unless it is an error cell, the
+// payload shape its kind requires: the same check the client's checked
+// assembly applies. A violation means the backend answered a question it
 // was not asked — a corrupted stream, not a failed simulation.
-func validateCell(plan campaignPlan, assigned map[int]bool, cell *server.BatchCell) error {
+func validateCell(camp server.Campaign, assigned map[int]bool, cell server.BatchCell) error {
 	if !assigned[cell.Seq] {
 		return fmt.Errorf("cell seq %d not in this backend's assignment", cell.Seq)
 	}
-	if cell.Error != "" {
-		return exp.CheckMeta(plan, cell.Meta()) // error cells carry no payload
-	}
-	return exp.CheckCell(plan, cell.Meta(), cell.Result, cell.Chaos)
+	return camp.CheckCell(cell)
 }
 
 func mustShardJSON(v any) []byte {

@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // every cell assigned, and the checked assembly its client folds into.
 type relayPlan struct {
 	path   string
-	plan   campaignPlan
+	camp   server.Campaign
 	accept func(server.BatchCell) error
 }
 
@@ -28,28 +29,39 @@ func relayPlans(t testing.TB) []relayPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosPlan := server.ChaosRequest{Scale: 1}.Plan()
-	addResult := func(p exp.Plan) func(server.BatchCell) error {
-		return func(c server.BatchCell) error {
-			if c.Result == nil {
-				return errNoPayload
-			}
-			return p.NewAssembly().AddChecked(c.Meta(), *c.Result)
-		}
-	}
+	chaosReq := server.ChaosRequest{Scale: 1}
 	return []relayPlan{
-		{server.BatchPath, batch, addResult(batch)},
-		{server.GridPath, grid, addResult(grid)},
-		{server.ChaosPath, chaosPlan, func(c server.BatchCell) error {
-			if c.Chaos == nil {
-				return errNoPayload
-			}
-			return chaosPlan.NewAssembly().AddChecked(c.Meta(), *c.Chaos)
-		}},
+		{server.BatchPath, resolveRoute(t, server.BatchPath, req), clientAccepts(batch)},
+		{server.GridPath, resolveRoute(t, server.GridPath, req), clientAccepts(grid)},
+		{server.ChaosPath, resolveRoute(t, server.ChaosPath, chaosReq), clientAccepts(chaosReq.Plan())},
 	}
 }
 
-var errNoPayload = errors.New("accepted cell has no payload")
+// resolveRoute resolves req through the campaign route at path, as the
+// shard's handler does.
+func resolveRoute(t testing.TB, path string, req any) server.Campaign {
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, route := range server.CampaignRoutes {
+		if route.Path == path {
+			camp, err := route.Resolve(bytes.NewReader(body), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return camp
+		}
+	}
+	t.Fatalf("no campaign route %s", path)
+	return nil
+}
+
+// clientAccepts is the client's side of the contract: the cell's payload
+// folded into the campaign's checked assembly.
+func clientAccepts[C any](c exp.Campaign[C]) func(server.BatchCell) error {
+	return func(cell server.BatchCell) error { return server.AddCell(exp.NewAssembly(c), cell) }
+}
 
 // streamLines runs a few cells of each campaign on a real backend and
 // returns its raw NDJSON lines, trailers included.
@@ -59,7 +71,7 @@ func streamLines(t testing.TB, plans []relayPlan) [][]byte {
 	c := server.NewClient(ts.URL)
 	var lines [][]byte
 	for _, rp := range plans {
-		last := rp.plan.NumCells() - 1
+		last := rp.camp.NumCells() - 1
 		var req any = server.BatchRequest{Workloads: []string{"treeadd"}, Cells: []int{0, last}}
 		if rp.path == server.ChaosPath {
 			req = server.ChaosRequest{Scale: 1, Cells: []int{0, last}}
@@ -92,11 +104,11 @@ func FuzzRelayLine(f *testing.F) {
 	f.Add([]byte(`{"seq":-1,"kind":"perf","error":"x"}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		for _, rp := range plans {
-			assigned := make(map[int]bool, rp.plan.NumCells())
-			for i := 0; i < rp.plan.NumCells(); i++ {
+			assigned := make(map[int]bool, rp.camp.NumCells())
+			for i := 0; i < rp.camp.NumCells(); i++ {
 				assigned[i] = true
 			}
-			cell, done, err := relayLine(rp.plan, assigned, line)
+			cell, done, err := relayLine(rp.camp, assigned, line)
 			if err != nil || done || cell.Error != "" {
 				continue
 			}

@@ -207,9 +207,9 @@ func New(cfg Config) (*Shard, error) {
 	s.mux.HandleFunc("POST /v1/juliet", s.handleJuliet)
 	s.mux.HandleFunc("GET /v1/juliet", s.handleJulietList)
 	s.mux.HandleFunc("POST /v1/workload", s.handleWorkload)
-	s.mux.HandleFunc("POST "+server.BatchPath, s.handleBatch)
-	s.mux.HandleFunc("POST "+server.GridPath, s.handleGrid)
-	s.mux.HandleFunc("POST "+server.ChaosPath, s.handleChaos)
+	for _, route := range server.CampaignRoutes {
+		s.mux.HandleFunc("POST "+route.Path, s.handleCampaign(route))
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,7 +222,7 @@ func TestShardSubsetAndValidation(t *testing.T) {
 	ctx := context.Background()
 
 	var seqs []int
-	trailer, err := c.GridStream(ctx, server.BatchRequest{Workloads: testWorkloads, Cells: []int{0, 7, 3}},
+	trailer, err := c.CampaignStream(ctx, server.GridPath, server.BatchRequest{Workloads: testWorkloads, Cells: []int{0, 7, 3}},
 		func(cell server.BatchCell) error {
 			seqs = append(seqs, cell.Seq)
 			return nil
@@ -415,8 +416,7 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
 	req := server.ChaosRequest{Scale: 1}
-	plan := req.Plan()
-	a := plan.NewAssembly()
+	a := exp.NewAssembly(req.Plan())
 	// The killer keeps cutting backend 0's connections for a window, not
 	// just once: the relay client retries a stream that died before its
 	// first line, so a single cut could be quietly absorbed by a clean
@@ -432,7 +432,7 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := c.ChaosStream(ctx, req, func(cell server.BatchCell) error {
+	if _, err := c.CampaignStream(ctx, server.ChaosPath, req, func(cell server.BatchCell) error {
 		kill.Do(startKiller)
 		if cell.Error != "" || cell.Chaos == nil {
 			return fmt.Errorf("cell %d: error=%q chaos=%v", cell.Seq, cell.Error, cell.Chaos)
@@ -442,12 +442,11 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 		t.Fatalf("chaos campaign with mid-stream kill: %v", err)
 	}
 	<-killDone
-	got, internal, err := a.Report()
+	got, err := a.Report()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantInternal := exp.ChaosReport(1, runtime.NumCPU())
-	if got != want || internal != wantInternal {
+	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
 		t.Fatal("post-kill chaos report differs from serial campaign")
 	}
 	if n := sh.metrics.reassignedCells.Load(); n == 0 {
@@ -518,7 +517,7 @@ func hostileLines(t *testing.T) map[string][]hostileLine {
 // honest survivor with byte-identical output.
 func TestShardRejectsAlienCells(t *testing.T) {
 	serial, serialMem := serialRun(t)
-	wantChaos, wantInternal := exp.ChaosReport(1, runtime.NumCPU())
+	wantChaos, _ := exp.ChaosReport(1, runtime.NumCPU())
 	lines := hostileLines(t)
 
 	var mu sync.Mutex
@@ -618,13 +617,7 @@ func TestShardRejectsAlienCells(t *testing.T) {
 	}{
 		{server.GridPath, func() (string, error) { return c.GridReport(ctx, req) }, exp.PerfReport(serial)},
 		{server.BatchPath, func() (string, error) { return c.BatchReport(ctx, req) }, exp.Report(serial, serialMem)},
-		{server.ChaosPath, func() (string, error) {
-			got, internal, err := c.ChaosReport(ctx, server.ChaosRequest{Scale: 1})
-			if err == nil && internal != wantInternal {
-				err = fmt.Errorf("internal outcomes %d, want %d", internal, wantInternal)
-			}
-			return got, err
-		}, wantChaos},
+		{server.ChaosPath, func() (string, error) { return c.ChaosReport(ctx, server.ChaosRequest{Scale: 1}) }, wantChaos},
 	}
 	for _, cp := range campaigns {
 		for range lines[cp.path] {
@@ -694,5 +687,66 @@ func TestShardMetricsAggregation(t *testing.T) {
 	}
 	if m.Aggregate.Memo["misses"] == 0 || m.Aggregate.Memo["entries"] == 0 {
 		t.Errorf("aggregate memo %v, want misses and entries after a run", m.Aggregate.Memo)
+	}
+}
+
+// TestShardRejectsOutOfRangeScale: a campaign request every backend would
+// reject — a scale one above the bound on each campaign path, or a
+// mem_scale whose product with the scale overflows — is answered 400 by
+// the shard itself, resolved by the backends' own route table. No backend
+// is contacted, so the request can neither stream a campaign of error
+// cells nor count a backend's 400 as a backend failure and drain a
+// healthy fleet.
+func TestShardRejectsOutOfRangeScale(t *testing.T) {
+	var posts atomic.Int64
+	backend := server.New(server.Config{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		backend.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	// Probes far apart, so only request outcomes could move backends_up.
+	sh, err := New(Config{Backends: []string{ts.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+
+	overScale := fmt.Sprintf(`{"scale":%d}`, server.MaxScale+1)
+	for _, req := range []struct{ path, body string }{
+		{server.BatchPath, overScale},
+		{server.GridPath, overScale},
+		{server.ChaosPath, overScale},
+		{server.BatchPath, `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`},
+	} {
+		for attempt := 0; attempt < 2; attempt++ {
+			resp, err := http.Post(front.URL+req.path, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: shard status %d, want 400", req.path, req.body, resp.StatusCode)
+			}
+		}
+	}
+	if n := posts.Load(); n != 0 {
+		t.Errorf("rejected requests reached the backend %d times", n)
+	}
+	resp, err := http.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if up := m.Shard["backends_up"]; up != 1 {
+		t.Errorf("backends_up = %d after rejected requests, want 1", up)
 	}
 }
