@@ -19,9 +19,9 @@ func runNetchaos() error {
 	if res != nil {
 		s := res.Summarize()
 		fmt.Printf("ifp-shard: netchaos: %d runs (%d failed), %d cells, %d faults injected, "+
-			"%d recovered, %d failed-over, %d hedged, %d shed, %d corrupt lines rejected, "+
+			"%d recovered, %d failed-over, %d stolen, %d hedged, %d shed, %d corrupt lines rejected, "+
 			"%d duplicates suppressed, %d lost\n",
-			s.Runs, s.Failed, s.Cells, s.Injected, s.Recovered, s.FailedOver, s.Hedged,
+			s.Runs, s.Failed, s.Cells, s.Injected, s.Recovered, s.FailedOver, s.Stolen, s.Hedged,
 			s.Shed, s.CorruptLines, s.DupSuppressed, s.Lost)
 	}
 	return err

@@ -23,8 +23,10 @@ var selftestWorkloads = []string{"treeadd", "health", "ks"}
 // front tier on loopback ports, then proves the tier's core contracts
 // end to end: consistent routing (a repeated run hits the owning
 // backend's cache), batch fan-out reassembling byte-identical to a
-// serial run, chaos campaign equivalence, fleet metrics aggregation,
-// and failover — one backend killed mid-fleet, the report still exact.
+// serial run with every cell computed exactly once, a replay served
+// wholly from the memo stores of the backends that computed it, chaos
+// campaign equivalence, fleet metrics aggregation, and failover — one
+// backend killed mid-fleet, the report still exact.
 func runSelftest() error {
 	backendSrvs := make([]*http.Server, 2)
 	urls := make([]string, 2)
@@ -74,9 +76,38 @@ func runSelftest() error {
 		}
 		ws = append(ws, w)
 	}
-	wantReport, err := exp.RunReport(exp.NewReportPlan(ws, 1, exp.MemScale), 0)
+	plan := exp.NewReportPlan(ws, 1, exp.MemScale)
+	wantReport, err := exp.RunReport(plan, 0)
 	if err != nil {
 		return err
+	}
+	cells := uint64(plan.NumCells())
+	// batchMemo runs the batch campaign and checks the report and the
+	// memo hits and misses it adds across the fleet. A replay (no misses
+	// wanted) must also leave every cell on the backend that served it.
+	batchMemo := func(wantHits, wantMisses uint64) error {
+		h0, m0, s0, err := fleetCounters(ctx, shardURL, urls)
+		if err != nil {
+			return err
+		}
+		got, err := c.BatchReport(ctx, server.BatchRequest{Workloads: selftestWorkloads})
+		if err != nil {
+			return err
+		}
+		if got != wantReport {
+			return errors.New("shard batch report differs from serial run")
+		}
+		h1, m1, s1, err := fleetCounters(ctx, shardURL, urls)
+		if err != nil {
+			return err
+		}
+		if h1-h0 != wantHits || m1-m0 != wantMisses {
+			return fmt.Errorf("%d cells: %d memo hits and %d misses, want %d and %d", cells, h1-h0, m1-m0, wantHits, wantMisses)
+		}
+		if wantMisses == 0 && s1 != s0 {
+			return fmt.Errorf("replay moved %d cells off the backends that served them", s1-s0)
+		}
+		return nil
 	}
 	wantChaos, err := exp.RunReport(exp.NewChaosPlan(1), 0)
 	if err != nil {
@@ -114,16 +145,10 @@ func runSelftest() error {
 			}
 			return nil
 		}},
-		{"fanned-out batch reassembles byte-identical", func() error {
-			got, err := c.BatchReport(ctx, server.BatchRequest{Workloads: selftestWorkloads})
-			if err != nil {
-				return err
-			}
-			if got != wantReport {
-				return errors.New("shard batch report differs from serial run")
-			}
-			return nil
-		}},
+		// Each cell is computed once, by whichever backend ran it...
+		{"fanned-out batch reassembles byte-identical", func() error { return batchMemo(0, cells) }},
+		// ...and a replay goes back to that backend's memo store.
+		{"replayed batch is all memo hits", func() error { return batchMemo(cells, 0) }},
 		{"chaos campaign equivalence", func() error {
 			got, err := c.ChaosReport(ctx, server.ChaosRequest{})
 			if err != nil {
@@ -184,6 +209,24 @@ func runSelftest() error {
 		}
 	}
 	return nil
+}
+
+// fleetCounters sums the memo hit and miss counters of the backends at
+// urls and reads the shard's stolen_cells.
+func fleetCounters(ctx context.Context, shardURL string, urls []string) (hits, misses, stolen uint64, err error) {
+	for _, u := range urls {
+		m, err := server.NewClient(u).Metrics(ctx)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		hits += m.Memo["hits"]
+		misses += m.Memo["misses"]
+	}
+	var m shard.MetricsResponse
+	if err := getJSON(ctx, shardURL+"/metrics", &m); err != nil {
+		return 0, 0, 0, err
+	}
+	return hits, misses, m.Shard["stolen_cells"], nil
 }
 
 // getJSON fetches and decodes one JSON response (any status).

@@ -29,6 +29,10 @@ type Campaign[C any] interface {
 	CellPlan
 	// CellDigest is cell i's canonical memo key.
 	CellDigest(i int) memo.Digest
+	// CellScale is cell i's effective scale, the cost order a scheduler
+	// starts cells in: the perf scale for perf cells, scale×mem_scale for
+	// memory cells, 1 for chaos cells.
+	CellScale(i int) int
 	// ProbeCell reports whether cell i would be served from the memo
 	// store, with no counter effect.
 	ProbeCell(i int) bool

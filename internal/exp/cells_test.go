@@ -64,6 +64,28 @@ func TestPlanCellEnumeration(t *testing.T) {
 	}
 }
 
+// TestCellScale pins each cell kind's effective scale: the perf scale for
+// perf cells, scale×memScale for memory cells, 1 for every chaos cell.
+func TestCellScale(t *testing.T) {
+	ws := cellTestWorkloads(t)
+	p := NewReportPlan(ws, 2, 3).WithTemporal(true)
+	for i := 0; i < p.NumCells(); i++ {
+		want := 2
+		if p.Meta(i).Kind == CellMem {
+			want = 6
+		}
+		if got := p.CellScale(i); got != want {
+			t.Errorf("%+v: CellScale = %d, want %d", p.Meta(i), got, want)
+		}
+	}
+	c := NewChaosPlan(3)
+	for i := 0; i < c.NumCells(); i++ {
+		if got := c.CellScale(i); got != 1 {
+			t.Fatalf("chaos cell %d: CellScale = %d, want 1", i, got)
+		}
+	}
+}
+
 // TestAssemblyReportEquivalence is the core reassembly contract: running
 // every cell independently (in parallel, added out of order) and
 // assembling reproduces RunSet+RunMemSet byte-for-byte.

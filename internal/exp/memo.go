@@ -196,6 +196,13 @@ func (p Plan) CellDigest(i int) memo.Digest {
 	return CellDigest(w, mode, noPromote, scale)
 }
 
+// CellScale returns cell i's effective scale: the plan's scale for a perf
+// cell, scale×memScale for a memory cell.
+func (p Plan) CellScale(i int) int {
+	_, _, _, scale, _ := p.cellSpec(i)
+	return scale
+}
+
 // ProbeCell reports whether cell i would be served from the memo store,
 // with no counter effect — for warm-cell headers and diagnostics.
 func (p Plan) ProbeCell(i int) bool {
@@ -215,6 +222,10 @@ func (p ChaosPlan) CellDigest(i int) memo.Digest {
 	s, f, seed := p.coords(i)
 	return chaosCellDigest(s, f, seed)
 }
+
+// CellScale returns 1: every chaos cell runs one fault injection, at any
+// plan scale.
+func (p ChaosPlan) CellScale(int) int { return 1 }
 
 // ProbeCell reports whether chaos cell i would be served from the memo
 // store, with no counter effect.

@@ -146,6 +146,7 @@ type RunStats struct {
 
 	// Shard-side accounting (this run's shard, so counters are absolute).
 	FailedOver    uint64            `json:"failed_over"`    // cells reassigned after a backend loss
+	Stolen        uint64            `json:"stolen"`         // cells run by a backend other than their home queue's
 	Hedged        uint64            `json:"hedged"`         // straggler cells re-dispatched
 	Shed          uint64            `json:"shed"`           // cells emitted as error cells
 	CorruptLines  uint64            `json:"corrupt_lines"`  // backend lines the shard's validation rejected
@@ -218,9 +219,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 					res.Failed++
 				}
 				res.Runs = append(res.Runs, stats)
-				logf("netchaos: %-5s fault=%-9s seed=%d cells=%d injected=%d rounds=%d failed_over=%d hedged=%d shed=%d corrupt_lines=%d dup_suppressed=%d retried=%d lost=%d identical=%v",
+				logf("netchaos: %-5s fault=%-9s seed=%d cells=%d injected=%d rounds=%d failed_over=%d stolen=%d hedged=%d shed=%d corrupt_lines=%d dup_suppressed=%d retried=%d lost=%d identical=%v",
 					lg.name, fault, seed, stats.Cells, stats.Injected, stats.Rounds,
-					stats.FailedOver, stats.Hedged, stats.Shed, stats.CorruptLines,
+					stats.FailedOver, stats.Stolen, stats.Hedged, stats.Shed, stats.CorruptLines,
 					stats.DupSuppressed, stats.RetriedCells, stats.Lost, stats.ReportIdentical)
 			}
 		}
@@ -469,6 +470,7 @@ func scrapeShard(ctx context.Context, shardURL string, stats *RunStats) {
 		return
 	}
 	stats.FailedOver = m.Shard["reassigned_cells"]
+	stats.Stolen = m.Shard["stolen_cells"]
 	stats.Hedged = m.Shard["hedged_cells"]
 	stats.Shed = m.Shard["shed_cells"]
 	stats.CorruptLines = m.Shard["corrupt_lines"]
@@ -492,6 +494,7 @@ type Summary struct {
 	Injected      uint64 `json:"injected"`
 	Recovered     uint64 `json:"recovered"`
 	FailedOver    uint64 `json:"failed_over"`
+	Stolen        uint64 `json:"stolen"`
 	Hedged        uint64 `json:"hedged"`
 	Shed          uint64 `json:"shed"`
 	CorruptLines  uint64 `json:"corrupt_lines"`
@@ -508,6 +511,7 @@ func (r *CampaignResult) Summarize() Summary {
 		s.Injected += run.Injected
 		s.Recovered += run.recovered()
 		s.FailedOver += run.FailedOver
+		s.Stolen += run.Stolen
 		s.Hedged += run.Hedged
 		s.Shed += run.Shed
 		s.CorruptLines += run.CorruptLines

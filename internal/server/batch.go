@@ -36,6 +36,11 @@ const NDJSONContentType = "application/x-ndjson"
 // (before the trailer), set before the first line.
 const CellsHeader = "X-Ifp-Cells"
 
+// WorkersHeader reports, on every campaign stream, how many cells the
+// backend simulates at once (Config.Workers): the shard keeps at least
+// that many of a campaign's cells outstanding on it.
+const WorkersHeader = "X-Ifp-Workers"
+
 // Batch endpoint paths, shared with the client and the shard tier.
 const (
 	BatchPath = "/v1/batch"
@@ -267,6 +272,11 @@ func resolveSubset(n int, subset []int) ([]int, error) {
 // campaign it names and its validated cell subset.
 type Campaign interface {
 	exp.CellPlan
+	// CellDigest is cell i's canonical memo key: what a backend that
+	// served the cell holds it under.
+	CellDigest(i int) memo.Digest
+	// CellScale is cell i's effective scale (exp.Campaign.CellScale).
+	CellScale(i int) int
 	// Cells is the requested subset: every cell when the request named
 	// none.
 	Cells() []int
@@ -400,6 +410,7 @@ func (c campaign[C]) stream(s *Server, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", NDJSONContentType)
 	w.Header().Set(CellsHeader, strconv.Itoa(len(cells)))
 	w.Header().Set(MemoHeader, strconv.Itoa(warm))
+	w.Header().Set(WorkersHeader, strconv.Itoa(s.cfg.Workers))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 

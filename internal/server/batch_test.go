@@ -305,3 +305,16 @@ func TestBusyResponsesCarryRetryAfter(t *testing.T) {
 		t.Errorf("busy body %q not structured", rec.Body.String())
 	}
 }
+
+// TestCampaignStreamReportsWorkers: every campaign stream carries the
+// backend's worker count, which the shard sizes its chunks by.
+func TestCampaignStreamReportsWorkers(t *testing.T) {
+	_, c, done := newTestServer(t, Config{Workers: 3})
+	defer done()
+	for _, route := range CampaignRoutes {
+		hdr, _, _ := postNDJSON(t, c.BaseURL+route.Path, `{"cells":[0]}`)
+		if got := hdr.Get(WorkersHeader); got != "3" {
+			t.Errorf("%s: %s = %q, want 3", route.Path, WorkersHeader, got)
+		}
+	}
+}

@@ -25,7 +25,9 @@ const maxStreamLineBytes = 1 << 20
 
 // StreamNDJSON posts req to path and invokes onLine with each non-empty
 // NDJSON line as it arrives (the line buffer is only valid during the
-// call). An error from onLine aborts the stream and is returned.
+// call). An error from onLine aborts the stream and is returned. When
+// onHeader is non-nil, it receives the response headers of every
+// accepted (200) attempt before that attempt's first line.
 //
 // Retries follow the unary rules — transient statuses and transport
 // errors, exponential backoff, Retry-After honoured — but only while no
@@ -33,20 +35,20 @@ const maxStreamLineBytes = 1 << 20
 // stream, replaying the request from the top would hand it duplicate
 // cells, so mid-stream failures are returned as-is and truncation is
 // the caller's to detect (the campaign wrappers do, via the trailer).
-func (c *Client) StreamNDJSON(ctx context.Context, path string, req any, onLine func(line []byte) error) error {
+func (c *Client) StreamNDJSON(ctx context.Context, path string, req any, onHeader func(http.Header), onLine func(line []byte) error) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	return c.retry(ctx, func() (bool, error) {
-		delivered, err := c.streamOnce(ctx, path, body, onLine)
+		delivered, err := c.streamOnce(ctx, path, body, onHeader, onLine)
 		return delivered == 0 && retryable(err), err
 	})
 }
 
 // streamOnce performs one streaming attempt, reporting how many lines
 // it delivered to onLine (the retry-safety signal).
-func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onLine func([]byte) error) (delivered int, err error) {
+func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onHeader func(http.Header), onLine func([]byte) error) (delivered int, err error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
@@ -73,6 +75,9 @@ func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onLin
 	if hresp.StatusCode != http.StatusOK {
 		rbody, _ := io.ReadAll(io.LimitReader(hresp.Body, maxStreamLineBytes))
 		return 0, newAPIError(hresp, rbody)
+	}
+	if onHeader != nil {
+		onHeader(hresp.Header)
 	}
 	sc := bufio.NewScanner(hresp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), maxStreamLineBytes)
@@ -108,7 +113,7 @@ func (c *Client) BatchStream(ctx context.Context, req BatchRequest, onCell func(
 // returns ErrTruncatedStream.
 func (c *Client) CampaignStream(ctx context.Context, path string, req any, onCell func(BatchCell) error) (*BatchTrailer, error) {
 	var trailer *BatchTrailer
-	err := c.StreamNDJSON(ctx, path, req, func(line []byte) error {
+	err := c.StreamNDJSON(ctx, path, req, nil, func(line []byte) error {
 		// The trailer is the one line with done=true; cell lines have no
 		// done field, so probing with the trailer shape is unambiguous.
 		var t BatchTrailer

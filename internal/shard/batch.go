@@ -3,20 +3,27 @@ package shard
 // Batch fan-out: the shard serves the same streaming campaign endpoints
 // as one backend (/v1/batch, /v1/grid, /v1/chaos: server.CampaignRoutes,
 // resolved and bounded by the backends' own resolvers) by scattering the
-// campaign's cells across the ring — each cell to the backend owning
-// its stable plan key — and merging the backends' NDJSON streams into
-// one, in completion order, cell lines passed through byte-for-byte.
-// A client cannot tell a shard from a single ifp-serve, and reassembles
-// the identical report either way.
+// campaign's cells across the fleet and merging the backends' NDJSON
+// streams into one, in completion order, cell lines passed through
+// byte-for-byte. A client cannot tell a shard from a single ifp-serve,
+// and reassembles the identical report either way.
 //
-// Draining: when a backend's stream fails (transport error, truncated
-// stream, corrupt line), the cells it never delivered are re-scattered
-// over the surviving backends, up to one round per backend. Within a
-// round, cells still undelivered HedgeAfter into the dispatch are
-// hedged — re-sent to a second backend while the primary keeps running
-// — and whichever answer lands first wins (seq dedup drops the other).
-// Cells that no backend can run are emitted as error cells, so the
-// stream still ends with an honest trailer.
+// Placement (scatter.go): cells a backend has served before are pinned
+// to it and sent in one request; every other cell waits on its ring
+// owner's held queue and goes out in factoring-sized chunks to whichever
+// backend runs short of work, its owner or a thief. Each cell is
+// dispatched once, so unless a hedge or a failed relay sends it again, a
+// cold campaign computes every cell exactly once, and a replay of it is
+// all memo hits.
+//
+// Draining: when a relay fails (transport error, truncated stream,
+// corrupt line), its backend is excluded from the campaign and the cells
+// it never delivered go back to the held queues of the backends that
+// remain. Cells still undelivered HedgeAfter into their chunk's dispatch
+// are hedged — re-sent to a second backend while the first keeps
+// running — and whichever answer lands first wins (seq dedup drops the
+// other). Cells that no backend can run are emitted as error cells, so
+// the stream still ends with an honest trailer.
 //
 // Trust boundary: backend stream lines are validated, not relayed
 // blindly. A line must decode, carry a seq the backend was actually
@@ -61,9 +68,9 @@ func (s *Shard) handleCampaign(route server.CampaignRoute) http.HandlerFunc {
 	}
 }
 
-// streamScattered fans the cells over their ring owners, merges the
-// backend streams into one NDJSON response, reassigns cells lost to a
-// failed backend, and closes with the merged trailer.
+// streamScattered places the campaign's cells on the fleet, merges the
+// backend streams into one NDJSON response, moves cells lost to a failed
+// backend, and closes with the merged trailer.
 func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path string, camp server.Campaign) {
 	cells := camp.Cells()
 	s.metrics.batchStreams.Add(1)
@@ -74,8 +81,11 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	var mu sync.Mutex // serializes receipt tracking and response writes
-	received := make([]bool, camp.NumCells())
+	var mu sync.Mutex // guards sc, the trailer counts and response writes
+	sc := newScatter(len(s.backends), camp.NumCells(),
+		func(i int, ok func(int) bool) int { return s.ring.owner(camp.Key(i), ok) },
+		func(b int) bool { return s.backends[b].isUp() },
+		camp.CellScale)
 	completed, failed := 0, 0
 	emitLocked := func(line []byte) {
 		if ctx.Err() != nil {
@@ -87,43 +97,81 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 			flusher.Flush()
 		}
 	}
+
+	var wg sync.WaitGroup
+	var start func(f *flight)
+	// fillLocked tops up every backend due a chunk. eligible reserves a
+	// half-open breaker's probe slot, so it is asked only when a chunk is
+	// ready, and the chunk is then sent: a half-open backend gets exactly
+	// one chunk as its probe, and no more until the probe settles.
+	fillLocked := func() {
+		for b, be := range s.backends {
+			for ctx.Err() == nil && sc.wants(b) && be.eligible() {
+				start(sc.next(b))
+			}
+		}
+	}
 	// deliver merges one relayed cell line: deduplicated on seq. Dedup is
 	// the invariant that makes hedging and reassignment safe — whichever
 	// copy of a cell arrives first wins, every later copy (hedge answer,
 	// duplicated backend line) is counted and dropped.
-	deliver := func(seq int, line []byte, isErr bool) {
+	deliver := func(f *flight, seq int, line []byte, isErr bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if seq < 0 || seq >= len(received) {
-			return
-		}
-		if received[seq] {
+		if !sc.deliver(seq) {
 			s.metrics.dupSuppressed.Add(1)
 			return
 		}
-		received[seq] = true
 		if isErr {
 			failed++
 		} else {
 			completed++
+			s.dirMu.Lock()
+			s.dir[camp.CellDigest(seq)] = f.b
+			s.dirMu.Unlock()
+		}
+		if f.steal {
+			s.metrics.stolenCells.Add(1)
 		}
 		s.metrics.batchCells.Add(1)
 		emitLocked(line)
+		fillLocked()
 	}
-
-	var exMu sync.Mutex
-	excluded := make(map[int]bool, len(s.backends))
-	isExcluded := func(b int) bool {
-		exMu.Lock()
-		defer exMu.Unlock()
-		return excluded[b]
+	// hedgeLocked re-sends f's undelivered cells, each to its ring owner
+	// among the other backends. The first backend keeps running — first
+	// answer wins, dedup absorbs the loser — so a stalled-but-alive
+	// backend costs the campaign one hedge budget, not a relay timeout.
+	hedgeLocked := func(f *flight) {
+		if f.ended || ctx.Err() != nil {
+			return
+		}
+		parts := make(map[int][]int)
+		for _, i := range sc.undelivered(f) {
+			hb := s.ring.owner(camp.Key(i), func(b int) bool {
+				return b != f.b && !sc.gone[b] && s.backends[b].eligible()
+			})
+			if hb >= 0 {
+				parts[hb] = append(parts[hb], i)
+			}
+		}
+		for hb, part := range parts {
+			s.metrics.hedgedCells.Add(uint64(len(part)))
+			start(sc.send(&flight{b: hb, cells: part, hedge: true}))
+		}
 	}
-	// runPart relays one backend's cell subset under the relay timeout,
-	// feeding the health verdict and breaker with the outcome. A failed
-	// relay excludes the backend for the rest of this campaign — its
-	// undelivered cells are picked up by the next round.
-	runPart := func(wg *sync.WaitGroup, bi int, part []int) {
+	// start relays flight f under the relay timeout, feeding the health
+	// verdict and breaker with the outcome. A failed relay excludes its
+	// backend for the rest of the campaign.
+	start = func(f *flight) {
 		wg.Add(1)
+		var hedge *time.Timer
+		if !f.hedge && s.cfg.HedgeAfter > 0 && len(s.backends) > 1 {
+			hedge = time.AfterFunc(s.cfg.HedgeAfter, func() {
+				mu.Lock()
+				defer mu.Unlock()
+				hedgeLocked(f)
+			})
+		}
 		go func() {
 			defer wg.Done()
 			rctx := ctx
@@ -132,116 +180,63 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 				rctx, cancel = context.WithTimeout(ctx, s.cfg.RelayTimeout)
 				defer cancel()
 			}
-			if err := s.relayStream(rctx, s.backends[bi], path, camp, part, deliver); err != nil {
-				s.noteFailure(s.backends[bi])
-				exMu.Lock()
-				excluded[bi] = true
-				exMu.Unlock()
-				return
+			workers := func(n int) {
+				mu.Lock()
+				defer mu.Unlock()
+				sc.workers[f.b] = n
+				fillLocked()
 			}
-			s.noteSuccess(s.backends[bi])
+			err := s.relayStream(rctx, s.backends[f.b], path, camp, f.cells, workers,
+				func(seq int, line []byte, isErr bool) { deliver(f, seq, line, isErr) })
+			if hedge != nil {
+				hedge.Stop()
+			}
+			switch {
+			case err == nil:
+				s.noteSuccess(s.backends[f.b])
+			case ctx.Err() == nil: // a client that left says nothing about the backend
+				s.noteFailure(s.backends[f.b])
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if moved := sc.end(f, err != nil); moved > 0 {
+				s.metrics.reassignedCells.Add(uint64(moved))
+			}
+			fillLocked()
 		}()
 	}
 
-	pending := cells
-	for round := 0; round <= len(s.backends) && len(pending) > 0 && ctx.Err() == nil; round++ {
-		if round > 0 {
-			s.metrics.reassignedCells.Add(uint64(len(pending)))
+	mu.Lock()
+	pinned, fresh := s.pinned(camp, cells)
+	for b, part := range pinned {
+		if len(part) > 0 && s.backends[b].eligible() {
+			start(sc.send(&flight{b: b, cells: part}))
+		} else {
+			fresh = append(fresh, part...) // its server is out: start over at the ring owner
 		}
-		parts := make(map[int][]int)
-		for _, i := range pending {
-			bi := s.ring.owner(camp.Key(i), func(b int) bool { return !excluded[b] && s.backends[b].eligible() })
-			if bi < 0 {
-				continue // orphan: retried next round if a backend recovers, else error cell
-			}
-			parts[bi] = append(parts[bi], i)
-		}
-		if len(parts) == 0 {
-			break
-		}
-		var wg sync.WaitGroup
-		for bi, part := range parts {
-			runPart(&wg, bi, part)
-		}
-		// Hedge watchdog: if stragglers remain HedgeAfter into the round,
-		// re-dispatch each undelivered cell to a backend other than its
-		// primary. The primary keeps running — first answer wins, dedup
-		// absorbs the loser — so a stalled-but-alive backend costs the
-		// campaign one hedge budget, not a relay timeout.
-		roundDone := make(chan struct{})
-		var hedgeWG sync.WaitGroup
-		if s.cfg.HedgeAfter > 0 && len(s.backends) > 1 {
-			hedgeWG.Add(1)
-			go func() {
-				defer hedgeWG.Done()
-				t := time.NewTimer(s.cfg.HedgeAfter)
-				defer t.Stop()
-				select {
-				case <-roundDone:
-					return
-				case <-ctx.Done():
-					return
-				case <-t.C:
-				}
-				hedgeParts := make(map[int][]int)
-				mu.Lock()
-				for bi, part := range parts {
-					for _, i := range part {
-						if received[i] {
-							continue
-						}
-						hb := s.ring.owner(camp.Key(i), func(b int) bool {
-							return b != bi && !isExcluded(b) && s.backends[b].eligible()
-						})
-						if hb >= 0 {
-							hedgeParts[hb] = append(hedgeParts[hb], i)
-						}
-					}
-				}
-				mu.Unlock()
-				var hwg sync.WaitGroup
-				for bi, part := range hedgeParts {
-					s.metrics.hedgedCells.Add(uint64(len(part)))
-					runPart(&hwg, bi, part)
-				}
-				hwg.Wait()
-			}()
-		}
-		wg.Wait()
-		close(roundDone)
-		hedgeWG.Wait()
-		var rest []int
-		mu.Lock()
-		for _, i := range pending {
-			if !received[i] {
-				rest = append(rest, i)
-			}
-		}
-		mu.Unlock()
-		pending = rest
 	}
+	sc.queue(fresh)
+	fillLocked()
+	mu.Unlock()
+	wg.Wait()
 
 	if ctx.Err() != nil {
 		return // client gone: truncated stream, no trailer
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	// Cells nobody could run are shed: emitted as explicit error cells,
 	// so the client sees a complete, honest accounting instead of silent
 	// gaps.
-	for _, i := range pending {
-		m := camp.Meta(i)
-		cell := server.BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config,
-			Error: "no backend available"}
-		mu.Lock()
-		if !received[i] {
-			received[i] = true
+	for _, i := range cells {
+		if sc.deliver(i) {
+			m := camp.Meta(i)
 			failed++
 			s.metrics.shedCells.Add(1)
-			emitLocked(mustShardJSON(cell))
+			emitLocked(mustShardJSON(server.BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config,
+				Error: "no backend available"}))
 		}
-		mu.Unlock()
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	emitLocked(mustShardJSON(server.BatchTrailer{
 		Done:      true,
 		Cells:     len(cells),
@@ -250,19 +245,43 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	}))
 }
 
-// relayStream consumes one backend's NDJSON stream, validating every
-// cell line against the plan and the backend's assigned part before
-// handing it to deliver. It fails on transport errors, truncation, and
-// corrupt lines — the cases where the backend's remaining cells need a
-// new home. Valid lines are relayed byte-for-byte, so the client's
-// reassembled report stays identical to a serial run's.
-func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp server.Campaign, part []int, deliver func(seq int, line []byte, isErr bool)) error {
+// pinned splits cells into those the directory pins, per backend, and
+// the rest.
+func (s *Shard) pinned(camp server.Campaign, cells []int) (pinned [][]int, fresh []int) {
+	pinned = make([][]int, len(s.backends))
+	s.dirMu.Lock()
+	defer s.dirMu.Unlock()
+	for _, i := range cells {
+		if b, ok := s.dir[camp.CellDigest(i)]; ok {
+			pinned[b] = append(pinned[b], i)
+		} else {
+			fresh = append(fresh, i)
+		}
+	}
+	return pinned, fresh
+}
+
+// relayStream consumes one backend's NDJSON stream for the cells of
+// part, validating every cell line against the plan and part before
+// handing it to deliver, and passing the backend's reported worker count
+// to workers. It fails on transport errors, truncation, corrupt lines,
+// and a trailer that arrives before every cell of part has — the cases
+// where the backend's remaining cells need a new home. Valid lines are
+// relayed byte-for-byte, so the client's reassembled report stays
+// identical to a serial run's.
+func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp server.Campaign, part []int,
+	workers func(n int), deliver func(seq int, line []byte, isErr bool)) error {
 	assigned := make(map[int]bool, len(part))
 	for _, i := range part {
 		assigned[i] = true
 	}
+	seen := make(map[int]bool, len(part))
 	sawTrailer := false
-	err := b.client.StreamNDJSON(ctx, path, camp.Request(part), func(line []byte) error {
+	err := b.client.StreamNDJSON(ctx, path, camp.Request(part), func(h http.Header) {
+		if n, err := strconv.Atoi(h.Get(server.WorkersHeader)); err == nil && n > 0 {
+			workers(n)
+		}
+	}, func(line []byte) error {
 		cell, done, err := relayLine(camp, assigned, line)
 		if err != nil {
 			s.metrics.corruptLines.Add(1)
@@ -272,6 +291,7 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp s
 			sawTrailer = true
 			return nil
 		}
+		seen[cell.Seq] = true
 		deliver(cell.Seq, line, cell.Error != "")
 		return nil
 	})
@@ -280,6 +300,9 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp s
 	}
 	if !sawTrailer {
 		return fmt.Errorf("shard: %s: %w", b.url, server.ErrTruncatedStream)
+	}
+	if missing := len(part) - len(seen); missing > 0 {
+		return fmt.Errorf("shard: %s: %w: trailer before %d of %d cells", b.url, server.ErrTruncatedStream, missing, len(part))
 	}
 	return nil
 }

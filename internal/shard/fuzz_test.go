@@ -76,7 +76,7 @@ func streamLines(t testing.TB, plans []relayPlan) [][]byte {
 		if rp.path == server.ChaosPath {
 			req = server.ChaosRequest{Scale: 1, Cells: []int{0, last}}
 		}
-		if err := c.StreamNDJSON(context.Background(), rp.path, req, func(line []byte) error {
+		if err := c.StreamNDJSON(context.Background(), rp.path, req, nil, func(line []byte) error {
 			lines = append(lines, append([]byte(nil), line...))
 			return nil
 		}); err != nil {

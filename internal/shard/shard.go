@@ -3,13 +3,16 @@
 // requests across N backend processes and merges their answers.
 //
 // Routing is by content, not by connection: /v1/run routes on
-// sha256(source), /v1/juliet on the case name, /v1/workload on the
-// workload name, and the batch endpoints scatter each campaign cell by
-// its stable plan key (exp.Plan.Key). Consistent hashing with virtual
-// nodes means every backend sees a stable subset of the key space, so
-// each backend's program interner and result LRU stay hot on their own
-// slice of the workload — the property that makes N backends behave
-// like one big cache rather than N cold ones.
+// sha256(source), /v1/juliet on the case name, and /v1/workload on the
+// workload name. Consistent hashing with virtual nodes means every
+// backend sees a stable subset of the key space, so each backend's
+// program interner and result LRU stay hot on their own slice of the
+// workload — the property that makes N backends behave like one big
+// cache rather than N cold ones. The batch endpoints home each campaign
+// cell at the ring owner of its stable plan key (exp.Plan.Key), balance
+// the campaign's work by letting idle backends take other backends'
+// unstarted cells, and send a cell the shard has seen served back to
+// the backend that served it (batch.go, scatter.go).
 //
 // Backends are health-checked continuously; a backend that fails
 // DownAfter consecutive probes is drained — new requests route past it,
@@ -30,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infat/internal/memo"
 	"infat/internal/server"
 )
 
@@ -40,9 +44,10 @@ const (
 	DefaultHealthTimeout  = 2 * time.Second
 	DefaultDownAfter      = 2
 	DefaultMaxBodyBytes   = 8 << 20
-	// DefaultHedgeAfter is the straggler budget per scatter round: cells
-	// still undelivered this long after dispatch are hedged to a second
-	// backend (dedup-by-seq makes the duplicate answer safe to absorb).
+	// DefaultHedgeAfter is the straggler budget per dispatched chunk:
+	// cells still undelivered this long after dispatch are hedged to a
+	// second backend (dedup-by-seq makes the duplicate answer safe to
+	// absorb).
 	DefaultHedgeAfter = 10 * time.Second
 	// DefaultRelayTimeout bounds one backend relay stream, so a backend
 	// that accepts the campaign and then stalls (a blackhole, not a
@@ -155,6 +160,7 @@ type shardMetrics struct {
 	batchStreams    atomic.Uint64 // batch/grid/chaos fan-outs started
 	batchCells      atomic.Uint64 // cells merged into client streams
 	reassignedCells atomic.Uint64 // cells re-scattered after a backend loss
+	stolenCells     atomic.Uint64 // cells run by a backend other than their home queue's
 	hedgedCells     atomic.Uint64 // straggler cells re-dispatched to a second backend
 	shedCells       atomic.Uint64 // cells emitted as error cells (no backend could run them)
 	corruptLines    atomic.Uint64 // backend stream lines rejected by validation
@@ -172,6 +178,15 @@ type Shard struct {
 	mux      *http.ServeMux
 	metrics  shardMetrics
 
+	// dir maps the digest of every cell a backend has delivered to that
+	// backend, which holds it in its memo store; a campaign pins those
+	// cells to it. Keys are digests of cells an accepted campaign request
+	// enumerates, so dir is bounded by construction: at MaxScale, every
+	// /v1/batch, /v1/grid and /v1/chaos request together enumerates 2,160
+	// distinct cells (432 perf, 864 memory, 864 chaos).
+	dirMu sync.Mutex
+	dir   map[memo.Digest]int
+
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -187,7 +202,7 @@ func New(cfg Config) (*Shard, error) {
 		return nil, errors.New("shard: at least one backend required")
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
-	s := &Shard{cfg: cfg, mux: http.NewServeMux(), stop: make(chan struct{})}
+	s := &Shard{cfg: cfg, mux: http.NewServeMux(), dir: make(map[memo.Digest]int), stop: make(chan struct{})}
 	for _, u := range cfg.Backends {
 		if seen[u] {
 			return nil, fmt.Errorf("shard: duplicate backend %q", u)
@@ -503,6 +518,7 @@ func (s *Shard) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"batch_streams":    s.metrics.batchStreams.Load(),
 			"batch_cells":      s.metrics.batchCells.Load(),
 			"reassigned_cells": s.metrics.reassignedCells.Load(),
+			"stolen_cells":     s.metrics.stolenCells.Load(),
 			"hedged_cells":     s.metrics.hedgedCells.Load(),
 			"shed_cells":       s.metrics.shedCells.Load(),
 			"corrupt_lines":    s.metrics.corruptLines.Load(),

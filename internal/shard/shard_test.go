@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +18,7 @@ import (
 
 	"infat/internal/chaos"
 	"infat/internal/exp"
+	"infat/internal/memo"
 	"infat/internal/server"
 	"infat/internal/workloads"
 )
@@ -590,7 +594,9 @@ func TestShardRejectsAlienCells(t *testing.T) {
 	t.Cleanup(honest.Close)
 
 	// Thresholds out of reach and no hedging: every campaign sends the
-	// hostile exactly its part once, so each one meets the next line.
+	// hostile exactly one chunk (it reports no workers, so it is topped
+	// up only once that chunk is delivered, which it never is), so each
+	// campaign meets the next line.
 	sh, err := New(Config{
 		Backends:         []string{hostile.URL, honest.URL},
 		HealthInterval:   50 * time.Millisecond,
@@ -621,6 +627,12 @@ func TestShardRejectsAlienCells(t *testing.T) {
 	}
 	for _, cp := range campaigns {
 		for range lines[cp.path] {
+			// Forget which backend served each cell: a repeated campaign
+			// would otherwise send every cell back to the honest backend
+			// and never meet the hostile's next line.
+			sh.dirMu.Lock()
+			clear(sh.dir)
+			sh.dirMu.Unlock()
 			before := sh.metrics.corruptLines.Load()
 			got, err := cp.run()
 			if err != nil {
@@ -748,5 +760,252 @@ func TestShardRejectsOutOfRangeScale(t *testing.T) {
 	}
 	if up := m.Shard["backends_up"]; up != 1 {
 		t.Errorf("backends_up = %d after rejected requests, want 1", up)
+	}
+}
+
+// fleetByHome creates n unstarted backend servers ordered by how many of
+// plan's cells their ring arcs own, most first, so a test can slow down
+// or hold back the backend with the most cells to take.
+func fleetByHome(t *testing.T, n int, plan exp.CellPlan) []*httptest.Server {
+	t.Helper()
+	servers := make([]*httptest.Server, n)
+	for i := range servers {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		t.Cleanup(servers[i].Close)
+	}
+	r := newRing(n, DefaultReplicas, func(i int) string { return "http://" + servers[i].Listener.Addr().String() })
+	owned := make(map[*httptest.Server]int)
+	for c := 0; c < plan.NumCells(); c++ {
+		owned[servers[r.owner(plan.Key(c), func(int) bool { return true })]]++
+	}
+	sort.SliceStable(servers, func(i, j int) bool { return owned[servers[i]] > owned[servers[j]] })
+	return servers
+}
+
+// fleetMemo sums the backends' memo hit and miss counters.
+func fleetMemo(t *testing.T, backs []*httptest.Server) (hits, misses uint64) {
+	t.Helper()
+	for _, b := range backs {
+		m, err := server.NewClient(b.URL).Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits += m.Memo["hits"]
+		misses += m.Memo["misses"]
+	}
+	return hits, misses
+}
+
+// TestShardStealsFromSlowBackend: the backend owning the most cells
+// streams slowly, so the other one runs out of its own cells first and
+// takes the slow one's unstarted cells. The report stays byte-identical,
+// every cell is computed exactly once, and a replay sends every cell
+// back to the backend that computed it — all memo hits, nothing stolen.
+func TestShardStealsFromSlowBackend(t *testing.T) {
+	req := server.ChaosRequest{Scale: 1}
+	plan := req.Plan()
+	backs := fleetByHome(t, 2, plan)
+	backs[0].Config.Handler = throttledHandler{h: server.New(server.Config{}), delay: 10 * time.Millisecond}
+	backs[1].Config.Handler = server.New(server.Config{})
+	for _, b := range backs {
+		b.Start()
+	}
+	sh, err := New(Config{Backends: []string{backs[0].URL, backs[1].URL}, HealthInterval: 50 * time.Millisecond, HealthTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+	c := server.NewClient(front.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	want, _ := exp.ChaosReport(1, runtime.NumCPU())
+	n := uint64(plan.NumCells())
+
+	got, err := c.ChaosReport(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatal("chaos report over a slow backend differs from the serial campaign")
+	}
+	stolen := sh.metrics.stolenCells.Load()
+	if stolen == 0 {
+		t.Error("the fast backend took none of the slow backend's cells")
+	}
+	if hits, misses := fleetMemo(t, backs); hits != 0 || misses != n {
+		t.Errorf("cold campaign: %d memo hits and %d misses over %d cells, want 0 and %d", hits, misses, n, n)
+	}
+
+	if got, err = c.ChaosReport(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatal("replayed chaos report differs from the serial campaign")
+	}
+	if hits, misses := fleetMemo(t, backs); hits != n || misses != n {
+		t.Errorf("replay: %d memo hits and %d misses, want %d and %d", hits, misses, n, n)
+	}
+	if s := sh.metrics.stolenCells.Load(); s != stolen {
+		t.Errorf("replay moved cells: stolen_cells %d -> %d", stolen, s)
+	}
+	for name, v := range map[string]uint64{"hedged_cells": sh.metrics.hedgedCells.Load(), "reassigned_cells": sh.metrics.reassignedCells.Load()} {
+		if v != 0 {
+			t.Errorf("%s = %d on a healthy fleet", name, v)
+		}
+	}
+}
+
+// TestShardHalfOpenProbeIsOneChunk: a backend whose breaker has just
+// turned half-open gets exactly one chunk as its probe. The probe's
+// answer is held back until every other cell is delivered, so the rest
+// of its queue must be taken by the closed backends; the probe then
+// closes the breaker.
+func TestShardHalfOpenProbeIsOneChunk(t *testing.T) {
+	req := server.ChaosRequest{Scale: 1}
+	plan := req.Plan()
+	backs := fleetByHome(t, 3, plan)
+	var shp atomic.Pointer[Shard] // set once the shard exists, read by the probe's handler
+	var posts atomic.Int64
+	probe := server.New(server.Config{})
+	backs[0].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var chunk server.ChaosRequest
+			if err := json.Unmarshal(body, &chunk); err != nil {
+				t.Error(err)
+				return
+			}
+			rest := uint64(plan.NumCells() - len(chunk.Cells))
+			deadline := time.Now().Add(2 * time.Minute)
+			for shp.Load().metrics.batchCells.Load() < rest && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		probe.ServeHTTP(w, r)
+	})
+	var urls []string
+	for _, b := range backs[1:] {
+		b.Config.Handler = server.New(server.Config{})
+	}
+	for _, b := range backs {
+		b.Start()
+		urls = append(urls, b.URL)
+	}
+	// Probes far apart, so only the campaign's probe chunk can close the
+	// breaker.
+	sh, err := New(Config{Backends: urls, HealthInterval: time.Hour, BreakerThreshold: 1, BreakerCooldown: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	shp.Store(sh)
+	sh.backends[0].brk.onFailure()
+	if st, _ := sh.backends[0].brk.snapshot(); st != BreakerOpen {
+		t.Fatalf("breaker %s, want open", st)
+	}
+	time.Sleep(5 * time.Millisecond) // past the cooldown: the next request is the probe
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	got, err := server.NewClient(front.URL).ChaosReport(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
+		t.Fatal("chaos report with a half-open backend differs from the serial campaign")
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("half-open backend received %d requests, want exactly its probe chunk", n)
+	}
+	if sh.metrics.stolenCells.Load() == 0 {
+		t.Error("the closed backends took none of the half-open backend's cells")
+	}
+	if st, _ := sh.backends[0].brk.snapshot(); st != BreakerClosed {
+		t.Errorf("breaker %s after a successful probe, want closed", st)
+	}
+}
+
+// TestDirectoryBound pins the bound the served-cell directory's comment
+// states: every cell an accepted /v1/batch, /v1/grid or /v1/chaos request
+// can enumerate, at every admissible scale, has one of 2,160 digests.
+func TestDirectoryBound(t *testing.T) {
+	digests := map[memo.Digest]bool{}
+	add := func(p server.Campaign) {
+		for i := 0; i < p.NumCells(); i++ {
+			digests[p.CellDigest(i)] = true
+		}
+	}
+	for scale := 1; scale <= server.MaxScale; scale++ {
+		for memScale := 1; scale*memScale <= server.MaxScale*exp.MemScale; memScale++ {
+			for _, temporal := range []bool{false, true} {
+				req := server.BatchRequest{Scale: scale, MemScale: memScale, Temporal: temporal}
+				add(resolveRoute(t, server.BatchPath, req))
+				add(resolveRoute(t, server.GridPath, req))
+			}
+		}
+		add(resolveRoute(t, server.ChaosPath, server.ChaosRequest{Scale: scale}))
+	}
+	if len(digests) != 2160 {
+		t.Errorf("accepted campaigns enumerate %d distinct cells, the directory's stated bound is 2160", len(digests))
+	}
+}
+
+// TestShardEarlyTrailerMovesCells: a backend that closes its stream with
+// a trailer before sending the cells it was given has failed the relay,
+// however healthy it looks. It is excluded from the campaign, its cells
+// move to the honest backend, and the report stays exact; it is never
+// sent the same cells again.
+func TestShardEarlyTrailerMovesCells(t *testing.T) {
+	var posts atomic.Int64
+	lazy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
+		posts.Add(1)
+		w.Header().Set("Content-Type", server.NDJSONContentType)
+		fmt.Fprintln(w, `{"done":true,"cells":0,"completed":0}`)
+	}))
+	t.Cleanup(lazy.Close)
+	honest := httptest.NewServer(server.New(server.Config{}))
+	t.Cleanup(honest.Close)
+	sh, err := New(Config{
+		Backends:         []string{lazy.URL, honest.URL},
+		HealthInterval:   time.Hour,
+		DownAfter:        1 << 20,
+		BreakerThreshold: 1 << 20,
+		HedgeAfter:       -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	got, err := server.NewClient(front.URL).ChaosReport(ctx, server.ChaosRequest{Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
+		t.Fatal("chaos report over a backend that drops its cells differs from the serial campaign")
+	}
+	if n := posts.Load(); n != 1 {
+		t.Errorf("cell-dropping backend received %d requests, want 1", n)
+	}
+	if sh.metrics.reassignedCells.Load() == 0 {
+		t.Error("the dropped cells were not reassigned")
 	}
 }
