@@ -40,7 +40,7 @@ func BenchmarkJulietSuite(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, mode := range []rt.Mode{rt.Subheap, rt.Wrapped} {
-			s := juliet.Run(cases, mode)
+			s := juliet.Run(cases, mode, 1)
 			if s.Detected != s.BadCases || s.FalsePositives != 0 {
 				b.Fatalf("%v: %s", mode, s.Report())
 			}
@@ -64,7 +64,7 @@ func BenchmarkExperiments(b *testing.B) {
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ExperimentsParallel(1, cfg.parallel); err != nil {
+				if _, err := Experiments(1, cfg.parallel); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -297,7 +297,7 @@ func BenchmarkASICSweep(b *testing.B) {
 // BenchmarkAblations regenerates the DESIGN.md design-choice ablations.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Ablations(1); err != nil {
+		if _, err := exp.Ablations(1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,7 +144,7 @@ func run() int {
 		return 0
 	}
 	if *ablations {
-		out, err := exp.AblationsN(*scale, *parallel)
+		out, err := exp.Ablations(*scale, *parallel)
 		if err != nil {
 			return fail(err)
 		}
@@ -153,7 +153,7 @@ func run() int {
 		return 0
 	}
 	if *hybrid {
-		out, err := exp.HybridReportN(*scale, *parallel)
+		out, err := exp.HybridReport(*scale, *parallel)
 		if err != nil {
 			return fail(err)
 		}

@@ -90,7 +90,7 @@ func main() {
 
 	exit := 0
 	for _, mode := range modes {
-		s := juliet.RunParallel(casesFor(mode), mode, *parallel)
+		s := juliet.Run(casesFor(mode), mode, *parallel)
 		fmt.Printf("=== %v allocator ===\n%s", mode, s.Report())
 		if *verbose {
 			for _, o := range s.Outcomes {

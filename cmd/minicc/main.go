@@ -63,10 +63,15 @@ func main() {
 		os.Exit(1)
 	}
 	if *disasm {
+		lowered, err := minic.DisassembleLowered(comp)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Println("; ==== stack IR (instrumented) ====")
 		fmt.Print(minic.Disassemble(comp))
 		fmt.Println("\n; ==== register bytecode (lowered) ====")
-		fmt.Print(minic.DisassembleLowered(comp))
+		fmt.Print(lowered)
 		return
 	}
 	if *dumpIR {

@@ -223,16 +223,11 @@ func RunCBudget(src string, mode Mode, fuel uint64) (out []int64, exit int64, er
 // returns the rendered Table 4 and Figures 10-12. Scale 1 is the standard
 // run (tens of seconds); the memory experiment runs at scale*4 (§5.2.3
 // needs multi-page footprints). The (workload × configuration) grid fans
-// out over GOMAXPROCS worker goroutines; use ExperimentsParallel to
-// control the worker count.
-func Experiments(scale int) (string, error) { return ExperimentsParallel(scale, 0) }
-
-// ExperimentsParallel is Experiments with an explicit worker count:
-// parallel <= 0 selects GOMAXPROCS, 1 runs fully serially. Every cell of
-// the grid builds its own isolated runtime and results are collected in
-// deterministic order, so the report is byte-identical at any worker
-// count.
-func ExperimentsParallel(scale, parallel int) (string, error) {
+// out over parallel worker goroutines: parallel <= 0 selects GOMAXPROCS,
+// 1 runs fully serially. Every cell of the grid builds its own isolated
+// runtime and results are collected in deterministic order, so the report
+// is byte-identical at any worker count.
+func Experiments(scale, parallel int) (string, error) {
 	return exp.RunReport(exp.NewReportPlan(workloads.All, scale, exp.MemScale), parallel)
 }
 
@@ -242,31 +237,21 @@ func ExperimentsParallel(scale, parallel int) (string, error) {
 // trap), tolerated (documented-by-design escape), or internal (recovered
 // panic or untyped error — a simulator bug). It returns the rendered
 // report and the internal-outcome count, which a healthy simulator keeps
-// at zero. The grid fans out over GOMAXPROCS worker goroutines; use
-// ChaosCampaignParallel to control the worker count.
-func ChaosCampaign(scale int) (report string, internal int) {
-	return ChaosCampaignParallel(scale, 0)
-}
-
-// ChaosCampaignParallel is ChaosCampaign with an explicit worker count:
-// parallel <= 0 selects GOMAXPROCS, 1 runs fully serially. Every cell
-// builds its own isolated runtime and results collect in deterministic
-// order, so the report is byte-identical at any worker count.
-func ChaosCampaignParallel(scale, parallel int) (report string, internal int) {
+// at zero. The grid fans out over parallel worker goroutines (<= 0
+// selects GOMAXPROCS, 1 runs fully serially); every cell builds its own
+// isolated runtime and results collect in deterministic order, so the
+// report is byte-identical at any worker count.
+func ChaosCampaign(scale, parallel int) (report string, internal int) {
 	return exp.ChaosReport(scale, parallel)
 }
 
 // JulietSuite runs the §5.1 functional evaluation in the given mode and
-// returns its summary. Cases fan out over GOMAXPROCS worker goroutines;
-// use JulietSuiteParallel to control the worker count.
-func JulietSuite(mode Mode) juliet.Summary { return JulietSuiteParallel(mode, 0) }
-
-// JulietSuiteParallel is JulietSuite with an explicit worker count:
-// parallel <= 0 selects GOMAXPROCS, 1 runs fully serially. Each case runs
-// in its own isolated runtime and the summary aggregates in case order,
-// so the result is identical at any worker count.
-func JulietSuiteParallel(mode Mode, parallel int) juliet.Summary {
-	return juliet.RunParallel(juliet.Generate(), mode, parallel)
+// returns its summary. Cases fan out over parallel worker goroutines
+// (<= 0 selects GOMAXPROCS, 1 runs fully serially); each case runs in its
+// own isolated runtime and the summary aggregates in case order, so the
+// result is identical at any worker count.
+func JulietSuite(mode Mode, parallel int) juliet.Summary {
+	return juliet.Run(juliet.Generate(), mode, parallel)
 }
 
 // HardwareCost renders the Figure 13 area decomposition and the §5.3

@@ -57,15 +57,15 @@ int main() {
 }
 
 func TestJulietSuiteAPI(t *testing.T) {
-	s := JulietSuite(Subheap)
+	s := JulietSuite(Subheap, 0)
 	if s.Detected != s.BadCases || s.FalsePositives != 0 || s.Errors != 0 {
 		t.Fatalf("suite result: %+v", s.Report())
 	}
 }
 
 func TestJulietSuiteParallelMatchesSerial(t *testing.T) {
-	serial := JulietSuiteParallel(Wrapped, 1)
-	par := JulietSuiteParallel(Wrapped, 4)
+	serial := JulietSuite(Wrapped, 1)
+	par := JulietSuite(Wrapped, 4)
 	if serial.Report() != par.Report() {
 		t.Errorf("parallel report differs:\n--- serial ---\n%s--- parallel ---\n%s",
 			serial.Report(), par.Report())
@@ -141,11 +141,11 @@ func TestIsInternalTrap(t *testing.T) {
 }
 
 func TestChaosCampaignDeterministicAcrossWorkers(t *testing.T) {
-	serial, internal := ChaosCampaignParallel(1, 1)
+	serial, internal := ChaosCampaign(1, 1)
 	if internal != 0 {
 		t.Fatalf("campaign reported %d internal outcomes:\n%s", internal, serial)
 	}
-	parallel, _ := ChaosCampaignParallel(1, 0)
+	parallel, _ := ChaosCampaign(1, 0)
 	if serial != parallel {
 		t.Fatal("chaos report differs between serial and parallel runs")
 	}

@@ -59,14 +59,11 @@ var ablationRows = []struct {
 // Ablations runs the DESIGN.md §5 design-choice ablations on the subset
 // and renders a comparison: standard subheap instrumentation versus
 // (a) no layout walker, (b) global-table-only metadata, and (c) explicit
-// checks instead of implicit checking.
-func Ablations(scale int) (string, error) { return AblationsN(scale, 1) }
-
-// AblationsN is Ablations with the per-workload runs fanned over at most
-// workers goroutines. A configuration that fails to run renders as a
-// FAILED row (capacity exhaustion under global-only is itself a result
+// checks instead of implicit checking. The per-workload runs fan over at
+// most workers goroutines. A configuration that fails to run renders as
+// a FAILED row (capacity exhaustion under global-only is itself a result
 // worth reporting), not a harness error, in parallel and serial alike.
-func AblationsN(scale, workers int) (string, error) {
+func Ablations(scale, workers int) (string, error) {
 	type cell struct {
 		m   ModeResult
 		err error

@@ -223,7 +223,7 @@ func TestEmptySeriesGeomeanRendersNA(t *testing.T) {
 }
 
 func TestAblationsRender(t *testing.T) {
-	out, err := Ablations(1)
+	out, err := Ablations(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,11 @@ import (
 // mode (§4.2.1's future-work exploration, implemented here) and compares
 // it against the paper's two static choices. The hypothesis the paper
 // sketches: hybrid should track subheap on pool-friendly programs and
-// avoid subheap's losses where metadata fits the cache anyway.
-func HybridReport(scale int) (string, error) { return HybridReportN(scale, 1) }
-
-// HybridReportN is HybridReport with the (workload × mode) cells fanned
-// over at most workers goroutines; rows render in workload order, so the
-// report is byte-identical at any worker count.
-func HybridReportN(scale, workers int) (string, error) {
+// avoid subheap's losses where metadata fits the cache anyway. The
+// (workload × mode) cells fan over at most workers goroutines; rows
+// render in workload order, so the report is byte-identical at any
+// worker count.
+func HybridReport(scale, workers int) (string, error) {
 	modes := []rt.Mode{rt.Baseline, rt.Subheap, rt.Wrapped, rt.Hybrid}
 	cells := make([]ModeResult, len(workloads.All)*len(modes))
 	if err := pool.Map(workers, len(cells), func(c int) error {

@@ -80,7 +80,7 @@ func TestReuseEquivalenceAblations(t *testing.T) {
 	report := func(reuse bool) string {
 		var out string
 		withReuse(reuse, func() {
-			s, err := AblationsN(1, runtime.NumCPU())
+			s, err := Ablations(1, runtime.NumCPU())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,7 +52,7 @@ func TemporalDetection(workers int) string {
 	var t stats.Table
 	t.Add("Mode", "Detected", "Missed", "FalsePos", "Errors")
 	for _, mode := range []rt.Mode{rt.Hybrid, rt.IFPTemporal} {
-		s := juliet.RunParallel(cases, mode, workers)
+		s := juliet.Run(cases, mode, workers)
 		t.Add(mode.String(),
 			fmt.Sprintf("%d/%d", s.Detected, s.BadCases),
 			fmt.Sprint(s.Missed), fmt.Sprint(s.FalsePositives), fmt.Sprint(s.Errors))

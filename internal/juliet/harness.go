@@ -95,17 +95,13 @@ func RunCase(c Case, mode rt.Mode) Outcome {
 	return o
 }
 
-// Run executes the whole suite in one mode, serially (the workers=1 path
-// of RunParallel, kept as the equivalence reference).
-func Run(cases []Case, mode rt.Mode) Summary { return RunParallel(cases, mode, 1) }
-
-// RunParallel executes the whole suite in one mode, fanning the cases
-// over at most workers goroutines (workers <= 0 selects GOMAXPROCS, 1 is
-// fully serial). Each case compiles and runs in its own rt.Runtime, so
-// cases share no mutable state; outcomes land in a pre-indexed slice and
-// the summary is aggregated in case order, making the result identical at
+// Run executes the whole suite in one mode, fanning the cases over at
+// most workers goroutines (workers <= 0 selects GOMAXPROCS, 1 is fully
+// serial). Each case compiles and runs in its own rt.Runtime, so cases
+// share no mutable state; outcomes land in a pre-indexed slice and the
+// summary is aggregated in case order, making the result identical at
 // any worker count.
-func RunParallel(cases []Case, mode rt.Mode, workers int) Summary {
+func Run(cases []Case, mode rt.Mode, workers int) Summary {
 	outcomes := make([]Outcome, len(cases))
 	// RunCase never fails at the harness level — compile/runtime errors
 	// are classified into the outcome's verdict — so Map cannot error.

@@ -73,7 +73,7 @@ func TestFullDetection(t *testing.T) {
 	// non-vulnerable cases pass — in both allocator configurations.
 	cases := Generate()
 	for _, mode := range []rt.Mode{rt.Subheap, rt.Wrapped} {
-		s := Run(cases, mode)
+		s := Run(cases, mode, 1)
 		if s.Detected != s.BadCases {
 			for _, f := range s.Failures() {
 				if f.Verdict == Missed {
@@ -106,9 +106,9 @@ func TestFullDetection(t *testing.T) {
 // be identical at workers=1 and workers=N. Run under -race in CI.
 func TestRunParallelEquivalence(t *testing.T) {
 	cases := Generate()
-	serial := Run(cases, rt.Subheap)
+	serial := Run(cases, rt.Subheap, 1)
 	for _, workers := range []int{2, 8} {
-		par := RunParallel(cases, rt.Subheap, workers)
+		par := Run(cases, rt.Subheap, workers)
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("workers=%d: summary differs from serial run", workers)
 		}
@@ -131,7 +131,7 @@ func BenchmarkJulietSuite(b *testing.B) {
 	cases := Generate()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := Run(cases, rt.Subheap)
+		s := Run(cases, rt.Subheap, 1)
 		if s.Detected != s.BadCases {
 			b.Fatalf("missed %d cases", s.BadCases-s.Detected)
 		}

@@ -22,7 +22,7 @@ func TestReuseEquivalenceSummary(t *testing.T) {
 	report := func(reuse bool, workers int) string {
 		rt.DefaultPool.Drain()
 		rt.SetReuseSystems(reuse)
-		return RunParallel(cases, rt.Subheap, workers).Report()
+		return Run(cases, rt.Subheap, workers).Report()
 	}
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		fresh := report(false, workers)

@@ -120,7 +120,7 @@ func TestCWE415416Compile(t *testing.T) {
 // passes, and the rendered report carries the CWE415/CWE416 rows.
 func TestCWE415416FullDetection(t *testing.T) {
 	cases := GenerateCWE415416()
-	s := Run(cases, rt.IFPTemporal)
+	s := Run(cases, rt.IFPTemporal, 1)
 	if s.Detected != s.BadCases || s.FalsePositives != 0 || s.Errors != 0 {
 		for _, f := range s.Failures() {
 			t.Errorf("ifp-temporal: %s %s: %s", f.Verdict, f.Case.Name, f.Detail)
@@ -169,7 +169,7 @@ func TestSpatialSuiteUnderTemporalMode(t *testing.T) {
 			cases = append(cases, c)
 		}
 	}
-	s := Run(cases, rt.IFPTemporal)
+	s := Run(cases, rt.IFPTemporal, 1)
 	if s.Detected != s.BadCases || s.FalsePositives != 0 || s.Errors != 0 {
 		for _, f := range s.Failures() {
 			t.Errorf("ifp-temporal: %s %s: %s", f.Verdict, f.Case.Name, f.Detail)

@@ -23,6 +23,11 @@ const (
 	// keyed by FootprintDigest. Memory cells run untimed, so they never
 	// share an entry with a perf cell.
 	KindFootprint byte = 4
+	// KindProgram is one compiled MiniC program or the front-end error
+	// that rejected it (internal/minic's compile cache), keyed by
+	// SourceDigest. Memory-only: no codec is registered and entries carry
+	// no encoding, so snapshots never include them.
+	KindProgram byte = 5
 )
 
 // Entry is one store slot. An entry is born either done (Put) or pending

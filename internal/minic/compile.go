@@ -97,14 +97,15 @@ type Func struct {
 	Code    []Insn
 }
 
-// Compiled is a lowered program ready for the VM.
+// Compiled is an instrumented stack-IR program; Lowered derives the
+// register bytecode the VM runs from it.
 //
 // A Compiled is immutable once Compile returns: the VM, NewVM, and every
 // other consumer treat all of its fields (and everything reachable from
 // them — code, locals, globals, layout types) as read-only. That contract
-// is what makes the Interner sound: one *Compiled may be shared by any
-// number of VMs across goroutines without synchronization. Do not mutate
-// a Compiled after construction.
+// is what makes the compile cache sound: one *Compiled may be shared by
+// any number of VMs across goroutines without synchronization. Do not
+// mutate a Compiled after construction.
 type Compiled struct {
 	Funcs       []*Func
 	FuncIdx     map[string]int
@@ -121,9 +122,9 @@ type Compiled struct {
 
 	// Lowered-form cache (see lower.go). The sync.Once carries its own
 	// synchronization, so lazily lowering does not break the read-only
-	// sharing contract above: every reader observes either nil (and
-	// lowers itself, with Do electing one winner) or the same immutable
-	// *Lowered.
+	// sharing contract above: Do elects one lowering, and every reader
+	// observes its result — the same immutable *Lowered, or the same
+	// error.
 	lowerOnce sync.Once
 	lowered   *Lowered
 	lowerErr  error
@@ -171,6 +172,19 @@ func Compile(prog *Program) (*Compiled, error) {
 	}
 	if _, ok := c.out.FuncIdx["main"]; !ok {
 		return nil, &CompileError{1, "no main function"}
+	}
+	// Global initializers form the data segment NewVM stores: integer
+	// literals on scalar and pointer globals only.
+	for _, g := range prog.Globals {
+		if g.Init == nil {
+			continue
+		}
+		if _, ok := g.Init.(*NumExpr); !ok {
+			return nil, &CompileError{g.Line, "global initializers must be integer literals"}
+		}
+		if g.Type.Size() > 8 {
+			return nil, &CompileError{g.Line, "cannot initialize aggregate globals"}
+		}
 	}
 	return c.out, nil
 }

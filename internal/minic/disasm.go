@@ -147,14 +147,14 @@ func Disassemble(c *Compiled) string {
 // register-file size, each basic block's amortized fuel charge (the
 // `block steps=N` pseudo-instruction the dispatch loop bills at block
 // entry), register operands, and the fused machine-op chain behind every
-// superinstruction.
-func DisassembleLowered(c *Compiled) string {
-	var b strings.Builder
-	l := c.Lowered()
-	if l == nil {
-		fmt.Fprintf(&b, "; program did not lower (reference stack walker in use): %v\n", c.LowerError())
-		return b.String()
+// superinstruction. A program that does not lower has no listing, only
+// the lowering error.
+func DisassembleLowered(c *Compiled) (string, error) {
+	l, err := c.Lowered()
+	if err != nil {
+		return "", err
 	}
+	var b strings.Builder
 	for fi, lf := range l.Funcs {
 		fn := c.Funcs[fi]
 		fmt.Fprintf(&b, "\n%s: ; %d params, %d regs, %d fused\n", lf.Name, fn.NParams, lf.MaxRegs, lf.NSuper)
@@ -234,5 +234,5 @@ func DisassembleLowered(c *Compiled) string {
 			b.WriteString("\n")
 		}
 	}
-	return b.String()
+	return b.String(), nil
 }

@@ -62,7 +62,7 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestDisassembleGolden pins the stack-IR listing (`minicc -S`).
 func TestDisassembleGolden(t *testing.T) {
-	comp, err := DefaultInterner.Get(goldenSrc)
+	comp, err := compileCached(goldenSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,13 @@ func TestDisassembleGolden(t *testing.T) {
 // (`minicc -disasm`): register operands, superinstruction annotations,
 // and each basic block's amortized fuel charge.
 func TestDisassembleLoweredGolden(t *testing.T) {
-	comp, err := DefaultInterner.Get(goldenSrc)
+	comp, err := compileCached(goldenSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Lowered() == nil {
-		t.Fatalf("golden program did not lower: %v", comp.LowerError())
+	listing, err := DisassembleLowered(comp)
+	if err != nil {
+		t.Fatalf("golden program did not lower: %v", err)
 	}
-	checkGolden(t, "disasm_lowered.golden", DisassembleLowered(comp))
+	checkGolden(t, "disasm_lowered.golden", listing)
 }

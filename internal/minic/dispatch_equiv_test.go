@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -206,6 +207,16 @@ var dispatchCorpus = []struct {
 	}`},
 }
 
+// DispatchCorpus returns the corpus's sources by name, for the external
+// lowering-totality test.
+func DispatchCorpus() map[string]string {
+	m := make(map[string]string, len(dispatchCorpus))
+	for _, tc := range dispatchCorpus {
+		m[tc.name] = tc.src
+	}
+	return m
+}
+
 // runBoth executes src on both loops, unlimited fuel.
 func runBoth(src string, mode rt.Mode) (refOut, regOut []int64, refExit, regExit int64,
 	refC, regC machine.Counters, refErr, regErr error) {
@@ -337,12 +348,9 @@ func TestDispatchSuperinstructionsRetire(t *testing.T) {
 		print(*q + s.a + p->b);
 		return 0;
 	}`
-	comp, err := DefaultInterner.Get(src)
+	comp, err := compileCached(src)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if comp.Lowered() == nil {
-		t.Fatalf("program did not lower: %v", comp.LowerError())
 	}
 	r := rt.Acquire(rt.Subheap)
 	defer rt.Release(r)
@@ -402,24 +410,29 @@ func TestDispatchGepIdxLowering(t *testing.T) {
 
 // TestDispatchLoweringIsCached pins one immutable lowered program per
 // *Compiled: repeated Lowered() calls return the same instance, and the
-// interner pre-warms it at compile time.
+// compile cache lowers it at compile time.
 func TestDispatchLoweringIsCached(t *testing.T) {
-	comp, err := DefaultInterner.Get("int main() { return 3; }")
+	comp, err := compileCached("int main() { return 3; }")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := comp.Lowered()
-	if l1 == nil {
-		t.Fatal("interned program has no lowered form (pre-warm missing)")
+	if comp.lowered == nil {
+		t.Fatal("cached program has no lowered form (compile-time lowering missing)")
 	}
-	if l2 := comp.Lowered(); l2 != l1 {
+	l1, err := comp.Lowered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2, _ := comp.Lowered(); l2 != l1 {
 		t.Fatal("Lowered() returned a different instance on the second call")
 	}
 }
 
 // TestDispatchFallbackOnUnloweredProgram: a hand-built Compiled that
-// defeats the depth analysis must refuse to lower and still run correctly
-// on the reference walker through the normal Run path.
+// defeats the depth analysis must refuse to lower, and NewVM must refuse
+// it with the lowering error — the dispatch loop is the only executor.
+// The program itself is sound: the test-only reference walker still runs
+// it.
 func TestDispatchFallbackOnUnloweredProgram(t *testing.T) {
 	// Inconsistent depth at a merge point: one path pushes twice, the
 	// other once, before they join.
@@ -438,24 +451,22 @@ func TestDispatchFallbackOnUnloweredProgram(t *testing.T) {
 		}},
 		FuncIdx: map[string]int{"main": 0},
 	}
-	if l := comp.Lowered(); l != nil {
-		t.Fatal("depth-inconsistent program lowered anyway")
-	}
-	if comp.LowerError() == nil {
-		t.Fatal("no lowering error recorded")
+	l, lowerErr := comp.Lowered()
+	if l != nil || lowerErr == nil {
+		t.Fatalf("depth-inconsistent program lowered anyway: (%v, %v)", l, lowerErr)
 	}
 	r := rt.Acquire(rt.Subheap)
 	defer rt.Release(r)
-	vm, err := NewVM(comp, r)
-	if err != nil {
-		t.Fatal(err)
+	if vm, err := NewVM(comp, r); vm != nil || !errors.Is(err, lowerErr) {
+		t.Fatalf("NewVM = (%v, %v), want the lowering error %v", vm, err, lowerErr)
 	}
-	exit, err := vm.Run() // must fall back to the reference walker
+	ref := &VM{R: r, C: comp, maxSteps: 50_000_000}
+	exit, err := ref.RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exit != 9 {
-		t.Fatalf("fallback run returned %d, want 9", exit)
+		t.Fatalf("reference walker returned %d, want 9", exit)
 	}
 }
 
@@ -518,7 +529,7 @@ func TestAllocBudgetDispatch(t *testing.T) {
 	if !rt.ReuseSystems() {
 		t.Skip("requires pooled runtimes")
 	}
-	comp, err := DefaultInterner.Get(internSrc)
+	comp, err := compileCached(internSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,6 +556,9 @@ func TestAllocBudgetDispatch(t *testing.T) {
 // both loops in every mode. Programs that fail to parse/compile are
 // equally interesting (the error must be identical); programs that run
 // must agree on everything, with the sanctioned one-block fuel grace.
+// Every program Parse and Compile accept must also lower: the compile
+// pipeline reports a refusal as an error on both sides of the
+// differential, where it would pass unseen.
 func FuzzDispatchEquivalence(f *testing.F) {
 	for _, tc := range dispatchCorpus {
 		f.Add(tc.src, uint64(0))
@@ -556,6 +570,17 @@ func FuzzDispatchEquivalence(f *testing.F) {
 			return
 		}
 		fuel = fuel % 1_000_000
+		// Syntax and compile errors are Parse's and Compile's own
+		// verdicts; any other pipeline error is rechecked against them.
+		var se *SyntaxError
+		var ce *CompileError
+		if _, err := compileCached(src); err != nil && !errors.As(err, &se) && !errors.As(err, &ce) {
+			if prog, perr := Parse(src); perr == nil {
+				if _, cerr := Compile(prog); cerr == nil {
+					t.Fatalf("accepted program did not lower: %v", err)
+				}
+			}
+		}
 		for _, mode := range rt.Modes {
 			refOut, refExit, refC, refErr := ExecuteBudgetReference(src, mode, fuel)
 			regOut, regExit, regC, regErr := ExecuteBudget(src, mode, fuel)
@@ -585,12 +610,8 @@ func FuzzDispatchEquivalence(f *testing.F) {
 // Dispatch benchmarks: the same interned workload on the reference stack
 // walker vs the register loop.
 func benchDispatch(b *testing.B, refOnly bool) {
-	comp, err := DefaultInterner.Get(internSrc)
-	if err != nil {
+	if _, err := compileCached(internSrc); err != nil {
 		b.Fatal(err)
-	}
-	if comp.Lowered() == nil {
-		b.Fatalf("workload did not lower: %v", comp.LowerError())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

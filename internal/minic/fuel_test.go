@@ -73,13 +73,13 @@ func TestFuelAmortizedOvershootBounded(t *testing.T) {
 	}
 	return 0;
 }`
-	comp, err := DefaultInterner.Get(src)
+	comp, err := compileCached(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := comp.Lowered()
-	if l == nil {
-		t.Fatalf("program did not lower: %v", comp.LowerError())
+	l, err := comp.Lowered()
+	if err != nil {
+		t.Fatalf("program did not lower: %v", err)
 	}
 	// An upper bound on the cycles one block can retire: every lowered
 	// instruction ticks a small constant (ALU 1, loads/stores a cache

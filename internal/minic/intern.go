@@ -1,118 +1,73 @@
 package minic
 
 import (
-	"container/list"
-	"crypto/sha256"
-	"sync"
+	"errors"
+
+	"infat/internal/memo"
 )
 
-// Interner is a concurrency-safe compile-once cache: it maps
-// sha256(source) to the immutable *Compiled produced by Parse+Compile, so
-// an evaluation campaign that runs the same workload source across a
-// hundred (mode × config) cells front-loads exactly one compilation.
+// programCap bounds the compile cache. Compiled programs are small (a
+// few KiB of bytecode for typical workloads), so even the cap's worth of
+// entries is modest; campaigns use a handful of sources, and a
+// long-lived ifp-serve fed unbounded distinct sources stays bounded.
+const programCap = 1024
+
+// programs is the process-wide compile cache behind ExecuteBudget: a
+// memo.Store of memo.KindProgram entries keyed by sha256(source), each
+// holding the compiled and lowered program (or the error that rejected
+// the source), so an evaluation campaign that runs one workload source
+// across a hundred (mode × config) cells compiles it exactly once.
 //
 // Sharing is sound because compilation is a pure function of the source
 // bytes and a Compiled is read-only after construction (see the Compiled
-// doc comment): every VM, on any goroutine, only reads the shared
-// program. Compile and parse errors are cached too ("negative" entries) —
-// they are equally deterministic, and a grid that feeds a bad source to N
-// cells should not re-parse it N times.
-//
-// The cache is a bounded LRU so a long-lived process (ifp-serve) feeding
-// unbounded distinct sources cannot grow it without limit; eviction only
-// drops the cache's own reference, never invalidates a *Compiled already
-// handed out.
-type Interner struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used; values are *internEntry
-	entries map[[sha256.Size]byte]*list.Element
-}
+// doc comment). Parse, compile and lowering errors are kept too
+// (negative entries): they are equally deterministic. Eviction only
+// drops the cache's own reference, never a *Compiled already handed out.
+var programs = memo.NewStore(programCap)
 
-type internEntry struct {
-	key  [sha256.Size]byte
+// program is one cache entry's value.
+type program struct {
 	comp *Compiled
 	err  error
 }
 
-// DefaultInternerCap bounds the default interner. Compiled programs are
-// small (a few KiB of bytecode for typical workloads), so even the cap's
-// worth of entries is modest; campaigns use a handful of sources.
-const DefaultInternerCap = 1024
+// abandonedCompile is what callers coalesced onto a compile that
+// panicked are served; the entry itself is dropped, so the next call for
+// the source compiles afresh.
+var abandonedCompile = &program{err: errors.New("minic: compile abandoned")}
 
-// DefaultInterner is the process-wide interner used by ExecuteBudget.
-var DefaultInterner = NewInterner(DefaultInternerCap)
-
-// NewInterner returns an interner retaining at most capEntries programs
-// (minimum 1).
-func NewInterner(capEntries int) *Interner {
-	if capEntries < 1 {
-		capEntries = 1
+// intern returns build(src) through s: the first caller for a source
+// leads and builds it, and every concurrent or later caller is served the
+// leader's *Compiled and error. A leader that panics publishes
+// abandonedCompile without keeping it, so no follower stays blocked on
+// the pending entry and the key stays usable.
+func intern(s *memo.Store, src string, build func(string) (*Compiled, error)) (*Compiled, error) {
+	e, leader := s.StartOrJoin(memo.SourceDigest(src), memo.KindProgram)
+	if !leader {
+		<-e.Ready()
+		p := e.Value().(*program)
+		return p.comp, p.err
 	}
-	return &Interner{
-		cap:     capEntries,
-		order:   list.New(),
-		entries: make(map[[sha256.Size]byte]*list.Element),
-	}
-}
-
-// Get returns the compiled form of src, compiling it on first sight and
-// serving every later call for the same bytes from cache. The returned
-// *Compiled is shared and immutable; the returned error (if any) is the
-// original Parse/Compile error, also cached.
-func (in *Interner) Get(src string) (*Compiled, error) {
-	key := sha256.Sum256([]byte(src))
-
-	in.mu.Lock()
-	if el, ok := in.entries[key]; ok {
-		in.order.MoveToFront(el)
-		e := el.Value.(*internEntry)
-		in.mu.Unlock()
-		return e.comp, e.err
-	}
-	in.mu.Unlock()
-
-	// Compile outside the lock: compilation is pure, so two goroutines
-	// racing on a cold key just do redundant work, and the loser's result
-	// is discarded in favor of the entry already published (keeping one
-	// canonical *Compiled per source maximizes sharing).
-	comp, err := compileSource(src)
-	if comp != nil {
-		// Pre-warm the register-bytecode form so every VM (including the
-		// first) finds it cached: lowering, like compilation, is paid
-		// once per distinct source.
-		comp.Lowered()
-	}
-
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if el, ok := in.entries[key]; ok {
-		in.order.MoveToFront(el)
-		e := el.Value.(*internEntry)
-		return e.comp, e.err
-	}
-	e := &internEntry{key: key, comp: comp, err: err}
-	in.entries[key] = in.order.PushFront(e)
-	for in.order.Len() > in.cap {
-		oldest := in.order.Back()
-		in.order.Remove(oldest)
-		delete(in.entries, oldest.Value.(*internEntry).key)
-	}
+	defer s.Finish(e, abandonedCompile, nil, false)
+	comp, err := build(src)
+	s.Finish(e, &program{comp, err}, nil, true)
 	return comp, err
 }
 
-// Len reports the number of cached entries.
-func (in *Interner) Len() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.order.Len()
-}
-
-// compileSource is the uncached compile pipeline: Parse then Compile.
+// compileSource is the uncached compile pipeline: Parse, Compile, then
+// Lower, whose result is cached on the Compiled. A lowering refusal is a
+// compile error like any other.
 func compileSource(src string) (*Compiled, error) {
 	prog, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(prog)
+	comp, err := Compile(prog)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := comp.Lowered(); err != nil {
+		return nil, err
+	}
+	return comp, nil
 }

@@ -15,9 +15,10 @@ import (
 //   - Stack slots become virtual registers. MiniC's structured control
 //     flow guarantees a consistent operand-stack depth at every program
 //     point, so the value at depth k simply lives in register k; a
-//     depth-consistency analysis proves this per function (and refuses to
-//     lower — falling back to the reference stack walker — if it ever
-//     fails, which no compiler-produced program does).
+//     depth-consistency analysis proves this per function. Lowering is
+//     total over compiler output: a refusal (possible only for hand-built
+//     IR) is an error from the compile pipeline and from NewVM, and the
+//     dispatch loop is the only executor.
 //   - The instrumentation-heavy sequences the paper makes hot are fused
 //     into superinstructions dispatched as one switch arm:
 //     LLoadPChk (promote+ifpchk+load: every pointer dereference),
@@ -35,9 +36,9 @@ import (
 //     the budget by more than the current block.
 //
 // A Lowered program is immutable after Lower returns and is cached on the
-// Compiled via sync.Once (see Compiled.Lowered), inheriting the interner's
-// read-only sharing contract: one lowered program serves any number of
-// VMs, concurrently.
+// Compiled via sync.Once (see Compiled.Lowered), inheriting the compile
+// cache's read-only sharing contract: one lowered program serves any
+// number of VMs, concurrently.
 
 // LOp is a lowered opcode.
 type LOp uint8
@@ -123,30 +124,17 @@ type Lowered struct {
 
 // Lowered returns the register-bytecode form of c, lowering on first use
 // and caching the result (one immutable lowered program per *Compiled,
-// same read-only sharing contract as the stack IR). It returns nil when
-// lowering failed — the VM then falls back to the reference stack walker,
-// so a lowering refusal is never observable, only slower.
-func (c *Compiled) Lowered() *Lowered {
-	c.lowerOnce.Do(func() {
-		c.lowered, c.lowerErr = Lower(c)
-		if c.lowerErr != nil {
-			c.lowered = nil
-		}
-	})
-	return c.lowered
-}
-
-// LowerError reports why Lowered() returned nil (nil if lowering
-// succeeded or has not run).
-func (c *Compiled) LowerError() error {
-	c.Lowered()
-	return c.lowerErr
+// same read-only sharing contract as the stack IR), or the error that
+// refused it.
+func (c *Compiled) Lowered() (*Lowered, error) {
+	c.lowerOnce.Do(func() { c.lowered, c.lowerErr = Lower(c) })
+	return c.lowered, c.lowerErr
 }
 
 // Lower translates every function of c to register bytecode. It never
 // mutates c. An error means some function's stack discipline could not be
-// proven (impossible for compiler-produced programs; possible in theory
-// for hand-built IR) — callers should fall back to the stack walker.
+// proven: no compiler-produced program fails (TestLoweringTotal), but
+// hand-built IR can.
 func Lower(c *Compiled) (*Lowered, error) {
 	l := &Lowered{Funcs: make([]*LFunc, len(c.Funcs)), MaxBlock: 1}
 	for i, fn := range c.Funcs {
@@ -202,9 +190,6 @@ func stackEffect(c *Compiled, in Insn) (pops, pushes int, ok bool) {
 	}
 	return 0, 0, false
 }
-
-// terminal reports whether in never falls through to pc+1.
-func terminal(in Insn) bool { return in.Op == OpJmp || in.Op == OpRet }
 
 // maxFrameRegs bounds the per-function register file; operand depth never
 // remotely approaches it for real programs, and uint16 register operands

@@ -500,6 +500,37 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestGlobalInitializerErrors: a global initializer that is not an
+// integer literal, or that initializes an aggregate, is rejected by
+// Compile itself (so the compile cache never keeps such a program as a
+// success), with the message and line a run reports.
+func TestGlobalInitializerErrors(t *testing.T) {
+	cases := []struct {
+		src  string
+		line int
+		msg  string
+	}{
+		{"long g = 1 + 2;\nint main() { return 0; }", 1, "global initializers must be integer literals"},
+		{"long x;\nlong g = -3;\nint main() { return 0; }", 2, "global initializers must be integer literals"},
+		{"long x = 1;\n\nlong a[2] = 5;\nint main() { return 0; }", 3, "cannot initialize aggregate globals"},
+	}
+	for _, tc := range cases {
+		prog, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.src, err)
+		}
+		_, err = Compile(prog)
+		var ce *CompileError
+		if !errors.As(err, &ce) || ce.Line != tc.line || ce.Msg != tc.msg {
+			t.Errorf("Compile(%q) = %v, want line %d %q", tc.src, err, tc.line, tc.msg)
+			continue
+		}
+		if _, _, _, err := ExecuteBudget(tc.src, rt.Subheap, 0); err == nil || err.Error() != ce.Error() {
+			t.Errorf("ExecuteBudget(%q) = %v, want %v", tc.src, err, ce)
+		}
+	}
+}
+
 func TestCommentsAndLiterals(t *testing.T) {
 	_, exit := allModes(t, `
 // line comment

@@ -19,20 +19,23 @@ import (
 // (each growing once to the program's high-water mark and then reused),
 // and per-call frame state lives in a pooled frame stack instead of
 // per-call slices and closures. A VM treats its *Compiled as read-only —
-// the property that lets the Interner share one compilation across many
-// VMs, including concurrent ones.
+// the property that lets the compile cache share one compilation across
+// many VMs, including concurrent ones.
 type VM struct {
 	R   *rt.Runtime
 	C   *Compiled
 	Out []int64 // values print()ed by the program
 
+	lowered *Lowered // C's register bytecode, the form Run executes
+
 	globals  []rt.Obj
 	strings  []rt.Obj
 	heapObjs []rt.Obj // live heap allocations, for free(ptr)
 
-	// stack is the shared operand stack: each frame's operands live above
-	// its opBase, so pushes and pops are bounds-checked against the frame
-	// floor instead of allocating a fresh []value per call.
+	// stack is the shared operand arena: each frame's register window
+	// lives above its opBase (the floor the test-only stack walker
+	// bounds-checks its pushes and pops against) instead of in a fresh
+	// []value per call.
 	stack  []value
 	opBase int
 	// slots is the shared local-slot arena; each frame owns
@@ -44,9 +47,6 @@ type VM struct {
 	steps    uint64
 	maxSteps uint64
 
-	// refOnly forces the reference stack walker even when a lowered form
-	// exists — the differential tests' side of the equivalence contract.
-	refOnly bool
 	// superHits counts dynamically retired lowered instructions per
 	// opcode (only the fused superinstructions are recorded).
 	superHits [lopCount]uint64
@@ -86,10 +86,15 @@ func (e *RunError) Unwrap() error { return e.Err }
 // NewVM prepares a VM: it registers globals (the §4.2.2 "getptr"
 // instrumentation, done eagerly) and interns string literals as
 // read-only char-array objects. The Compiled program is shared, never
-// mutated: NewVM only reads it, so one compilation (e.g. from an
-// Interner) can back any number of VMs, concurrently.
+// mutated: NewVM only reads it, so one compilation (e.g. from the
+// compile cache) can back any number of VMs, concurrently. A program
+// that does not lower is refused with the lowering error.
 func NewVM(c *Compiled, r *rt.Runtime) (*VM, error) {
-	vm := &VM{R: r, C: c, maxSteps: 50_000_000}
+	l, err := c.Lowered()
+	if err != nil {
+		return nil, err
+	}
+	vm := &VM{R: r, C: c, lowered: l, maxSteps: 50_000_000}
 	if n := len(c.Globals); n > 0 {
 		vm.globals = make([]rt.Obj, 0, n)
 	}
@@ -121,52 +126,26 @@ func NewVM(c *Compiled, r *rt.Runtime) (*VM, error) {
 		}
 		vm.strings = append(vm.strings, obj)
 	}
-	// Constant global initializers (data segment).
+	// Constant global initializers (data segment). Compile admits only
+	// integer literals on scalar and pointer globals.
 	for i, g := range c.Globals {
 		if g.Init == nil {
 			continue
 		}
-		n, ok := g.Init.(*NumExpr)
-		if !ok {
-			return nil, &CompileError{g.Line, "global initializers must be integer literals"}
-		}
-		size := g.Type.Size()
-		if size > 8 {
-			return nil, &CompileError{g.Line, "cannot initialize aggregate globals"}
-		}
-		if err := r.M.Mem.StoreN(vm.globals[i].Base(), uint64(n.V), int(size)); err != nil {
+		if err := r.M.Mem.StoreN(vm.globals[i].Base(), uint64(g.Init.(*NumExpr).V), int(g.Type.Size())); err != nil {
 			return nil, err
 		}
 	}
 	return vm, nil
 }
 
-// Run executes main and returns its exit value. It rides the register
-// dispatch loop over the lowered bytecode whenever the program lowers
-// (every compiler-produced program does), falling back to the reference
-// stack walker otherwise — the two are observably identical: same output,
-// exit code, machine counters, trap lines, and teardown order, pinned by
-// the dispatch-equivalence suite and FuzzDispatchEquivalence.
+// Run executes main on the register dispatch loop over the lowered
+// bytecode and returns its exit value. Output, exit code, machine
+// counters, trap lines and teardown order are those of the stack IR
+// executed step by step, pinned against a test-only stack walker by the
+// dispatch-equivalence suite and FuzzDispatchEquivalence.
 func (vm *VM) Run() (int64, error) {
-	if !vm.refOnly {
-		if l := vm.C.Lowered(); l != nil {
-			mainIdx := vm.C.FuncIdx["main"]
-			ret, err := vm.callReg(l, mainIdx, len(vm.stack), 0)
-			if err != nil {
-				return 0, err
-			}
-			return int64(ret.v), nil
-		}
-	}
-	return vm.RunReference()
-}
-
-// RunReference executes main on the reference stack walker, bypassing the
-// lowered bytecode. It is the differential baseline for the register
-// dispatch loop; production paths use Run.
-func (vm *VM) RunReference() (int64, error) {
-	mainIdx := vm.C.FuncIdx["main"]
-	ret, err := vm.call(mainIdx, len(vm.stack), 0)
+	ret, err := vm.callReg(vm.C.FuncIdx["main"], len(vm.stack), 0)
 	if err != nil {
 		return 0, err
 	}
@@ -185,38 +164,11 @@ func (vm *VM) SuperHits() map[string]uint64 {
 	return m
 }
 
-// push appends one operand to the shared stack.
-func (vm *VM) push(v value) { vm.stack = append(vm.stack, v) }
-
-// pop removes the top operand. Popping below the current frame's floor is
-// a compiler bug (compileValue's void chokepoint rejects the programs
-// that could cause it); the panic is recovered into a typed internal trap
-// at the RunC boundary, exactly like the out-of-range panic the per-call
-// stacks used to produce.
-func (vm *VM) pop() value {
-	n := len(vm.stack) - 1
-	if n < vm.opBase {
-		panic("minic: operand stack underflow")
-	}
-	v := vm.stack[n]
-	vm.stack = vm.stack[:n]
-	return v
-}
-
-// top returns the top operand without removing it.
-func (vm *VM) top() value {
-	n := len(vm.stack) - 1
-	if n < vm.opBase {
-		panic("minic: operand stack underflow")
-	}
-	return vm.stack[n]
-}
-
-// unwindTop tears down the newest frame on any exit from vm.call — return,
-// error, or panic. Teardown order matches Listing 2's epilogue: metadata
-// cleanup first (IFP_Deregister for every registered local, skipped when
-// frame setup never completed), then the stack pop. Errors during unwind
-// after a trap are moot; marks are VM-managed.
+// unwindTop tears down the newest frame on any exit from callReg —
+// return, error, or panic. Teardown order matches Listing 2's epilogue:
+// metadata cleanup first (IFP_Deregister for every registered local,
+// skipped when frame setup never completed), then the stack pop. Errors
+// during unwind after a trap are moot; marks are VM-managed.
 func (vm *VM) unwindTop() {
 	n := len(vm.frames) - 1
 	fr := vm.frames[n]
@@ -231,255 +183,6 @@ func (vm *VM) unwindTop() {
 	vm.slots = vm.slots[:fr.slotBase]
 	vm.opBase = fr.opBase
 	_ = vm.R.StackRelease(fr.mark)
-}
-
-// call executes function fnIdx. Its nargs arguments are the operands at
-// vm.stack[argBase:argBase+nargs] — still owned by the caller, who
-// truncates them after the call returns.
-func (vm *VM) call(fnIdx, argBase, nargs int) (value, error) {
-	fn := vm.C.Funcs[fnIdx]
-	slotBase := len(vm.slots)
-	vm.frames = append(vm.frames, frame{
-		slotBase: slotBase,
-		opBase:   vm.opBase,
-		mark:     vm.R.StackMark(),
-	})
-	myFrame := len(vm.frames) - 1
-	defer vm.unwindTop()
-	vm.opBase = argBase + nargs
-
-	// Allocate and register locals (IFP_Register for aggregates and
-	// address-taken scalars).
-	for _, li := range fn.Locals {
-		var obj rt.Obj
-		var err error
-		if li.Registered {
-			if li.Type.Kind == layout.KindScalar || li.Type.Kind == layout.KindPointer {
-				obj, err = vm.R.AllocLocalBytes(li.Type.Size())
-			} else {
-				obj, err = vm.R.AllocLocal(li.Type)
-			}
-		} else {
-			var addr uint64
-			addr, err = vm.R.StackRaw(li.Type.Size())
-			obj = rt.Obj{P: addr, Size: li.Type.Size(), Kind: rt.KindLegacy}
-		}
-		if err != nil {
-			return value{}, err
-		}
-		vm.slots = append(vm.slots, obj)
-	}
-	// Frame setup complete: from here on, unwinding runs the metadata
-	// cleanup epilogue even on early return.
-	vm.frames[myFrame].framed = true
-
-	// Bind arguments (bounds passed in registers, §4.1.2: no promote for
-	// pointer arguments).
-	for i := 0; i < nargs; i++ {
-		a := vm.stack[argBase+i]
-		li := fn.Locals[i]
-		slot := vm.slots[slotBase+i]
-		if li.Type.Kind == layout.KindPointer {
-			if err := vm.R.StorePtr(slot.P, slot.B, a.v, a.b); err != nil {
-				return value{}, err
-			}
-		} else {
-			if err := vm.R.Store(slot.P, a.v, int(li.Type.Size()), slot.B); err != nil {
-				return value{}, err
-			}
-		}
-	}
-
-	pc := 0
-	for {
-		if pc < 0 || pc >= len(fn.Code) {
-			return value{}, fmt.Errorf("minic: pc %d out of range in %s", pc, fn.Name)
-		}
-		vm.steps++
-		in := fn.Code[pc]
-		line := int(in.Line)
-		pc++
-		// The fuel budget is checked first so that, when a limit is set,
-		// exhaustion always surfaces as the typed machine trap rather
-		// than the untyped step backstop below.
-		if err := vm.R.M.CheckFuel(); err != nil {
-			return value{}, &RunError{line, err}
-		}
-		if vm.steps > vm.maxSteps {
-			return value{}, fmt.Errorf("minic: step budget exhausted (infinite loop?)")
-		}
-		switch in.Op {
-		case OpConst:
-			vm.R.M.Tick(1)
-			vm.push(value{v: uint64(in.Imm)})
-		case OpStr:
-			vm.R.M.Tick(1)
-			s := vm.strings[in.Imm]
-			vm.push(value{v: s.P, b: s.B})
-		case OpLocal:
-			vm.R.M.Tick(1)
-			s := vm.slots[slotBase+int(in.Imm)]
-			vm.push(value{v: s.P, b: s.B})
-		case OpGlobal:
-			vm.R.M.Tick(1)
-			g := vm.globals[in.Imm]
-			vm.push(value{v: g.P, b: g.B})
-		case OpLoad:
-			a := vm.pop()
-			v, err := vm.R.Load(a.v, int(in.Size), a.b)
-			if err != nil {
-				return value{}, &RunError{line, err}
-			}
-			vm.push(value{v: signExtend(v, int(in.Size))})
-		case OpLoadP:
-			a := vm.pop()
-			p, b, err := vm.R.LoadPtr(a.v, a.b)
-			if err != nil {
-				return value{}, &RunError{line, err}
-			}
-			vm.push(value{v: p, b: b})
-		case OpStore:
-			a := vm.pop()
-			v := vm.pop()
-			if err := vm.R.Store(a.v, v.v, int(in.Size), a.b); err != nil {
-				return value{}, &RunError{line, err}
-			}
-		case OpStoreP:
-			a := vm.pop()
-			v := vm.pop()
-			if err := vm.R.StorePtr(a.v, a.b, v.v, v.b); err != nil {
-				return value{}, &RunError{line, err}
-			}
-		case OpGep:
-			a := vm.pop()
-			p := vm.R.GEP(a.v, in.Imm, a.b)
-			if in.Sub != SubKeep {
-				p = vm.R.SetSub(p, in.Sub)
-			}
-			vm.push(value{v: p, b: a.b})
-		case OpGepDyn:
-			idx := vm.pop()
-			a := vm.pop()
-			vm.R.M.Tick(1) // index scaling multiply
-			p := vm.R.GEP(a.v, int64(idx.v)*in.Imm, a.b)
-			if in.Sub != SubKeep {
-				p = vm.R.SetSub(p, in.Sub)
-			}
-			vm.push(value{v: p, b: a.b})
-		case OpBnd:
-			a := vm.pop()
-			vm.push(value{v: a.v, b: vm.R.Bnd(a.v, uint64(in.Imm))})
-		case OpAddr:
-			a := vm.pop()
-			vm.R.M.Tick(1)
-			vm.push(value{v: a.v & (1<<48 - 1)})
-		case OpJmp:
-			vm.R.M.Tick(1)
-			pc = int(in.Imm)
-		case OpJz:
-			vm.R.M.Tick(1)
-			if vm.pop().v == 0 {
-				pc = int(in.Imm)
-			}
-		case OpJnz:
-			vm.R.M.Tick(1)
-			if vm.pop().v != 0 {
-				pc = int(in.Imm)
-			}
-		case OpDup:
-			vm.R.M.Tick(1)
-			vm.push(vm.top())
-		case OpPop:
-			vm.pop()
-		case OpCall:
-			nargs := int(in.Sub)
-			base := len(vm.stack) - nargs
-			if base < vm.opBase {
-				panic("minic: operand stack underflow")
-			}
-			vm.R.M.Tick(2) // call/ret overhead
-			ret, err := vm.call(int(in.Imm), base, nargs)
-			if err != nil {
-				return value{}, err
-			}
-			vm.stack = vm.stack[:base]
-			if vm.C.Funcs[in.Imm].Ret != layout.Void {
-				vm.push(ret)
-			}
-		case OpRet:
-			if in.Sub == 1 {
-				return vm.pop(), nil
-			}
-			return value{}, nil
-		case OpMalloc:
-			size := vm.pop()
-			var obj rt.Obj
-			var err error
-			if in.Imm >= 0 {
-				t := vm.C.MallocTypes[in.Imm]
-				n := size.v / t.Size()
-				if n == 0 {
-					n = 1
-				}
-				obj, err = vm.R.Malloc(t, n)
-			} else {
-				obj, err = vm.R.MallocBytes(size.v)
-			}
-			if err != nil {
-				return value{}, &RunError{line, err}
-			}
-			vm.heapObjs = append(vm.heapObjs, obj)
-			vm.push(value{v: obj.P, b: obj.B})
-		case OpFree:
-			p := vm.pop()
-			if err := vm.freeByPtr(p.v); err != nil {
-				return value{}, &RunError{line, err}
-			}
-		case OpMemset:
-			n := vm.pop()
-			v := vm.pop()
-			p := vm.pop()
-			if err := vm.R.Memset(p.v, byte(v.v), n.v, p.b); err != nil {
-				return value{}, &RunError{line, err}
-			}
-		case OpMemcpy:
-			n := vm.pop()
-			src := vm.pop()
-			dst := vm.pop()
-			if err := vm.R.Memcpy(dst.v, dst.b, src.v, src.b, n.v); err != nil {
-				return value{}, &RunError{line, err}
-			}
-		case OpPrint:
-			v := vm.pop()
-			vm.R.M.Tick(1)
-			vm.Out = append(vm.Out, int64(v.v))
-		case OpNeg:
-			a := vm.pop()
-			vm.R.M.Tick(1)
-			vm.push(value{v: uint64(-int64(a.v))})
-		case OpNot:
-			a := vm.pop()
-			vm.R.M.Tick(1)
-			if a.v == 0 {
-				vm.push(value{v: 1})
-			} else {
-				vm.push(value{v: 0})
-			}
-		case OpBnot:
-			a := vm.pop()
-			vm.R.M.Tick(1)
-			vm.push(value{v: ^a.v})
-		default:
-			r := vm.pop()
-			l := vm.pop()
-			vm.R.M.Tick(1)
-			res, err := alu(in.Op, l.v, r.v)
-			if err != nil {
-				return value{}, &RunError{line, err}
-			}
-			vm.push(value{v: res})
-		}
-	}
 }
 
 // ensureStack grows the shared operand arena to hold n values without
@@ -500,22 +203,20 @@ func (vm *VM) ensureStack(n int) {
 	vm.stack = ns
 }
 
-// callReg is the register dispatch loop: vm.call's counterpart over the
-// lowered bytecode. Frame setup, argument binding, and teardown are
-// line-for-line the same as the reference walker (same frame record, same
-// deferred unwindTop, so pooled-VM teardown order is identical); only the
-// instruction loop differs. Operands live in a per-frame register window
-// overlaid on the shared operand arena (register k of this frame is
-// vm.stack[rb+k]), call arguments are passed by window overlap exactly
+// callReg is the register dispatch loop over the lowered bytecode. It
+// runs function fnIdx, whose nargs arguments the caller left at
+// vm.stack[argBase:argBase+nargs]. Operands live in a per-frame register
+// window overlaid on the shared operand arena (register k of this frame
+// is vm.stack[rb+k]), call arguments are passed by window overlap exactly
 // where the stack discipline puts them, and the fuel budget is charged
 // once per extended basic block at its LBlock header instead of per step.
 //
 // Every arm retires the same rt/machine calls in the same order as its
-// stack-IR components, which is what keeps machine.Counters byte-identical
-// between the two loops.
-func (vm *VM) callReg(l *Lowered, fnIdx, argBase, nargs int) (value, error) {
+// stack-IR components, which is what keeps machine.Counters identical to
+// a step-by-step execution of the stack IR.
+func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 	fn := vm.C.Funcs[fnIdx]
-	lf := l.Funcs[fnIdx]
+	lf := vm.lowered.Funcs[fnIdx]
 	slotBase := len(vm.slots)
 	vm.frames = append(vm.frames, frame{
 		slotBase: slotBase,
@@ -528,7 +229,7 @@ func (vm *VM) callReg(l *Lowered, fnIdx, argBase, nargs int) (value, error) {
 	vm.opBase = rb
 
 	// Allocate and register locals (IFP_Register for aggregates and
-	// address-taken scalars) — identical to the reference walker.
+	// address-taken scalars).
 	for _, li := range fn.Locals {
 		var obj rt.Obj
 		var err error
@@ -695,7 +396,7 @@ func (vm *VM) callReg(l *Lowered, fnIdx, argBase, nargs int) (value, error) {
 			}
 		case LCall:
 			vm.R.M.Tick(2) // call/ret overhead
-			ret, err := vm.callReg(l, int(in.Imm), rb+int(in.A), int(in.Sub))
+			ret, err := vm.callReg(int(in.Imm), rb+int(in.A), int(in.Sub))
 			if err != nil {
 				return value{}, err
 			}
@@ -924,32 +625,14 @@ func Execute(src string, mode rt.Mode) (out []int64, exit int64, err error) {
 // The machine counters are returned even for trapped runs: they describe
 // the work done up to the trap.
 //
-// Compilation goes through the package's default Interner: each distinct
-// source compiles exactly once per process, and every subsequent run of
-// the same bytes reuses the immutable *Compiled. Interning is invisible
-// in the results — compilation is a pure function of the source, and the
-// VM never mutates the shared program — which the fresh-vs-interned
-// equivalence tests pin down.
+// Compilation goes through the package's compile cache: each distinct
+// source compiles and lowers exactly once per process, and every
+// subsequent run of the same bytes reuses the immutable *Compiled.
+// Caching is invisible in the results — compilation is a pure function
+// of the source, and the VM never mutates the shared program — which the
+// fresh-vs-interned equivalence tests pin down.
 func ExecuteBudget(src string, mode rt.Mode, fuel uint64) (out []int64, exit int64, c machine.Counters, err error) {
-	return executeBudget(src, mode, fuel, false)
-}
-
-// ExecuteReference is Execute on the reference stack walker, bypassing
-// the lowered bytecode and its register dispatch loop. It exists for the
-// differential tests (dispatch equivalence, FuzzDispatchEquivalence);
-// production paths use Execute/ExecuteBudget.
-func ExecuteReference(src string, mode rt.Mode) (out []int64, exit int64, err error) {
-	out, exit, _, err = ExecuteBudgetReference(src, mode, 0)
-	return out, exit, err
-}
-
-// ExecuteBudgetReference is ExecuteBudget on the reference stack walker.
-func ExecuteBudgetReference(src string, mode rt.Mode, fuel uint64) (out []int64, exit int64, c machine.Counters, err error) {
-	return executeBudget(src, mode, fuel, true)
-}
-
-func executeBudget(src string, mode rt.Mode, fuel uint64, refOnly bool) (out []int64, exit int64, c machine.Counters, err error) {
-	comp, err := DefaultInterner.Get(src)
+	comp, err := intern(programs, src, compileSource)
 	if err != nil {
 		return nil, 0, c, err
 	}
@@ -959,22 +642,17 @@ func executeBudget(src string, mode rt.Mode, fuel uint64, refOnly bool) (out []i
 	if err != nil {
 		return nil, 0, r.M.C, err
 	}
-	vm.refOnly = refOnly
 	if fuel > 0 {
 		r.M.FuelLimit = fuel
-		// Every interpreted step costs at least half a cycle (the only
+		// Every stack-IR step costs at least half a cycle (the only
 		// tick-free op is OpPop, and it cannot appear back-to-back with
-		// itself), so a step backstop of 2*fuel guarantees the typed fuel
-		// trap fires first. The register dispatch loop charges steps per
-		// block and can over-charge skipped instructions by up to one
-		// block per taken branch (each costing at least one cycle), so
-		// its backstop additionally scales by the largest block.
-		scale := uint64(2)
-		if !refOnly {
-			if l := comp.Lowered(); l != nil {
-				scale = 2 * (l.MaxBlock + 1)
-			}
-		}
+		// itself), so 2 steps per unit of fuel would let the typed fuel
+		// trap fire first if steps were charged one by one. The dispatch
+		// loop charges steps per block and can over-charge skipped
+		// instructions by up to one block per taken branch (each costing
+		// at least one cycle), so its backstop also scales by the largest
+		// block.
+		scale := 2 * (vm.lowered.MaxBlock + 1)
 		vm.maxSteps = ^uint64(0)
 		if fuel < (1<<62)/scale {
 			vm.maxSteps = scale*fuel + 1_000_000

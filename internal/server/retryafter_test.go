@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -152,18 +153,24 @@ func TestGetEndpointsRideRetryLoop(t *testing.T) {
 // TestCancelDuringBackoffReturnsContextError: cancellation during a
 // backoff sleep returns promptly with an error that is both the
 // context error (errors.Is) and the last observed APIError (errors.As).
+// The client draws its jitter only once the attempt has returned its
+// 503, so cancelling after the first draw lands in the sleep.
 func TestCancelDuringBackoffReturnsContextError(t *testing.T) {
-	h, calls := flakyHandler(1000, http.StatusServiceUnavailable, healthOK)
+	h, _ := flakyHandler(1000, http.StatusServiceUnavailable, healthOK)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	c.RetryBase = time.Hour
+	backingOff := make(chan struct{})
+	var once sync.Once
+	c.Jitter = func(time.Duration) time.Duration {
+		once.Do(func() { close(backingOff) })
+		return 0
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- c.Healthz(ctx) }()
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-backingOff
 	cancel()
 	select {
 	case err := <-errCh:
