@@ -7,6 +7,7 @@ package layout
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -95,7 +96,7 @@ func PointerTo(pointee *Type) *Type {
 func ArrayOf(elem *Type, n uint64) *Type {
 	return &Type{
 		Kind:  KindArray,
-		Name:  fmt.Sprintf("%s[%d]", elem.Name, n),
+		Name:  elem.Name + "[" + strconv.FormatUint(n, 10) + "]",
 		size:  elem.size * n,
 		align: elem.align,
 		Elem:  elem,

@@ -1,6 +1,9 @@
 package layout
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestScalarSizes(t *testing.T) {
 	for _, tc := range []struct {
@@ -91,6 +94,15 @@ func TestStringers(t *testing.T) {
 	for _, k := range []Kind{KindScalar, KindPointer, KindStruct, KindArray, Kind(9)} {
 		if k.String() == "" {
 			t.Error("empty kind string")
+		}
+	}
+}
+
+func TestArrayOfName(t *testing.T) {
+	for _, n := range []uint64{0, 1, 8, 99, 100, 4096, 1 << 63} {
+		elem := ArrayOf(PointerTo(Char), 3)
+		if got, want := ArrayOf(elem, n).Name, fmt.Sprintf("%s[%d]", elem.Name, n); got != want {
+			t.Errorf("ArrayOf(%s, %d).Name = %q, want %q", elem.Name, n, got, want)
 		}
 	}
 }

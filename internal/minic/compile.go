@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"infat/internal/layout"
@@ -130,6 +131,47 @@ type Compiled struct {
 	lowerErr  error
 }
 
+// frontBufs is a front-end stage's working memory, reused from program to
+// program through bufPool: the parser's tokens, the compiler's code and
+// locals, and the lowerer's per-pc tables. Every stage copies its output
+// out at its exact size, so nothing a program keeps aliases a buffer.
+type frontBufs struct {
+	toks   []Token
+	code   []Insn
+	decls  []*VarDecl
+	locals []LocalInfo
+	lower  lowering
+}
+
+var bufPool = sync.Pool{New: func() any { return new(frontBufs) }}
+
+// maxPooled caps the elements a pooled buffer keeps, so one unusually
+// large program does not pin its buffers in the pool.
+const maxPooled = 1 << 16
+
+func getBufs() *frontBufs { return bufPool.Get().(*frontBufs) }
+
+// putBufs returns s to the pool with its buffers emptied, dropping the
+// references they hold and any buffer grown past maxPooled.
+func putBufs(s *frontBufs) {
+	s.toks = reuse(s.toks)
+	s.code = reuse(s.code)
+	s.decls = reuse(s.decls)
+	s.locals = reuse(s.locals)
+	s.lower.reset()
+	bufPool.Put(s)
+}
+
+// reuse empties b for the next program: cleared and truncated, or nil
+// when it has grown past maxPooled.
+func reuse[T any](b []T) []T {
+	if cap(b) > maxPooled {
+		return nil
+	}
+	clear(b)
+	return b[:0]
+}
+
 // CompileError is a semantic error.
 type CompileError struct {
 	Line int
@@ -141,26 +183,39 @@ func (e *CompileError) Error() string { return fmt.Sprintf("minic:%d: %s", e.Lin
 // Compile lowers a parsed program, running the In-Fat Pointer
 // instrumentation pass.
 func Compile(prog *Program) (*Compiled, error) {
+	s := getBufs()
+	defer putBufs(s)
 	c := &compiler{
-		out: &Compiled{FuncIdx: map[string]int{}, Globals: prog.Globals},
+		out: &Compiled{
+			Funcs:   make([]*Func, len(prog.Funcs)),
+			FuncIdx: make(map[string]int, len(prog.Funcs)),
+			Globals: prog.Globals,
+		},
+		s: s,
 	}
+	funcs := make([]Func, len(prog.Funcs))
 	for i, fn := range prog.Funcs {
 		if _, dup := c.out.FuncIdx[fn.Name]; dup {
 			return nil, &CompileError{fn.Line, fmt.Sprintf("function %q redefined", fn.Name)}
 		}
 		c.out.FuncIdx[fn.Name] = i
-		c.out.Funcs = append(c.out.Funcs, &Func{Name: fn.Name, Ret: fn.Ret, NParams: len(fn.Params)})
+		funcs[i] = Func{Name: fn.Name, Ret: fn.Ret, NParams: len(fn.Params)}
+		c.out.Funcs[i] = &funcs[i]
 	}
-	c.globals = map[string]int{}
+	if len(prog.Globals) > 0 {
+		c.globals = make(map[string]int, len(prog.Globals))
+	}
 	for i, g := range prog.Globals {
 		if _, dup := c.globals[g.Name]; dup {
 			return nil, &CompileError{g.Line, fmt.Sprintf("global %q redefined", g.Name)}
 		}
 		c.globals[g.Name] = i
 	}
-	c.wrappers = map[string]bool{}
 	for _, fn := range prog.Funcs {
 		if isAllocWrapper(fn) {
+			if c.wrappers == nil {
+				c.wrappers = map[string]bool{}
+			}
 			c.wrappers[fn.Name] = true
 			c.out.Wrappers = append(c.out.Wrappers, fn.Name)
 		}
@@ -191,16 +246,39 @@ func Compile(prog *Program) (*Compiled, error) {
 
 type compiler struct {
 	out      *Compiled
-	globals  map[string]int
-	wrappers map[string]bool // allocation-wrapper functions
+	s        *frontBufs
+	globals  map[string]int  // nil when the program has no globals
+	wrappers map[string]bool // allocation-wrapper functions; nil when none
 
-	// per-function state
+	// The pointer types and the layout table of each layout root (nil
+	// when the root does not build) made so far, each made once.
+	ptrs   pointerTypes
+	tables map[*layout.Type]*layout.Table
+
+	// per-function state; the function's code is built in s.code
 	fn          *Func
 	locals      map[string]int
 	breaks      []int // patch sites for break
 	conts       []int // patch sites for continue
 	loopTops    []int
 	switchDepth int
+}
+
+// pointerTypes makes layout.PointerTo(t) once per pointee t; nil until
+// the first. Types are immutable, and nothing compares pointer types by
+// identity, so sharing one is invisible.
+type pointerTypes map[*layout.Type]*layout.Type
+
+func (m *pointerTypes) to(t *layout.Type) *layout.Type {
+	if p, ok := (*m)[t]; ok {
+		return p
+	}
+	if *m == nil {
+		*m = pointerTypes{}
+	}
+	p := layout.PointerTo(t)
+	(*m)[t] = p
+	return p
 }
 
 // isAllocWrapper recognizes thin allocation wrappers: one scalar
@@ -231,9 +309,15 @@ func isAllocWrapper(fn *FuncDecl) bool {
 }
 
 func (c *compiler) emit(i Insn) int {
-	c.fn.Code = append(c.fn.Code, i)
-	return len(c.fn.Code) - 1
+	c.s.code = append(c.s.code, i)
+	return len(c.s.code) - 1
 }
+
+// pc is the index the next emitted instruction gets.
+func (c *compiler) pc() int { return len(c.s.code) }
+
+// patch points the jump at site to target.
+func (c *compiler) patch(site, target int) { c.s.code[site].Imm = int64(target) }
 
 func (c *compiler) errf(line int, format string, args ...interface{}) error {
 	return &CompileError{line, fmt.Sprintf(format, args...)}
@@ -247,167 +331,160 @@ func needsRegistration(t *layout.Type, addressTaken bool) bool {
 
 func (c *compiler) compileFunc(fn *FuncDecl, out *Func) error {
 	c.fn = out
-	c.locals = map[string]int{}
-	taken := map[string]bool{}
-	scanAddressTaken(fn.Body, taken)
+	var taken addressTaken
+	taken.stmt(fn.Body)
 
-	addLocal := func(d *VarDecl) error {
+	// Parameters, then locals in source order; the first duplicate is
+	// the error.
+	c.s.decls = collectLocals(fn.Body, append(c.s.decls[:0], fn.Params...))
+	c.locals = make(map[string]int, len(c.s.decls))
+	c.s.locals = c.s.locals[:0]
+	for _, d := range c.s.decls {
 		if _, dup := c.locals[d.Name]; dup {
 			return c.errf(d.Line, "local %q redefined", d.Name)
 		}
-		c.locals[d.Name] = len(out.Locals)
-		out.Locals = append(out.Locals, LocalInfo{
+		c.locals[d.Name] = len(c.s.locals)
+		c.s.locals = append(c.s.locals, LocalInfo{
 			Name:       d.Name,
 			Type:       d.Type,
 			Registered: needsRegistration(d.Type, taken[d.Name]),
 		})
-		return nil
 	}
-	for _, p := range fn.Params {
-		if err := addLocal(p); err != nil {
-			return err
-		}
-	}
-	if err := collectLocals(fn.Body, addLocal); err != nil {
-		return err
+	if len(c.s.locals) > 0 {
+		out.Locals = slices.Clone(c.s.locals)
 	}
 
+	c.s.code = c.s.code[:0]
 	if err := c.compileBlock(fn.Body); err != nil {
 		return err
 	}
 	c.emit(Insn{Op: OpRet, Sub: 0, Line: int32(fn.Line)})
+	out.Code = slices.Clone(c.s.code)
 	return nil
 }
 
-// scanAddressTaken marks identifiers whose address escapes via unary &.
-func scanAddressTaken(s Stmt, taken map[string]bool) {
-	var walkExpr func(e Expr)
-	walkExpr = func(e Expr) {
-		switch v := e.(type) {
-		case *UnaryExpr:
-			if v.Op == "&" {
-				if id, ok := v.E.(*IdentExpr); ok {
-					taken[id.Name] = true
+// addressTaken is the set of identifiers whose address escapes via
+// unary &; nil until the first one.
+type addressTaken map[string]bool
+
+func (taken *addressTaken) expr(e Expr) {
+	switch v := e.(type) {
+	case *UnaryExpr:
+		if v.Op == "&" {
+			if id, ok := v.E.(*IdentExpr); ok {
+				if *taken == nil {
+					*taken = addressTaken{}
 				}
-			}
-			walkExpr(v.E)
-		case *BinaryExpr:
-			walkExpr(v.L)
-			walkExpr(v.R)
-		case *AssignExpr:
-			walkExpr(v.L)
-			walkExpr(v.R)
-		case *IndexExpr:
-			walkExpr(v.Base)
-			walkExpr(v.Idx)
-		case *MemberExpr:
-			walkExpr(v.Base)
-		case *CallExpr:
-			for _, a := range v.Args {
-				walkExpr(a)
-			}
-		case *CastExpr:
-			walkExpr(v.E)
-		}
-	}
-	var walk func(s Stmt)
-	walk = func(s Stmt) {
-		switch v := s.(type) {
-		case *Block:
-			for _, st := range v.Stmts {
-				walk(st)
-			}
-		case *DeclStmt:
-			if v.Decl.Init != nil {
-				walkExpr(v.Decl.Init)
-			}
-		case *ExprStmt:
-			walkExpr(v.E)
-		case *IfStmt:
-			walkExpr(v.Cond)
-			walk(v.Then)
-			if v.Else != nil {
-				walk(v.Else)
-			}
-		case *WhileStmt:
-			walkExpr(v.Cond)
-			walk(v.Body)
-		case *DoWhileStmt:
-			walk(v.Body)
-			walkExpr(v.Cond)
-		case *SwitchStmt:
-			walkExpr(v.Scrut)
-			for _, cs := range v.Cases {
-				for _, st := range cs.Body {
-					walk(st)
-				}
-			}
-			for _, st := range v.Default {
-				walk(st)
-			}
-		case *ForStmt:
-			if v.Init != nil {
-				walk(v.Init)
-			}
-			if v.Cond != nil {
-				walkExpr(v.Cond)
-			}
-			if v.Post != nil {
-				walkExpr(v.Post)
-			}
-			walk(v.Body)
-		case *ReturnStmt:
-			if v.E != nil {
-				walkExpr(v.E)
+				(*taken)[id.Name] = true
 			}
 		}
+		taken.expr(v.E)
+	case *BinaryExpr:
+		taken.expr(v.L)
+		taken.expr(v.R)
+	case *AssignExpr:
+		taken.expr(v.L)
+		taken.expr(v.R)
+	case *IndexExpr:
+		taken.expr(v.Base)
+		taken.expr(v.Idx)
+	case *MemberExpr:
+		taken.expr(v.Base)
+	case *CallExpr:
+		for _, a := range v.Args {
+			taken.expr(a)
+		}
+	case *CastExpr:
+		taken.expr(v.E)
 	}
-	walk(s)
 }
 
-func collectLocals(s Stmt, add func(*VarDecl) error) error {
+func (taken *addressTaken) stmt(s Stmt) {
 	switch v := s.(type) {
 	case *Block:
 		for _, st := range v.Stmts {
-			if err := collectLocals(st, add); err != nil {
-				return err
-			}
+			taken.stmt(st)
 		}
 	case *DeclStmt:
-		return add(v.Decl)
-	case *IfStmt:
-		if err := collectLocals(v.Then, add); err != nil {
-			return err
+		if v.Decl.Init != nil {
+			taken.expr(v.Decl.Init)
 		}
+	case *ExprStmt:
+		taken.expr(v.E)
+	case *IfStmt:
+		taken.expr(v.Cond)
+		taken.stmt(v.Then)
 		if v.Else != nil {
-			return collectLocals(v.Else, add)
+			taken.stmt(v.Else)
 		}
 	case *WhileStmt:
-		return collectLocals(v.Body, add)
+		taken.expr(v.Cond)
+		taken.stmt(v.Body)
 	case *DoWhileStmt:
-		return collectLocals(v.Body, add)
+		taken.stmt(v.Body)
+		taken.expr(v.Cond)
 	case *SwitchStmt:
+		taken.expr(v.Scrut)
 		for _, cs := range v.Cases {
 			for _, st := range cs.Body {
-				if err := collectLocals(st, add); err != nil {
-					return err
-				}
+				taken.stmt(st)
 			}
 		}
 		for _, st := range v.Default {
-			if err := collectLocals(st, add); err != nil {
-				return err
-			}
+			taken.stmt(st)
 		}
 	case *ForStmt:
 		if v.Init != nil {
-			if err := collectLocals(v.Init, add); err != nil {
-				return err
+			taken.stmt(v.Init)
+		}
+		if v.Cond != nil {
+			taken.expr(v.Cond)
+		}
+		if v.Post != nil {
+			taken.expr(v.Post)
+		}
+		taken.stmt(v.Body)
+	case *ReturnStmt:
+		if v.E != nil {
+			taken.expr(v.E)
+		}
+	}
+}
+
+// collectLocals appends s's local declarations to decls, in source order.
+func collectLocals(s Stmt, decls []*VarDecl) []*VarDecl {
+	switch v := s.(type) {
+	case *Block:
+		for _, st := range v.Stmts {
+			decls = collectLocals(st, decls)
+		}
+	case *DeclStmt:
+		decls = append(decls, v.Decl)
+	case *IfStmt:
+		decls = collectLocals(v.Then, decls)
+		if v.Else != nil {
+			decls = collectLocals(v.Else, decls)
+		}
+	case *WhileStmt:
+		decls = collectLocals(v.Body, decls)
+	case *DoWhileStmt:
+		decls = collectLocals(v.Body, decls)
+	case *SwitchStmt:
+		for _, cs := range v.Cases {
+			for _, st := range cs.Body {
+				decls = collectLocals(st, decls)
 			}
 		}
-		return collectLocals(v.Body, add)
+		for _, st := range v.Default {
+			decls = collectLocals(st, decls)
+		}
+	case *ForStmt:
+		if v.Init != nil {
+			decls = collectLocals(v.Init, decls)
+		}
+		decls = collectLocals(v.Body, decls)
 	}
-	return nil
+	return decls
 }
 
 // --- statements ---
@@ -453,17 +530,17 @@ func (c *compiler) compileStmt(s Stmt) error {
 		}
 		if v.Else != nil {
 			jmp := c.emit(Insn{Op: OpJmp})
-			c.fn.Code[jz].Imm = int64(len(c.fn.Code))
+			c.patch(jz, c.pc())
 			if err := c.compileStmt(v.Else); err != nil {
 				return err
 			}
-			c.fn.Code[jmp].Imm = int64(len(c.fn.Code))
+			c.patch(jmp, c.pc())
 		} else {
-			c.fn.Code[jz].Imm = int64(len(c.fn.Code))
+			c.patch(jz, c.pc())
 		}
 		return nil
 	case *WhileStmt:
-		top := len(c.fn.Code)
+		top := c.pc()
 		if _, err := c.compileValue(v.Cond); err != nil {
 			return err
 		}
@@ -473,21 +550,21 @@ func (c *compiler) compileStmt(s Stmt) error {
 			return err
 		}
 		c.emit(Insn{Op: OpJmp, Imm: int64(top)})
-		c.fn.Code[jz].Imm = int64(len(c.fn.Code))
-		c.popLoop(len(c.fn.Code), top)
+		c.patch(jz, c.pc())
+		c.popLoop(c.pc(), top)
 		return nil
 	case *DoWhileStmt:
-		top := len(c.fn.Code)
+		top := c.pc()
 		c.pushLoop(top)
 		if err := c.compileStmt(v.Body); err != nil {
 			return err
 		}
-		condAt := len(c.fn.Code)
+		condAt := c.pc()
 		if _, err := c.compileValue(v.Cond); err != nil {
 			return err
 		}
 		c.emit(Insn{Op: OpJnz, Imm: int64(top)})
-		c.popLoop(len(c.fn.Code), condAt)
+		c.popLoop(c.pc(), condAt)
 		return nil
 	case *SwitchStmt:
 		return c.compileSwitch(v)
@@ -497,7 +574,7 @@ func (c *compiler) compileStmt(s Stmt) error {
 				return err
 			}
 		}
-		top := len(c.fn.Code)
+		top := c.pc()
 		jz := -1
 		if v.Cond != nil {
 			if _, err := c.compileValue(v.Cond); err != nil {
@@ -509,7 +586,7 @@ func (c *compiler) compileStmt(s Stmt) error {
 		if err := c.compileStmt(v.Body); err != nil {
 			return err
 		}
-		post := len(c.fn.Code)
+		post := c.pc()
 		if v.Post != nil {
 			if asg, ok := v.Post.(*AssignExpr); ok {
 				if err := c.compileAssignTo(asg.L, asg.R, asg.Line); err != nil {
@@ -526,9 +603,9 @@ func (c *compiler) compileStmt(s Stmt) error {
 			}
 		}
 		c.emit(Insn{Op: OpJmp, Imm: int64(top)})
-		end := len(c.fn.Code)
+		end := c.pc()
 		if jz >= 0 {
-			c.fn.Code[jz].Imm = int64(end)
+			c.patch(jz, end)
 		}
 		c.popLoop(end, post)
 		return nil
@@ -568,11 +645,11 @@ func (c *compiler) popLoop(breakTarget, contTarget int) {
 	c.loopTops = c.loopTops[:len(c.loopTops)-1]
 	bMark, cMark := marks>>32, marks&0xFFFFFFFF
 	for _, site := range c.breaks[bMark:] {
-		c.fn.Code[site].Imm = int64(breakTarget)
+		c.patch(site, breakTarget)
 	}
 	c.breaks = c.breaks[:bMark]
 	for _, site := range c.conts[cMark:] {
-		c.fn.Code[site].Imm = int64(contTarget)
+		c.patch(site, contTarget)
 	}
 	c.conts = c.conts[:cMark]
 }
@@ -602,7 +679,7 @@ func (c *compiler) compileSwitch(v *SwitchStmt) error {
 	// Entry stubs: pop the scrutinee copy, then jump to the body.
 	stubJumps := make([]int, len(v.Cases))
 	for i := range v.Cases {
-		c.fn.Code[caseJumps[i]].Imm = int64(len(c.fn.Code))
+		c.patch(caseJumps[i], c.pc())
 		c.emit(Insn{Op: OpPop})
 		stubJumps[i] = c.emit(Insn{Op: OpJmp})
 	}
@@ -612,24 +689,24 @@ func (c *compiler) compileSwitch(v *SwitchStmt) error {
 
 	// Case bodies, laid out sequentially so fallthrough is free.
 	for i, cs := range v.Cases {
-		c.fn.Code[stubJumps[i]].Imm = int64(len(c.fn.Code))
+		c.patch(stubJumps[i], c.pc())
 		for _, st := range cs.Body {
 			if err := c.compileStmt(st); err != nil {
 				return err
 			}
 		}
 	}
-	defaultAt := len(c.fn.Code)
+	defaultAt := c.pc()
 	for _, st := range v.Default {
 		if err := c.compileStmt(st); err != nil {
 			return err
 		}
 	}
-	c.fn.Code[defaultJump].Imm = int64(defaultAt)
+	c.patch(defaultJump, defaultAt)
 
-	end := len(c.fn.Code)
+	end := c.pc()
 	for _, site := range c.breaks[bMark:] {
-		c.fn.Code[site].Imm = int64(end)
+		c.patch(site, end)
 	}
 	c.breaks = c.breaks[:bMark]
 	c.switchDepth--

@@ -2,8 +2,10 @@ package minic
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,9 +41,9 @@ int main() {
 	return 0;
 }`
 
-// checkGolden compares got against testdata/<name>, rewriting the file
+// CheckGolden compares got against testdata/<name>, rewriting the file
 // under -update.
-func checkGolden(t *testing.T, name, got string) {
+func CheckGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *updateGolden {
@@ -54,10 +56,29 @@ func checkGolden(t *testing.T, name, got string) {
 	if err != nil {
 		t.Fatalf("%v (run `go test -run Golden -update ./internal/minic` to create)", err)
 	}
-	if got != string(want) {
-		t.Fatalf("%s drifted from golden file.\n--- got ---\n%s\n--- want ---\n%s\n(run with -update to accept)",
-			name, got, want)
+	if got == string(want) {
+		return
 	}
+	// Report the differing lines, not both files: the front-end golden
+	// has one line per corpus program.
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	var diff strings.Builder
+	shown := 0
+	for i := 0; i < max(len(g), len(w)) && shown < 20; i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			fmt.Fprintf(&diff, "line %d:\n  got:  %s\n  want: %s\n", i+1, gl, wl)
+			shown++
+		}
+	}
+	t.Fatalf("%s drifted from golden file (%d lines, want %d):\n%s(run with -update to accept)",
+		name, len(g), len(w), diff.String())
 }
 
 // TestDisassembleGolden pins the stack-IR listing (`minicc -S`).
@@ -66,7 +87,7 @@ func TestDisassembleGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "disasm_stack.golden", Disassemble(comp))
+	CheckGolden(t, "disasm_stack.golden", Disassemble(comp))
 }
 
 // TestDisassembleLoweredGolden pins the register-bytecode listing
@@ -81,5 +102,5 @@ func TestDisassembleLoweredGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden program did not lower: %v", err)
 	}
-	checkGolden(t, "disasm_lowered.golden", listing)
+	CheckGolden(t, "disasm_lowered.golden", listing)
 }

@@ -565,6 +565,8 @@ func FuzzDispatchEquivalence(f *testing.F) {
 		f.Add(tc.src, uint64(700))
 	}
 	f.Add("int main() { while (1) { } return 0; }", uint64(5000))
+	f.Add(runawayFibSrc, uint64(0))
+	f.Add(runawaySelfSrc, uint64(0))
 	f.Fuzz(func(t *testing.T, src string, fuel uint64) {
 		if len(src) > 4096 {
 			return

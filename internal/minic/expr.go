@@ -19,12 +19,19 @@ type addrInfo struct {
 }
 
 // subIdxFor resolves the ifpidx immediate for the current chain.
-func subIdxFor(root *layout.Type, path string) uint16 {
+func (c *compiler) subIdxFor(root *layout.Type, path string) uint16 {
 	if root == nil || path == "" {
 		return SubKeep
 	}
-	tb, err := layout.Build(root)
-	if err != nil {
+	tb, ok := c.tables[root]
+	if !ok {
+		tb, _ = layout.Build(root)
+		if c.tables == nil {
+			c.tables = map[*layout.Type]*layout.Table{}
+		}
+		c.tables[root] = tb
+	}
+	if tb == nil {
 		return SubKeep
 	}
 	if idx, ok := tb.IndexOf(path); ok {
@@ -167,7 +174,7 @@ func (c *compiler) compileMemberAddr(v *MemberExpr) (addrInfo, error) {
 		return addrInfo{}, c.errf(v.Line, "no member %q in %s", v.Name, base.typ.Name)
 	}
 	path := joinMember(base.path, v.Name)
-	sub := subIdxFor(base.root, path)
+	sub := c.subIdxFor(base.root, path)
 	// Member derivation: ifpadd with fused ifpidx (Figure 3's pointer-tag
 	// update), plus ifpbnd narrowing to the member's static size — the
 	// compiler knows the extent, so the access is checked at subobject
@@ -191,7 +198,7 @@ func (c *compiler) staticType(e Expr) *layout.Type {
 	case *NumExpr:
 		return layout.Int
 	case *StrExpr:
-		return layout.PointerTo(layout.Char)
+		return c.ptrs.to(layout.Char)
 	case *IdentExpr:
 		if idx, ok := c.locals[v.Name]; ok {
 			return c.fn.Locals[idx].Type
@@ -208,7 +215,7 @@ func (c *compiler) staticType(e Expr) *layout.Type {
 		}
 		if v.Op == "&" {
 			if t := c.staticType(v.E); t != nil {
-				return layout.PointerTo(t)
+				return c.ptrs.to(t)
 			}
 			return nil
 		}
@@ -241,7 +248,7 @@ func (c *compiler) staticType(e Expr) *layout.Type {
 			return c.out.Funcs[fi].Ret
 		}
 		if v.Name == "malloc" {
-			return layout.PointerTo(layout.Void)
+			return c.ptrs.to(layout.Void)
 		}
 		return layout.Long
 	case *SizeofExpr:
@@ -285,7 +292,7 @@ func (c *compiler) compileExpr(e Expr) (*layout.Type, error) {
 		idx := len(c.out.Strings)
 		c.out.Strings = append(c.out.Strings, v.S)
 		c.emit(Insn{Op: OpStr, Imm: int64(idx), Line: int32(v.Line)})
-		return layout.PointerTo(layout.Char), nil
+		return c.ptrs.to(layout.Char), nil
 
 	case *IdentExpr:
 		info, err := c.compileAddr(v)
@@ -301,7 +308,7 @@ func (c *compiler) compileExpr(e Expr) (*layout.Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			return layout.PointerTo(info.typ), nil
+			return c.ptrs.to(info.typ), nil
 		case "*":
 			info, err := c.compileAddr(v)
 			if err != nil {
@@ -382,7 +389,7 @@ func (c *compiler) loadFrom(info addrInfo, line int) (*layout.Type, error) {
 	case layout.KindArray:
 		// Decay: the address itself, already narrowed by compileAddr
 		// when it was a member; narrow here for whole locals/globals.
-		return layout.PointerTo(t.Elem), nil
+		return c.ptrs.to(t.Elem), nil
 	case layout.KindPointer:
 		c.emit(Insn{Op: OpLoadP, Line: int32(line)})
 		return t, nil
@@ -443,7 +450,7 @@ func (c *compiler) compileBinary(v *BinaryExpr) (*layout.Type, error) {
 		}
 		c.emit(Insn{Op: OpNot})
 		c.emit(Insn{Op: OpNot})
-		c.fn.Code[j].Imm = int64(len(c.fn.Code))
+		c.patch(j, c.pc())
 		return layout.Int, nil
 	}
 
@@ -471,7 +478,7 @@ func (c *compiler) compileBinary(v *BinaryExpr) (*layout.Type, error) {
 			c.emit(Insn{Op: OpNeg, Line: int32(v.Line)})
 		}
 		c.emit(Insn{Op: OpGepDyn, Imm: int64(elem.Size()), Sub: SubKeep, Line: int32(v.Line)})
-		return layout.PointerTo(elem), nil
+		return c.ptrs.to(elem), nil
 	}
 	if v.Op == "-" && lp && rp {
 		if _, err := c.compileValue(v.L); err != nil {
@@ -503,12 +510,7 @@ func (c *compiler) compileBinary(v *BinaryExpr) (*layout.Type, error) {
 	if rp {
 		c.emit(Insn{Op: OpAddr})
 	}
-	ops := map[string]Op{
-		"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv, "%": OpMod,
-		"<<": OpShl, ">>": OpShr, "&": OpAnd, "|": OpOr, "^": OpXor,
-		"<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe, "==": OpEq, "!=": OpNe,
-	}
-	op, ok := ops[v.Op]
+	op, ok := binaryOps[v.Op]
 	if !ok {
 		return nil, c.errf(v.Line, "unknown operator %q", v.Op)
 	}
@@ -546,7 +548,7 @@ func (c *compiler) compileCall(v *CallExpr, castType *layout.Type) (*layout.Type
 		if castType != nil {
 			return castType, nil
 		}
-		return layout.PointerTo(layout.Void), nil
+		return c.ptrs.to(layout.Void), nil
 	case "free":
 		if len(v.Args) != 1 {
 			return nil, c.errf(v.Line, "free takes one argument")
@@ -629,4 +631,11 @@ func mallocElemType(sizeArg Expr, castType *layout.Type) *layout.Type {
 		return castType.Elem
 	}
 	return nil
+}
+
+// binaryOps maps each binary operator other than && and || to its opcode.
+var binaryOps = map[string]Op{
+	"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv, "%": OpMod,
+	"<<": OpShl, ">>": OpShr, "&": OpAnd, "|": OpOr, "^": OpXor,
+	"<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe, "==": OpEq, "!=": OpNe,
 }

@@ -2,6 +2,7 @@ package minic
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"infat/internal/machine"
@@ -166,5 +167,35 @@ func TestExecuteBudgetSpatialTrapFirst(t *testing.T) {
 	}
 	if machine.IsTrap(err, machine.TrapFuel) {
 		t.Fatal("spatial error misreported as fuel")
+	}
+}
+
+// Guest programs that recurse without bound. The first recurses through
+// fib(2) forever; the second has no locals, so no simulated stack runs
+// out before the call-depth bound.
+const (
+	runawayFibSrc  = `long fib(long n) { if (n < 2) { return n; } return fib(n - 1) + fib(2); } int main() { print(fib(15)); return 0; }`
+	runawaySelfSrc = `void f() { f(); } int main() { f(); return 0; }`
+)
+
+// TestCallDepthTrap: unbounded guest recursion stops at maxCallDepth with
+// a resource trap (an allocator-class machine trap in a *RunError) on the
+// call's line, identically on the dispatch loop and the reference walker
+// in every mode, instead of overflowing the Go stack and killing the
+// process.
+func TestCallDepthTrap(t *testing.T) {
+	for _, src := range []string{runawayFibSrc, runawaySelfSrc} {
+		for _, mode := range rt.Modes {
+			label := mode.String() + ": " + src
+			refOut, regOut, refExit, regExit, refC, regC, refErr, regErr := runBoth(src, mode)
+			assertSame(t, label, refOut, regOut, refExit, regExit, refC, regC, refErr, regErr)
+			var re *RunError
+			if !errors.As(regErr, &re) || !machine.IsTrap(regErr, machine.TrapAlloc) {
+				t.Fatalf("%s: err = %v (%T), want a *RunError wrapping an alloc trap", label, regErr, regErr)
+			}
+			if re.Line != 1 || !strings.Contains(regErr.Error(), "call depth exceeds 65536 frames") {
+				t.Fatalf("%s: err = %v, want the call-depth trap on line 1", label, regErr)
+			}
+		}
 	}
 }

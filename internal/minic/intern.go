@@ -25,6 +25,11 @@ const programCap = 1024
 // drops the cache's own reference, never a *Compiled already handed out.
 var programs = memo.NewStore(programCap)
 
+// CompileStats returns the compile cache's counters: hits, misses,
+// evictions and live entries. The cache is process-wide, so every caller
+// in the process shares them.
+func CompileStats() memo.KindStats { return programs.KindStats(memo.KindProgram) }
+
 // program is one cache entry's value.
 type program struct {
 	comp *Compiled

@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"slices"
 
 	"infat/internal/layout"
 )
@@ -136,9 +137,11 @@ func (c *Compiled) Lowered() (*Lowered, error) {
 // proven: no compiler-produced program fails (TestLoweringTotal), but
 // hand-built IR can.
 func Lower(c *Compiled) (*Lowered, error) {
+	s := getBufs()
+	defer putBufs(s)
 	l := &Lowered{Funcs: make([]*LFunc, len(c.Funcs)), MaxBlock: 1}
 	for i, fn := range c.Funcs {
-		lf, maxBlock, err := lowerFunc(c, fn)
+		lf, maxBlock, err := s.lower.lowerFunc(c, fn)
 		if err != nil {
 			return nil, fmt.Errorf("minic: lowering %s: %w", fn.Name, err)
 		}
@@ -196,9 +199,44 @@ func stackEffect(c *Compiled, in Insn) (pops, pushes int, ok bool) {
 // need the bound anyway.
 const maxFrameRegs = 1 << 14
 
+// lowering is lowerFunc's working memory, kept in frontBufs between
+// functions and programs.
+type lowering struct {
+	depth  []int  // operand-stack depth on entry to each stack pc
+	leader []bool // whether each stack pc starts a block
+	pcMap  []int  // stack pc -> lowered pc of its (group's) first insn
+	work   []int
+	fixups []fixup
+	code   []LInsn
+}
+
+// fixup is a lowered jump whose target is still a stack-IR pc.
+type fixup struct {
+	lpc    int // lowered jump instruction
+	target int // stack-IR target
+}
+
+func (l *lowering) reset() {
+	l.depth = reuse(l.depth)
+	l.leader = reuse(l.leader)
+	l.pcMap = reuse(l.pcMap)
+	l.work = reuse(l.work)
+	l.fixups = reuse(l.fixups)
+	l.code = reuse(l.code)
+}
+
+// resize returns b with length n, reallocated only when it is too small.
+// The contents are unspecified.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
 // lowerFunc lowers one function. It returns the lowered function and its
 // largest per-block step charge.
-func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
+func (l *lowering) lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 	n := len(fn.Code)
 	if n == 0 {
 		return nil, 0, fmt.Errorf("empty code")
@@ -209,12 +247,12 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 	// in register k, so the analysis must find one consistent depth per
 	// program point — guaranteed by the structured-control-flow compiler,
 	// verified here.
-	depth := make([]int, n)
+	depth := resize(l.depth, n)
 	for i := range depth {
 		depth[i] = -1
 	}
 	depth[0] = 0
-	work := []int{0}
+	work := append(l.work[:0], 0)
 	maxDepth := 0
 	flow := func(from, to, d int) error {
 		if to < 0 || to >= n {
@@ -274,7 +312,8 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 	// starts an extended basic block and gets an LBlock; fusion never
 	// spans a leader (a jump may land between fused components
 	// otherwise).
-	leader := make([]bool, n)
+	leader := resize(l.leader, n)
+	clear(leader)
 	leader[0] = true
 	for pc, in := range fn.Code {
 		if depth[pc] == -1 {
@@ -290,18 +329,15 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 	// auto-appended OpRet after an explicit return) are dropped — the
 	// reference walker never executes them either.
 	lf := &LFunc{Name: fn.Name, MaxRegs: maxDepth}
-	pcMap := make([]int, n+1) // stack pc -> lowered pc of its (group's) first insn
-	type fixup struct {
-		lpc    int // lowered jump instruction
-		target int // stack-IR target
-	}
-	var fixups []fixup
+	pcMap := resize(l.pcMap, n)
+	fixups := l.fixups[:0]
+	code := l.code[:0]
 	var maxBlock uint64
 	blockIdx := -1 // open LBlock, or -1
 	blockSteps := int64(0)
 	closeBlock := func() {
 		if blockIdx >= 0 {
-			lf.Code[blockIdx].Imm = blockSteps
+			code[blockIdx].Imm = blockSteps
 			if uint64(blockSteps) > maxBlock {
 				maxBlock = uint64(blockSteps)
 			}
@@ -312,8 +348,8 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 		if in.Line2 == 0 {
 			in.Line2 = in.Line
 		}
-		lf.Code = append(lf.Code, in)
-		return len(lf.Code) - 1
+		code = append(code, in)
+		return len(code) - 1
 	}
 	// fusable reports whether the follower pcs can be absorbed into a
 	// superinstruction starting at pc: they must exist and not be block
@@ -329,7 +365,7 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 
 	for pc := 0; pc < n; pc++ {
 		if depth[pc] == -1 {
-			pcMap[pc] = len(lf.Code)
+			pcMap[pc] = len(code)
 			continue
 		}
 		if leader[pc] {
@@ -339,7 +375,7 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 		if leader[pc] {
 			pcMap[pc] = blockIdx // jumps land on the block's LBlock
 		} else {
-			pcMap[pc] = len(lf.Code)
+			pcMap[pc] = len(code)
 		}
 
 		in := fn.Code[pc]
@@ -486,7 +522,9 @@ func lowerFunc(c *Compiled, fn *Func) (*LFunc, uint64, error) {
 	// jump re-charges its steps, which is exactly the amortization
 	// contract.
 	for _, f := range fixups {
-		lf.Code[f.lpc].Imm = int64(pcMap[f.target])
+		code[f.lpc].Imm = int64(pcMap[f.target])
 	}
+	lf.Code = slices.Clone(code)
+	l.depth, l.work, l.leader, l.pcMap, l.fixups, l.code = depth, work, leader, pcMap, fixups, code
 	return lf, maxBlock, nil
 }

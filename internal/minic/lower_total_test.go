@@ -3,19 +3,18 @@ package minic_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"infat/internal/juliet"
 	"infat/internal/minic"
 )
 
-// TestLoweringTotal: every program that Parse and Compile accept lowers.
-// The compile pipeline reports a lowering refusal as an error and the VM
-// has no other executor, so a refusal would reject a valid program. The
-// corpus is every MiniC program the repository carries or generates (the
-// dispatch corpus, testdata/*.c, bench/testdata/*.c and the three Juliet
-// generators), and each of them must compile.
-func TestLoweringTotal(t *testing.T) {
+// frontEndCorpus is every MiniC program the repository carries or
+// generates, by name: the dispatch corpus, testdata/*.c, bench/testdata/*.c
+// and the three Juliet generators. Each of them must compile.
+func frontEndCorpus(t testing.TB) map[string]string {
+	t.Helper()
 	srcs := minic.DispatchCorpus()
 	for _, pattern := range []string{"../../testdata/*.c", "../../bench/testdata/*.c"} {
 		files, err := filepath.Glob(pattern)
@@ -27,7 +26,7 @@ func TestLoweringTotal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srcs[f] = string(src)
+			srcs[strings.TrimPrefix(filepath.ToSlash(f), "../../")] = string(src)
 		}
 	}
 	for _, c := range append(juliet.Generate(), juliet.GenerateCWE415416()...) {
@@ -36,6 +35,14 @@ func TestLoweringTotal(t *testing.T) {
 	for _, c := range juliet.GenerateTemporal() {
 		srcs["temporal/"+c.Name] = c.Src
 	}
+	return srcs
+}
+
+// TestLoweringTotal: every program that Parse and Compile accept lowers.
+// The compile pipeline reports a lowering refusal as an error and the VM
+// has no other executor, so a refusal would reject a valid program.
+func TestLoweringTotal(t *testing.T) {
+	srcs := frontEndCorpus(t)
 	for name, src := range srcs {
 		prog, err := minic.Parse(src)
 		if err != nil {

@@ -8,7 +8,10 @@ import (
 
 // Parse builds a Program from MiniC source.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	s := getBufs()
+	defer putBufs(s)
+	toks, err := lex(s.toks, src)
+	s.toks = toks
 	if err != nil {
 		return nil, err
 	}
@@ -23,17 +26,21 @@ type parser struct {
 	toks []Token
 	pos  int
 	prog *Program
+	ptrs pointerTypes
 }
 
-func (p *parser) cur() Token { return p.toks[p.pos] }
+func (p *parser) cur() *Token { return &p.toks[p.pos] }
+
+// at reports whether the current token is the punctuation or keyword k.
+func (p *parser) at(k tok) bool { return p.toks[p.pos].code == k }
 
 // peek returns the token n positions ahead, clamped to the trailing EOF
 // sentinel so lookahead near the end of input stays in bounds.
-func (p *parser) peek(n int) Token {
+func (p *parser) peek(n int) *Token {
 	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+		return &p.toks[len(p.toks)-1]
 	}
-	return p.toks[p.pos+n]
+	return &p.toks[p.pos+n]
 }
 
 // next consumes and returns the current token. The EOF sentinel is never
@@ -51,47 +58,42 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return &SyntaxError{p.cur().Line, fmt.Sprintf(format, args...)}
 }
 
-func (p *parser) accept(text string) bool {
-	if p.cur().Kind != TokEOF && p.cur().Text == text {
+// accept consumes the current token if it is the punctuation or keyword
+// k. Literals never match, whatever their text.
+func (p *parser) accept(k tok) bool {
+	if p.toks[p.pos].code == k {
 		p.pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(text string) error {
-	if !p.accept(text) {
-		return p.errf("expected %q, found %s", text, p.cur())
+func (p *parser) expect(k tok) error {
+	if !p.accept(k) {
+		return p.errf("expected %q, found %s", tokText[k], p.cur())
 	}
 	return nil
 }
 
+// isTypeStart reports whether k begins a type name.
+func isTypeStart(k tok) bool { return k >= kChar && k <= kStruct }
+
 // atType reports whether the cursor is at the start of a type name.
-func (p *parser) atType() bool {
-	t := p.cur()
-	if t.Kind != TokKeyword {
-		return false
-	}
-	switch t.Text {
-	case "char", "int", "long", "void", "struct":
-		return true
-	}
-	return false
-}
+func (p *parser) atType() bool { return isTypeStart(p.toks[p.pos].code) }
 
 // parseType parses a base type plus pointer stars ("struct S**").
 func (p *parser) parseType() (*layout.Type, error) {
 	var base *layout.Type
 	switch {
-	case p.accept("char"):
+	case p.accept(kChar):
 		base = layout.Char
-	case p.accept("int"):
+	case p.accept(kInt):
 		base = layout.Int
-	case p.accept("long"):
+	case p.accept(kLong):
 		base = layout.Long
-	case p.accept("void"):
+	case p.accept(kVoid):
 		base = layout.Void
-	case p.accept("struct"):
+	case p.accept(kStruct):
 		name := p.next()
 		if name.Kind != TokIdent {
 			return nil, p.errf("expected struct name")
@@ -104,8 +106,8 @@ func (p *parser) parseType() (*layout.Type, error) {
 	default:
 		return nil, p.errf("expected type, found %s", p.cur())
 	}
-	for p.accept("*") {
-		base = layout.PointerTo(base)
+	for p.accept(tMul) {
+		base = p.ptrs.to(base)
 	}
 	return base, nil
 }
@@ -117,14 +119,15 @@ func (p *parser) parseDeclarator(base *layout.Type) (string, *layout.Type, error
 	if name.Kind != TokIdent {
 		return "", nil, &SyntaxError{name.Line, fmt.Sprintf("expected identifier, found %s", name)}
 	}
-	var dims []uint64
-	for p.accept("[") {
+	var dimBuf [2]uint64 // room for the usual dimensions without allocating
+	dims := dimBuf[:0]
+	for p.accept(tLBrack) {
 		n := p.next()
 		if n.Kind != TokNumber || n.Num <= 0 {
 			return "", nil, &SyntaxError{n.Line, "array dimension must be a positive integer literal"}
 		}
 		dims = append(dims, uint64(n.Num))
-		if err := p.expect("]"); err != nil {
+		if err := p.expect(tRBrack); err != nil {
 			return "", nil, err
 		}
 	}
@@ -137,7 +140,7 @@ func (p *parser) parseDeclarator(base *layout.Type) (string, *layout.Type, error
 
 func (p *parser) parseProgram() error {
 	for p.cur().Kind != TokEOF {
-		if p.cur().Text == "struct" && p.peek(2).Text == "{" {
+		if p.at(kStruct) && p.peek(2).code == tLBrace {
 			if err := p.parseStructDef(); err != nil {
 				return err
 			}
@@ -155,7 +158,7 @@ func (p *parser) parseProgram() error {
 		if err != nil {
 			return err
 		}
-		if p.cur().Text == "(" {
+		if p.at(tLParen) {
 			fn, err := p.parseFuncRest(name, typ, line)
 			if err != nil {
 				return err
@@ -165,14 +168,14 @@ func (p *parser) parseProgram() error {
 		}
 		// Global variable.
 		decl := &VarDecl{Name: name, Type: typ, Line: line}
-		if p.accept("=") {
+		if p.accept(tAssign) {
 			e, err := p.parseExpr()
 			if err != nil {
 				return err
 			}
 			decl.Init = e
 		}
-		if err := p.expect(";"); err != nil {
+		if err := p.expect(tSemi); err != nil {
 			return err
 		}
 		p.prog.Globals = append(p.prog.Globals, decl)
@@ -181,14 +184,14 @@ func (p *parser) parseProgram() error {
 }
 
 func (p *parser) parseStructDef() error {
-	if err := p.expect("struct"); err != nil {
+	if err := p.expect(kStruct); err != nil {
 		return err
 	}
 	name := p.next()
 	if name.Kind != TokIdent {
 		return &SyntaxError{name.Line, "expected struct name"}
 	}
-	if err := p.expect("{"); err != nil {
+	if err := p.expect(tLBrace); err != nil {
 		return err
 	}
 	if _, dup := p.prog.Structs[name.Text]; dup {
@@ -200,7 +203,7 @@ func (p *parser) parseStructDef() error {
 	p.prog.Structs[name.Text] = placeholder
 
 	var fields []layout.Field
-	for !p.accept("}") {
+	for !p.accept(tRBrace) {
 		base, err := p.parseType()
 		if err != nil {
 			return err
@@ -215,15 +218,15 @@ func (p *parser) parseStructDef() error {
 					fmt.Sprintf("field %q has incomplete type struct %s", fname, name.Text)}
 			}
 			fields = append(fields, layout.F(fname, ftype))
-			if !p.accept(",") {
+			if !p.accept(tComma) {
 				break
 			}
 		}
-		if err := p.expect(";"); err != nil {
+		if err := p.expect(tSemi); err != nil {
 			return err
 		}
 	}
-	if err := p.expect(";"); err != nil {
+	if err := p.expect(tSemi); err != nil {
 		return err
 	}
 	// Complete the placeholder in place: pointers captured during field
@@ -233,12 +236,12 @@ func (p *parser) parseStructDef() error {
 }
 
 func (p *parser) parseFuncRest(name string, ret *layout.Type, line int) (*FuncDecl, error) {
-	if err := p.expect("("); err != nil {
+	if err := p.expect(tLParen); err != nil {
 		return nil, err
 	}
 	fn := &FuncDecl{Name: name, Ret: ret, Line: line}
-	if !p.accept(")") {
-		if p.accept("void") && p.cur().Text == ")" {
+	if !p.accept(tRParen) {
+		if p.accept(kVoid) && p.at(tRParen) {
 			// (void) parameter list.
 		} else {
 			for {
@@ -252,12 +255,12 @@ func (p *parser) parseFuncRest(name string, ret *layout.Type, line int) (*FuncDe
 					return nil, err
 				}
 				fn.Params = append(fn.Params, &VarDecl{Name: pname, Type: ptype, Line: pline})
-				if !p.accept(",") {
+				if !p.accept(tComma) {
 					break
 				}
 			}
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 	}
@@ -270,11 +273,11 @@ func (p *parser) parseFuncRest(name string, ret *layout.Type, line int) (*FuncDe
 }
 
 func (p *parser) parseBlock() (*Block, error) {
-	if err := p.expect("{"); err != nil {
+	if err := p.expect(tLBrace); err != nil {
 		return nil, err
 	}
 	b := &Block{}
-	for !p.accept("}") {
+	for !p.accept(tRBrace) {
 		if p.cur().Kind == TokEOF {
 			return nil, p.errf("unexpected end of file in block")
 		}
@@ -289,19 +292,19 @@ func (p *parser) parseBlock() (*Block, error) {
 
 func (p *parser) parseStmt() (Stmt, error) {
 	t := p.cur()
-	switch {
-	case t.Text == "{":
+	switch t.code {
+	case tLBrace:
 		return p.parseBlock()
-	case t.Text == "if":
+	case kIf:
 		p.pos++
-		if err := p.expect("("); err != nil {
+		if err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		then, err := p.parseStmt()
@@ -309,7 +312,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 			return nil, err
 		}
 		st := &IfStmt{Cond: cond, Then: then}
-		if p.accept("else") {
+		if p.accept(kElse) {
 			els, err := p.parseStmt()
 			if err != nil {
 				return nil, err
@@ -317,16 +320,16 @@ func (p *parser) parseStmt() (Stmt, error) {
 			st.Else = els
 		}
 		return st, nil
-	case t.Text == "while":
+	case kWhile:
 		p.pos++
-		if err := p.expect("("); err != nil {
+		if err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStmt()
@@ -334,62 +337,62 @@ func (p *parser) parseStmt() (Stmt, error) {
 			return nil, err
 		}
 		return &WhileStmt{Cond: cond, Body: body}, nil
-	case t.Text == "do":
+	case kDo:
 		p.pos++
 		body, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect("while"); err != nil {
+		if err := p.expect(kWhile); err != nil {
 			return nil, err
 		}
-		if err := p.expect("("); err != nil {
+		if err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
-		return &DoWhileStmt{Body: body, Cond: cond}, p.expect(";")
-	case t.Text == "switch":
+		return &DoWhileStmt{Body: body, Cond: cond}, p.expect(tSemi)
+	case kSwitch:
 		return p.parseSwitch()
-	case t.Text == "for":
+	case kFor:
 		p.pos++
-		if err := p.expect("("); err != nil {
+		if err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		st := &ForStmt{}
-		if !p.accept(";") {
+		if !p.accept(tSemi) {
 			init, err := p.parseSimpleStmt()
 			if err != nil {
 				return nil, err
 			}
 			st.Init = init
-			if err := p.expect(";"); err != nil {
+			if err := p.expect(tSemi); err != nil {
 				return nil, err
 			}
 		}
-		if !p.accept(";") {
+		if !p.accept(tSemi) {
 			cond, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			st.Cond = cond
-			if err := p.expect(";"); err != nil {
+			if err := p.expect(tSemi); err != nil {
 				return nil, err
 			}
 		}
-		if p.cur().Text != ")" {
+		if !p.at(tRParen) {
 			post, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			st.Post = post
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStmt()
@@ -398,59 +401,59 @@ func (p *parser) parseStmt() (Stmt, error) {
 		}
 		st.Body = body
 		return st, nil
-	case t.Text == "return":
+	case kReturn:
 		p.pos++
 		st := &ReturnStmt{Line: t.Line}
-		if p.cur().Text != ";" {
+		if !p.at(tSemi) {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			st.E = e
 		}
-		return st, p.expect(";")
-	case t.Text == "break":
+		return st, p.expect(tSemi)
+	case kBreak:
 		p.pos++
-		return &BreakStmt{Line: t.Line}, p.expect(";")
-	case t.Text == "continue":
+		return &BreakStmt{Line: t.Line}, p.expect(tSemi)
+	case kContinue:
 		p.pos++
-		return &ContinueStmt{Line: t.Line}, p.expect(";")
+		return &ContinueStmt{Line: t.Line}, p.expect(tSemi)
 	default:
 		s, err := p.parseSimpleStmt()
 		if err != nil {
 			return nil, err
 		}
-		return s, p.expect(";")
+		return s, p.expect(tSemi)
 	}
 }
 
 // parseSwitch parses a C switch with integer-literal case labels.
 func (p *parser) parseSwitch() (Stmt, error) {
 	line := p.cur().Line
-	if err := p.expect("switch"); err != nil {
+	if err := p.expect(kSwitch); err != nil {
 		return nil, err
 	}
-	if err := p.expect("("); err != nil {
+	if err := p.expect(tLParen); err != nil {
 		return nil, err
 	}
 	scrut, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expect(")"); err != nil {
+	if err := p.expect(tRParen); err != nil {
 		return nil, err
 	}
-	if err := p.expect("{"); err != nil {
+	if err := p.expect(tLBrace); err != nil {
 		return nil, err
 	}
 	st := &SwitchStmt{Scrut: scrut, Line: line}
 	var curBody *[]Stmt
-	for !p.accept("}") {
+	for !p.accept(tRBrace) {
 		switch {
-		case p.accept("case"):
+		case p.accept(kCase):
 			n := p.next()
 			neg := false
-			if n.Text == "-" {
+			if n.code == tSub {
 				neg = true
 				n = p.next()
 			}
@@ -461,13 +464,13 @@ func (p *parser) parseSwitch() (Stmt, error) {
 			if neg {
 				v = -v
 			}
-			if err := p.expect(":"); err != nil {
+			if err := p.expect(tColon); err != nil {
 				return nil, err
 			}
 			st.Cases = append(st.Cases, SwitchCase{Value: v})
 			curBody = &st.Cases[len(st.Cases)-1].Body
-		case p.accept("default"):
-			if err := p.expect(":"); err != nil {
+		case p.accept(kDefault):
+			if err := p.expect(tColon); err != nil {
 				return nil, err
 			}
 			if st.Default != nil {
@@ -504,7 +507,7 @@ func (p *parser) parseSimpleStmt() (Stmt, error) {
 			return nil, err
 		}
 		d := &VarDecl{Name: name, Type: typ, Line: line}
-		if p.accept("=") {
+		if p.accept(tAssign) {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -531,15 +534,16 @@ func (p *parser) parseAssign() (Expr, error) {
 		return nil, err
 	}
 	t := p.cur()
-	switch t.Text {
-	case "=":
+	switch t.code {
+	case tAssign:
 		p.pos++
 		rhs, err := p.parseAssign()
 		if err != nil {
 			return nil, err
 		}
 		return &AssignExpr{L: lhs, R: rhs, Line: t.Line}, nil
-	case "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=":
+	case tAddAssign, tSubAssign, tMulAssign, tDivAssign, tModAssign,
+		tAndAssign, tOrAssign, tXorAssign, tShlAssign, tShrAssign:
 		p.pos++
 		rhs, err := p.parseAssign()
 		if err != nil {
@@ -551,10 +555,11 @@ func (p *parser) parseAssign() (Expr, error) {
 	return lhs, nil
 }
 
-var binPrec = map[string]int{
-	"||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
-	"==": 6, "!=": 6, "<": 7, "<=": 7, ">": 7, ">=": 7,
-	"<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+// binPrec is each binary operator's precedence; 0 for every other code.
+var binPrec = [numToks]int{
+	tLogOr: 1, tLogAnd: 2, tOr: 3, tXor: 4, tAnd: 5,
+	tEq: 6, tNe: 6, tLt: 7, tLe: 7, tGt: 7, tGe: 7,
+	tShl: 8, tShr: 8, tAdd: 9, tSub: 9, tMul: 10, tDiv: 10, tMod: 10,
 }
 
 func (p *parser) parseBinary(minPrec int) (Expr, error) {
@@ -564,8 +569,8 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 	}
 	for {
 		t := p.cur()
-		prec, ok := binPrec[t.Text]
-		if t.Kind != TokPunct || !ok || prec < minPrec {
+		prec := binPrec[t.code]
+		if prec == 0 || prec < minPrec {
 			return lhs, nil
 		}
 		p.pos++
@@ -579,15 +584,15 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	t := p.cur()
-	switch t.Text {
-	case "&", "*", "-", "!", "~":
+	switch t.code {
+	case tAnd, tMul, tSub, tNot, tTilde:
 		p.pos++
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &UnaryExpr{Op: t.Text, E: e, Line: t.Line}, nil
-	case "++", "--":
+	case tInc, tDec:
 		// Prefix increment desugars to a compound assignment.
 		p.pos++
 		e, err := p.parseUnary()
@@ -595,24 +600,24 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		op := "+"
-		if t.Text == "--" {
+		if t.code == tDec {
 			op = "-"
 		}
 		return &AssignExpr{L: e, R: &BinaryExpr{Op: op, L: e, R: &NumExpr{V: 1, Line: t.Line}, Line: t.Line}, Line: t.Line}, nil
-	case "sizeof":
+	case kSizeof:
 		p.pos++
-		if err := p.expect("("); err != nil {
+		if err := p.expect(tLParen); err != nil {
 			return nil, err
 		}
 		typ, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
 		return &SizeofExpr{Type: typ, Line: t.Line}, nil
-	case "(":
+	case tLParen:
 		// Cast or parenthesized expression.
 		if p.isCastAhead() {
 			p.pos++
@@ -620,7 +625,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect(")"); err != nil {
+			if err := p.expect(tRParen); err != nil {
 				return nil, err
 			}
 			e, err := p.parseUnary()
@@ -635,18 +640,7 @@ func (p *parser) parseUnary() (Expr, error) {
 
 // isCastAhead checks for "(" type ")" without consuming.
 func (p *parser) isCastAhead() bool {
-	if p.cur().Text != "(" {
-		return false
-	}
-	t := p.peek(1)
-	if t.Kind != TokKeyword {
-		return false
-	}
-	switch t.Text {
-	case "char", "int", "long", "void", "struct":
-		return true
-	}
-	return false
+	return p.at(tLParen) && isTypeStart(p.peek(1).code)
 }
 
 func (p *parser) parsePostfix() (Expr, error) {
@@ -660,37 +654,37 @@ func (p *parser) parsePostfix() (Expr, error) {
 func (p *parser) parsePostfixOn(e Expr) (Expr, error) {
 	for {
 		t := p.cur()
-		switch t.Text {
-		case "[":
+		switch t.code {
+		case tLBrack:
 			p.pos++
 			idx, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect("]"); err != nil {
+			if err := p.expect(tRBrack); err != nil {
 				return nil, err
 			}
 			e = &IndexExpr{Base: e, Idx: idx, Line: t.Line}
-		case ".":
+		case tDot:
 			p.pos++
 			name := p.next()
 			if name.Kind != TokIdent {
 				return nil, &SyntaxError{name.Line, "expected member name"}
 			}
 			e = &MemberExpr{Base: e, Name: name.Text, Line: t.Line}
-		case "->":
+		case tArrow:
 			p.pos++
 			name := p.next()
 			if name.Kind != TokIdent {
 				return nil, &SyntaxError{name.Line, "expected member name"}
 			}
 			e = &MemberExpr{Base: e, Name: name.Text, Arrow: true, Line: t.Line}
-		case "++", "--":
+		case tInc, tDec:
 			// Postfix increment as statement-position sugar: evaluates to
 			// the *updated* value in this subset (documented deviation).
 			p.pos++
 			op := "+"
-			if t.Text == "--" {
+			if t.code == tDec {
 				op = "-"
 			}
 			e = &AssignExpr{L: e, R: &BinaryExpr{Op: op, L: e, R: &NumExpr{V: 1, Line: t.Line}, Line: t.Line}, Line: t.Line}
@@ -711,34 +705,34 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &StrExpr{S: t.Text, Line: t.Line}, nil
 	case t.Kind == TokIdent:
 		p.pos++
-		if p.cur().Text == "(" {
+		if p.at(tLParen) {
 			p.pos++
 			call := &CallExpr{Name: t.Text, Line: t.Line}
-			if !p.accept(")") {
+			if !p.accept(tRParen) {
 				for {
 					a, err := p.parseExpr()
 					if err != nil {
 						return nil, err
 					}
 					call.Args = append(call.Args, a)
-					if !p.accept(",") {
+					if !p.accept(tComma) {
 						break
 					}
 				}
-				if err := p.expect(")"); err != nil {
+				if err := p.expect(tRParen); err != nil {
 					return nil, err
 				}
 			}
 			return call, nil
 		}
 		return &IdentExpr{Name: t.Text, Line: t.Line}, nil
-	case t.Text == "(":
+	case t.code == tLParen:
 		p.pos++
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		return e, p.expect(")")
+		return e, p.expect(tRParen)
 	}
 	return nil, p.errf("unexpected token %s", t)
 }

@@ -46,3 +46,32 @@ func errAs[T error](err error) (T, bool) {
 	ok := errors.As(err, &target)
 	return target, ok
 }
+
+// TestLiteralsAreNotPunctuation: the parser matches punctuation and
+// keywords by token code, so a char or string literal never stands in for
+// one, whatever its text. Matching by text ran every program below.
+func TestLiteralsAreNotPunctuation(t *testing.T) {
+	for _, src := range []string{
+		`int main '(' ')' '{' return 4 ';' '}'`,
+		`int main() { return 7 ';' }`,
+		`int main() { "return" 9; }`,
+		`int main() { long i = 0; "while" (i < 3) { i = i + 1; } return i; }`,
+		`int main() { long x; x '=' 5; return x; }`,
+		`int main() { return '(' long ')' 6; }`,
+		`int main() { long a[2]; a '[' 0 ']' = 1; return a[0]; }`,
+		`struct S '{' long x; }; int main() { return 0; }`,
+		`int main() { return "sizeof"(long); }`,
+		`int main() { long i = 0; do { i = i + 1; } "while" (i < 3); return i; }`,
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) accepted a literal as punctuation or a keyword", src)
+		} else if _, ok := errAs[*SyntaxError](err); !ok {
+			t.Errorf("Parse(%q) = %v (%T), want a *SyntaxError", src, err, err)
+		}
+	}
+	// The converse: a '-' char literal is a case label, not a minus sign.
+	out, exit, err := Execute(`int main() { long c = 45; switch (c) { case '-': return 1; } return 0; }`, rt.Subheap)
+	if err != nil || exit != 1 || len(out) != 0 {
+		t.Errorf("case '-': exit %d, out %v, err %v; want exit 1", exit, out, err)
+	}
+}

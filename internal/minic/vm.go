@@ -73,6 +73,22 @@ type frame struct {
 	framed bool
 }
 
+// maxCallDepth bounds guest call depth. Each guest call is one callReg
+// activation on the Go stack: an 800-byte frame plus 40 bytes of
+// arguments and return address (go build -gcflags=-S, amd64; the
+// test-only walker's frame is 784 bytes). 1<<16 frames take about 55 MB
+// of goroutine stack, far below Go's 1 GB limit, past which unbounded
+// guest recursion would kill the whole process.
+const maxCallDepth = 1 << 16
+
+// callDepthTrap is the error of a guest call at line that would pass
+// maxCallDepth: a resource trap of the allocator class, since the
+// guest's frames are what ran out.
+func callDepthTrap(line int) error {
+	return &RunError{line, &machine.Trap{Kind: machine.TrapAlloc,
+		Msg: fmt.Sprintf("call depth exceeds %d frames", maxCallDepth)}}
+}
+
 // RunError wraps a trap or fault with a source line.
 type RunError struct {
 	Line int
@@ -396,6 +412,9 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 			}
 		case LCall:
 			vm.R.M.Tick(2) // call/ret overhead
+			if len(vm.frames) >= maxCallDepth {
+				return value{}, callDepthTrap(int(in.Line))
+			}
 			ret, err := vm.callReg(int(in.Imm), rb+int(in.A), int(in.Sub))
 			if err != nil {
 				return value{}, err

@@ -245,6 +245,9 @@ func (vm *VM) call(fnIdx, argBase, nargs int) (value, error) {
 				panic("minic: operand stack underflow")
 			}
 			vm.R.M.Tick(2) // call/ret overhead
+			if len(vm.frames) >= maxCallDepth {
+				return value{}, callDepthTrap(line)
+			}
 			ret, err := vm.call(int(in.Imm), base, nargs)
 			if err != nil {
 				return value{}, err

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"infat/internal/memo"
+	"infat/internal/minic"
 	"infat/internal/rt"
 )
 
@@ -98,6 +99,10 @@ type MetricsSnapshot struct {
 	// hits, misses, evictions, entries — the same shape it had when the
 	// unary endpoint owned a private LRU, so PR 2/3 clients keep working.
 	Cache map[string]uint64 `json:"cache"`
+	// Compile is minic's compile cache behind /v1/run and every campaign
+	// cell (memo.KindProgram): hits, misses, evictions, entries. Like
+	// Pool it is process-global, so Servers in one process share it.
+	Compile map[string]uint64 `json:"compile"`
 	// Memo is the whole content-addressed store across every kind (run
 	// responses, grid cells, chaos cells): hits, misses, evictions,
 	// entries, bytes, plus snapshot accounting (loaded, skipped).
@@ -133,6 +138,7 @@ func (s *Server) snapshot() MetricsSnapshot {
 	req["total"] = total
 
 	runStats := s.memo.KindStats(memo.KindRun)
+	compileStats := minic.CompileStats()
 	memoStats := s.memo.Stats()
 	lat := make(map[string]uint64, len(latencyLabels))
 	for i, label := range latencyLabels {
@@ -153,6 +159,12 @@ func (s *Server) snapshot() MetricsSnapshot {
 			"misses":    runStats.Misses,
 			"evictions": runStats.Evictions,
 			"entries":   runStats.Entries,
+		},
+		Compile: map[string]uint64{
+			"hits":      compileStats.Hits,
+			"misses":    compileStats.Misses,
+			"evictions": compileStats.Evictions,
+			"entries":   compileStats.Entries,
 		},
 		Memo: map[string]uint64{
 			"hits":      memoStats.Hits,

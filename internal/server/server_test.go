@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -529,5 +530,78 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if total != 3 { // latency is observed after the response is written
 		t.Fatalf("latency histogram total = %d, want 3 completed requests", total)
+	}
+}
+
+// TestMetricsCompileCache: /metrics reports minic's compile cache under
+// "compile". A cold /v1/run misses it once; the same source in a second
+// mode misses the result cache again but hits the compile cache. The
+// compile cache is process-global, so the test reads deltas.
+func TestMetricsCompileCache(t *testing.T) {
+	_, c, done := newTestServer(t, Config{})
+	defer done()
+	ctx := context.Background()
+	// A source no earlier run in this process compiled, even under -count.
+	src := fmt.Sprintf("int main() { print(%d); return 7; }", time.Now().UnixNano())
+	metrics := func() *MetricsSnapshot {
+		t.Helper()
+		m, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	delta := func(after, before map[string]uint64, key string) int64 {
+		return int64(after[key]) - int64(before[key])
+	}
+	m0 := metrics()
+	if _, ok := m0.Compile["entries"]; !ok {
+		t.Fatalf("compile counters %v lack entries", m0.Compile)
+	}
+	if _, _, err := c.Run(ctx, RunRequest{Source: src, Mode: "subheap"}); err != nil {
+		t.Fatal(err)
+	}
+	m1 := metrics()
+	if d := delta(m1.Compile, m0.Compile, "misses"); d != 1 {
+		t.Fatalf("cold run: compile misses +%d, want +1 (%v -> %v)", d, m0.Compile, m1.Compile)
+	}
+	if _, _, err := c.Run(ctx, RunRequest{Source: src, Mode: "wrapped"}); err != nil {
+		t.Fatal(err)
+	}
+	m2 := metrics()
+	if d := delta(m2.Compile, m1.Compile, "hits"); d != 1 {
+		t.Fatalf("second mode: compile hits +%d, want +1 (%v -> %v)", d, m1.Compile, m2.Compile)
+	}
+	if d := delta(m2.Compile, m1.Compile, "misses"); d != 0 {
+		t.Fatalf("second mode: compile misses +%d, want +0", d)
+	}
+	if d := delta(m2.Cache, m0.Cache, "misses"); d != 2 {
+		t.Fatalf("result cache misses +%d over both runs, want +2 (%v -> %v)", d, m0.Cache, m2.Cache)
+	}
+}
+
+// TestRunawayRecursionTraps: a guest that recurses without bound gets a
+// 200 carrying the call-depth trap (class other, kind alloc), and the
+// server keeps serving. Without the bound, one such request overflowed
+// the Go stack and killed ifp-serve.
+func TestRunawayRecursionTraps(t *testing.T) {
+	_, c, done := newTestServer(t, Config{})
+	defer done()
+	ctx := context.Background()
+	for _, src := range []string{
+		`long fib(long n) { if (n < 2) { return n; } return fib(n - 1) + fib(2); } int main() { print(fib(15)); return 0; }`,
+		`void f() { f(); } int main() { f(); return 0; }`,
+	} {
+		resp, _, err := c.Run(ctx, RunRequest{Source: src})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if resp.Trap == nil || resp.Trap.Class != trapClassOther || resp.Trap.Kind != "alloc" ||
+			!strings.Contains(resp.Trap.Message, "call depth exceeds") {
+			t.Fatalf("%s: trap = %+v, want the call-depth alloc trap", src, resp.Trap)
+		}
+		if err := c.Healthz(ctx); err != nil {
+			t.Fatalf("server down after %s: %v", src, err)
+		}
 	}
 }

@@ -569,6 +569,7 @@ func mergeSnapshot(agg *server.MetricsSnapshot, snap *server.MetricsSnapshot) {
 	agg.Requests = sumMap(agg.Requests, snap.Requests)
 	agg.Admission = sumMap(agg.Admission, snap.Admission)
 	agg.Cache = sumMap(agg.Cache, snap.Cache)
+	agg.Compile = sumMap(agg.Compile, snap.Compile)
 	agg.Memo = sumMap(agg.Memo, snap.Memo)
 	agg.Batch = sumMap(agg.Batch, snap.Batch)
 	agg.Traps = sumMap(agg.Traps, snap.Traps)
