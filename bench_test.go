@@ -306,7 +306,7 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkSystemReuse measures the pooled runtime lifecycle on the
 // minic.ExecuteBudget path (the VM entry every RunC and ifp-serve
 // request goes through): "fresh" constructs a new simulator per run (the
-// pre-pool lifecycle, ReuseSystems=false), "pooled" resets and reuses
+// pre-pool lifecycle, rt.SetReuseSystems(false)), "pooled" resets and reuses
 // one. The allocs/op gap is the construction churn the pool removes; the
 // outputs are asserted identical, which is the determinism contract in
 // miniature. Since the program interner landed, both variants share one
@@ -321,8 +321,8 @@ func BenchmarkSystemReuse(b *testing.B) {
 	print(acc);
 	return 0;
 }`
-	was := ReuseSystems()
-	defer SetReuseSystems(was)
+	was := rt.ReuseSystems()
+	defer rt.SetReuseSystems(was)
 
 	run := func(b *testing.B) {
 		out, exit, err := RunCBudget(src, Subheap, 0)
@@ -331,7 +331,7 @@ func BenchmarkSystemReuse(b *testing.B) {
 		}
 	}
 	b.Run("fresh", func(b *testing.B) {
-		SetReuseSystems(false)
+		rt.SetReuseSystems(false)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -339,7 +339,7 @@ func BenchmarkSystemReuse(b *testing.B) {
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		SetReuseSystems(true)
+		rt.SetReuseSystems(true)
 		run(b) // warm the pool so every measured op is a hit
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -6,18 +6,17 @@
 // Usage:
 //
 //	ifp-bench [-scale N] [-parallel N] [-table4] [-fig10] [-fig11] [-fig12] [-bench name] [-chaos]
-//	          [-temporal] [-memo] [-memo-dir DIR] [-cpuprofile path] [-memprofile path]
+//	          [-temporal] [-memo-dir DIR] [-cpuprofile path] [-memprofile path]
 //
 // With no selection flags, everything is printed. The (workload ×
 // configuration) grid fans out over -parallel worker goroutines (default:
 // the number of CPUs); every cell runs in its own isolated runtime and
 // results are collected deterministically, so the output is byte-identical
 // at any worker count. -parallel 1 restores the fully serial run.
-// -memo routes the main report grid through a content-addressed memo
-// store, so repeated cells within one invocation replay instead of
-// re-simulating; -memo-dir additionally loads the store's snapshot at
-// startup and saves it on exit, making repeated invocations warm (a
-// corrupt or version-skewed snapshot is discarded and recomputed, never
+// -memo-dir routes the main report grid through a content-addressed memo
+// store that loads its snapshot from DIR at startup and saves it on exit,
+// so a repeated invocation replays its cells instead of re-simulating them
+// (a corrupt or version-skewed snapshot is discarded and recomputed, never
 // trusted). Reports are byte-identical with memoization on or off.
 // -cpuprofile and -memprofile write pprof-format host profiles of the
 // selected run, so perf work starts from a measurement instead of a guess.
@@ -33,7 +32,6 @@ import (
 	"infat/internal/baseline"
 	"infat/internal/exp"
 	"infat/internal/memo"
-	"infat/internal/rt"
 	"infat/internal/workloads"
 )
 
@@ -57,39 +55,30 @@ func run() int {
 	asic := flag.Bool("asic", false, "print the §5.2.4 ASIC extrapolation sweep")
 	related := flag.Bool("related", false, "print the related-work comparison")
 	temporal := flag.Bool("temporal", false, "print the temporal axis: generation-tagging overhead over the grid plus CWE-415/416 detection rates")
-	memoFlag := flag.Bool("memo", false, "memoize report-grid cells in a content-addressed store (byte-identical output, warm cells replayed)")
-	memoDir := flag.String("memo-dir", "", "load the memo snapshot from DIR at startup and save it on exit (implies -memo)")
-	noReuse := flag.Bool("no-reuse", false, "disable runtime pooling: construct a fresh simulator per cell")
+	memoDir := flag.String("memo-dir", "", "memoize report-grid cells, loading the snapshot from DIR at startup and saving it on exit (byte-identical output)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (pprof format)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this path on exit (pprof format)")
 	flag.Parse()
-
-	if *noReuse {
-		rt.SetReuseSystems(false)
-	}
 
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "ifp-bench:", err)
 		return 1
 	}
 
-	// The memo store (when enabled) backs the main report grid: warm
-	// cells replay instead of re-simulating. With -memo-dir the store
+	// With -memo-dir a memo store backs the main report grid and
 	// round-trips through a snapshot file, so a second invocation starts
 	// warm; a bad snapshot is reported and recomputed from scratch.
 	var store *memo.Store
-	if *memoFlag || *memoDir != "" {
+	if *memoDir != "" {
 		store = memo.NewStore(memo.DefaultEntries)
-		if *memoDir != "" {
-			if err := store.LoadSnapshot(*memoDir); err != nil {
-				fmt.Fprintln(os.Stderr, "ifp-bench: memo snapshot discarded:", err)
-			}
-			defer func() {
-				if err := store.SaveSnapshot(*memoDir); err != nil {
-					fmt.Fprintln(os.Stderr, "ifp-bench: memo snapshot save:", err)
-				}
-			}()
+		if err := store.LoadSnapshot(*memoDir); err != nil {
+			fmt.Fprintln(os.Stderr, "ifp-bench: memo snapshot discarded:", err)
 		}
+		defer func() {
+			if err := store.SaveSnapshot(*memoDir); err != nil {
+				fmt.Fprintln(os.Stderr, "ifp-bench: memo snapshot save:", err)
+			}
+		}()
 	}
 
 	// Profiles bracket the whole run so a future perf PR starts from a

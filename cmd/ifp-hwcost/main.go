@@ -1,12 +1,12 @@
-// Command ifp-hwcost prints the Figure-13 hardware area decomposition and
-// the §5.3 ablation table from the calibrated LUT model.
+// Command ifp-hwcost prints the Figure-13 hardware area decomposition of
+// the paper's prototype and the §5.3 ablation table from the calibrated
+// LUT model. The ablation table covers the design points other than the
+// prototype: no layout walker, no bounds registers, no MAC, and the
+// scheme and temporal variants.
 //
 // Usage:
 //
-//	ifp-hwcost [-no-walker] [-no-mac] [-bounds-regs N]
-//
-// Flags modify the configuration so design-space points other than the
-// paper's prototype can be inspected.
+//	ifp-hwcost
 package main
 
 import (
@@ -17,21 +17,9 @@ import (
 )
 
 func main() {
-	noWalker := flag.Bool("no-walker", false, "drop the layout-table walker")
-	noMAC := flag.Bool("no-mac", false, "drop the metadata MAC unit")
-	boundsRegs := flag.Int("bounds-regs", 32, "number of bounds registers")
+	// There are no flags; parsing still answers -h and rejects an unknown
+	// flag with exit 2 instead of printing the default tables.
 	flag.Parse()
-
-	cfg := hwcost.Default
-	cfg.LayoutWalk = !*noWalker
-	cfg.MAC = !*noMAC
-	cfg.BoundsRegs = *boundsRegs
-	if *boundsRegs == 0 {
-		cfg.ImplicitChk = false
-	}
-
-	fmt.Println(hwcost.Fig13(cfg))
-	if cfg == hwcost.Default {
-		fmt.Println(hwcost.Ablations())
-	}
+	fmt.Println(hwcost.Fig13(hwcost.Default))
+	fmt.Println(hwcost.Ablations())
 }

@@ -34,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"infat/internal/rt"
 	"infat/internal/server"
 )
 
@@ -48,13 +47,8 @@ func main() {
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request deadline")
 	maxSource := flag.Int("max-source", server.DefaultMaxSourceBytes, "max submitted source size (bytes)")
 	selftest := flag.Bool("selftest", false, "start on a loopback port, exercise every endpoint, exit")
-	noReuse := flag.Bool("no-reuse", false, "disable runtime pooling: construct a fresh simulator per request")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	flag.Parse()
-
-	if *noReuse {
-		rt.SetReuseSystems(false)
-	}
 
 	// The pprof endpoint lives on its own listener, never the service
 	// address: profiling stays an operator decision and is not reachable

@@ -65,70 +65,8 @@ type System struct {
 	*rt.Runtime
 }
 
-// NewSystem creates a fresh guest environment in the given mode. For
-// many short-lived systems, AcquireSystem/ReleaseSystem recycle the
-// backing machine through a pool instead of rebuilding it each time.
+// NewSystem creates a fresh guest environment in the given mode.
 func NewSystem(mode Mode) *System { return &System{rt.New(mode)} }
-
-// SystemPool recycles simulated machines: Acquire returns a System reset
-// into the requested mode (reusing a parked machine when one is idle),
-// Release parks it for the next Acquire. A reused System is
-// observationally identical to a fresh NewSystem — memory unmapped, cache
-// cold, counters zero, allocators empty — so pooling never changes run
-// results, only the host-allocation cost of obtaining a System. Safe for
-// concurrent use.
-type SystemPool struct {
-	p *rt.Pool
-}
-
-// NewSystemPool builds a pool retaining up to maxIdle idle systems;
-// maxIdle <= 0 selects a default sized to the machine.
-func NewSystemPool(maxIdle int) *SystemPool {
-	return &SystemPool{p: rt.NewPool(maxIdle)}
-}
-
-// Acquire checks a system out of the pool in the given mode.
-func (sp *SystemPool) Acquire(mode Mode) *System { return &System{sp.p.Acquire(mode)} }
-
-// Release parks a system for reuse; nil is ignored.
-func (sp *SystemPool) Release(s *System) {
-	if s == nil {
-		return
-	}
-	sp.p.Release(s.Runtime)
-}
-
-// Stats snapshots the pool's counters.
-func (sp *SystemPool) Stats() PoolStats { return sp.p.Stats() }
-
-// PoolStats is a pool counter snapshot: Hits were served by resetting an
-// idle system, Misses constructed fresh, Discards are releases dropped
-// because the pool was full or reuse was disabled.
-type PoolStats = rt.PoolStats
-
-// AcquireSystem checks a system out of the process-wide default pool —
-// the same pool every hot path (RunC, the experiment grid, Juliet, chaos,
-// ifp-serve workers) draws from.
-func AcquireSystem(mode Mode) *System { return &System{rt.Acquire(mode)} }
-
-// ReleaseSystem returns a system to the default pool; nil is ignored.
-func ReleaseSystem(s *System) {
-	if s == nil {
-		return
-	}
-	rt.Release(s.Runtime)
-}
-
-// DefaultPoolStats snapshots the default pool's counters.
-func DefaultPoolStats() PoolStats { return rt.DefaultPool.Stats() }
-
-// ReuseSystems reports whether system pooling is enabled process-wide.
-func ReuseSystems() bool { return rt.ReuseSystems() }
-
-// SetReuseSystems toggles system pooling process-wide. Disabling it makes
-// every Acquire construct a fresh system and every Release discard — the
-// pre-pool lifecycle, byte-identical in results, kept as an escape hatch.
-func SetReuseSystems(on bool) { rt.SetReuseSystems(on) }
 
 // Counters returns the machine's dynamic event counters (instructions,
 // cycles, promote statistics, check counts — the quantities Table 4 and

@@ -76,11 +76,9 @@ type Cache struct {
 
 	// tick is the LRU clock. It advances exactly once per line touch —
 	// the same event Stats counts as an access — so Accesses is derived
-	// as tick-accBase instead of being incremented separately on the hot
-	// path. accBase records the tick at the last ResetStats.
-	tick    uint64
-	accBase uint64
-	stats   Stats // Accesses field unused internally; see Stats()
+	// from tick instead of being incremented separately on the hot path.
+	tick  uint64
+	stats Stats // Accesses field unused internally; see Stats()
 
 	// mru holds, per set, a pointer to the way of that set's most
 	// recently touched line. Access probes it before the full set scan,
@@ -92,7 +90,7 @@ type Cache struct {
 	// would have found: it can never change hit/miss outcomes, LRU
 	// order, or dirty bits. The pointers target c.w's backing array,
 	// which is allocated once in New and never reallocated, so they
-	// stay valid across Reset and Flush.
+	// stay valid across Reset.
 	mru []*way
 }
 
@@ -120,21 +118,11 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats
-	s.Accesses = c.tick - c.accBase
+	s.Accesses = c.tick
 	return s
-}
-
-// ResetStats clears counters but keeps cache contents (used between the
-// warm-up and measured phases of an experiment).
-func (c *Cache) ResetStats() {
-	c.stats = Stats{}
-	c.accBase = c.tick
 }
 
 // Access simulates one access of size bytes at addr (write if store is
@@ -275,23 +263,11 @@ func (c *Cache) touch(ln uint64, store bool) bool {
 }
 
 // Reset returns the cache to its power-on state: every line invalid, the
-// LRU clock and all counters at zero. Unlike Flush it models a cold start
-// rather than an invalidation event, so dirty lines do not count as
-// writebacks — a reset cache is indistinguishable from one built by New.
+// LRU clock and all counters at zero. It models a cold start rather than
+// an invalidation event, so dirty lines do not count as writebacks — a
+// reset cache is indistinguishable from one built by New.
 func (c *Cache) Reset() {
 	clear(c.w)
 	c.tick = 0
-	c.accBase = 0
 	c.stats = Stats{}
-}
-
-// Flush invalidates all lines (counting writebacks of dirty lines); used
-// between benchmark runs so each mode starts cold.
-func (c *Cache) Flush() {
-	for i := range c.w {
-		if c.w[i].key&(keyValid|keyDirty) == keyValid|keyDirty {
-			c.stats.Writebacks++
-		}
-		c.w[i] = way{}
-	}
 }

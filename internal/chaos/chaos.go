@@ -29,6 +29,7 @@ import (
 	"infat/internal/machine"
 	"infat/internal/metadata"
 	"infat/internal/rt"
+	"infat/internal/splitmix"
 	"infat/internal/tag"
 )
 
@@ -166,23 +167,6 @@ type Outcome struct {
 	// it landed in its bucket.
 	Detail string
 }
-
-// rand is a splitmix64 stream: tiny, deterministic, and independent of
-// math/rand's global state (which would break cross-run reproducibility).
-type rand struct{ s uint64 }
-
-func newRand(seed uint64) *rand { return &rand{s: seed} }
-
-func (r *rand) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
-// intn returns a deterministic value in [0, n).
-func (r *rand) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // The target type: a struct with a header, an array of small structs
 // (giving the layout walker an array-of-struct level to divide through),
@@ -347,43 +331,43 @@ type applied struct {
 
 // applyFault injects one state fault into the scenario, chosen
 // deterministically from rng.
-func applyFault(sc *scenario, f Fault, rng *rand) applied {
+func applyFault(sc *scenario, f Fault, rng *splitmix.Stream) applied {
 	a := applied{p: sc.obj.P, word: -1, bit: -1}
 	r := sc.r
 	switch f {
 	case FlipPoison:
-		bit := 62 + rng.intn(2)
+		bit := 62 + rng.Intn(2)
 		a.p = sc.obj.P ^ uint64(1)<<bit
 		a.desc = fmt.Sprintf("pointer poison bit %d flipped", bit)
 	case FlipScheme:
-		bit := 60 + rng.intn(2)
+		bit := 60 + rng.Intn(2)
 		a.p = sc.obj.P ^ uint64(1)<<bit
 		a.desc = fmt.Sprintf("pointer scheme-selector bit %d flipped (%v -> %v)",
 			bit, tag.SchemeOf(sc.obj.P), tag.SchemeOf(a.p))
 	case FlipMeta:
-		bit := 48 + rng.intn(12)
+		bit := 48 + rng.Intn(12)
 		a.p = sc.obj.P ^ uint64(1)<<bit
 		a.desc = fmt.Sprintf("pointer meta bit %d flipped", bit)
 	case CorruptMeta:
 		addr, words := metaStorage(sc)
-		a.word, a.bit = rng.intn(words), rng.intn(64)
+		a.word, a.bit = rng.Intn(words), rng.Intn(64)
 		flipWord(r, addr+uint64(a.word)*8, a.bit)
 		a.desc = fmt.Sprintf("%v metadata word %d bit %d flipped", sc.scheme, a.word, a.bit)
 	case CorruptLayout:
 		addr, tb, err := r.LayoutOf(chaosNodeT)
 		must(err)
 		words := len(tb.Encode())
-		a.word, a.bit = rng.intn(words), rng.intn(64)
+		a.word, a.bit = rng.Intn(words), rng.Intn(64)
 		flipWord(r, addr+uint64(a.word)*8, a.bit)
 		a.desc = fmt.Sprintf("layout-table word %d bit %d flipped", a.word, a.bit)
 	case SwapKey:
-		r.M.Key = mac.NewKey(0xC0FFEE ^ rng.next())
+		r.M.Key = mac.NewKey(0xC0FFEE ^ rng.Next())
 		a.desc = "MAC key swapped"
 	case CorruptGen:
-		if bits := tag.GenBits(tag.SchemeOf(sc.obj.P)); bits > 0 && rng.intn(2) == 1 {
+		if bits := tag.GenBits(tag.SchemeOf(sc.obj.P)); bits > 0 && rng.Intn(2) == 1 {
 			// Flip one pointer generation bit: the pointer now claims a
 			// generation the store never issued.
-			a.bit = 48 + rng.intn(bits)
+			a.bit = 48 + rng.Intn(bits)
 			a.p = sc.obj.P ^ uint64(1)<<a.bit
 			a.desc = fmt.Sprintf("pointer generation bit %d flipped", a.bit)
 		} else {
@@ -465,7 +449,7 @@ func Run(s Scheme, f Fault, seed uint64) (o Outcome) {
 			rt.Release(sc.r)
 		}
 	}()
-	rng := newRand(seed<<8 ^ uint64(s)<<4 ^ uint64(f))
+	rng := splitmix.New(seed<<8 ^ uint64(s)<<4 ^ uint64(f))
 	if f == CorruptGen {
 		sc = buildTemporal(s)
 	} else {
@@ -588,8 +572,8 @@ func runExhaust(sc *scenario) (Bucket, string) {
 
 // runOOMAt arms a one-shot injected allocator fault at a seed-chosen
 // ordinal and checks it fires exactly there, typed, with no collateral.
-func runOOMAt(sc *scenario, rng *rand) (Bucket, string) {
-	n := 1 + rng.intn(6)
+func runOOMAt(sc *scenario, rng *splitmix.Stream) (Bucket, string) {
+	n := 1 + rng.Intn(6)
 	sc.r.InjectAllocFault(n)
 	var live []rt.Obj
 	for i := 1; i <= n+2; i++ {

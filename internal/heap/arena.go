@@ -62,20 +62,6 @@ func (a *Arena) Sbrk(n uint64) (uint64, error) {
 	return p, nil
 }
 
-// AlignBrk rounds the break up to the given power-of-two alignment and
-// returns the aligned break.
-func (a *Arena) AlignBrk(align uint64) (uint64, error) {
-	aligned := (a.brk + align - 1) &^ (align - 1)
-	if aligned > a.limit {
-		return 0, ErrOutOfMemory
-	}
-	a.brk = aligned
-	return a.brk, nil
-}
-
-// Used reports bytes consumed from the arena (its footprint contribution).
-func (a *Arena) Used() uint64 { return a.brk - a.base }
-
 // Mark snapshots the current break for a later Release (LIFO regions such
 // as the guest stack).
 func (a *Arena) Mark() uint64 { return a.brk }
@@ -95,9 +81,3 @@ func (a *Arena) Release(mark uint64) error {
 // The region itself is fixed at construction, so a reset arena is
 // identical to a freshly built one.
 func (a *Arena) Reset() { a.brk = a.base }
-
-// Base returns the arena's start address.
-func (a *Arena) Base() uint64 { return a.base }
-
-// Limit returns the arena's end address.
-func (a *Arena) Limit() uint64 { return a.limit }

@@ -15,7 +15,6 @@ type Buddy struct {
 	alloc    map[uint64]uint              // allocated block -> order
 
 	used uint64 // bytes in allocated blocks
-	hwm  uint64
 }
 
 // NewBuddy builds a buddy allocator over [base, base+2^regionLog2), with
@@ -43,18 +42,6 @@ func NewBuddy(base uint64, regionLog2, minLog2 uint) (*Buddy, error) {
 	}
 	b.free[regionLog2][base] = struct{}{}
 	return b, nil
-}
-
-// OrderFor returns the smallest order whose block fits size bytes, or
-// maxOrder+1 when no block can (so Alloc reports ErrOutOfMemory). The
-// clamp also guards the shift: past o=63, uint64(1)<<o wraps to 0 and an
-// unclamped loop would never terminate for size > 1<<63.
-func (b *Buddy) OrderFor(size uint64) uint {
-	o := b.minOrder
-	for o <= b.maxOrder && uint64(1)<<o < size {
-		o++
-	}
-	return o
 }
 
 // Alloc returns a free block of 2^order bytes, splitting larger blocks as
@@ -93,9 +80,6 @@ func (b *Buddy) Alloc(order uint) (uint64, error) {
 	}
 	b.alloc[addr] = order
 	b.used += uint64(1) << order
-	if b.used > b.hwm {
-		b.hwm = b.used
-	}
 	return addr, nil
 }
 
@@ -131,15 +115,8 @@ func (b *Buddy) Reset() {
 	}
 	clear(b.alloc)
 	b.free[b.maxOrder][b.base] = struct{}{}
-	b.used, b.hwm = 0, 0
+	b.used = 0
 }
 
 // Used reports bytes currently held in allocated blocks.
 func (b *Buddy) Used() uint64 { return b.used }
-
-// HighWater reports the peak of Used.
-func (b *Buddy) HighWater() uint64 { return b.hwm }
-
-// FreeBlocks reports the number of free blocks at the given order (test
-// hook for coalescing behaviour).
-func (b *Buddy) FreeBlocks(order uint) int { return len(b.free[order]) }

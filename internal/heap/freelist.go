@@ -21,7 +21,6 @@ type FreeList struct {
 	allocated map[uint64]uint64   // payload -> payload size
 
 	live uint64 // live bytes including headers
-	hwm  uint64 // high-water mark of live
 }
 
 type chunk struct {
@@ -110,9 +109,6 @@ func (f *FreeList) Malloc(size uint64) (uint64, error) {
 	}
 	f.allocated[payload] = cls
 	f.live += cls + HeaderBytes
-	if f.live > f.hwm {
-		f.hwm = f.live
-	}
 	return payload, nil
 }
 
@@ -155,22 +151,9 @@ func (f *FreeList) Reset() {
 	clear(f.bins)
 	f.large = f.large[:0]
 	clear(f.allocated)
-	f.live, f.hwm = 0, 0
+	f.live = 0
 	f.a.Reset()
-}
-
-// UsableSize reports the payload size class of an allocated chunk.
-func (f *FreeList) UsableSize(addr uint64) (uint64, bool) {
-	cls, ok := f.allocated[addr]
-	return cls, ok
 }
 
 // LiveBytes reports currently allocated bytes including headers.
 func (f *FreeList) LiveBytes() uint64 { return f.live }
-
-// HighWater reports the peak of LiveBytes.
-func (f *FreeList) HighWater() uint64 { return f.hwm }
-
-// Footprint reports the arena bytes consumed (never returned to the OS,
-// like a real sbrk heap).
-func (f *FreeList) Footprint() uint64 { return f.a.Used() }

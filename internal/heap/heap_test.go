@@ -18,29 +18,16 @@ func TestArenaSbrk(t *testing.T) {
 	if err != nil || p2 != 0x1010 { // previous request rounded to 16
 		t.Fatalf("sbrk2 = %#x (err %v)", p2, err)
 	}
-	if a.Used() != 0x20 {
-		t.Errorf("used = %d", a.Used())
-	}
 	if _, err := a.Sbrk(0x1000); err == nil {
 		t.Error("overcommit did not fail")
 	}
-	if a.Base() != 0x1000 || a.Limit() != 0x1100 {
-		t.Error("base/limit")
+	// The arena spans exactly [0x1000, 0x1100): the rest of it fits, one
+	// more byte does not.
+	if p, err := a.Sbrk(0x100 - 0x20); err != nil || p != 0x1020 {
+		t.Fatalf("sbrk to limit = %#x (err %v)", p, err)
 	}
-}
-
-func TestArenaAlign(t *testing.T) {
-	a := NewArena(0x1000, 0x10000)
-	if _, err := a.Sbrk(24); err != nil {
-		t.Fatal(err)
-	}
-	brk, err := a.AlignBrk(4096)
-	if err != nil || brk != 0x2000 {
-		t.Fatalf("aligned brk = %#x (err %v)", brk, err)
-	}
-	tiny := NewArena(0x1000, 0x100)
-	if _, err := tiny.AlignBrk(1 << 20); err == nil {
-		t.Error("align past limit succeeded")
+	if _, err := a.Sbrk(1); err == nil {
+		t.Error("sbrk past limit succeeded")
 	}
 }
 
@@ -60,7 +47,7 @@ func TestFreeListMallocAligned(t *testing.T) {
 		if p%16 != 0 {
 			t.Errorf("size %d: unaligned payload %#x", sz, p)
 		}
-		if got, ok := f.UsableSize(p); !ok || got < sz {
+		if got, ok := f.allocated[p]; !ok || got < sz {
 			t.Errorf("size %d: usable = %d", sz, got)
 		}
 	}
@@ -127,19 +114,15 @@ func TestFreeListAccounting(t *testing.T) {
 		t.Errorf("live = %d", f.LiveBytes())
 	}
 	p2, _ := f.Malloc(100)
-	hwm := f.HighWater()
-	if hwm != 2*(112+16) {
-		t.Errorf("hwm = %d", hwm)
+	if f.LiveBytes() != 2*(112+16) {
+		t.Errorf("live = %d", f.LiveBytes())
 	}
 	_ = f.Free(p1)
 	_ = f.Free(p2)
 	if f.LiveBytes() != 0 {
 		t.Errorf("live after frees = %d", f.LiveBytes())
 	}
-	if f.HighWater() != hwm {
-		t.Error("hwm shrank")
-	}
-	if f.Footprint() == 0 {
+	if f.a.Mark() == 0x1000_0000 {
 		t.Error("no footprint recorded")
 	}
 }
@@ -191,12 +174,13 @@ func TestBuddySplitAndCoalesce(t *testing.T) {
 	if err := b.Free(p2); err != nil {
 		t.Fatal(err)
 	}
-	// Full coalescing back to one region block.
-	if n := b.FreeBlocks(20); n != 1 {
-		t.Errorf("region blocks after coalesce = %d, want 1", n)
-	}
 	if b.Used() != 0 {
 		t.Errorf("used = %d", b.Used())
+	}
+	// Full coalescing back to one region block: a region-order request
+	// fits again, at the region base.
+	if p, err := b.Alloc(20); err != nil || p != 0x4000_0000 {
+		t.Errorf("region block after coalesce = %#x (err %v), want %#x", p, err, 0x4000_0000)
 	}
 }
 
@@ -210,36 +194,6 @@ func TestBuddyAlignment(t *testing.T) {
 		if p&(uint64(1)<<order-1) != 0 {
 			t.Errorf("order %d block %#x not naturally aligned", order, p)
 		}
-	}
-}
-
-func TestBuddyOrderFor(t *testing.T) {
-	b := mustBuddy(t, 0x4000_0000, 24, 12)
-	cases := map[uint64]uint{1: 12, 4096: 12, 4097: 13, 100 << 10: 17}
-	for size, want := range cases {
-		if got := b.OrderFor(size); got != want {
-			t.Errorf("OrderFor(%d) = %d, want %d", size, got, want)
-		}
-	}
-}
-
-func TestBuddyOrderForOversized(t *testing.T) {
-	// Regression: sizes above the region (and in particular above 1<<63,
-	// where the probe shift wraps to 0) must clamp at maxOrder+1 instead
-	// of looping forever, and Alloc must report out-of-memory.
-	b := mustBuddy(t, 0x4000_0000, 24, 12)
-	for _, size := range []uint64{(16 << 20) + 1, 1 << 40, 1<<63 + 1, ^uint64(0)} {
-		got := b.OrderFor(size)
-		if got != 25 {
-			t.Errorf("OrderFor(%#x) = %d, want maxOrder+1 (25)", size, got)
-		}
-		if _, err := b.Alloc(got); !errors.Is(err, ErrOutOfMemory) {
-			t.Errorf("Alloc(OrderFor(%#x)) = %v, want ErrOutOfMemory", size, err)
-		}
-	}
-	// The region-sized request itself still fits.
-	if got := b.OrderFor(16 << 20); got != 24 {
-		t.Errorf("OrderFor(16MiB) = %d, want 24", got)
 	}
 }
 
@@ -319,15 +273,6 @@ func TestArenaReleaseOutOfRange(t *testing.T) {
 	}
 	if a.Mark() != p {
 		t.Errorf("break after release = %#x, want %#x", a.Mark(), p)
-	}
-}
-
-func TestBuddyHighWater(t *testing.T) {
-	b := mustBuddy(t, 0x4000_0000, 20, 12)
-	p, _ := b.Alloc(13)
-	_ = b.Free(p)
-	if b.HighWater() != 8192 {
-		t.Errorf("hwm = %d", b.HighWater())
 	}
 }
 

@@ -32,7 +32,6 @@ const (
 type Config struct {
 	BoundsRegs  int  // number of bounds registers (paper: 32, one per GPR)
 	BoundsBits  int  // bounds register width (paper: 96)
-	TagBits     int  // pointer tag width (paper: 16)
 	LocalOffset bool // local-offset scheme logic
 	Subheap     bool // subheap scheme logic (includes the slot divider)
 	GlobalTable bool // global-table scheme logic
@@ -50,7 +49,7 @@ type Config struct {
 
 // Default is the paper's prototype configuration.
 var Default = Config{
-	BoundsRegs: 32, BoundsBits: 96, TagBits: 16,
+	BoundsRegs: 32, BoundsBits: 96,
 	LocalOffset: true, Subheap: true, GlobalTable: true,
 	LayoutWalk: true, MAC: true, ImplicitChk: true,
 }
@@ -113,7 +112,7 @@ func Model(cfg Config) []Component {
 				comps[i].Growth = 814
 			}
 		case "RegFiles, etc":
-			comps[i].Growth = cfg.BoundsRegs*cfg.BoundsBits*lutPerBoundsRegBit/enablerDiv(cfg) + issueWbPort
+			comps[i].Growth = cfg.BoundsRegs*cfg.BoundsBits*lutPerBoundsRegBit + issueWbPort
 			if cfg.BoundsRegs == 0 {
 				comps[i].Growth = 0
 			}
@@ -143,8 +142,6 @@ func Model(cfg Config) []Component {
 
 func anyScheme(cfg Config) bool { return cfg.LocalOffset || cfg.Subheap || cfg.GlobalTable }
 
-func enablerDiv(cfg Config) int { return 1 }
-
 // ifpUnit computes the IFP execution unit's LUTs.
 func ifpUnit(cfg Config) int {
 	total := 0
@@ -171,9 +168,6 @@ func ifpUnit(cfg Config) int {
 	}
 	return total
 }
-
-// GenCompareLUTs is the temporal generation comparator's area.
-func GenCompareLUTs() int { return genCompareLUTs }
 
 // WalkerLUTs is the layout-table walker's area (§5.3: 3,059 LUTs, 36% of
 // the IFP unit).

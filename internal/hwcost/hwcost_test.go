@@ -130,12 +130,12 @@ func TestTemporalKnob(t *testing.T) {
 	tc := Default
 	tc.Temporal = true
 	_, withGen := Totals(Model(tc))
-	if withGen-full != GenCompareLUTs() {
-		t.Errorf("temporal knob adds %d LUTs, want %d", withGen-full, GenCompareLUTs())
+	if withGen-full != genCompareLUTs {
+		t.Errorf("temporal knob adds %d LUTs, want %d", withGen-full, genCompareLUTs)
 	}
-	if GenCompareLUTs() <= 0 || GenCompareLUTs() >= schemeLocalLUTs {
+	if genCompareLUTs <= 0 || genCompareLUTs >= schemeLocalLUTs {
 		t.Errorf("generation comparator %d LUTs out of range (0, %d): it is a compare+mux, not a scheme",
-			GenCompareLUTs(), schemeLocalLUTs)
+			genCompareLUTs, schemeLocalLUTs)
 	}
 }
 

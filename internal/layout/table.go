@@ -37,7 +37,6 @@ const (
 var (
 	ErrTooLarge   = errors.New("layout: subobject offset exceeds encodable range")
 	ErrBadTable   = errors.New("layout: malformed layout table")
-	ErrBadIndex   = errors.New("layout: subobject index out of table")
 	ErrOutsideSub = errors.New("layout: address outside subobject element")
 )
 
@@ -323,22 +322,4 @@ func Narrow(fetch FetchFunc, tableAddr uint64, objBase, objSize, addr uint64, id
 	// "all array elements are represented by the single layout table
 	// element").
 	return b, st, nil
-}
-
-// NarrowTable is a convenience wrapper that narrows against an in-process
-// Table (no guest memory), used by tests, examples, and the compiler's
-// static-bounds folding.
-func NarrowTable(tb *Table, objBase, objSize, addr uint64, idx uint16) (Bounds, WalkStats, error) {
-	if int(idx) >= len(tb.Entries) {
-		return Bounds{Lower: objBase, Upper: objBase + objSize}, WalkStats{}, ErrBadIndex
-	}
-	words := tb.Encode()
-	fetch := func(entryAddr uint64) (uint64, uint64, error) {
-		i := int(entryAddr / EntryBytes)
-		if i < 0 || 2*i+1 >= len(words) {
-			return 0, 0, ErrBadIndex
-		}
-		return words[2*i], words[2*i+1], nil
-	}
-	return Narrow(fetch, 0, objBase, objSize, addr, idx)
 }

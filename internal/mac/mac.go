@@ -8,6 +8,8 @@ package mac
 import (
 	"encoding/binary"
 	"math/bits"
+
+	"infat/internal/splitmix"
 )
 
 // Size is the MAC width in bits as stored in object metadata.
@@ -27,14 +29,8 @@ type Key struct {
 // source at boot.
 func NewKey(seed uint64) Key {
 	// SplitMix64 expansion of the seed into two words.
-	next := func() uint64 {
-		seed += 0x9e3779b97f4a7c15
-		z := seed
-		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-		z = (z ^ z>>27) * 0x94d049bb133111eb
-		return z ^ z>>31
-	}
-	return Key{K0: next(), K1: next()}
+	r := splitmix.New(seed)
+	return Key{K0: r.Next(), K1: r.Next()}
 }
 
 // halfRound is one half of a SipRound, over two independent lanes: the

@@ -158,13 +158,6 @@ func (m *Machine) IfpMdGlobal(addr uint64, index uint16) uint64 {
 	return tag.MakeGlobal(addr, index)
 }
 
-// IfpMdStrip strips the tag (legacy pointer construction, used when
-// handing pointers to uninstrumented code).
-func (m *Machine) IfpMdStrip(p uint64) uint64 {
-	m.tick1(&m.C.IfpMd)
-	return tag.Strip(p)
-}
-
 // boundsSpillBytes is the in-memory footprint of a spilled bounds register
 // (two 48-bit words stored as two 8-byte words).
 const boundsSpillBytes = 16

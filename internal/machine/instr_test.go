@@ -159,10 +159,7 @@ func TestIfpMdBuilders(t *testing.T) {
 	if p := m.IfpMdGlobal(0x1000, 9); tag.SchemeOf(p) != tag.SchemeGlobalTable {
 		t.Error("global md")
 	}
-	if p := m.IfpMdStrip(tag.MakeGlobal(0x1000, 9)); !tag.IsLegacy(p) || tag.Addr(p) != 0x1000 {
-		t.Error("strip")
-	}
-	if m.C.IfpMd != 4 {
+	if m.C.IfpMd != 3 {
 		t.Errorf("IfpMd count = %d", m.C.IfpMd)
 	}
 }
@@ -190,6 +187,108 @@ func TestBoundsSpillRoundTrip(t *testing.T) {
 	}
 	if m.C.LdBnd != 2 || m.C.StBnd != 2 {
 		t.Errorf("bounds mem counters = %+v", m.C)
+	}
+}
+
+// TestCalleeSavedSpillRoundTrip is §4.1.2's callee-saved discipline: a
+// callee spills each clobbered callee-saved register as its GPR word (one
+// store) plus its bounds (one stbnd), and restores both halves (one load,
+// one ldbnd), so the caller gets back the same value/bounds pair, cleared
+// bounds included.
+func TestCalleeSavedSpillRoundTrip(t *testing.T) {
+	m := New()
+	type ifpr struct {
+		v uint64
+		b BoundsReg
+	}
+	b := BoundsReg{B: layout.Bounds{Lower: 0x4000, Upper: 0x4100}, Valid: true}
+	saved := []ifpr{{0x4000, b}, {0x5000, Cleared}} // s2 with bounds, s3 without
+
+	const sp, slot = 0x8000, 24 // GPR word at +0, bounds at +8
+	for i, r := range saved {
+		off := sp + uint64(i)*slot
+		if err := m.Store(off, r.v, 8, Cleared); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.StBnd(off+8, r.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Whatever the callee wrote to the registers, the epilogue reads both
+	// halves back from the frame.
+	for i, want := range saved {
+		off := sp + uint64(i)*slot
+		v, err := m.Load(off, 8, Cleared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.LdBnd(off + 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != want.v || got != want.b {
+			t.Errorf("s%d after restore = %#x %+v, want %#x %+v", i+2, v, got, want.v, want.b)
+		}
+	}
+	// The spill traffic was charged: 2 stbnd + 2 ldbnd.
+	if m.C.StBnd != 2 || m.C.LdBnd != 2 {
+		t.Errorf("bounds spill counters: st=%d ld=%d", m.C.StBnd, m.C.LdBnd)
+	}
+}
+
+// TestImplicitBoundsClearing: §4.1.2's implicit clearing. A GPR written by
+// an uninstrumented instruction gets cleared bounds, so a later access
+// through it is unchecked rather than checked against stale bounds, and
+// the clearing itself costs nothing.
+func TestImplicitBoundsClearing(t *testing.T) {
+	m := New()
+	before := m.C
+	b := m.ClearBounds()
+	if b != Cleared || b.Valid {
+		t.Fatalf("ClearBounds = %+v, want Cleared", b)
+	}
+	if m.C != before {
+		t.Errorf("ClearBounds moved counters: %+v -> %+v", before, m.C)
+	}
+	if err := m.Store(0x2000, 42, 8, b); err != nil {
+		t.Fatalf("store through cleared bounds: %v", err)
+	}
+	if m.C.Checks != 0 {
+		t.Errorf("Checks = %d through cleared bounds, want 0", m.C.Checks)
+	}
+}
+
+// TestLegacyCallScenario is the §4.1.2 compatibility argument, end to
+// end: an instrumented caller passes a pointer in a0; the legacy callee
+// either leaves a0 intact (its bounds still check) or overwrites it with
+// an existing instruction (bounds cleared) — it can never return with
+// mismatched value/bounds.
+func TestLegacyCallScenario(t *testing.T) {
+	m := New()
+	s := layout.StructOf("cc_s", layout.F("x", layout.Long))
+	p := setupLocal(t, m, 0x1000, s.Size(), s)
+	p, b := m.Promote(p)
+	if !b.Valid || tag.Addr(p) != 0x1000 {
+		t.Fatalf("promote = %#x %+v, want bounds for 0x1000", p, b)
+	}
+
+	// Case 1: callee leaves a0 alone; the caller's bounds still check.
+	if err := m.Store(p, 7, 8, b); err != nil {
+		t.Fatalf("in-bounds store: %v", err)
+	}
+	if err := m.Store(m.IfpAdd(p, 8, b), 7, 8, b); !IsTrap(err, TrapBounds) && !IsTrap(err, TrapPoison) {
+		t.Fatalf("out-of-bounds store = %v, want a trap", err)
+	}
+
+	// Case 2: callee returns its own (legacy) pointer in a0; the write
+	// cleared the bounds, so the caller's use is unchecked but never
+	// mis-checked.
+	v, vb := uint64(0x9000), m.ClearBounds()
+	if vb.Valid {
+		t.Fatal("stale bounds survived a legacy return value")
+	}
+	if err := m.Store(v, 7, 8, vb); err != nil {
+		t.Fatalf("legacy pointer store failed: %v", err)
 	}
 }
 
@@ -289,7 +388,7 @@ func TestCounterClasses(t *testing.T) {
 	m.IfpBnd(0, 8)
 	m.IfpChk(0, 1, Cleared)
 	m.IfpMac(0, 0, 0)
-	m.IfpMdStrip(0)
+	m.IfpMdGlobal(0, 0)
 	m.IfpExtract(0, Cleared)
 	if m.C.IfpArith() != 7 {
 		t.Errorf("IfpArith = %d, want 7", m.C.IfpArith())

@@ -10,7 +10,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // PageBits is log2 of the page size.
@@ -153,20 +152,6 @@ func (m *Memory) Reset() {
 	clear(m.pages)
 	m.invalidateTLB()
 	m.mapped = 0
-}
-
-// Map ensures the pages covering [addr, addr+size) are present. The runtime
-// uses it to model brk/mmap; ordinary loads and stores also demand-map, as
-// the paper's environment runs with overcommit enabled.
-func (m *Memory) Map(addr, size uint64) {
-	if size == 0 {
-		return
-	}
-	first := addr >> PageBits
-	last := (addr + size - 1) >> PageBits
-	for pn := first; pn <= last; pn++ {
-		m.page(pn)
-	}
 }
 
 // probe is the TLB hit path: page pn's frame if its slot holds it, else
@@ -373,31 +358,3 @@ func (m *Memory) Load64(addr uint64) (uint64, error) { return m.LoadN(addr, 8) }
 
 // Store64 stores a 64-bit little-endian word.
 func (m *Memory) Store64(addr uint64, v uint64) error { return m.StoreN(addr, v, 8) }
-
-// Zero clears [addr, addr+size).
-func (m *Memory) Zero(addr, size uint64) error {
-	var zeros [256]byte
-	for size > 0 {
-		n := uint64(len(zeros))
-		if size < n {
-			n = size
-		}
-		if err := m.Write(addr, zeros[:n]); err != nil {
-			return err
-		}
-		addr += n
-		size -= n
-	}
-	return nil
-}
-
-// Snapshot returns the sorted list of mapped page numbers; tests use it to
-// assert footprint shape.
-func (m *Memory) Snapshot() []uint64 {
-	pns := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	slices.Sort(pns)
-	return pns
-}

@@ -72,23 +72,6 @@ func TestBulkReadWrite(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	m := New()
-	if err := m.Write(0x100, []byte{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Zero(0x101, 3); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 5)
-	if err := m.Read(0x100, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{1, 0, 0, 0, 5}) {
-		t.Errorf("after zero: %v", got)
-	}
-}
-
 func TestUnsupportedSize(t *testing.T) {
 	m := New()
 	if _, err := m.LoadN(0, 3); err == nil {

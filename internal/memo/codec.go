@@ -8,7 +8,7 @@ import "sync"
 // registered here because LoadSnapshot sees only (kind, payload) pairs
 // and must map them back to typed values.
 type Codec struct {
-	// Decode parses a snapshot payload back into the value Get returns.
+	// Decode parses a snapshot payload back into the value GetKind returns.
 	// A nil error must mean the value round-trips: encoding it again
 	// yields bytes that digest-check identically.
 	Decode func(payload []byte) (any, error)

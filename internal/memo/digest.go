@@ -16,7 +16,7 @@
 //     and the vectors together.
 //   - A concurrency-safe bounded in-memory LRU tier (Store) with the
 //     /v1/run cache's pending-entry coalescing semantics (StartOrJoin /
-//     Finish) alongside the plain Get / Put cell path. Hits are
+//     Finish) alongside the plain GetKind / Put cell path. Hits are
 //     zero-allocation: the stored value is returned as-is, so callers
 //     share immutable results instead of re-deriving them.
 //   - An optional disk-backed snapshot (SaveSnapshot / LoadSnapshot,
@@ -68,7 +68,7 @@ const (
 //     (fixed 32 bytes, no prefix needed).
 //
 // The zero value plus Init is ready to use. Encoding happens in a
-// fixed-size stack buffer so the hot hit path (digest + Store.Get)
+// fixed-size stack buffer so the hot hit path (digest + Store.GetKind)
 // performs zero heap allocations; inputs that overflow the buffer spill
 // to the heap transparently.
 type Digester struct {

@@ -63,9 +63,6 @@ func (e *Entry) Value() any { return e.val }
 // Ready is closed.
 func (e *Entry) Kept() bool { return e.keep }
 
-// Kind returns the entry's result kind.
-func (e *Entry) Kind() byte { return e.kind }
-
 // entryOverhead approximates the fixed in-memory cost of one entry
 // (digest, list element, map slot, headers) for the bytes gauge.
 const entryOverhead = 160
@@ -88,8 +85,8 @@ type KindStats struct {
 // Store is the content-addressed result store: a concurrency-safe,
 // entry-bounded LRU keyed by Digest. Two access disciplines share it:
 //
-//   - Get / Put: the cell path. Get serves only completed entries (a
-//     pending entry is a miss — cell runners never block on each other);
+//   - GetKind / Put: the cell path. GetKind serves only completed entries
+//     (a pending entry is a miss — cell runners never block on each other);
 //     Put records a computed result, first writer wins.
 //   - StartOrJoin / Finish: the request-coalescing path (the /v1/run
 //     cache rebuilt). The first caller of a key leads and computes;
@@ -126,35 +123,11 @@ func NewStore(max int) *Store {
 	return &Store{max: max, order: list.New(), items: make(map[Digest]*list.Element)}
 }
 
-// Get returns the completed value stored under d. A pending entry (a
+// GetKind returns the completed value stored under d. A pending entry (a
 // leader is computing it right now) is a miss: the cell path never
-// blocks one runner on another. The hit path performs no heap
-// allocations — the alloc-budget tests pin that.
-func (s *Store) Get(d Digest) (any, bool) {
-	s.mu.Lock()
-	el, ok := s.items[d]
-	if ok {
-		e := el.Value.(*Entry)
-		if e.done {
-			s.order.MoveToFront(el)
-			s.mu.Unlock()
-			s.hits[e.kind].Add(1)
-			return e.val, true
-		}
-		kind := e.kind
-		s.mu.Unlock()
-		s.misses[kind].Add(1)
-		return nil, false
-	}
-	s.mu.Unlock()
-	// The kind of an absent digest is unknown; callers that care about
-	// per-kind miss accounting use GetKind.
-	s.misses[0].Add(1)
-	return nil, false
-}
-
-// GetKind is Get with the caller naming the kind it expects, so misses
-// on absent digests are accounted to that kind instead of kind 0.
+// blocks one runner on another. A miss is accounted to the kind the
+// caller names, since an absent digest has no kind of its own. The hit
+// path performs no heap allocations — the alloc-budget tests pin that.
 func (s *Store) GetKind(d Digest, kind byte) (any, bool) {
 	s.mu.Lock()
 	if el, ok := s.items[d]; ok {

@@ -14,15 +14,15 @@ func TestPutGetAndLRUEviction(t *testing.T) {
 		s.Put(dg(fmt.Sprintf("k%d", i)), KindCell, i, nil)
 	}
 	// Touch k0 so k1 is the least recently used.
-	if v, ok := s.Get(dg("k0")); !ok || v.(int) != 0 {
+	if v, ok := s.GetKind(dg("k0"), KindCell); !ok || v.(int) != 0 {
 		t.Fatalf("k0: got %v %v", v, ok)
 	}
 	s.Put(dg("k3"), KindCell, 3, nil)
-	if _, ok := s.Get(dg("k1")); ok {
+	if _, ok := s.GetKind(dg("k1"), KindCell); ok {
 		t.Error("k1 should have been evicted as LRU")
 	}
 	for _, want := range []int{0, 2, 3} {
-		if v, ok := s.Get(dg(fmt.Sprintf("k%d", want))); !ok || v.(int) != want {
+		if v, ok := s.GetKind(dg(fmt.Sprintf("k%d", want)), KindCell); !ok || v.(int) != want {
 			t.Errorf("k%d: got %v %v", want, v, ok)
 		}
 	}
@@ -95,7 +95,7 @@ func TestPendingNotEvicted(t *testing.T) {
 		t.Fatal("pending entry was evicted under pressure")
 	}
 	s.Finish(ePend, "done", nil, true)
-	if v, ok := s.Get(dg("pending")); !ok || v.(string) != "done" {
+	if v, ok := s.GetKind(dg("pending"), KindRun); !ok || v.(string) != "done" {
 		t.Fatalf("finished entry: got %v %v", v, ok)
 	}
 }
@@ -103,11 +103,11 @@ func TestPendingNotEvicted(t *testing.T) {
 func TestGetSkipsPending(t *testing.T) {
 	s := NewStore(16)
 	e, _ := s.StartOrJoin(dg("p"), KindCell)
-	if _, ok := s.Get(dg("p")); ok {
-		t.Error("Get must treat a pending entry as a miss, not block")
+	if _, ok := s.GetKind(dg("p"), KindCell); ok {
+		t.Error("GetKind must treat a pending entry as a miss, not block")
 	}
 	s.Finish(e, 1, nil, true)
-	if _, ok := s.Get(dg("p")); !ok {
+	if _, ok := s.GetKind(dg("p"), KindCell); !ok {
 		t.Error("finished entry should hit")
 	}
 }
@@ -192,7 +192,7 @@ func TestFinishIdempotent(t *testing.T) {
 	s.Finish(e, "first", []byte("first"), true)
 	// The abandonment safety-net Finish must be a no-op.
 	s.Finish(e, "second", nil, false)
-	if v, ok := s.Get(dg("once")); !ok || v.(string) != "first" {
+	if v, ok := s.GetKind(dg("once"), KindRun); !ok || v.(string) != "first" {
 		t.Fatalf("got %v %v, want first", v, ok)
 	}
 }
@@ -217,14 +217,14 @@ func TestPutFirstWriterWins(t *testing.T) {
 	s := NewStore(16)
 	s.Put(dg("k"), KindCell, "first", nil)
 	s.Put(dg("k"), KindCell, "second", nil)
-	if v, _ := s.Get(dg("k")); v.(string) != "first" {
+	if v, _ := s.GetKind(dg("k"), KindCell); v.(string) != "first" {
 		t.Errorf("got %v, want first", v)
 	}
 	// Put onto a pending key must not clobber the leader's entry.
 	e, _ := s.StartOrJoin(dg("p"), KindRun)
 	s.Put(dg("p"), KindRun, "interloper", nil)
 	s.Finish(e, "leader", nil, true)
-	if v, _ := s.Get(dg("p")); v.(string) != "leader" {
+	if v, _ := s.GetKind(dg("p"), KindRun); v.(string) != "leader" {
 		t.Errorf("got %v, want leader", v)
 	}
 }

@@ -85,8 +85,6 @@ const (
 	LConstGepStore // *(r[B] + Imm*Imm2) = r[A] — constant-index element store
 	LLocalLoad     // r[A] = *(&slot[Imm])
 	LLocalLoadP    // r[A] = promote(*(&slot[Imm]))
-
-	lopCount // number of lowered opcodes (sizing for hit counters)
 )
 
 // LInsn is one lowered instruction. A, B, C are virtual register numbers

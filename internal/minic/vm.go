@@ -46,10 +46,6 @@ type VM struct {
 
 	steps    uint64
 	maxSteps uint64
-
-	// superHits counts dynamically retired lowered instructions per
-	// opcode (only the fused superinstructions are recorded).
-	superHits [lopCount]uint64
 }
 
 // value is one eval-stack entry: a 64-bit value with its bounds register.
@@ -166,18 +162,6 @@ func (vm *VM) Run() (int64, error) {
 		return 0, err
 	}
 	return int64(ret.v), nil
-}
-
-// SuperHits reports how many fused superinstructions the VM retired,
-// keyed by mnemonic. Zero-count entries are omitted.
-func (vm *VM) SuperHits() map[string]uint64 {
-	m := map[string]uint64{}
-	for op, n := range vm.superHits {
-		if n > 0 {
-			m[lopNames[LOp(op)]] = n
-		}
-	}
-	return m
 }
 
 // unwindTop tears down the newest frame on any exit from callReg —
@@ -477,14 +461,12 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 		// source order; only the intermediate stack traffic is gone.
 		case LGepIdx:
 			// ifpadd + ifpidx (member derivation with tag update).
-			vm.superHits[LGepIdx]++
 			a := regs[in.A]
 			p := vm.R.GEP(a.v, in.Imm, a.b)
 			regs[in.A] = value{v: vm.R.SetSub(p, in.Sub), b: a.b}
 		case LGepIdxBnd:
 			// GEP (+ifpidx) + ifpbnd: subobject derivation, checked at
 			// member granularity immediately.
-			vm.superHits[LGepIdxBnd]++
 			a := regs[in.A]
 			p := vm.R.GEP(a.v, in.Imm, a.b)
 			if in.Sub != SubKeep {
@@ -493,7 +475,6 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 			regs[in.A] = value{v: p, b: vm.R.Bnd(p, uint64(in.Imm2))}
 		case LLoadPChk:
 			// promote + ifpchk + load: the pointer-dereference chain.
-			vm.superHits[LLoadPChk]++
 			a := regs[in.A]
 			p, b, err := vm.R.LoadPtr(a.v, a.b)
 			if err != nil {
@@ -509,7 +490,6 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 			// derived address stay virtual. Tick(2) = the const
 			// materialization plus the index-scaling multiply of the
 			// unfused sequence.
-			vm.superHits[LConstGepStore]++
 			base := regs[in.B]
 			val := regs[in.A]
 			vm.R.M.Tick(2)
@@ -522,7 +502,6 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 			}
 		case LLocalLoad:
 			// slot address + load.
-			vm.superHits[LLocalLoad]++
 			s := vm.slots[slotBase+int(in.Imm)]
 			vm.R.M.Tick(1)
 			v, err := vm.R.Load(s.P, int(in.Size), s.B)
@@ -532,7 +511,6 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 			regs[in.A] = value{v: signExtend(v, int(in.Size))}
 		case LLocalLoadP:
 			// slot address + pointer load (promote).
-			vm.superHits[LLocalLoadP]++
 			s := vm.slots[slotBase+int(in.Imm)]
 			vm.R.M.Tick(1)
 			p, b, err := vm.R.LoadPtr(s.P, s.B)

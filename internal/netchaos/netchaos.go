@@ -7,8 +7,8 @@
 // can be proven against every network failure mode the real world
 // offers, reproducibly.
 //
-// Determinism: all randomness comes from a private splitmix64 stream
-// seeded by Config.Seed (the same idiom as internal/chaos), and the
+// Determinism: all randomness comes from a splitmix64 stream
+// (internal/splitmix) seeded by Config.Seed, and the
 // fault budget (Config.MaxFaults) bounds how many requests are
 // sabotaged, so a campaign over a faulted fleet always converges and a
 // rerun with the same seed injects the same faults. Only POST requests
@@ -27,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"infat/internal/splitmix"
 )
 
 // Fault is one network failure mode the proxy can inject.
@@ -139,7 +141,7 @@ type Proxy struct {
 	cfg Config
 
 	mu  sync.Mutex // guards rng
-	rng *prng
+	rng *splitmix.Stream
 
 	eligible atomic.Uint64 // eligible POSTs seen (budget counter)
 	injected atomic.Uint64 // faults actually injected
@@ -148,7 +150,7 @@ type Proxy struct {
 // New builds a Proxy for cfg.
 func New(cfg Config) *Proxy {
 	cfg = cfg.withDefaults()
-	return &Proxy{cfg: cfg, rng: newPrng(cfg.Seed)}
+	return &Proxy{cfg: cfg, rng: splitmix.New(cfg.Seed)}
 }
 
 // Injected reports how many requests have been sabotaged so far.
@@ -286,7 +288,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, fault Fault) {
 // coordinates.
 func (p *Proxy) corruptLine(line []byte) []byte {
 	p.mu.Lock()
-	mode := p.rng.intn(3)
+	mode := p.rng.Intn(3)
 	p.mu.Unlock()
 	trimmed := bytes.TrimRight(line, "\n")
 	switch mode {
@@ -322,24 +324,3 @@ func (p *Proxy) corruptLine(line []byte) []byte {
 		return append(out, '\n')
 	}
 }
-
-// v0 is the identity on header names; it exists so the header-copy loop
-// reads as intent (canonical names in, canonical names out).
-func v0(h string) string { return h }
-
-// prng is the package's private splitmix64 stream — the same idiom as
-// internal/chaos — so fault choices reproduce exactly under a seed.
-type prng struct{ s uint64 }
-
-func newPrng(seed uint64) *prng { return &prng{s: seed} }
-
-func (r *prng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
-// intn returns a deterministic value in [0, n).
-func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }

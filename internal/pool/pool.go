@@ -11,7 +11,6 @@
 package pool
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -34,13 +33,6 @@ func Workers(n int) int {
 // but with the same run-everything, join-all-errors semantics as the
 // parallel path, so output and error text never depend on worker count.
 func Map(workers, n int, fn func(i int) error) error {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with cancellation: once ctx is done, no new items are
-// dispatched (in-flight items finish) and ctx.Err() is joined into the
-// result. Items that were never dispatched contribute no error.
-func MapCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -51,9 +43,6 @@ func MapCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return errors.Join(append(errs[:i:i], ctx.Err())...)
-			}
 			errs[i] = fn(i)
 		}
 		return errors.Join(errs...)
@@ -67,7 +56,7 @@ func MapCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= n || ctx.Err() != nil {
+				if i >= n {
 					return
 				}
 				errs[i] = fn(i)
@@ -75,8 +64,5 @@ func MapCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
 	return errors.Join(errs...)
 }

@@ -1,11 +1,9 @@
 package pool
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -82,45 +80,6 @@ func TestMapDoesNotAbortOnError(t *testing.T) {
 	}
 	if ran.Load() != 32 {
 		t.Errorf("only %d/32 items ran after a failure", ran.Load())
-	}
-}
-
-func TestMapCtxCancellationStopsDispatch(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	err := MapCtx(ctx, 2, 1000, func(i int) error {
-		if ran.Add(1) == 5 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= 1000 {
-		t.Errorf("cancellation dispatched all %d items", n)
-	}
-}
-
-func TestMapCtxSerialCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int
-	err := MapCtx(ctx, 1, 100, func(i int) error {
-		ran++
-		if i == 2 {
-			cancel()
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Errorf("pre-cancellation error dropped: %v", err)
-	}
-	if ran != 3 {
-		t.Errorf("ran %d items after cancel at item 2", ran)
 	}
 }
 

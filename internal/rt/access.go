@@ -92,15 +92,6 @@ func (r *Runtime) Bnd(p Ptr, size uint64) machine.BoundsReg {
 	return r.M.IfpBnd(p, size)
 }
 
-// Check is an explicit ifpchk for pointers in registers outside the
-// implicitly-checked (caller-saved) set (§4.1.1).
-func (r *Runtime) Check(p Ptr, size uint64, b machine.BoundsReg) Ptr {
-	if !r.Instrumented() {
-		return p
-	}
-	return r.M.IfpChk(p, size, b)
-}
-
 // Promote re-retrieves bounds for a pointer (explicit promote site).
 func (r *Runtime) Promote(p Ptr) (Ptr, machine.BoundsReg) {
 	if !r.Instrumented() {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,18 +134,26 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	}
 }
 
+// TestClientRespectsContextCancellation cancels during the first backoff
+// sleep. The client draws its jitter only once the attempt has returned
+// its 503, so cancelling from the first draw never cancels the request
+// itself.
 func TestClientRespectsContextCancellation(t *testing.T) {
 	h, calls := flakyHandler(1000, http.StatusServiceUnavailable, healthOK)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	c.RetryBase = time.Hour // the cancel must interrupt the first backoff
+	backingOff := make(chan struct{})
+	var once sync.Once
+	c.Jitter = func(time.Duration) time.Duration {
+		once.Do(func() { close(backingOff) })
+		return 0
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- c.Healthz(ctx) }()
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-backingOff
 	cancel()
 	select {
 	case err := <-errCh:

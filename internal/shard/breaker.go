@@ -17,6 +17,8 @@ package shard
 import (
 	"sync"
 	"time"
+
+	"infat/internal/splitmix"
 )
 
 // Breaker states as reported in /metrics.
@@ -120,26 +122,6 @@ func (b *breaker) snapshot() (state string, fails int) {
 	return b.state, b.fails
 }
 
-// prng is the shard's private splitmix64 stream (same idiom as
-// internal/chaos): deterministic under Config.Seed and independent of
-// math/rand global state, so probe jitter and any routing randomness
-// reproduce exactly across runs — the property the netchaos campaign
-// gates on.
-type prng struct{ s uint64 }
-
-func newPrng(seed uint64) *prng { return &prng{s: seed} }
-
-func (r *prng) next() uint64 {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
-// intn returns a deterministic value in [0, n).
-func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // probeDelay is the wait before a backend's next health probe: the base
 // interval, doubled per consecutive failure up to 8x (a flapping or
 // dead backend is probed less aggressively), plus a seeded jitter of up
@@ -148,7 +130,7 @@ func (r *prng) intn(n int) int { return int(r.next() % uint64(n)) }
 // absorbs N simultaneous probes every interval, a thundering herd that
 // grows with fleet size and lands exactly when a recovering backend is
 // most fragile.
-func probeDelay(base time.Duration, fails int, rng *prng) time.Duration {
+func probeDelay(base time.Duration, fails int, rng *splitmix.Stream) time.Duration {
 	d := base
 	for i := 0; i < fails && d < 8*base; i++ {
 		d *= 2
@@ -157,7 +139,7 @@ func probeDelay(base time.Duration, fails int, rng *prng) time.Duration {
 		d = 8 * base
 	}
 	if j := int(base / 4); j > 0 {
-		d += time.Duration(rng.intn(j))
+		d += time.Duration(rng.Intn(j))
 	}
 	return d
 }

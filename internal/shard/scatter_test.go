@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"infat/internal/exp"
+	"infat/internal/splitmix"
 	"infat/internal/workloads"
 )
 
@@ -20,8 +21,8 @@ const simRTT = 0.5
 // cells vary around it by configuration, and its memory cells, at four
 // times the scale but untimed, cost about three perf cells.
 func simCosts(plan exp.Plan, seed uint64) []float64 {
-	rng := newPrng(seed)
-	unit := func() float64 { return float64(rng.next()>>11) / (1 << 53) }
+	rng := splitmix.New(seed)
+	unit := func() float64 { return float64(rng.Next()>>11) / (1 << 53) }
 	base := map[string]float64{}
 	cost := make([]float64, plan.NumCells())
 	for i := range cost {

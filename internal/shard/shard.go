@@ -35,6 +35,7 @@ import (
 
 	"infat/internal/memo"
 	"infat/internal/server"
+	"infat/internal/splitmix"
 )
 
 // Defaults for Config zero values.
@@ -275,7 +276,7 @@ func (s *Shard) UpBackends() []string {
 // backoff instead of hammered every tick.
 func (s *Shard) probeLoop(idx int, b *backend) {
 	defer s.wg.Done()
-	rng := newPrng(s.cfg.Seed + uint64(idx)*0x9E3779B97F4A7C15)
+	rng := splitmix.New(s.cfg.Seed + uint64(idx)*0x9E3779B97F4A7C15)
 	t := time.NewTimer(probeDelay(s.cfg.HealthInterval, 0, rng))
 	defer t.Stop()
 	for {

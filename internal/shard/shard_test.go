@@ -20,6 +20,7 @@ import (
 	"infat/internal/exp"
 	"infat/internal/memo"
 	"infat/internal/server"
+	"infat/internal/splitmix"
 	"infat/internal/workloads"
 )
 
@@ -324,7 +325,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // differs across seeds (no fleet-wide lockstep).
 func TestProbeDelayBackoffAndJitter(t *testing.T) {
 	const base = 100 * time.Millisecond
-	rng := newPrng(42)
+	rng := splitmix.New(42)
 	for fails := 0; fails <= 6; fails++ {
 		want := base << uint(fails)
 		if want > 8*base {
@@ -337,14 +338,14 @@ func TestProbeDelayBackoffAndJitter(t *testing.T) {
 	}
 	// Same seed, same schedule — the reproducibility the netchaos
 	// campaign gates on.
-	r1, r2 := newPrng(7), newPrng(7)
+	r1, r2 := splitmix.New(7), splitmix.New(7)
 	for i := 0; i < 16; i++ {
 		if d1, d2 := probeDelay(base, i%4, r1), probeDelay(base, i%4, r2); d1 != d2 {
 			t.Fatalf("seeded probe schedule not reproducible: %v vs %v at step %d", d1, d2, i)
 		}
 	}
 	// Different seeds must desynchronize somewhere.
-	ra, rb := newPrng(1), newPrng(2)
+	ra, rb := splitmix.New(1), splitmix.New(2)
 	same := true
 	for i := 0; i < 16; i++ {
 		if probeDelay(base, 0, ra) != probeDelay(base, 0, rb) {

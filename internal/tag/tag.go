@@ -167,11 +167,6 @@ func WithMeta(p uint64, m uint16) uint64 {
 // canonical (legacy) pattern. NULL pointers are legacy pointers.
 func IsLegacy(p uint64) bool { return SchemeOf(p) == SchemeLegacy }
 
-// Strip returns the canonical (tag-free) form of p, preserving nothing but
-// the address. It models ifpextract's truncation (§4.1) without the poison
-// bookkeeping.
-func Strip(p uint64) uint64 { return Addr(p) }
-
 // --- Local-offset scheme fields (Figure 6) ---
 
 // LocalFields unpacks the local-offset tag: the granule offset from the

@@ -345,15 +345,6 @@ func (e *env) unlocal(o rt.Obj) {
 	e.fail(e.r.DeallocLocal(o))
 }
 
-func (e *env) global(t *layout.Type) rt.Obj {
-	if e.err != nil {
-		return rt.Obj{}
-	}
-	o, err := e.r.RegisterGlobal(t)
-	e.fail(err)
-	return o
-}
-
 func (e *env) globalBytes(n uint64) rt.Obj {
 	if e.err != nil {
 		return rt.Obj{}
