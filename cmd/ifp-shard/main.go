@@ -10,8 +10,8 @@
 // Usage:
 //
 //	ifp-shard -backends http://h1:8080,http://h2:8080 [-addr :8090]
-//	          [-replicas N] [-health-interval D] [-down-after N]
-//	          [-wait D] [-selftest] [-netchaos]
+//	          [-health-interval D] [-down-after N] [-wait D]
+//	          [-selftest] [-netchaos]
 //
 // -wait blocks startup until every backend answers /healthz (0 skips
 // the wait; backends that are still down merely start drained).
@@ -45,9 +45,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	backends := flag.String("backends", "", "comma-separated ifp-serve base URLs (required unless -selftest)")
-	replicas := flag.Int("replicas", shard.DefaultReplicas, "virtual nodes per backend on the hash ring")
 	healthInterval := flag.Duration("health-interval", shard.DefaultHealthInterval, "backend health probe period")
-	downAfter := flag.Int("down-after", shard.DefaultDownAfter, "consecutive probe failures before a backend is drained")
+	downAfter := flag.Int("down-after", shard.DefaultDownAfter, "consecutive failed probes or requests before a backend is drained")
 	wait := flag.Duration("wait", 0, "wait for every backend to be healthy before serving (0 = don't wait)")
 	selftest := flag.Bool("selftest", false, "boot two in-process backends and the shard, verify equivalence, exit")
 	netchaosFlag := flag.Bool("netchaos", false, "run the full network-fault campaign grid against an in-process faulted fleet, verify self-healing, exit")
@@ -85,7 +84,6 @@ func main() {
 	}
 	front, err := shard.New(shard.Config{
 		Backends:       urls,
-		Replicas:       *replicas,
 		HealthInterval: *healthInterval,
 		DownAfter:      *downAfter,
 	})

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"time"
 
 	"infat/internal/exp"
@@ -34,9 +33,39 @@ import (
 	"infat/internal/workloads"
 )
 
-// Campaign defaults, tuned so the full grid finishes in CI minutes
+// Campaign settings, tuned so the full grid finishes in CI minutes
 // under -race while still forcing every recovery path to fire.
 var defaultCampaignWorkloads = []string{"treeadd", "health"}
+
+const (
+	// campaignScale is the batch perf scale.
+	campaignScale = 1
+	// chaosScale is the chaos-campaign scale.
+	chaosScale = 1
+	// fleetSize is the number of backends behind the shard.
+	fleetSize = 2
+	// faultLatency is the injected delay and slowloris pause.
+	faultLatency = 30 * time.Millisecond
+	// stallCap bounds blackhole stalls.
+	stallCap = 2 * time.Second
+	// hedgeAfter is the shard's straggler budget: longer than an honest
+	// cell, shorter than a blackhole or slowloris stall, so hedges fire
+	// for sabotage, not for ordinary work.
+	hedgeAfter = time.Second
+	// relayTimeout is the shard's per-relay bound. Injected stalls are
+	// bounded by stallCap, so this only has to beat the slowest honest
+	// cell — generous headroom matters more than speed, because CI runs
+	// the campaign under -race at a multiple of normal cell latency, and
+	// a relay bound tighter than a legitimate cell turns the control arm
+	// flaky.
+	relayTimeout = 30 * time.Second
+	// maxRounds caps the client's re-request loop per leg.
+	maxRounds = 8
+	// roundPause is the wait between client re-request rounds, giving the
+	// shard's health probes time to readmit the backends a faulted round
+	// drained.
+	roundPause = 150 * time.Millisecond
+)
 
 // CampaignConfig parameterizes RunCampaign. The zero value runs the
 // full default grid.
@@ -44,41 +73,14 @@ type CampaignConfig struct {
 	// Workloads are the batch-campaign workload names
 	// (nil = treeadd, health).
 	Workloads []string
-	// Scale is the batch perf scale (0 = 1).
-	Scale int
-	// ChaosScale is the chaos-campaign scale (0 = 1).
-	ChaosScale int
 	// SkipChaos drops the chaos legs from the grid (batch legs only).
 	SkipChaos bool
 	// Seeds are the per-grid-point determinism seeds (nil = {1, 2}).
 	Seeds []uint64
 	// FaultSet are the faults to exercise (nil = all of Faults).
 	FaultSet []Fault
-	// Backends is the fleet size behind the shard (0 = 2).
-	Backends int
 	// MaxFaults is each proxy's sabotage budget (0 = DefaultMaxFaults).
 	MaxFaults int
-	// Latency is the injected delay / slowloris pause (0 = 30ms).
-	Latency time.Duration
-	// StallCap bounds blackhole stalls (0 = 2s).
-	StallCap time.Duration
-	// HedgeAfter is the shard's straggler budget (0 = 1s: longer than an
-	// honest cell, shorter than a blackhole or slowloris stall, so hedges
-	// fire for sabotage, not for ordinary work).
-	HedgeAfter time.Duration
-	// RelayTimeout is the shard's per-relay bound (0 = 30s). Injected
-	// stalls are bounded by StallCap, so this only has to beat the
-	// slowest honest cell — generous headroom matters more than speed,
-	// because CI runs the campaign under -race at a multiple of normal
-	// cell latency, and a relay bound tighter than a legitimate cell
-	// turns the control arm flaky.
-	RelayTimeout time.Duration
-	// MaxRounds caps the client's re-request loop per leg (0 = 8).
-	MaxRounds int
-	// RoundPause is the wait between client re-request rounds, giving the
-	// shard's health probes time to close breakers a faulted round opened
-	// (0 = 150ms).
-	RoundPause time.Duration
 	// Logf, when set, receives per-run progress lines.
 	Logf func(format string, args ...any)
 }
@@ -87,41 +89,14 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 	if len(c.Workloads) == 0 {
 		c.Workloads = defaultCampaignWorkloads
 	}
-	if c.Scale < 1 {
-		c.Scale = 1
-	}
-	if c.ChaosScale < 1 {
-		c.ChaosScale = 1
-	}
 	if len(c.Seeds) == 0 {
 		c.Seeds = []uint64{1, 2}
 	}
 	if len(c.FaultSet) == 0 {
 		c.FaultSet = Faults
 	}
-	if c.Backends < 1 {
-		c.Backends = 2
-	}
 	if c.MaxFaults == 0 {
 		c.MaxFaults = DefaultMaxFaults
-	}
-	if c.Latency <= 0 {
-		c.Latency = 30 * time.Millisecond
-	}
-	if c.StallCap <= 0 {
-		c.StallCap = 2 * time.Second
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = time.Second
-	}
-	if c.RelayTimeout <= 0 {
-		c.RelayTimeout = 30 * time.Second
-	}
-	if c.MaxRounds < 1 {
-		c.MaxRounds = 8
-	}
-	if c.RoundPause <= 0 {
-		c.RoundPause = 150 * time.Millisecond
 	}
 	return c
 }
@@ -145,13 +120,12 @@ type RunStats struct {
 	CorruptRejected int `json:"corrupt_rejected"` // corrupt cells the assembly refused
 
 	// Shard-side accounting (this run's shard, so counters are absolute).
-	FailedOver    uint64            `json:"failed_over"`    // cells reassigned after a backend loss
-	Stolen        uint64            `json:"stolen"`         // cells run by a backend other than their home queue's
-	Hedged        uint64            `json:"hedged"`         // straggler cells re-dispatched
-	Shed          uint64            `json:"shed"`           // cells emitted as error cells
-	CorruptLines  uint64            `json:"corrupt_lines"`  // backend lines the shard's validation rejected
-	DupSuppressed uint64            `json:"dup_suppressed"` // duplicate lines the shard's dedup dropped
-	Breakers      map[string]string `json:"breakers,omitempty"`
+	FailedOver    uint64 `json:"failed_over"`    // cells reassigned after a backend loss
+	Stolen        uint64 `json:"stolen"`         // cells run by a backend other than their home queue's
+	Hedged        uint64 `json:"hedged"`         // straggler cells re-dispatched
+	Shed          uint64 `json:"shed"`           // cells emitted as error cells
+	CorruptLines  uint64 `json:"corrupt_lines"`  // backend lines the shard's validation rejected
+	DupSuppressed uint64 `json:"dup_suppressed"` // duplicate lines the shard's dedup dropped
 
 	// Gates.
 	Lost            int    `json:"lost"`             // cells never assembled (must be 0)
@@ -188,19 +162,19 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 
 	// Ground truths, computed once locally: the byte-exact answers every
 	// faulted run must still produce.
-	batchReq := server.BatchRequest{Workloads: cfg.Workloads, Scale: cfg.Scale}
+	batchReq := server.BatchRequest{Workloads: cfg.Workloads, Scale: campaignScale}
 	batchPlan, err := batchReq.BatchPlan()
 	if err != nil {
 		return nil, err
 	}
-	batch, err := newLeg("batch", server.BatchPath, batchReq, batchPlan, cfg)
+	batch, err := newLeg("batch", server.BatchPath, batchReq, batchPlan)
 	if err != nil {
 		return nil, err
 	}
 	legs := []leg{batch}
 	if !cfg.SkipChaos {
-		chaosReq := server.ChaosRequest{Scale: cfg.ChaosScale}
-		lg, err := newLeg("chaos", server.ChaosPath, chaosReq, chaosReq.Plan(), cfg)
+		chaosReq := server.ChaosRequest{Scale: chaosScale}
+		lg, err := newLeg("chaos", server.ChaosPath, chaosReq, chaosReq.Plan())
 		if err != nil {
 			return nil, err
 		}
@@ -242,13 +216,13 @@ type leg struct {
 
 // newLeg computes the campaign's ground truth and binds the leg that
 // streams it from path.
-func newLeg[C any](name, path string, req campaignRequest, camp exp.Campaign[C], cfg CampaignConfig) (leg, error) {
+func newLeg[C any](name, path string, req campaignRequest, camp exp.Campaign[C]) (leg, error) {
 	want, err := exp.RunReport(camp, 0)
 	if err != nil {
 		return leg{}, err
 	}
 	return leg{name, camp.NumCells(), func(ctx context.Context, c *server.Client, stats *RunStats) error {
-		return streamLeg(ctx, c, cfg, path, req, camp, want, stats)
+		return streamLeg(ctx, c, path, req, camp, want, stats)
 	}}, nil
 }
 
@@ -293,8 +267,8 @@ func bootStack(cfg CampaignConfig, fault Fault, seed uint64) (*stack, error) {
 		st.closers = append(st.closers, func() { srv.Close() })
 		return "http://" + ln.Addr().String(), nil
 	}
-	proxyURLs := make([]string, cfg.Backends)
-	for i := 0; i < cfg.Backends; i++ {
+	proxyURLs := make([]string, fleetSize)
+	for i := range proxyURLs {
 		backendURL, err := serve(server.New(server.Config{}))
 		if err != nil {
 			st.close()
@@ -305,8 +279,8 @@ func bootStack(cfg CampaignConfig, fault Fault, seed uint64) (*stack, error) {
 			Fault:     fault,
 			Seed:      seed + uint64(i)*0x9E3779B97F4A7C15,
 			MaxFaults: cfg.MaxFaults,
-			Latency:   cfg.Latency,
-			StallCap:  cfg.StallCap,
+			Latency:   faultLatency,
+			StallCap:  stallCap,
 		})
 		st.proxies = append(st.proxies, p)
 		if proxyURLs[i], err = serve(p); err != nil {
@@ -315,15 +289,13 @@ func bootStack(cfg CampaignConfig, fault Fault, seed uint64) (*stack, error) {
 		}
 	}
 	front, err := shard.New(shard.Config{
-		Backends:         proxyURLs,
-		HealthInterval:   50 * time.Millisecond,
-		HealthTimeout:    time.Second,
-		DownAfter:        2,
-		BreakerThreshold: 2,
-		BreakerCooldown:  150 * time.Millisecond,
-		HedgeAfter:       cfg.HedgeAfter,
-		RelayTimeout:     cfg.RelayTimeout,
-		Seed:             seed,
+		Backends:       proxyURLs,
+		HealthInterval: 50 * time.Millisecond,
+		HealthTimeout:  time.Second,
+		DownAfter:      2,
+		HedgeAfter:     hedgeAfter,
+		RelayTimeout:   relayTimeout,
+		Seed:           seed,
 	})
 	if err != nil {
 		st.close()
@@ -399,10 +371,10 @@ func addOutcome(err error, stats *RunStats) error {
 // streamLeg streams the campaign from path, re-requesting missing cells
 // until the assembly completes (or rounds run out), then byte-compares
 // the reassembled report.
-func streamLeg[C any](ctx context.Context, c *server.Client, cfg CampaignConfig, path string,
+func streamLeg[C any](ctx context.Context, c *server.Client, path string,
 	req campaignRequest, camp exp.Campaign[C], want string, stats *RunStats) error {
 	a := exp.NewAssembly(camp)
-	for round := 0; round < cfg.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		missing := a.Missing()
 		if len(missing) == 0 {
 			break
@@ -412,10 +384,10 @@ func streamLeg[C any](ctx context.Context, c *server.Client, cfg CampaignConfig,
 		if round > 0 {
 			cells = missing
 			stats.RetriedCells += len(missing)
-			// Pause so the shard's health probes can close breakers the
-			// previous faulted round opened; without it the rounds spin
+			// Pause so the shard's health probes can readmit backends the
+			// previous faulted round drained; without it the rounds spin
 			// faster than the tier can heal.
-			pauseCtx(ctx, cfg.RoundPause)
+			pauseCtx(ctx, roundPause)
 		}
 		_, err := c.CampaignStream(ctx, path, req.WithCells(cells), func(cell server.BatchCell) error {
 			if cell.Error != "" {
@@ -453,8 +425,8 @@ func pauseCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// scrapeShard folds the run's final shard counters and breaker states
-// into stats. Best-effort: a scrape failure leaves the fields zero.
+// scrapeShard folds the run's final shard counters into stats.
+// Best-effort: a scrape failure leaves the fields zero.
 func scrapeShard(ctx context.Context, shardURL string, stats *RunStats) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shardURL+"/metrics", nil)
 	if err != nil {
@@ -475,15 +447,6 @@ func scrapeShard(ctx context.Context, shardURL string, stats *RunStats) {
 	stats.Shed = m.Shard["shed_cells"]
 	stats.CorruptLines = m.Shard["corrupt_lines"]
 	stats.DupSuppressed = m.Shard["dup_suppressed"]
-	stats.Breakers = make(map[string]string, len(m.Breakers))
-	urls := make([]string, 0, len(m.Breakers))
-	for u := range m.Breakers {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-	for _, u := range urls {
-		stats.Breakers[u] = m.Breakers[u].State
-	}
 }
 
 // Summary condenses a campaign result for reports.

@@ -271,7 +271,7 @@ func TestBatchMidStreamCancellation(t *testing.T) {
 func TestBusyResponsesCarryRetryAfter(t *testing.T) {
 	// Zero-worker trick is impossible (Workers is defaulted), so force
 	// rejection with an already-expired deadline instead.
-	s, _, done := newTestServer(t, Config{RetryAfter: 1500 * time.Millisecond})
+	s, _, done := newTestServer(t, Config{})
 	defer done()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -285,7 +285,7 @@ func TestBusyResponsesCarryRetryAfter(t *testing.T) {
 	}
 
 	// Through the HTTP layer: a request whose deadline expired before a
-	// slot was free answers 503 + Retry-After (rounded up to 2s).
+	// slot was free answers 503 + Retry-After (1s).
 	req, err := http.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(`{"source":"int main() { return 0; }"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -298,8 +298,8 @@ func TestBusyResponsesCarryRetryAfter(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable && rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 503/504", rec.Code)
 	}
-	if got := rec.Header().Get(RetryAfterHeader); got != "2" {
-		t.Errorf("Retry-After = %q, want \"2\" (1.5s rounded up)", got)
+	if got := rec.Header().Get(RetryAfterHeader); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	if !strings.Contains(rec.Body.String(), `"error"`) {
 		t.Errorf("busy body %q not structured", rec.Body.String())

@@ -62,7 +62,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, body []byte, onHea
 	if hc.Timeout > 0 {
 		// The unary client's overall timeout covers reading the whole
 		// response body — wrong for a long-lived stream, which is bounded
-		// by ctx (and the server's own BatchTimeout) instead.
+		// by ctx (and the server's own batch timeout) instead.
 		streaming := *hc
 		streaming.Timeout = 0
 		hc = &streaming

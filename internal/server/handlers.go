@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"infat/internal/exp"
 	"infat/internal/juliet"
@@ -474,15 +472,16 @@ func errorBody(msg string) []byte { return mustJSON(ErrorResponse{Error: msg}) }
 // responses; the bundled client honors it over its computed backoff.
 const RetryAfterHeader = "Retry-After"
 
+// retryAfterSeconds is the Retry-After hint on 503/504 responses: long
+// enough for a queue full of bounded simulations to drain a slot, short
+// enough that a backing-off client returns promptly.
+const retryAfterSeconds = "1"
+
 // writeBusy writes an admission or deadline failure: the structured JSON
 // error body plus the Retry-After hint, so a saturated server tells
 // clients both what happened and when to come back.
 func (s *Server) writeBusy(w http.ResponseWriter, status int, body []byte, cacheState string) {
-	secs := int((s.cfg.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set(RetryAfterHeader, strconv.Itoa(secs))
+	w.Header().Set(RetryAfterHeader, retryAfterSeconds)
 	writeRaw(w, status, body, cacheState)
 }
 

@@ -63,13 +63,10 @@ const (
 	DefaultMaxFuel        = 10 * DefaultFuel
 	DefaultMaxSourceBytes = 1 << 20
 	// DefaultBatchTimeout is the per-request deadline of the streaming
-	// batch endpoints: a whole campaign per request, so the budget is a
-	// multiple of the unary deadline rather than sharing it.
+	// batch endpoints, raised to RequestTimeout if smaller: a whole
+	// campaign per request, so the budget is a multiple of the unary
+	// deadline rather than sharing it.
 	DefaultBatchTimeout = 5 * time.Minute
-	// DefaultRetryAfter is the Retry-After hint on 503/504 responses: long
-	// enough for a queue full of bounded simulations to drain a slot,
-	// short enough that a backing-off client returns promptly.
-	DefaultRetryAfter = 1 * time.Second
 )
 
 // Config parameterizes a Server. The zero value is a working production
@@ -102,14 +99,6 @@ type Config struct {
 	// MaxSourceBytes bounds submitted program size (0 =
 	// DefaultMaxSourceBytes).
 	MaxSourceBytes int
-	// BatchTimeout is the per-request deadline of the streaming batch
-	// endpoints (0 = DefaultBatchTimeout, raised to RequestTimeout if
-	// smaller).
-	BatchTimeout time.Duration
-	// RetryAfter is the hint sent in the Retry-After header of 503/504
-	// responses (0 = DefaultRetryAfter). Rendered as whole seconds,
-	// rounded up, minimum 1.
-	RetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -132,15 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = DefaultMaxSourceBytes
-	}
-	if c.BatchTimeout <= 0 {
-		c.BatchTimeout = DefaultBatchTimeout
-	}
-	if c.BatchTimeout < c.RequestTimeout {
-		c.BatchTimeout = c.RequestTimeout
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
 	}
 	return c
 }
@@ -182,8 +162,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/juliet", s.instrument(&s.metrics.reqJuliet, true, s.handleJuliet))
 	s.mux.HandleFunc("GET /v1/juliet", s.instrument(&s.metrics.reqJuliet, false, s.handleJulietList))
 	s.mux.HandleFunc("POST /v1/workload", s.instrument(&s.metrics.reqWorkload, true, s.handleWorkload))
+	batchTimeout := max(DefaultBatchTimeout, cfg.RequestTimeout)
 	for _, route := range CampaignRoutes {
-		s.mux.HandleFunc("POST "+route.Path, s.instrumentTimeout(route.count(&s.metrics), cfg.BatchTimeout, s.handleCampaign(route)))
+		s.mux.HandleFunc("POST "+route.Path, s.instrumentTimeout(route.count(&s.metrics), batchTimeout, s.handleCampaign(route)))
 	}
 	s.mux.HandleFunc("GET /healthz", s.instrument(&s.metrics.reqHealthz, false, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument(&s.metrics.reqMetrics, false, s.handleMetrics))

@@ -59,7 +59,7 @@ var ErrCorruptLine = errors.New("shard: corrupt stream line")
 // backend is contacted or charged with a failure.
 func (s *Shard) handleCampaign(route server.CampaignRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), nil)
+		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, maxBodyBytes), nil)
 		if err != nil {
 			writeShardError(w, http.StatusBadRequest, err)
 			return
@@ -100,13 +100,10 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 
 	var wg sync.WaitGroup
 	var start func(f *flight)
-	// fillLocked tops up every backend due a chunk. eligible reserves a
-	// half-open breaker's probe slot, so it is asked only when a chunk is
-	// ready, and the chunk is then sent: a half-open backend gets exactly
-	// one chunk as its probe, and no more until the probe settles.
+	// fillLocked tops up every up backend due a chunk.
 	fillLocked := func() {
 		for b, be := range s.backends {
-			for ctx.Err() == nil && sc.wants(b) && be.eligible() {
+			for ctx.Err() == nil && sc.wants(b) && be.isUp() {
 				start(sc.next(b))
 			}
 		}
@@ -148,7 +145,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 		parts := make(map[int][]int)
 		for _, i := range sc.undelivered(f) {
 			hb := s.ring.owner(camp.Key(i), func(b int) bool {
-				return b != f.b && !sc.gone[b] && s.backends[b].eligible()
+				return b != f.b && !sc.gone[b] && s.backends[b].isUp()
 			})
 			if hb >= 0 {
 				parts[hb] = append(parts[hb], i)
@@ -160,8 +157,8 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 		}
 	}
 	// start relays flight f under the relay timeout, feeding the health
-	// verdict and breaker with the outcome. A failed relay excludes its
-	// backend for the rest of the campaign.
+	// verdict with the outcome. A failed relay excludes its backend for
+	// the rest of the campaign.
 	start = func(f *flight) {
 		wg.Add(1)
 		var hedge *time.Timer
@@ -209,7 +206,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	mu.Lock()
 	pinned, fresh := s.pinned(camp, cells)
 	for b, part := range pinned {
-		if len(part) > 0 && s.backends[b].eligible() {
+		if len(part) > 0 && s.backends[b].isUp() {
 			start(sc.send(&flight{b: b, cells: part}))
 		} else {
 			fresh = append(fresh, part...) // its server is out: start over at the ring owner

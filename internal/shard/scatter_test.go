@@ -209,7 +209,7 @@ func TestScatterFactoringMakespan(t *testing.T) {
 	plan := exp.NewReportPlan(workloads.All, 1, exp.MemScale)
 	cost := simCosts(plan, 7)
 	for _, backends := range []int{2, 3} {
-		r := newRing(backends, DefaultReplicas, func(i int) string { return fmt.Sprintf("http://ifp-backend-%d.bench:80", i) })
+		r := newRing(backends, ringReplicas, func(i int) string { return fmt.Sprintf("http://ifp-backend-%d.bench:80", i) })
 		owner := func(c int, ok func(int) bool) int { return r.owner(plan.Key(c), ok) }
 		homes := make([][]int, backends)
 		load := make([]float64, backends)

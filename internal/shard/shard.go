@@ -14,10 +14,12 @@
 // unstarted cells, and send a cell the shard has seen served back to
 // the backend that served it (batch.go, scatter.go).
 //
-// Backends are health-checked continuously; a backend that fails
-// DownAfter consecutive probes is drained — new requests route past it,
-// in-flight batch cells it never delivered are reassigned to the
-// survivors — and it rejoins automatically on the first healthy probe.
+// Each backend's health is one count of consecutive failures, fed by
+// health probes, proxied requests and campaign relays alike. A backend
+// whose count reaches DownAfter is drained — new requests route past
+// it, in-flight batch cells it never delivered are reassigned to the
+// survivors — and it rejoins on its next success, normally the first
+// healthy probe.
 package shard
 
 import (
@@ -28,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -38,13 +41,18 @@ import (
 	"infat/internal/splitmix"
 )
 
+// ringReplicas is the virtual-node count per backend on the hash ring:
+// enough points that keys spread evenly over a small fleet.
+const ringReplicas = 64
+
+// maxBodyBytes bounds proxied request bodies.
+const maxBodyBytes = 8 << 20
+
 // Defaults for Config zero values.
 const (
-	DefaultReplicas       = 64
 	DefaultHealthInterval = time.Second
 	DefaultHealthTimeout  = 2 * time.Second
 	DefaultDownAfter      = 2
-	DefaultMaxBodyBytes   = 8 << 20
 	// DefaultHedgeAfter is the straggler budget per dispatched chunk:
 	// cells still undelivered this long after dispatch are hedged to a
 	// second backend (dedup-by-seq makes the duplicate answer safe to
@@ -66,24 +74,13 @@ type Config struct {
 	// ["http://10.0.0.1:8080", "http://10.0.0.2:8080"]. At least one is
 	// required; order is irrelevant to routing (the ring hashes URLs).
 	Backends []string
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (0 = DefaultReplicas). More replicas smooth the key distribution.
-	Replicas int
 	// HealthInterval is the probe period (0 = DefaultHealthInterval).
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe (0 = DefaultHealthTimeout).
 	HealthTimeout time.Duration
-	// DownAfter is the consecutive probe failures that mark a backend
-	// down (0 = DefaultDownAfter).
+	// DownAfter is the consecutive failed probes or requests that mark a
+	// backend down (0 = DefaultDownAfter).
 	DownAfter int
-	// MaxBodyBytes bounds proxied request bodies (0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// BreakerThreshold is the consecutive request failures that open a
-	// backend's circuit breaker (0 = DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses traffic before
-	// admitting one half-open probe (0 = DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// HedgeAfter is the straggler budget before undelivered batch cells
 	// are hedged to a second backend (0 = DefaultHedgeAfter, < 0 disables
 	// hedging).
@@ -97,9 +94,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = DefaultHealthInterval
 	}
@@ -108,15 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = DefaultDownAfter
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = DefaultHedgeAfter
@@ -134,23 +119,19 @@ func (c Config) withDefaults() Config {
 type backend struct {
 	url    string
 	client *server.Client
-	// fails counts consecutive failed health probes; up flips to false
-	// at DownAfter and back to true on the first success. A transport
-	// error on a proxied request also counts one failure, so a crashed
-	// backend starts draining before the next probe tick.
-	fails atomic.Int32
-	up    atomic.Bool
-	// brk is the request-side circuit breaker; routing eligibility is
-	// isUp() && brk.allow(), so either signal drains the backend.
-	brk *breaker
+	// fails counts consecutive failures: failed health probes, proxied
+	// requests that died in transport, and failed campaign relays. A
+	// request-side failure counts as much as a probe's, so a backend that
+	// passes its probes but fails real traffic drains too, and a crashed
+	// one starts draining before the next probe tick. Any success resets
+	// it.
+	fails     atomic.Int32
+	downAfter int32
 }
 
-func (b *backend) isUp() bool { return b.up.Load() }
-
-// eligible is the routing predicate shared by the unary and batch
-// paths. It mutates (a half-open breaker reserves its probe slot), so
-// callers must actually send to a backend this admits.
-func (b *backend) eligible() bool { return b.isUp() && b.brk.allow() }
+// isUp is the routing predicate of the unary and batch paths: the
+// backend has fewer than DownAfter consecutive failures.
+func (b *backend) isUp() bool { return b.fails.Load() < b.downAfter }
 
 // shardMetrics are the front tier's own counters, reported under
 // "shard" in /metrics alongside the backend aggregate.
@@ -166,7 +147,7 @@ type shardMetrics struct {
 	shedCells       atomic.Uint64 // cells emitted as error cells (no backend could run them)
 	corruptLines    atomic.Uint64 // backend stream lines rejected by validation
 	dupSuppressed   atomic.Uint64 // duplicate cell lines dropped by seq dedup
-	transitions     atomic.Uint64 // backend up/down state changes
+	transitions     atomic.Uint64 // backend failure counts crossing DownAfter, either way
 }
 
 // Shard is the front tier: an http.Handler serving the same API surface
@@ -209,15 +190,9 @@ func New(cfg Config) (*Shard, error) {
 			return nil, fmt.Errorf("shard: duplicate backend %q", u)
 		}
 		seen[u] = true
-		b := &backend{
-			url:    u,
-			client: server.NewClient(u),
-			brk:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		}
-		b.up.Store(true)
-		s.backends = append(s.backends, b)
+		s.backends = append(s.backends, &backend{url: u, client: server.NewClient(u), downAfter: int32(min(cfg.DownAfter, math.MaxInt32))})
 	}
-	s.ring = newRing(len(s.backends), cfg.Replicas, func(i int) string { return s.backends[i].url })
+	s.ring = newRing(len(s.backends), ringReplicas, func(i int) string { return s.backends[i].url })
 
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/juliet", s.handleJuliet)
@@ -290,6 +265,28 @@ func (s *Shard) probeLoop(idx int, b *backend) {
 	}
 }
 
+// probeDelay is the wait before a backend's next health probe: the base
+// interval, doubled per consecutive failure up to 8x (a flapping or
+// dead backend is probed less aggressively), plus a seeded jitter of up
+// to a quarter interval. The jitter desynchronizes the per-backend
+// probe loops — without it every loop ticks in lockstep and the fleet
+// absorbs N simultaneous probes every interval, a thundering herd that
+// grows with fleet size and lands exactly when a recovering backend is
+// most fragile.
+func probeDelay(base time.Duration, fails int, rng *splitmix.Stream) time.Duration {
+	d := base
+	for i := 0; i < fails && d < 8*base; i++ {
+		d *= 2
+	}
+	if d > 8*base {
+		d = 8 * base
+	}
+	if j := int(base / 4); j > 0 {
+		d += time.Duration(rng.Intn(j))
+	}
+	return d
+}
+
 func (s *Shard) probe(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.HealthTimeout)
 	defer cancel()
@@ -302,27 +299,21 @@ func (s *Shard) probe(b *backend) {
 	s.noteSuccess(b)
 }
 
-// noteSuccess records one successful probe or proxied exchange: the
-// failure streak resets, the backend rejoins the ring, and its breaker
-// closes.
+// noteSuccess records one successful probe, proxied exchange or relay:
+// the failure streak resets, and a drained backend rejoins the ring.
 func (s *Shard) noteSuccess(b *backend) {
-	b.fails.Store(0)
-	if !b.up.Swap(true) {
+	if b.fails.Swap(0) >= b.downAfter {
 		s.metrics.transitions.Add(1)
 	}
-	b.brk.onSuccess()
 }
 
-// noteFailure records one failed probe or proxied transport error: it
-// counts toward both the health verdict (down at DownAfter) and the
-// circuit breaker (open at BreakerThreshold).
+// noteFailure records one failed probe, proxied transport error or
+// failed relay; the failure that brings the streak to DownAfter drains
+// the backend.
 func (s *Shard) noteFailure(b *backend) {
-	if int(b.fails.Add(1)) >= s.cfg.DownAfter {
-		if b.up.Swap(false) {
-			s.metrics.transitions.Add(1)
-		}
+	if b.fails.Add(1) == b.downAfter {
+		s.metrics.transitions.Add(1)
 	}
-	b.brk.onFailure()
 }
 
 // routeKey computes the unary routing keys. Namespaced so a workload
@@ -334,7 +325,7 @@ func runRouteKey(source string) string {
 
 // readBody drains a bounded request body.
 func (s *Shard) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeShardError(w, http.StatusRequestEntityTooLarge, err)
 		return nil, false
@@ -405,7 +396,7 @@ func (s *Shard) proxy(w http.ResponseWriter, r *http.Request, key, path string, 
 	tried := make(map[int]bool)
 	first := true
 	for {
-		bi := s.ring.owner(key, func(i int) bool { return !tried[i] && s.backends[i].eligible() })
+		bi := s.ring.owner(key, func(i int) bool { return !tried[i] && s.backends[i].isUp() })
 		if bi < 0 {
 			s.metrics.noBackend.Add(1)
 			writeShardError(w, http.StatusBadGateway, errors.New("no backend available"))
@@ -491,23 +482,13 @@ func (s *Shard) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // MetricsResponse is the shard's GET /metrics body: the front tier's
-// own counters, each backend's breaker/health state, the summed backend
-// snapshot, and each backend's raw snapshot (or probe error) keyed by
-// URL.
+// own counters, the summed backend snapshot, and each backend's raw
+// snapshot (or probe error) keyed by URL. Per-backend up/down is in
+// /healthz.
 type MetricsResponse struct {
-	Shard     map[string]uint64        `json:"shard"`
-	Breakers  map[string]BreakerStatus `json:"breakers"`
-	Aggregate server.MetricsSnapshot   `json:"aggregate"`
-	Backends  map[string]any           `json:"backends"`
-}
-
-// BreakerStatus is one backend's routing state in /metrics: the circuit
-// breaker's state machine position and consecutive-failure count, plus
-// the health-probe up/down verdict.
-type BreakerStatus struct {
-	State string `json:"state"` // closed | open | half-open
-	Fails int    `json:"fails"`
-	Up    bool   `json:"up"`
+	Shard     map[string]uint64      `json:"shard"`
+	Aggregate server.MetricsSnapshot `json:"aggregate"`
+	Backends  map[string]any         `json:"backends"`
 }
 
 func (s *Shard) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -527,12 +508,7 @@ func (s *Shard) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"transitions":      s.metrics.transitions.Load(),
 			"backends_up":      uint64(len(s.UpBackends())),
 		},
-		Breakers: make(map[string]BreakerStatus, len(s.backends)),
 		Backends: make(map[string]any, len(s.backends)),
-	}
-	for _, b := range s.backends {
-		state, fails := b.brk.snapshot()
-		resp.Breakers[b.url] = BreakerStatus{State: state, Fails: fails, Up: b.isUp()}
 	}
 	type scraped struct {
 		url  string

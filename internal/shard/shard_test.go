@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -28,7 +26,7 @@ import (
 // spread over every backend, ownership is deterministic, and removing
 // one backend moves only that backend's keys.
 func TestRingStableOwnership(t *testing.T) {
-	r := newRing(3, DefaultReplicas, func(i int) string { return fmt.Sprintf("http://backend-%d", i) })
+	r := newRing(3, ringReplicas, func(i int) string { return fmt.Sprintf("http://backend-%d", i) })
 	allUp := func(int) bool { return true }
 	counts := make([]int, 3)
 	owners := make(map[string]int)
@@ -264,61 +262,6 @@ func TestShardSubsetAndValidation(t *testing.T) {
 	}
 }
 
-// TestBreakerStateMachine drives the full circuit:
-// closed → open at the failure threshold → half-open after the cooldown
-// (exactly one probe slot) → closed on probe success, reopened on probe
-// failure. The clock is injected so every transition is deterministic.
-func TestBreakerStateMachine(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	b := newBreaker(2, time.Minute)
-	b.now = func() time.Time { return clock }
-
-	if !b.allow() {
-		t.Fatal("closed breaker refused traffic")
-	}
-	b.onFailure()
-	if st, fails := b.snapshot(); st != BreakerClosed || fails != 1 {
-		t.Fatalf("after 1 failure: state=%s fails=%d", st, fails)
-	}
-	b.onFailure() // hits threshold
-	if st, _ := b.snapshot(); st != BreakerOpen {
-		t.Fatalf("after threshold failures: state=%s, want open", st)
-	}
-	if b.allow() {
-		t.Fatal("open breaker admitted traffic inside the cooldown")
-	}
-
-	clock = clock.Add(time.Minute)
-	if !b.allow() {
-		t.Fatal("cooldown elapsed but no half-open probe admitted")
-	}
-	if st, _ := b.snapshot(); st != BreakerHalfOpen {
-		t.Fatalf("post-cooldown state=%s, want half-open", st)
-	}
-	if b.allow() {
-		t.Fatal("half-open breaker admitted a second concurrent probe")
-	}
-	b.onFailure() // probe failed: straight back to open
-	if st, _ := b.snapshot(); st != BreakerOpen {
-		t.Fatalf("failed probe left state=%s, want open", st)
-	}
-	if b.allow() {
-		t.Fatal("reopened breaker admitted traffic inside the new cooldown")
-	}
-
-	clock = clock.Add(time.Minute)
-	if !b.allow() {
-		t.Fatal("second cooldown elapsed but no probe admitted")
-	}
-	b.onSuccess()
-	if st, fails := b.snapshot(); st != BreakerClosed || fails != 0 {
-		t.Fatalf("successful probe: state=%s fails=%d, want closed/0", st, fails)
-	}
-	if !b.allow() {
-		t.Fatal("reclosed breaker refused traffic")
-	}
-}
-
 // TestProbeDelayBackoffAndJitter pins the probe pacing contract: the
 // delay doubles per consecutive failure up to 8x the base, carries at
 // most a quarter-interval of jitter, is deterministic under a seed, and
@@ -354,6 +297,146 @@ func TestProbeDelayBackoffAndJitter(t *testing.T) {
 	}
 	if same {
 		t.Error("probe jitter identical across seeds: loops would tick in lockstep")
+	}
+}
+
+// TestShardDrainsBackendFailingRequests: a backend that passes its
+// health probes but aborts every request is drained by its request
+// failures alone. Until then its requests fail over to the survivor with
+// the right answers; once drained it is sent nothing; and its next good
+// probe readmits it.
+func TestShardDrainsBackendFailingRequests(t *testing.T) {
+	var posts atomic.Int64
+	probed := server.New(server.Config{})
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+			panic(http.ErrAbortHandler) // connection cut before any response byte
+		}
+		probed.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	good := httptest.NewServer(server.New(server.Config{}))
+	t.Cleanup(good.Close)
+	// Probes far apart, so only request outcomes move the verdict until
+	// the test probes by hand.
+	sh, err := New(Config{Backends: []string{flaky.URL, good.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+	c := server.NewClient(front.URL)
+	ctx := context.Background()
+
+	// Programs the flaky backend owns, each printing its own number.
+	var owned []int64
+	for n := int64(0); len(owned) <= DefaultDownAfter; n++ {
+		if sh.ring.owner(runRouteKey(printProgram(n)), func(int) bool { return true }) == 0 {
+			owned = append(owned, n)
+		}
+	}
+	run := func(n int64) {
+		t.Helper()
+		resp, _, err := c.Run(ctx, server.RunRequest{Source: printProgram(n)})
+		if err != nil {
+			t.Fatalf("run %d: %v", n, err)
+		}
+		if len(resp.Output) != 1 || resp.Output[0] != n {
+			t.Fatalf("run %d printed %v", n, resp.Output)
+		}
+	}
+	healthz := func() map[string]string {
+		t.Helper()
+		var h map[string]string
+		getJSON(t, front.URL+"/healthz", &h)
+		return h
+	}
+	counters := func() map[string]uint64 {
+		t.Helper()
+		var m MetricsResponse
+		getJSON(t, front.URL+"/metrics", &m)
+		return m.Shard
+	}
+
+	for i, n := range owned[:DefaultDownAfter] {
+		run(n)
+		if got := posts.Load(); got != int64(i+1) {
+			t.Fatalf("after %d requests the flaky backend saw %d", i+1, got)
+		}
+	}
+	if h := healthz(); h[flaky.URL] != "down" || h[good.URL] != "up" || h["status"] != "ok" {
+		t.Fatalf("after %d failed requests /healthz = %v, want the flaky backend down", DefaultDownAfter, h)
+	}
+	if m := counters(); m["backends_up"] != 1 || m["transitions"] != 1 || m["failovers"] != DefaultDownAfter {
+		t.Fatalf("after draining: shard counters %v", m)
+	}
+
+	run(owned[DefaultDownAfter])
+	if got := posts.Load(); got != DefaultDownAfter {
+		t.Errorf("drained backend was sent a request: %d posts, want %d", got, DefaultDownAfter)
+	}
+
+	sh.probe(sh.backends[0])
+	if h := healthz(); h[flaky.URL] != "up" {
+		t.Errorf("after a good probe /healthz = %v, want the flaky backend up", h)
+	}
+	if m := counters(); m["backends_up"] != 2 || m["transitions"] != 2 {
+		t.Errorf("after readmission: shard counters %v", m)
+	}
+}
+
+// printProgram is a MiniC program that prints n.
+func printProgram(n int64) string {
+	return fmt.Sprintf("int main() { print(%d); return 0; }", n)
+}
+
+// getJSON fetches url and decodes its JSON body into dst, whatever the
+// status.
+func getJSON(t *testing.T, url string, dst any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHealthVerdictRace races one failure against one success on a
+// backend one failure short of DownAfter, many times over. Whatever the
+// interleaving, a backend whose failure streak ends at zero must read up:
+// left down, it would stay drained until its next probe.
+func TestHealthVerdictRace(t *testing.T) {
+	sh, err := New(Config{Backends: []string{"http://127.0.0.1:1"}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	b := sh.backends[0]
+	const trials = 50_000
+	stuck := 0
+	for i := 0; i < trials; i++ {
+		sh.noteSuccess(b)
+		for j := 1; j < DefaultDownAfter; j++ {
+			sh.noteFailure(b)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); <-start; sh.noteFailure(b) }()
+		go func() { defer wg.Done(); <-start; sh.noteSuccess(b) }()
+		close(start)
+		wg.Wait()
+		if b.fails.Load() == 0 && !b.isUp() {
+			stuck++
+		}
+	}
+	if stuck > 0 {
+		t.Errorf("%d of %d races left the backend down with a zero failure streak", stuck, trials)
 	}
 }
 
@@ -594,17 +677,16 @@ func TestShardRejectsAlienCells(t *testing.T) {
 	honest := httptest.NewServer(server.New(server.Config{}))
 	t.Cleanup(honest.Close)
 
-	// Thresholds out of reach and no hedging: every campaign sends the
+	// No draining and no hedging: every campaign sends the
 	// hostile exactly one chunk (it reports no workers, so it is topped
 	// up only once that chunk is delivered, which it never is), so each
 	// campaign meets the next line.
 	sh, err := New(Config{
-		Backends:         []string{hostile.URL, honest.URL},
-		HealthInterval:   50 * time.Millisecond,
-		HealthTimeout:    time.Second,
-		DownAfter:        1 << 20,
-		BreakerThreshold: 1 << 20,
-		HedgeAfter:       -1,
+		Backends:       []string{hostile.URL, honest.URL},
+		HealthInterval: 50 * time.Millisecond,
+		HealthTimeout:  time.Second,
+		DownAfter:      1 << 20,
+		HedgeAfter:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -774,7 +856,7 @@ func fleetByHome(t *testing.T, n int, plan exp.CellPlan) []*httptest.Server {
 		servers[i] = httptest.NewUnstartedServer(nil)
 		t.Cleanup(servers[i].Close)
 	}
-	r := newRing(n, DefaultReplicas, func(i int) string { return "http://" + servers[i].Listener.Addr().String() })
+	r := newRing(n, ringReplicas, func(i int) string { return "http://" + servers[i].Listener.Addr().String() })
 	owned := make(map[*httptest.Server]int)
 	for c := 0; c < plan.NumCells(); c++ {
 		owned[servers[r.owner(plan.Key(c), func(int) bool { return true })]]++
@@ -858,84 +940,6 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 	}
 }
 
-// TestShardHalfOpenProbeIsOneChunk: a backend whose breaker has just
-// turned half-open gets exactly one chunk as its probe. The probe's
-// answer is held back until every other cell is delivered, so the rest
-// of its queue must be taken by the closed backends; the probe then
-// closes the breaker.
-func TestShardHalfOpenProbeIsOneChunk(t *testing.T) {
-	req := server.ChaosRequest{Scale: 1}
-	plan := req.Plan()
-	backs := fleetByHome(t, 3, plan)
-	var shp atomic.Pointer[Shard] // set once the shard exists, read by the probe's handler
-	var posts atomic.Int64
-	probe := server.New(server.Config{})
-	backs[0].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			posts.Add(1)
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			var chunk server.ChaosRequest
-			if err := json.Unmarshal(body, &chunk); err != nil {
-				t.Error(err)
-				return
-			}
-			rest := uint64(plan.NumCells() - len(chunk.Cells))
-			deadline := time.Now().Add(2 * time.Minute)
-			for shp.Load().metrics.batchCells.Load() < rest && time.Now().Before(deadline) {
-				time.Sleep(5 * time.Millisecond)
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-		}
-		probe.ServeHTTP(w, r)
-	})
-	var urls []string
-	for _, b := range backs[1:] {
-		b.Config.Handler = server.New(server.Config{})
-	}
-	for _, b := range backs {
-		b.Start()
-		urls = append(urls, b.URL)
-	}
-	// Probes far apart, so only the campaign's probe chunk can close the
-	// breaker.
-	sh, err := New(Config{Backends: urls, HealthInterval: time.Hour, BreakerThreshold: 1, BreakerCooldown: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sh.Close)
-	shp.Store(sh)
-	sh.backends[0].brk.onFailure()
-	if st, _ := sh.backends[0].brk.snapshot(); st != BreakerOpen {
-		t.Fatalf("breaker %s, want open", st)
-	}
-	time.Sleep(5 * time.Millisecond) // past the cooldown: the next request is the probe
-	front := httptest.NewServer(sh)
-	t.Cleanup(front.Close)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
-	defer cancel()
-	got, err := server.NewClient(front.URL).ChaosReport(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
-		t.Fatal("chaos report with a half-open backend differs from the serial campaign")
-	}
-	if n := posts.Load(); n != 1 {
-		t.Errorf("half-open backend received %d requests, want exactly its probe chunk", n)
-	}
-	if sh.metrics.stolenCells.Load() == 0 {
-		t.Error("the closed backends took none of the half-open backend's cells")
-	}
-	if st, _ := sh.backends[0].brk.snapshot(); st != BreakerClosed {
-		t.Errorf("breaker %s after a successful probe, want closed", st)
-	}
-}
-
 // TestDirectoryBound pins the bound the served-cell directory's comment
 // states: every cell an accepted /v1/batch, /v1/grid or /v1/chaos request
 // can enumerate, at every admissible scale, has one of 2,160 digests.
@@ -981,11 +985,10 @@ func TestShardEarlyTrailerMovesCells(t *testing.T) {
 	honest := httptest.NewServer(server.New(server.Config{}))
 	t.Cleanup(honest.Close)
 	sh, err := New(Config{
-		Backends:         []string{lazy.URL, honest.URL},
-		HealthInterval:   time.Hour,
-		DownAfter:        1 << 20,
-		BreakerThreshold: 1 << 20,
-		HedgeAfter:       -1,
+		Backends:       []string{lazy.URL, honest.URL},
+		HealthInterval: time.Hour,
+		DownAfter:      1 << 20,
+		HedgeAfter:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
