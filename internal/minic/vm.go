@@ -166,18 +166,17 @@ func (vm *VM) Run() (int64, error) {
 
 // unwindTop tears down the newest frame on any exit from callReg —
 // return, error, or panic. Teardown order matches Listing 2's epilogue:
-// metadata cleanup first (IFP_Deregister for every registered local,
-// skipped when frame setup never completed), then the stack pop. Errors
-// during unwind after a trap are moot; marks are VM-managed.
+// metadata cleanup first (IFP_Deregister for every slot, a no-op for the
+// legacy pointers of unregistered ones, skipped when frame setup never
+// completed), then the stack pop. Errors during unwind after a trap are
+// moot; marks are VM-managed.
 func (vm *VM) unwindTop() {
 	n := len(vm.frames) - 1
 	fr := vm.frames[n]
 	vm.frames = vm.frames[:n]
 	if fr.framed {
 		for _, o := range vm.slots[fr.slotBase:] {
-			if o.Kind == rt.KindLocal || o.Kind == rt.KindGlobalRow {
-				_ = vm.R.DeallocLocal(o)
-			}
+			_ = vm.R.DeallocLocal(o)
 		}
 	}
 	vm.slots = vm.slots[:fr.slotBase]
@@ -242,7 +241,7 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 		} else {
 			var addr uint64
 			addr, err = vm.R.StackRaw(li.Type.Size())
-			obj = rt.Obj{P: addr, Size: li.Type.Size(), Kind: rt.KindLegacy}
+			obj = rt.Obj{P: addr, Size: li.Type.Size()}
 		}
 		if err != nil {
 			return value{}, err
@@ -524,8 +523,13 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 	}
 }
 
-// heapObjs tracks live heap allocations so free(ptr) can find its Obj.
-// (The runtime needs the Obj record; real code derives it from the tag.)
+// freeByPtr frees the live heap allocation whose base p addresses.
+// heapObjs keeps each allocation's Obj as malloc returned it, so the
+// runtime releases by the allocation-time tag, not by one the guest has
+// narrowed or forged, and a pointer that matches no live allocation
+// (never allocated, or already freed) is rejected here. The runtime alone
+// would not reject a second free of a subheap slot: it tracks live
+// blocks, not live slots.
 func (vm *VM) freeByPtr(p uint64) error {
 	// Temporal mode checks the guest's own pointer before the record scan:
 	// a stale-generation pointer is a double free even when its base has

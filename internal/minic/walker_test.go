@@ -109,7 +109,7 @@ func (vm *VM) call(fnIdx, argBase, nargs int) (value, error) {
 		} else {
 			var addr uint64
 			addr, err = vm.R.StackRaw(li.Type.Size())
-			obj = rt.Obj{P: addr, Size: li.Type.Size(), Kind: rt.KindLegacy}
+			obj = rt.Obj{P: addr, Size: li.Type.Size()}
 		}
 		if err != nil {
 			return value{}, err

@@ -47,7 +47,7 @@ func (r *Runtime) MallocLegacy(size uint64) (Obj, error) {
 	if err != nil {
 		return Obj{}, wrapAlloc(err)
 	}
-	return Obj{P: p, Size: size, Kind: KindLegacy}, nil
+	return Obj{P: p, Size: size}, nil
 }
 
 func (r *Runtime) mallocSized(size uint64, layoutPtr uint64) (Obj, error) {
@@ -57,20 +57,19 @@ func (r *Runtime) mallocSized(size uint64, layoutPtr uint64) (Obj, error) {
 	if err := r.allocFaultCheck(); err != nil {
 		return Obj{}, err
 	}
-	switch {
-	case r.mode == Baseline:
+	if r.mode == Baseline {
 		p, err := r.fl.Malloc(size)
 		if err != nil {
 			return Obj{}, err
 		}
-		return Obj{P: p, Size: size, Kind: KindLegacy}, nil
-	case r.ForceGlobalTable:
-		r.Stats.HeapObjects++
-		if layoutPtr != 0 {
-			r.Stats.HeapWithLT++
-		}
-		return r.mallocGlobalRow(size, layoutPtr)
-	case r.mode == Wrapped:
+		return Obj{P: p, Size: size}, nil
+	}
+	r.Stats.HeapObjects++
+	if layoutPtr != 0 {
+		r.Stats.HeapWithLT++
+	}
+	switch {
+	case r.ForceGlobalTable || r.mode == Wrapped:
 		return r.mallocWrapped(size, layoutPtr)
 	case r.mode == Subheap:
 		return r.mallocSubheap(size, layoutPtr)
@@ -106,68 +105,30 @@ const hybridGraduation = 4
 // amortizes; cold ones take the wrapped path, whose setup is a single
 // over-allocation. Frees dispatch on the pointer tag, so mixing is safe.
 func (r *Runtime) mallocHybrid(size uint64, layoutPtr uint64) (Obj, error) {
-	if size > maxSubheapObject {
-		r.Stats.HeapObjects++
-		if layoutPtr != 0 {
-			r.Stats.HeapWithLT++
+	if size <= maxSubheapObject {
+		key := poolKey{objSize: uint32(size), layoutPtr: layoutPtr}
+		r.sigCount[key]++
+		r.M.Tick(2) // site-count bookkeeping in the allocator fast path
+		if r.sigCount[key] > hybridGraduation || r.pools[key] != nil {
+			return r.mallocSubheap(size, layoutPtr)
 		}
-		return r.mallocGlobalRow(size, layoutPtr)
 	}
-	key := poolKey{objSize: uint32(size), layoutPtr: layoutPtr}
-	r.sigCount[key]++
-	r.M.Tick(2) // site-count bookkeeping in the allocator fast path
-	if r.sigCount[key] > hybridGraduation || r.pools[key] != nil {
-		return r.mallocSubheap(size, layoutPtr)
-	}
-	if size <= tag.MaxLocalObjectSize {
-		return r.mallocWrapped(size, layoutPtr)
-	}
-	r.Stats.HeapObjects++
-	if layoutPtr != 0 {
-		r.Stats.HeapWithLT++
-	}
-	return r.mallocGlobalRow(size, layoutPtr)
+	return r.mallocWrapped(size, layoutPtr)
 }
 
-// mallocGlobalRow allocates from the free list and registers the object in
-// the global metadata table (the fallback path, and the whole story under
-// the ForceGlobalTable ablation).
-func (r *Runtime) mallocGlobalRow(size uint64, layoutPtr uint64) (Obj, error) {
-	base, err := r.fl.Malloc(size)
-	if err != nil {
-		return Obj{}, err
-	}
-	row, err := r.registerGlobalRow(base, size, layoutPtr)
-	if err != nil {
-		return Obj{}, err
-	}
-	p := r.M.IfpMdGlobal(base, row)
-	r.heapRows[base] = row
-	return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindWrappedGlobal, row: row}, nil
-}
-
-// mallocWrapped implements the wrapped allocator (§4.2.1): transparently
-// over-allocate for local-offset metadata when the object fits the scheme,
-// otherwise fall back to the global table.
+// mallocWrapped implements the wrapped allocator (§4.2.1): a free-list
+// chunk placed by §4.2.2's rule, transparently over-allocated for
+// local-offset metadata when the object fits the scheme and registered in
+// the global table otherwise. It is also every allocator's fallback for
+// objects the subheap pools do not serve, and the whole story under the
+// ForceGlobalTable ablation, which sends even small objects to the table.
 func (r *Runtime) mallocWrapped(size uint64, layoutPtr uint64) (Obj, error) {
-	r.Stats.HeapObjects++
-	if layoutPtr != 0 {
-		r.Stats.HeapWithLT++
+	o, err := r.place(r.fl.Malloc, size, layoutPtr, r.ForceGlobalTable)
+	if err != nil {
+		return Obj{}, err
 	}
-	if size <= tag.MaxLocalObjectSize {
-		_, footprint := metadata.LocalPlacement(0, size)
-		base, err := r.fl.Malloc(footprint)
-		if err != nil {
-			return Obj{}, err
-		}
-		p, _, err := r.registerLocalOffset(base, size, layoutPtr)
-		if err != nil {
-			return Obj{}, err
-		}
-		r.wrappedLocal[base] = true
-		return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindWrappedLocal}, nil
-	}
-	return r.mallocGlobalRow(size, layoutPtr)
+	r.wrapped[o.Base()] = true
+	return o, nil
 }
 
 // --- Subheap pool allocator (§4.2.1) ---
@@ -250,13 +211,9 @@ func choosePoolGeometry(objSize uint64) (slot uint32, order uint) {
 }
 
 func (r *Runtime) mallocSubheap(size uint64, layoutPtr uint64) (Obj, error) {
-	r.Stats.HeapObjects++
-	if layoutPtr != 0 {
-		r.Stats.HeapWithLT++
-	}
 	if size > maxSubheapObject {
-		// Oversized: global-table fallback over the free list.
-		return r.mallocGlobalRow(size, layoutPtr)
+		// Oversized: the wrapped allocator's global-table path.
+		return r.mallocWrapped(size, layoutPtr)
 	}
 
 	r.M.Tick(poolAllocCost)
@@ -294,7 +251,7 @@ func (r *Runtime) mallocSubheap(size uint64, layoutPtr uint64) (Obj, error) {
 	cr := r.crOfBits[uint8(blk.order)]
 	p := r.M.IfpMdSubheap(addr, cr, 0)
 	r.Stats.HeapPool++
-	return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindSubheapSlot}, nil
+	return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size}, nil
 }
 
 // newBlock carves a fresh block from the buddy allocator, configures (or
@@ -348,7 +305,7 @@ func (r *Runtime) newBlock(pl *pool) (*block, error) {
 }
 
 // Free releases a heap object allocated with Malloc/MallocBytes/
-// MallocLegacy, dispatching on how it was registered. In IFPTemporal mode
+// MallocLegacy, dispatching on its pointer tag's scheme. In IFPTemporal mode
 // the free path first compares the pointer's stamped generation against
 // the generation store — a pointer whose generation is already behind the
 // store refers to a chunk freed since it was derived, so the free itself
@@ -392,36 +349,25 @@ func (r *Runtime) TemporalFreeCheck(p Ptr) error {
 	return nil
 }
 
+// freeDispatch releases o by its tag's scheme. A wrapped chunk must be
+// live before anything is written: a stack local, a global or a chunk
+// never handed out (or already freed) is rejected untouched.
 func (r *Runtime) freeDispatch(o Obj) error {
-	switch o.Kind {
-	case KindLegacy:
-		return r.fl.Free(tag.Addr(o.P))
-	case KindWrappedLocal:
-		base := tag.Addr(o.P)
-		if !r.wrappedLocal[base] {
-			return fmt.Errorf("rt: wrapped free of unknown chunk %#x", base)
-		}
-		delete(r.wrappedLocal, base)
-		metaAddr, _ := metadata.LocalPlacement(base, o.Size)
-		if err := r.clearLocalOffset(metaAddr); err != nil {
-			return err
-		}
+	base := o.Base()
+	switch tag.SchemeOf(o.P) {
+	case tag.SchemeLegacy:
 		return r.fl.Free(base)
-	case KindWrappedGlobal:
-		base := tag.Addr(o.P)
-		row, ok := r.heapRows[base]
-		if !ok {
-			return fmt.Errorf("rt: global-row free of unknown chunk %#x", base)
-		}
-		delete(r.heapRows, base)
-		if err := r.releaseGlobalRow(row); err != nil {
-			return err
-		}
-		return r.fl.Free(base)
-	case KindSubheapSlot:
+	case tag.SchemeSubheap:
 		return r.freeSubheap(o)
 	}
-	return fmt.Errorf("rt: Free of %v object", o.Kind)
+	if !r.wrapped[base] {
+		return fmt.Errorf("rt: wrapped free of unknown chunk %#x", base)
+	}
+	delete(r.wrapped, base)
+	if err := r.DeallocLocal(o); err != nil {
+		return err
+	}
+	return r.fl.Free(base)
 }
 
 func (r *Runtime) freeSubheap(o Obj) error {

@@ -3,71 +3,79 @@ package rt
 import (
 	"fmt"
 
+	"infat/internal/heap"
 	"infat/internal/layout"
 	"infat/internal/machine"
 	"infat/internal/metadata"
 	"infat/internal/tag"
 )
 
-// Kind records how an object was registered, which determines how it is
-// released.
-type Kind int
-
-// Object kinds.
-const (
-	// KindLegacy is an untagged object with no metadata (baseline mode,
-	// or allocations made by "uninstrumented" code).
-	KindLegacy Kind = iota
-	// KindLocal uses local-offset metadata on the stack or a global.
-	KindLocal
-	// KindGlobalRow uses a global-table row (stack/global fallback).
-	KindGlobalRow
-	// KindWrappedLocal is a heap chunk over-allocated for local-offset
-	// metadata by the wrapped allocator.
-	KindWrappedLocal
-	// KindWrappedGlobal is a heap chunk registered in the global table by
-	// the wrapped allocator.
-	KindWrappedGlobal
-	// KindSubheapSlot is a slot in a subheap block.
-	KindSubheapSlot
-)
-
 // Obj is a registered guest object: its tagged pointer, the bounds the
 // compiler statically knows at the allocation site (so no promote is
-// needed for the fresh pointer, §3.4), and release bookkeeping.
+// needed for the fresh pointer, §3.4), and its size. The pointer's tag is
+// the object's only registration record: its scheme selector and 12-bit
+// metadata field locate the local-offset record, subheap control register
+// or global-table row that release clears (§3.2–§3.3).
 type Obj struct {
 	P    Ptr
 	B    machine.BoundsReg
 	Size uint64
-	Kind Kind
-
-	row      uint16 // global-table row (KindGlobalRow/KindWrappedGlobal)
-	metaAddr uint64 // local-offset metadata address (KindLocal)
 }
 
 // Base returns the object's untagged base address.
 func (o Obj) Base() uint64 { return tag.Addr(o.P) }
 
+// place reserves an object of size bytes through reserve (the stack or
+// globals arena, or the free list) and registers it under §4.2.2's scheme
+// choice: local-offset metadata appended to the object when it fits the
+// scheme, a global-table row otherwise — or always when forceRow is set
+// (the ForceGlobalTable ablation). Stack locals, globals and wrapped heap
+// chunks all take this one path.
+func (r *Runtime) place(reserve func(uint64) (uint64, error), size, layoutPtr uint64, forceRow bool) (Obj, error) {
+	var p Ptr
+	if size <= tag.MaxLocalObjectSize && !forceRow {
+		_, footprint := metadata.LocalPlacement(0, size)
+		base, err := reserve(footprint)
+		if err != nil {
+			return Obj{}, err
+		}
+		if p, err = r.registerLocalOffset(base, size, layoutPtr); err != nil {
+			return Obj{}, err
+		}
+	} else {
+		base, err := reserve(size)
+		if err != nil {
+			return Obj{}, err
+		}
+		row, err := r.registerGlobalRow(base, size, layoutPtr)
+		if err != nil {
+			return Obj{}, err
+		}
+		p = r.M.IfpMdGlobal(base, row)
+	}
+	return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size}, nil
+}
+
 // registerLocalOffset writes local-offset metadata for an object at base
 // and returns the tagged pointer. The instrumentation cost is ifpmac + two
 // metadata stores + fixed setup (Listing 2's IFP_Register path).
-func (r *Runtime) registerLocalOffset(base, size, layoutPtr uint64) (Ptr, uint64, error) {
+func (r *Runtime) registerLocalOffset(base, size, layoutPtr uint64) (Ptr, error) {
 	metaAddr, _ := metadata.LocalPlacement(base, size)
 	m := metadata.Local{Size: uint16(size), LayoutPtr: layoutPtr}
 	m.MAC = r.M.IfpMac(base, uint64(m.Size), m.LayoutPtr)
 	w := m.Encode()
 	r.M.Tick(localSetupCost)
 	if err := r.M.RawStore64(metaAddr, w[0]); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := r.M.RawStore64(metaAddr+8, w[1]); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	off, ok := metadata.LocalGranuleOffset(base, metaAddr)
 	if !ok {
-		return 0, 0, fmt.Errorf("rt: local-offset unencodable for size %d", size)
+		return 0, fmt.Errorf("rt: local-offset unencodable for size %d", size)
 	}
-	return r.M.IfpMdLocal(base, off, 0), metaAddr, nil
+	return r.M.IfpMdLocal(base, off, 0), nil
 }
 
 // clearLocalOffset invalidates the metadata record (IFP_Deregister).
@@ -130,70 +138,26 @@ func (r *Runtime) AllocLocalBytes(size uint64) (Obj, error) {
 }
 
 func (r *Runtime) allocLocalSized(t *layout.Type, size uint64) (Obj, error) {
-	if size == 0 {
-		size = 1
-	}
 	if !r.Instrumented() {
 		r.M.Tick(1) // stack-pointer adjustment
-		base, err := r.stackArena.Sbrk(size)
-		if err != nil {
-			return Obj{}, err
-		}
-		return Obj{P: base, Size: size, Kind: KindLegacy}, nil
 	}
-	layoutPtr, err := r.layoutFor(t)
-	if err != nil {
-		return Obj{}, err
-	}
-	hasLT := layoutPtr != 0
-
-	if size <= tag.MaxLocalObjectSize {
-		_, footprint := metadata.LocalPlacement(0, size)
-		base, err := r.stackArena.Sbrk(footprint)
-		if err != nil {
-			return Obj{}, err
-		}
-		p, metaAddr, err := r.registerLocalOffset(base, size, layoutPtr)
-		if err != nil {
-			return Obj{}, err
-		}
-		r.Stats.LocalObjects++
-		if hasLT {
-			r.Stats.LocalWithLT++
-		}
-		return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindLocal, metaAddr: metaAddr}, nil
-	}
-
-	// Global-table fallback for big locals.
-	base, err := r.stackArena.Sbrk(size)
-	if err != nil {
-		return Obj{}, err
-	}
-	row, err := r.registerGlobalRow(base, size, layoutPtr)
-	if err != nil {
-		return Obj{}, err
-	}
-	p := r.M.IfpMdGlobal(base, row)
-	r.Stats.LocalObjects++
-	if hasLT {
-		r.Stats.LocalWithLT++
-	}
-	return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindGlobalRow, row: row}, nil
+	return r.placeInArena(r.stackArena, t, size, &r.Stats.LocalObjects, &r.Stats.LocalWithLT)
 }
 
-// DeallocLocal cleans up a local's metadata when its frame dies
-// (IFP_Deregister in Listing 2). The caller separately pops the frame with
-// StackRelease.
+// DeallocLocal clears the metadata record o's tag names (IFP_Deregister
+// in Listing 2): the local-offset record its granule offset locates or
+// the global-table row it indexes. Legacy pointers carry no record. The
+// VM calls it for every frame slot when the frame dies, and then pops the
+// frame with StackRelease; Free calls it for a live wrapped heap chunk.
 func (r *Runtime) DeallocLocal(o Obj) error {
-	switch o.Kind {
-	case KindLegacy:
-		return nil
-	case KindLocal:
-		return r.clearLocalOffset(o.metaAddr)
-	case KindGlobalRow:
-		return r.releaseGlobalRow(o.row)
+	switch tag.SchemeOf(o.P) {
+	case tag.SchemeLocalOffset:
+		off, _ := tag.LocalFields(o.P)
+		return r.clearLocalOffset(metadata.LocalMetaAddr(o.Base(), off))
+	case tag.SchemeGlobalTable:
+		return r.releaseGlobalRow(tag.GlobalIndex(o.P))
 	}
-	return fmt.Errorf("rt: DeallocLocal of %v object", o.Kind)
+	return nil
 }
 
 // RegisterGlobal registers a global variable of type t (the "getptr"
@@ -201,62 +165,41 @@ func (r *Runtime) DeallocLocal(o Obj) error {
 // eagerly at startup, which is equivalent for accounting). Small globals
 // use the local-offset scheme; large ones the global table.
 func (r *Runtime) RegisterGlobal(t *layout.Type) (Obj, error) {
-	o, err := r.registerGlobalSized(t, t.Size())
+	o, err := r.placeInArena(r.globalArena, t, t.Size(), &r.Stats.GlobalObjects, &r.Stats.GlobalWithLT)
 	return o, wrapAlloc(err)
 }
 
 // RegisterGlobalBytes registers an untyped global buffer.
 func (r *Runtime) RegisterGlobalBytes(size uint64) (Obj, error) {
-	o, err := r.registerGlobalSized(nil, size)
+	o, err := r.placeInArena(r.globalArena, nil, size, &r.Stats.GlobalObjects, &r.Stats.GlobalWithLT)
 	return o, wrapAlloc(err)
 }
 
-func (r *Runtime) registerGlobalSized(t *layout.Type, size uint64) (Obj, error) {
+// placeInArena places a stack local or a global of type t (nil: untyped)
+// in arena a and counts it in objects and withLT. Uninstrumented runs get
+// a plain bump with no metadata.
+func (r *Runtime) placeInArena(a *heap.Arena, t *layout.Type, size uint64, objects, withLT *uint64) (Obj, error) {
 	if size == 0 {
 		size = 1
 	}
 	if !r.Instrumented() {
-		base, err := r.globalArena.Sbrk(size)
+		base, err := a.Sbrk(size)
 		if err != nil {
 			return Obj{}, err
 		}
-		return Obj{P: base, Size: size, Kind: KindLegacy}, nil
+		return Obj{P: base, Size: size}, nil
 	}
 	layoutPtr, err := r.layoutFor(t)
 	if err != nil {
 		return Obj{}, err
 	}
-	hasLT := layoutPtr != 0
-
-	if size <= tag.MaxLocalObjectSize {
-		_, footprint := metadata.LocalPlacement(0, size)
-		base, err := r.globalArena.Sbrk(footprint)
-		if err != nil {
-			return Obj{}, err
-		}
-		p, metaAddr, err := r.registerLocalOffset(base, size, layoutPtr)
-		if err != nil {
-			return Obj{}, err
-		}
-		r.Stats.GlobalObjects++
-		if hasLT {
-			r.Stats.GlobalWithLT++
-		}
-		return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindLocal, metaAddr: metaAddr}, nil
-	}
-
-	base, err := r.globalArena.Sbrk(size)
+	o, err := r.place(a.Sbrk, size, layoutPtr, false)
 	if err != nil {
 		return Obj{}, err
 	}
-	row, err := r.registerGlobalRow(base, size, layoutPtr)
-	if err != nil {
-		return Obj{}, err
+	*objects++
+	if layoutPtr != 0 {
+		*withLT++
 	}
-	p := r.M.IfpMdGlobal(base, row)
-	r.Stats.GlobalObjects++
-	if hasLT {
-		r.Stats.GlobalWithLT++
-	}
-	return Obj{P: p, B: r.M.IfpBnd(p, size), Size: size, Kind: KindGlobalRow, row: row}, nil
+	return o, nil
 }

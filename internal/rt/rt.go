@@ -7,6 +7,12 @@
 // fallback) and the *subheap* allocator (a pool allocator over a buddy
 // allocator).
 //
+// The pointer tag is the runtime's only record of how an object was
+// registered: one function (place) applies §4.2.2's scheme choice for
+// stack locals, globals and wrapped heap chunks alike, and release reads
+// the scheme, the local-offset record and the global-table row back from
+// the tag, as the hardware's promote does.
+//
 // A Runtime also runs in Baseline mode, where no instrumentation happens
 // at all: workloads run the same code against plain, untagged pointers.
 // Comparing an instrumented run against a Baseline run of the same
@@ -147,11 +153,11 @@ type Runtime struct {
 	crOfBits map[uint8]uint16
 	nextCR   int
 
-	// Wrapped-allocator bookkeeping: payload base -> true when the chunk
-	// was over-allocated for local-offset metadata.
-	wrappedLocal map[uint64]bool
-	// Heap global-table registrations: payload base -> row index.
-	heapRows map[uint64]uint16
+	// wrapped is the set of live wrapped-allocator chunks, by payload
+	// base. The chunk's registration itself is read from its pointer tag;
+	// the set only lets Free reject a chunk that is not live before it
+	// writes any metadata.
+	wrapped map[uint64]bool
 
 	// ForceGlobalTable is the single-scheme ablation (DESIGN.md §5.2):
 	// every heap allocation is registered in the global table, as a
@@ -198,31 +204,38 @@ func New(mode Mode) *Runtime {
 		panic(err)
 	}
 	r := &Runtime{
-		M:            m,
-		mode:         mode,
-		layoutArena:  heap.NewArena(layoutBase, layoutSize),
-		globalArena:  heap.NewArena(globalsBase, globalsSize),
-		stackArena:   heap.NewArena(stackBase, stackSize),
-		fl:           heap.NewFreeList(m, heap.NewArena(flHeapBase, flHeapSize)),
-		buddy:        buddy,
-		tables:       make(map[*layout.Type]*ltInfo),
-		pools:        make(map[poolKey]*pool),
-		blocks:       make(map[uint64]*block),
-		crOfBits:     make(map[uint8]uint16),
-		wrappedLocal: make(map[uint64]bool),
-		heapRows:     make(map[uint64]uint16),
-		sigCount:     make(map[poolKey]int),
-		gens:         temporal.NewStore(),
+		M:           m,
+		layoutArena: heap.NewArena(layoutBase, layoutSize),
+		globalArena: heap.NewArena(globalsBase, globalsSize),
+		stackArena:  heap.NewArena(stackBase, stackSize),
+		fl:          heap.NewFreeList(m, heap.NewArena(flHeapBase, flHeapSize)),
+		buddy:       buddy,
+		tables:      make(map[*layout.Type]*ltInfo),
+		pools:       make(map[poolKey]*pool),
+		blocks:      make(map[uint64]*block),
+		crOfBits:    make(map[uint8]uint16),
+		wrapped:     make(map[uint64]bool),
+		sigCount:    make(map[poolKey]int),
+		gens:        temporal.NewStore(),
 	}
+	r.setMode(mode)
+	return r
+}
+
+// setMode switches the runtime, and the machine state its mode owns, to
+// mode: every instrumented mode has a global metadata table, and
+// IFPTemporal reads generations from the runtime's store during promote.
+// The machine must be in its New or Reset state.
+func (r *Runtime) setMode(mode Mode) {
+	r.mode = mode
 	if mode != Baseline {
-		m.GlobalBase = globalTableBase
-		m.GlobalCap = uint32(globalTableCap)
+		r.M.GlobalBase = globalTableBase
+		r.M.GlobalCap = uint32(globalTableCap)
 	}
 	if mode == IFPTemporal {
-		m.TemporalTags = true
-		m.Gens = r.gens
+		r.M.TemporalTags = true
+		r.M.Gens = r.gens
 	}
-	return r
 }
 
 // Reset restores every New-time invariant — machine architectural state,
@@ -235,7 +248,6 @@ func New(mode Mode) *Runtime {
 // which is what keeps reused-vs-fresh runs byte-identical.
 func (r *Runtime) Reset(mode Mode) {
 	r.M.Reset()
-	r.mode = mode
 	r.layoutArena.Reset()
 	r.globalArena.Reset()
 	r.stackArena.Reset()
@@ -248,22 +260,14 @@ func (r *Runtime) Reset(mode Mode) {
 	clear(r.blocks)
 	clear(r.crOfBits)
 	r.nextCR = 0
-	clear(r.wrappedLocal)
-	clear(r.heapRows)
+	clear(r.wrapped)
 	clear(r.sigCount)
 	r.ForceGlobalTable = false
 	r.ExplicitChecks = false
 	r.allocFaultAt = 0
 	r.gens.Reset()
 	r.Stats = Stats{}
-	if mode != Baseline {
-		r.M.GlobalBase = globalTableBase
-		r.M.GlobalCap = uint32(globalTableCap)
-	}
-	if mode == IFPTemporal {
-		r.M.TemporalTags = true
-		r.M.Gens = r.gens
-	}
+	r.setMode(mode)
 }
 
 // Mode returns the runtime's mode.

@@ -2,6 +2,8 @@ package rt
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"infat/internal/heap"
@@ -44,11 +46,11 @@ func TestHybridGraduation(t *testing.T) {
 	}
 	// The first hybridGraduation allocations take the wrapped path; the
 	// signature then graduates to a subheap pool.
-	if objs[0].Kind != KindWrappedLocal {
-		t.Errorf("first alloc kind = %v, want wrapped-local", objs[0].Kind)
+	if s := tag.SchemeOf(objs[0].P); s != tag.SchemeLocalOffset {
+		t.Errorf("first alloc scheme = %v, want local-offset (wrapped)", s)
 	}
-	if objs[11].Kind != KindSubheapSlot {
-		t.Errorf("12th alloc kind = %v, want subheap slot", objs[11].Kind)
+	if s := tag.SchemeOf(objs[11].P); s != tag.SchemeSubheap {
+		t.Errorf("12th alloc scheme = %v, want subheap", s)
 	}
 	if r.Stats.HeapPool == 0 || r.Stats.HeapPool == r.Stats.HeapObjects {
 		t.Errorf("pool split = %d of %d, want a mix", r.Stats.HeapPool, r.Stats.HeapObjects)
@@ -69,8 +71,8 @@ func TestHybridGraduation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.Kind != KindWrappedGlobal {
-		t.Errorf("big alloc kind = %v", big.Kind)
+	if s := tag.SchemeOf(big.P); s != tag.SchemeGlobalTable {
+		t.Errorf("big alloc scheme = %v", s)
 	}
 }
 
@@ -106,11 +108,8 @@ func TestAllocLocalInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindLocal {
-		t.Fatalf("kind = %v", o.Kind)
-	}
 	if tag.SchemeOf(o.P) != tag.SchemeLocalOffset {
-		t.Errorf("scheme = %v", tag.SchemeOf(o.P))
+		t.Fatalf("scheme = %v", tag.SchemeOf(o.P))
 	}
 	if !o.B.Valid || o.B.B.Span() != nodeT.Size() {
 		t.Errorf("bounds = %+v", o.B)
@@ -154,8 +153,8 @@ func TestAllocLocalBigFallsBackToGlobalTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindGlobalRow || tag.SchemeOf(o.P) != tag.SchemeGlobalTable {
-		t.Fatalf("kind = %v scheme = %v", o.Kind, tag.SchemeOf(o.P))
+	if tag.SchemeOf(o.P) != tag.SchemeGlobalTable {
+		t.Fatalf("scheme = %v", tag.SchemeOf(o.P))
 	}
 	_, b := r.M.Promote(o.P)
 	if !b.Valid || b.B.Span() != big.Size() {
@@ -288,15 +287,15 @@ func TestRegisterGlobal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.Kind != KindLocal {
-		t.Errorf("small global kind = %v", small.Kind)
+	if s := tag.SchemeOf(small.P); s != tag.SchemeLocalOffset {
+		t.Errorf("small global scheme = %v", s)
 	}
 	big, err := r.RegisterGlobalBytes(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.Kind != KindGlobalRow {
-		t.Errorf("big global kind = %v", big.Kind)
+	if s := tag.SchemeOf(big.P); s != tag.SchemeGlobalTable {
+		t.Errorf("big global scheme = %v", s)
 	}
 	if r.Stats.GlobalObjects != 2 || r.Stats.GlobalWithLT != 1 {
 		t.Errorf("stats = %+v", r.Stats)
@@ -313,8 +312,8 @@ func TestMallocWrappedSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindWrappedLocal || tag.SchemeOf(o.P) != tag.SchemeLocalOffset {
-		t.Fatalf("kind = %v scheme = %v", o.Kind, tag.SchemeOf(o.P))
+	if tag.SchemeOf(o.P) != tag.SchemeLocalOffset {
+		t.Fatalf("scheme = %v", tag.SchemeOf(o.P))
 	}
 	_, b := r.M.Promote(o.P)
 	if !b.Valid || b.B.Span() != nodeT.Size() {
@@ -338,8 +337,8 @@ func TestMallocWrappedLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindWrappedGlobal || tag.SchemeOf(o.P) != tag.SchemeGlobalTable {
-		t.Fatalf("kind = %v", o.Kind)
+	if tag.SchemeOf(o.P) != tag.SchemeGlobalTable {
+		t.Fatalf("scheme = %v", tag.SchemeOf(o.P))
 	}
 	_, b := r.M.Promote(o.P)
 	if !b.Valid || b.B.Span() != 8192 {
@@ -361,8 +360,8 @@ func TestMallocSubheapPacksAndShares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.Kind != KindSubheapSlot || tag.SchemeOf(o.P) != tag.SchemeSubheap {
-			t.Fatalf("kind = %v scheme = %v", o.Kind, tag.SchemeOf(o.P))
+		if tag.SchemeOf(o.P) != tag.SchemeSubheap {
+			t.Fatalf("scheme = %v", tag.SchemeOf(o.P))
 		}
 		objs = append(objs, o)
 	}
@@ -449,8 +448,8 @@ func TestMallocSubheapOversizedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindWrappedGlobal {
-		t.Errorf("kind = %v, want global fallback", o.Kind)
+	if s := tag.SchemeOf(o.P); s != tag.SchemeGlobalTable {
+		t.Errorf("scheme = %v, want global fallback", s)
 	}
 	if err := r.Free(o); err != nil {
 		t.Fatal(err)
@@ -463,7 +462,7 @@ func TestMallocBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Kind != KindLegacy || !tag.IsLegacy(o.P) {
+	if !tag.IsLegacy(o.P) {
 		t.Errorf("baseline alloc = %+v", o)
 	}
 	if r.M.C.IfpTotal() != 0 {
@@ -501,13 +500,21 @@ func TestMallocLegacyInInstrumentedMode(t *testing.T) {
 
 func TestFreeErrors(t *testing.T) {
 	r := New(Subheap)
-	if err := r.Free(Obj{Kind: KindLocal}); err == nil {
+	local, err := r.AllocLocalBytes(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Free(local); err == nil {
 		t.Error("Free of local accepted")
 	}
-	if err := r.Free(Obj{P: 0x123450, Kind: KindWrappedLocal, Size: 8}); err == nil {
+	// The rejected free wrote nothing: the local's record is intact.
+	if _, b := r.M.Promote(local.P); !b.Valid || b.B.Lower != local.Base() {
+		t.Errorf("local promote after rejected free = %+v", b)
+	}
+	if err := r.Free(Obj{P: tag.MakeLocal(0x123450, 2, 0), Size: 8}); err == nil {
 		t.Error("wild wrapped free accepted")
 	}
-	if err := r.Free(Obj{P: tag.MakeSubheap(0x5000, 9, 0), Kind: KindSubheapSlot}); err == nil {
+	if err := r.Free(Obj{P: tag.MakeSubheap(0x5000, 9, 0)}); err == nil {
 		t.Error("subheap free with dead CR accepted")
 	}
 }
@@ -628,7 +635,7 @@ func TestGlobalRowRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row1 := o1.row
+	row1 := tag.GlobalIndex(o1.P)
 	if err := r.Free(o1); err != nil {
 		t.Fatal(err)
 	}
@@ -636,8 +643,8 @@ func TestGlobalRowRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o2.row != row1 {
-		t.Errorf("row not recycled: %d vs %d", o2.row, row1)
+	if row2 := tag.GlobalIndex(o2.P); row2 != row1 {
+		t.Errorf("row not recycled: %d vs %d", row2, row1)
 	}
 }
 
@@ -675,5 +682,89 @@ func TestSubheapMetadataFootprintSharing(t *testing.T) {
 	wrap := alloc(Wrapped, n)
 	if sub >= wrap {
 		t.Errorf("subheap footprint %d >= wrapped %d", sub, wrap)
+	}
+}
+
+// TestReleaseFollowsTheTag pins that releasing an object touches its own
+// registration and nothing else, whichever path placed it and whichever
+// scheme its tag names. Every allocation path, in every mode and with the
+// ForceGlobalTable ablation on and off, places objects on both sides of
+// the local-offset and subheap size caps; they are then released in a
+// seeded shuffled order. After each release every live instrumented
+// object must still promote to exactly its allocation bounds, and a
+// released local-offset or global-table object must no longer promote
+// valid. (A released subheap slot may: its block's shared record lives
+// on while the block holds other slots.)
+func TestReleaseFollowsTheTag(t *testing.T) {
+	sizes := []uint64{1, 16, 24, tag.MaxLocalObjectSize, tag.MaxLocalObjectSize + 1, 4096, maxSubheapObject + 1}
+	type placed struct {
+		o    Obj
+		path string
+		heap bool
+	}
+	var seed int64
+	for _, mode := range Modes {
+		for _, force := range []bool{false, true} {
+			seed++
+			r := New(mode)
+			r.ForceGlobalTable = force
+			var objs []placed
+			add := func(path string, heap bool, o Obj, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%v force=%v: %s: %v", mode, force, path, err)
+				}
+				objs = append(objs, placed{o, path, heap})
+			}
+			for _, size := range sizes {
+				typ := layout.ArrayOf(layout.Char, size)
+				o, err := r.AllocLocal(typ)
+				add(fmt.Sprintf("AllocLocal(%d)", size), false, o, err)
+				o, err = r.AllocLocalBytes(size)
+				add(fmt.Sprintf("AllocLocalBytes(%d)", size), false, o, err)
+				o, err = r.RegisterGlobal(typ)
+				add(fmt.Sprintf("RegisterGlobal(%d)", size), false, o, err)
+				o, err = r.RegisterGlobalBytes(size)
+				add(fmt.Sprintf("RegisterGlobalBytes(%d)", size), false, o, err)
+				// Enough repeats of one heap signature for Hybrid to
+				// graduate it to a subheap pool and for pools to share a
+				// block between live and released slots.
+				for i := 0; i <= hybridGraduation+1; i++ {
+					o, err = r.Malloc(typ, 1)
+					add(fmt.Sprintf("Malloc(%d)#%d", size, i), true, o, err)
+					o, err = r.MallocBytes(size)
+					add(fmt.Sprintf("MallocBytes(%d)#%d", size, i), true, o, err)
+					o, err = r.MallocLegacy(size)
+					add(fmt.Sprintf("MallocLegacy(%d)#%d", size, i), true, o, err)
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+			for i, x := range objs {
+				var err error
+				if x.heap {
+					err = r.Free(x.o)
+				} else {
+					err = r.DeallocLocal(x.o)
+				}
+				if err != nil {
+					t.Fatalf("%v force=%v: release %s: %v", mode, force, x.path, err)
+				}
+				if s := tag.SchemeOf(x.o.P); s == tag.SchemeLocalOffset || s == tag.SchemeGlobalTable {
+					if _, b := r.M.Promote(x.o.P); b.Valid {
+						t.Errorf("%v force=%v: released %s (%v) still promotes to %v", mode, force, x.path, s, b.B)
+					}
+				}
+				for _, y := range objs[i+1:] {
+					if tag.IsLegacy(y.o.P) {
+						continue
+					}
+					if _, b := r.M.Promote(y.o.P); b != y.o.B {
+						t.Fatalf("%v force=%v: after releasing %s, live %s promotes to %+v, want %+v",
+							mode, force, x.path, y.path, b, y.o.B)
+					}
+				}
+			}
+		}
 	}
 }

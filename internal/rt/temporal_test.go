@@ -47,7 +47,7 @@ func TestTemporalFreeBumpsOnlyOnSuccess(t *testing.T) {
 	// base the allocator never released would poison a future allocation
 	// at that address.
 	wildBase := o.Base() + 0x10_0000
-	wild := Obj{P: tag.WithGen(tag.MakeLocal(wildBase, 0, 0), 0), Kind: o.Kind, Size: 64}
+	wild := Obj{P: tag.WithGen(tag.MakeLocal(wildBase, 0, 0), 0), Size: 64}
 	if err := r.Free(wild); err == nil {
 		t.Fatal("wild free accepted")
 	} else if machine.IsTrap(err, machine.TrapTemporal) {

@@ -194,10 +194,25 @@ func New(cfg Config) (*Shard, error) {
 	}
 	s.ring = newRing(len(s.backends), ringReplicas, func(i int) string { return s.backends[i].url })
 
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/juliet", s.handleJuliet)
-	s.mux.HandleFunc("GET /v1/juliet", s.handleJulietList)
-	s.mux.HandleFunc("POST /v1/workload", s.handleWorkload)
+	// Unary routing keys are namespaced so a workload named like a Juliet
+	// case still owns its own ring arc. The case list is identical on
+	// every backend (the generated suite), so any up backend may answer.
+	s.mux.HandleFunc("POST /v1/run", unary(s, "/v1/run", func(q struct {
+		Source string `json:"source"`
+	}) string {
+		return runRouteKey(q.Source)
+	}))
+	s.mux.HandleFunc("POST /v1/juliet", unary(s, "/v1/juliet", func(q struct {
+		Case string `json:"case"`
+	}) string {
+		return "juliet|" + q.Case
+	}))
+	s.mux.HandleFunc("GET /v1/juliet", unary(s, "/v1/juliet", func(struct{}) string { return "juliet-list" }))
+	s.mux.HandleFunc("POST /v1/workload", unary(s, "/v1/workload", func(q struct {
+		Name string `json:"name"`
+	}) string {
+		return "workload|" + q.Name
+	}))
 	for _, route := range server.CampaignRoutes {
 		s.mux.HandleFunc("POST "+route.Path, s.handleCampaign(route))
 	}
@@ -316,75 +331,34 @@ func (s *Shard) noteFailure(b *backend) {
 	}
 }
 
-// routeKey computes the unary routing keys. Namespaced so a workload
-// named like a Juliet case still owns its own ring arc.
+// runRouteKey is /v1/run's routing key: the program source's sha256.
 func runRouteKey(source string) string {
 	h := sha256.Sum256([]byte(source))
 	return fmt.Sprintf("run|%x", h)
 }
 
-// readBody drains a bounded request body.
-func (s *Shard) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeShardError(w, http.StatusRequestEntityTooLarge, err)
-		return nil, false
+// unary proxies one single-request endpoint to the ring owner of
+// key(req). It decodes only the routing field of the bounded body into
+// T; the owning backend performs the strict validation, so shard and
+// backend never disagree on what a valid request is. A GET carries no
+// body and routes on the key of T's zero value.
+func unary[T any](s *Shard, path string, key func(T) string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		var body []byte
+		if r.Method != http.MethodGet {
+			var err error
+			if body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+				writeShardError(w, http.StatusRequestEntityTooLarge, err)
+				return
+			}
+			if err = json.Unmarshal(body, &req); err != nil {
+				writeShardError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+				return
+			}
+		}
+		s.proxy(w, r, key(req), path, body)
 	}
-	return body, true
-}
-
-func (s *Shard) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Decode only the routing field; the owning backend performs the
-	// strict validation, so shard and backend never disagree on what a
-	// valid request is.
-	var req struct {
-		Source string `json:"source"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeShardError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	s.proxy(w, r, runRouteKey(req.Source), "/v1/run", body)
-}
-
-func (s *Shard) handleJuliet(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req struct {
-		Case string `json:"case"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeShardError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	s.proxy(w, r, "juliet|"+req.Case, "/v1/juliet", body)
-}
-
-func (s *Shard) handleJulietList(w http.ResponseWriter, r *http.Request) {
-	// The list is identical on every backend (the generated suite), so
-	// any up backend may answer.
-	s.proxy(w, r, "juliet-list", "/v1/juliet", nil)
-}
-
-func (s *Shard) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeShardError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	s.proxy(w, r, "workload|"+req.Name, "/v1/workload", body)
 }
 
 // proxy forwards one unary request to the key's owner, failing over to

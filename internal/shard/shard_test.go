@@ -262,6 +262,37 @@ func TestShardSubsetAndValidation(t *testing.T) {
 	}
 }
 
+// TestShardUnaryRequestErrors pins the shard's own answers on the unary
+// routes: an oversized body is 413 and an undecodable one 400, both
+// before any backend is asked; the body-less case list is proxied.
+func TestShardUnaryRequestErrors(t *testing.T) {
+	sh, _, c := newFleet(t, 1)
+	oversized := strings.Repeat(" ", maxBodyBytes+1)
+	for _, path := range []string{"/v1/run", "/v1/juliet", "/v1/workload"} {
+		for body, want := range map[string]int{"{": http.StatusBadRequest, oversized: http.StatusRequestEntityTooLarge} {
+			resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s (%d-byte body): status %d, want %d", path, len(body), resp.StatusCode, want)
+			}
+		}
+	}
+	if n := sh.metrics.proxied.Load(); n != 0 {
+		t.Errorf("rejected requests reached a backend: proxied = %d", n)
+	}
+	resp, err := http.Get(c.BaseURL + "/v1/juliet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || sh.metrics.proxied.Load() != 1 {
+		t.Errorf("GET /v1/juliet: status %d, proxied %d; want 200 through one backend", resp.StatusCode, sh.metrics.proxied.Load())
+	}
+}
+
 // TestProbeDelayBackoffAndJitter pins the probe pacing contract: the
 // delay doubles per consecutive failure up to 8x the base, carries at
 // most a quarter-interval of jitter, is deterministic under a seed, and
