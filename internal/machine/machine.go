@@ -355,9 +355,10 @@ func RecoverInternal(err *error) {
 
 // CheckFuel reports budget exhaustion: a TrapFuel trap once the machine
 // has consumed FuelLimit cycles (nil while within budget or when no
-// limit is set). The MiniC VM polls it once per interpreted step, so a
-// run is cut off on the first step at or past the limit — the trap may
-// land a few cycles after the exact boundary, never before it.
+// limit is set). The MiniC VM polls it once per extended basic block,
+// at the block's LBlock header, so a run is cut off at the first block
+// entered at or past the limit — the trap may land up to one block's
+// cycles after the exact boundary, never before it.
 func (m *Machine) CheckFuel() error {
 	if m.FuelLimit != 0 && m.C.Cycles >= m.FuelLimit {
 		return &Trap{Kind: TrapFuel,

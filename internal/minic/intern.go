@@ -15,8 +15,8 @@ const programCap = 1024
 // programs is the process-wide compile cache behind ExecuteBudget: a
 // memo.Store of memo.KindProgram entries keyed by sha256(source), each
 // holding the compiled and lowered program (or the error that rejected
-// the source), so an evaluation campaign that runs one workload source
-// across a hundred (mode × config) cells compiles it exactly once.
+// the source), so a MiniC source run under several modes — a /v1/run
+// program, a Juliet case, a minicc input — compiles exactly once.
 //
 // Sharing is sound because compilation is a pure function of the source
 // bytes and a Compiled is read-only after construction (see the Compiled

@@ -527,9 +527,8 @@ func (vm *VM) callReg(fnIdx, argBase, nargs int) (value, error) {
 // heapObjs keeps each allocation's Obj as malloc returned it, so the
 // runtime releases by the allocation-time tag, not by one the guest has
 // narrowed or forged, and a pointer that matches no live allocation
-// (never allocated, or already freed) is rejected here. The runtime alone
-// would not reject a second free of a subheap slot: it tracks live
-// blocks, not live slots.
+// (never allocated, or already freed) is rejected here, before the
+// runtime's own liveness checks are reached.
 func (vm *VM) freeByPtr(p uint64) error {
 	// Temporal mode checks the guest's own pointer before the record scan:
 	// a stale-generation pointer is a double free even when its base has

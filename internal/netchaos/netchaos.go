@@ -3,7 +3,7 @@
 // ifp-serve backend and misbehaves on purpose — added latency, refused
 // and reset connections, blackholed streams, truncated campaigns,
 // corrupted and duplicated NDJSON cell lines, slowloris writes — so the
-// tier's failover, hedging, circuit-breaking, and validation machinery
+// tier's failover, hedging, draining, and validation machinery
 // can be proven against every network failure mode the real world
 // offers, reproducibly.
 //
@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infat/internal/server"
 	"infat/internal/splitmix"
 )
 
@@ -225,7 +226,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, fault Fault) {
 		abort()
 	}
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Ifp-Cache", "Retry-After", "X-Ifp-Cells"} {
+	for _, h := range server.RelayHeaders {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -168,6 +169,30 @@ func TestProxyHealthProbesPassClean(t *testing.T) {
 	}
 	if p.Injected() != 0 {
 		t.Fatalf("GETs drew %d faults, want 0", p.Injected())
+	}
+}
+
+// TestProxyForwardsStreamHeaders: a clean proxy passes on the headers a
+// campaign stream opens with. Without X-Ifp-Workers a shard behind the
+// proxy never learns the backend's worker count and scatters as if it
+// ran one cell at a time.
+func TestProxyForwardsStreamHeaders(t *testing.T) {
+	base := serveHandler(t, New(Config{Target: serveHandler(t, server.New(server.Config{Workers: 3}))}))
+	resp, err := http.Post(base+server.ChaosPath, "application/json", strings.NewReader(`{"cells":[0]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	for h, want := range map[string]string{
+		"Content-Type":       server.NDJSONContentType,
+		server.CellsHeader:   "1",
+		server.MemoHeader:    "0",
+		server.WorkersHeader: "3",
+	} {
+		if got := resp.Header.Get(h); got != want {
+			t.Errorf("%s through the proxy = %q, want %q", h, got, want)
+		}
 	}
 }
 

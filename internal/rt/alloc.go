@@ -163,6 +163,9 @@ type block struct {
 	nSlots    uint32
 	freeSlots []uint32
 	liveSlots uint32
+	// live has bit i set while slot i is handed out, so a second free of
+	// a slot is rejected instead of queueing the slot twice.
+	live []uint64
 }
 
 // subheapMetaReserve is the space reserved at the start of each block for
@@ -243,6 +246,7 @@ func (r *Runtime) mallocSubheap(size uint64, layoutPtr uint64) (Obj, error) {
 	slotIdx := blk.freeSlots[len(blk.freeSlots)-1]
 	blk.freeSlots = blk.freeSlots[:len(blk.freeSlots)-1]
 	blk.liveSlots++
+	blk.live[slotIdx/64] |= 1 << (slotIdx % 64)
 	if len(blk.freeSlots) == 0 {
 		pl.partial = pl.partial[:len(pl.partial)-1]
 	}
@@ -295,7 +299,7 @@ func (r *Runtime) newBlock(pl *pool) (*block, error) {
 		}
 	}
 
-	blk := &block{pool: pl, base: base, order: order, nSlots: nSlots}
+	blk := &block{pool: pl, base: base, order: order, nSlots: nSlots, live: make([]uint64, (nSlots+63)/64)}
 	blk.freeSlots = make([]uint32, nSlots)
 	for i := uint32(0); i < nSlots; i++ {
 		blk.freeSlots[i] = nSlots - 1 - i // hand out slot 0 first
@@ -387,6 +391,11 @@ func (r *Runtime) freeSubheap(o Obj) error {
 	if rel%uint64(blk.pool.slotSize) != 0 || slotIdx >= blk.nSlots {
 		return fmt.Errorf("rt: subheap free of non-slot address %#x", tag.Addr(o.P))
 	}
+	bit := uint64(1) << (slotIdx % 64)
+	if blk.live[slotIdx/64]&bit == 0 {
+		return fmt.Errorf("rt: subheap free of slot %#x that is not live", tag.Addr(o.P))
+	}
+	blk.live[slotIdx/64] &^= bit
 	wasFull := len(blk.freeSlots) == 0
 	blk.freeSlots = append(blk.freeSlots, slotIdx)
 	blk.liveSlots--

@@ -519,6 +519,42 @@ func TestFreeErrors(t *testing.T) {
 	}
 }
 
+// TestSubheapDoubleFreeRejected: a second free of a subheap slot is an
+// error that leaves its block untouched. Without per-slot liveness the
+// slot went onto the block's free list twice and the live count hit
+// zero under a live neighbour: the block's shared record was cleared, so
+// the neighbour promoted invalid, and the next two allocations returned
+// the freed slot and then the neighbour's own address.
+func TestSubheapDoubleFreeRejected(t *testing.T) {
+	r := New(Subheap)
+	a, err := r.MallocBytes(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.MallocBytes(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Free(a); err == nil {
+		t.Error("second free of a subheap slot accepted")
+	}
+	if _, bb := r.M.Promote(b.P); bb != b.B {
+		t.Errorf("live neighbour promotes to %+v after the rejected free, want %+v", bb, b.B)
+	}
+	for i := 0; i < 4; i++ {
+		o, err := r.MallocBytes(24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Base() == b.Base() {
+			t.Fatalf("allocation %d returned the live neighbour's address %#x", i, o.Base())
+		}
+	}
+}
+
 func TestOverflowDetectionEndToEnd(t *testing.T) {
 	// The headline property: a heap overflow past the object is caught in
 	// both instrumented modes, and intra-object overflow is caught when

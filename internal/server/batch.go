@@ -41,6 +41,11 @@ const CellsHeader = "X-Ifp-Cells"
 // that many of a campaign's cells outstanding on it.
 const WorkersHeader = "X-Ifp-Workers"
 
+// RelayHeaders are the response headers a hop in front of a backend (the
+// shard's unary forwarding, the netchaos proxy) passes on unchanged. Only
+// campaign streams set the last two.
+var RelayHeaders = []string{"Content-Type", CacheHeader, MemoHeader, RetryAfterHeader, CellsHeader, WorkersHeader}
+
 // Batch endpoint paths, shared with the client and the shard tier.
 const (
 	BatchPath = "/v1/batch"
@@ -178,25 +183,25 @@ type BatchTrailer struct {
 }
 
 // CampaignRoute is one row of the campaign route table: a streaming
-// endpoint's path, its request counter, and the resolver that decodes a
-// request body into a bounded campaign. Backends and the shard serve the
-// same table through the same resolvers, so both tiers accept and reject
-// exactly the same requests, and the shard rejects a bad one before it
-// contacts any backend.
+// endpoint's path and the resolver that decodes a request body into a
+// bounded campaign. Backends and the shard serve the same table through
+// the same resolvers, so both tiers accept and reject exactly the same
+// requests, and the shard rejects a bad one before it contacts any
+// backend. A backend counts a route's requests under its path after
+// "/v1/".
 type CampaignRoute struct {
 	Path string
 	// Resolve strictly decodes one request body, resolves it onto its
 	// campaign (memoized through store, which may be nil), bounds its
 	// scales, and validates its cell subset.
 	Resolve func(body io.Reader, store *memo.Store) (Campaign, error)
-	count   func(*metrics) *atomic.Uint64
 }
 
 // CampaignRoutes is the campaign route table.
 var CampaignRoutes = []CampaignRoute{
-	{BatchPath, resolveBatch(BatchRequest.BatchPlan), func(m *metrics) *atomic.Uint64 { return &m.reqBatch }},
-	{GridPath, resolveBatch(BatchRequest.GridPlan), func(m *metrics) *atomic.Uint64 { return &m.reqGrid }},
-	{ChaosPath, resolveChaos, func(m *metrics) *atomic.Uint64 { return &m.reqChaos }},
+	{BatchPath, resolveBatch(BatchRequest.BatchPlan)},
+	{GridPath, resolveBatch(BatchRequest.GridPlan)},
+	{ChaosPath, resolveChaos},
 }
 
 // resolveBatch resolves a BatchRequest body onto the plan planOf builds.
@@ -375,7 +380,7 @@ func (s *Server) handleCampaign(route CampaignRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, 1<<20), s.memo)
 		if err != nil {
-			s.metrics.badRequests.Add(1)
+			s.metrics.admission["bad_request"].Add(1)
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -393,7 +398,7 @@ func (s *Server) handleCampaign(route CampaignRoute) http.HandlerFunc {
 // runtimes, and their lines are dropped.
 func (c campaign[C]) stream(s *Server, w http.ResponseWriter, r *http.Request) {
 	cells := c.cells
-	s.metrics.batchStreams.Add(1)
+	s.metrics.batch["streams"].Add(1)
 	ctx := r.Context()
 
 	// Count the cells already resident in the memo store before the first
@@ -451,7 +456,7 @@ func (c campaign[C]) stream(s *Server, w http.ResponseWriter, r *http.Request) {
 				if v, ok := c.LookupCell(cells[k]); ok {
 					cell := metaCell(c.Meta(cells[k]))
 					setPayload(&cell, v)
-					s.metrics.batchCells.Add(1)
+					s.metrics.batch["cells"].Add(1)
 					completed.Add(1)
 					emit(mustJSON(cell))
 					continue
@@ -465,10 +470,10 @@ func (c campaign[C]) stream(s *Server, w http.ResponseWriter, r *http.Request) {
 				}
 				cell := c.computeRecovered(s, cells[k])
 				<-s.sem
-				s.metrics.batchCells.Add(1)
+				s.metrics.batch["cells"].Add(1)
 				if cell.Error != "" {
 					failed.Add(1)
-					s.metrics.batchCellErrors.Add(1)
+					s.metrics.batch["cell_errors"].Add(1)
 				} else {
 					completed.Add(1)
 				}
@@ -479,7 +484,7 @@ func (c campaign[C]) stream(s *Server, w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	if ctx.Err() != nil {
-		s.metrics.batchCancelled.Add(1)
+		s.metrics.batch["cancelled"].Add(1)
 		return // no trailer: the stream is truncated by the disconnect
 	}
 	emit(mustJSON(BatchTrailer{
@@ -498,7 +503,7 @@ func (c campaign[C]) computeRecovered(s *Server, i int) (cell BatchCell) {
 	cell = metaCell(c.Meta(i))
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.internalPanics.Add(1)
+			s.metrics.admission["internal_panics"].Add(1)
 			cell.Result, cell.Chaos = nil, nil
 			cell.Error = fmt.Sprintf("internal error: recovered panic: %v", r)
 		}

@@ -250,7 +250,7 @@ func TestBatchMidStreamCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The truncation is observable.
-	for s.metrics.batchCancelled.Load() == 0 {
+	for s.metrics.batch["cancelled"].Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("cancelled stream never counted in batch metrics")
 		}

@@ -23,6 +23,7 @@ const (
 	trapClassFuel     = "fuel"     // execution budget exhausted (resource trap)
 	trapClassInternal = "internal" // recovered simulator panic (a bug, never guest behavior)
 	trapClassOther    = "other"    // metadata/memory/alloc trap or non-trap runtime fault
+	trapClassNone     = "none"     // the run completed clean
 )
 
 // CacheHeader carries the cache disposition of a /v1/run response ("hit"
@@ -238,7 +239,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, 6*int64(s.cfg.MaxSourceBytes)+64<<10)
 	job, err := decodeRunRequest(body, s.cfg.MaxSourceBytes)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
+		s.metrics.admission["bad_request"].Add(1)
 		writeError(w, decodeStatus(err), err)
 		return
 	}
@@ -269,7 +270,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			res := e.Value().(*runResult)
 			writeRaw(w, res.Status, res.Body, state)
 		case <-r.Context().Done():
-			s.metrics.deadline.Add(1)
+			s.metrics.admission["deadline"].Add(1)
 			s.writeBusy(w, http.StatusGatewayTimeout,
 				errorBody("deadline exceeded waiting for in-flight identical submission"), "")
 		}
@@ -321,13 +322,13 @@ func (s *Server) executeRun(job runJob) (int, []byte) {
 		Exit:     exit,
 		Counters: counters,
 	}
-	class := ""
+	class := trapClassNone
 	if err != nil {
 		var kind string
 		class, kind = classifyTrap(err)
 		resp.Trap = &TrapInfo{Class: class, Kind: kind, Message: err.Error()}
 	}
-	s.metrics.countTrap(class)
+	s.metrics.traps[class].Add(1)
 	b, merr := json.Marshal(resp)
 	if merr != nil {
 		return http.StatusInternalServerError, errorBody(merr.Error())
@@ -338,13 +339,13 @@ func (s *Server) executeRun(job runJob) (int, []byte) {
 func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) {
 	var req JulietRequest
 	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 64<<10), &req); err != nil {
-		s.metrics.badRequests.Add(1)
+		s.metrics.admission["bad_request"].Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	mode, err := parseModeDefault(req.Mode)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
+		s.metrics.admission["bad_request"].Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -379,13 +380,13 @@ func (s *Server) handleJulietList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	var req WorkloadRequest
 	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 64<<10), &req); err != nil {
-		s.metrics.badRequests.Add(1)
+		s.metrics.admission["bad_request"].Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	mode, err := parseModeDefault(req.Mode)
 	if err != nil {
-		s.metrics.badRequests.Add(1)
+		s.metrics.admission["bad_request"].Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -393,7 +394,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		req.Scale = 1
 	}
 	if req.Scale < 1 || req.Scale > MaxScale {
-		s.metrics.badRequests.Add(1)
+		s.metrics.admission["bad_request"].Add(1)
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("scale %d out of range [1, %d]", req.Scale, MaxScale))
 		return

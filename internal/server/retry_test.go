@@ -269,8 +269,8 @@ func TestDispatchRecoversWorkerPanic(t *testing.T) {
 	if !strings.Contains(string(body), "recovered panic: injected simulator bug") {
 		t.Errorf("body does not name the panic: %s", body)
 	}
-	if got := s.metrics.internalPanics.Load(); got != 1 {
-		t.Errorf("internalPanics = %d, want 1", got)
+	if got := s.metrics.admission["internal_panics"].Load(); got != 1 {
+		t.Errorf("internal_panics = %d, want 1", got)
 	}
 	if got := s.snapshot().Admission["internal_panics"]; got != 1 {
 		t.Errorf("snapshot internal_panics = %d, want 1", got)
@@ -289,10 +289,8 @@ func TestTrapInternalClassification(t *testing.T) {
 	if class != trapClassInternal || kind != "internal" {
 		t.Errorf("classifyTrap = (%q, %q), want (internal, internal)", class, kind)
 	}
-	var m metrics
-	m.countTrap(trapClassInternal)
-	if m.trapInternal.Load() != 1 {
-		t.Error("countTrap did not route the internal class")
+	if newMetrics().traps[class] == nil {
+		t.Error("no trap counter for the internal class")
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"infat/internal/juliet"
@@ -133,7 +134,7 @@ type Server struct {
 	mux     *http.ServeMux
 	sem     chan struct{}
 	memo    *memo.Store
-	metrics metrics
+	metrics *metrics
 
 	julietNames []string
 	julietCases map[string]juliet.Case
@@ -147,6 +148,7 @@ func New(cfg Config) *Server {
 		mux:         http.NewServeMux(),
 		sem:         make(chan struct{}, cfg.Workers),
 		memo:        memo.NewStore(cfg.CacheEntries),
+		metrics:     newMetrics(),
 		julietCases: make(map[string]juliet.Case),
 	}
 	if cfg.MemoDir != "" {
@@ -158,16 +160,16 @@ func New(cfg Config) *Server {
 		s.julietNames = append(s.julietNames, c.Name)
 		s.julietCases[c.Name] = c
 	}
-	s.mux.HandleFunc("POST /v1/run", s.instrument(&s.metrics.reqRun, true, s.handleRun))
-	s.mux.HandleFunc("POST /v1/juliet", s.instrument(&s.metrics.reqJuliet, true, s.handleJuliet))
-	s.mux.HandleFunc("GET /v1/juliet", s.instrument(&s.metrics.reqJuliet, false, s.handleJulietList))
-	s.mux.HandleFunc("POST /v1/workload", s.instrument(&s.metrics.reqWorkload, true, s.handleWorkload))
+	s.mux.HandleFunc("POST /v1/run", s.instrument("run", true, s.handleRun))
+	s.mux.HandleFunc("POST /v1/juliet", s.instrument("juliet", true, s.handleJuliet))
+	s.mux.HandleFunc("GET /v1/juliet", s.instrument("juliet", false, s.handleJulietList))
+	s.mux.HandleFunc("POST /v1/workload", s.instrument("workload", true, s.handleWorkload))
 	batchTimeout := max(DefaultBatchTimeout, cfg.RequestTimeout)
 	for _, route := range CampaignRoutes {
-		s.mux.HandleFunc("POST "+route.Path, s.instrumentTimeout(route.count(&s.metrics), batchTimeout, s.handleCampaign(route)))
+		s.mux.HandleFunc("POST "+route.Path, s.instrumentTimeout(strings.TrimPrefix(route.Path, "/v1/"), batchTimeout, s.handleCampaign(route)))
 	}
-	s.mux.HandleFunc("GET /healthz", s.instrument(&s.metrics.reqHealthz, false, s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument(&s.metrics.reqMetrics, false, s.handleMetrics))
+	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", false, s.handleHealthz))
+	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", false, s.handleMetrics))
 	return s
 }
 
@@ -189,23 +191,25 @@ func (s *Server) SaveMemo() error {
 // ServeHTTP dispatches to the endpoint handlers.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// instrument wraps a handler with the request counter, in-flight gauge,
-// latency histogram, and — for simulation endpoints — the per-request
-// deadline.
-func (s *Server) instrument(counter interface{ Add(uint64) uint64 }, deadline bool, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a handler with its endpoint's request counter, the
+// in-flight gauge, the latency histogram, and — for simulation endpoints
+// — the per-request deadline.
+func (s *Server) instrument(endpoint string, deadline bool, h http.HandlerFunc) http.HandlerFunc {
 	timeout := time.Duration(0)
 	if deadline {
 		timeout = s.cfg.RequestTimeout
 	}
-	return s.instrumentTimeout(counter, timeout, h)
+	return s.instrumentTimeout(endpoint, timeout, h)
 }
 
 // instrumentTimeout is instrument with an explicit deadline (0 = none);
 // the streaming batch endpoints run under their own, longer budget. A
 // propagated client deadline (DeadlineHeader) clamps the configured
 // timeout down — never up — so the worker gives up the moment the
-// original caller would, instead of simulating into the void.
-func (s *Server) instrumentTimeout(counter interface{ Add(uint64) uint64 }, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
+// original caller would, instead of simulating into the void. The
+// endpoint's counter is resolved here, once per route.
+func (s *Server) instrumentTimeout(endpoint string, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
+	counter := s.metrics.requests[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		counter.Add(1)
 		s.metrics.inFlight.Add(1)
@@ -217,7 +221,7 @@ func (s *Server) instrumentTimeout(counter interface{ Add(uint64) uint64 }, time
 		effective := timeout
 		if d := ParseDeadlineHeader(r.Header.Get(DeadlineHeader)); d > 0 && timeout > 0 && d < timeout {
 			effective = d
-			s.metrics.deadlinePropagated.Add(1)
+			s.metrics.admission["deadline_propagated"].Add(1)
 		}
 		if effective > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), effective)
@@ -240,13 +244,13 @@ func (s *Server) dispatch(ctx context.Context, job func() (int, []byte)) (status
 	// Checked before the select so an already-expired deadline is always
 	// a rejection, even when a worker slot happens to be free.
 	if ctx.Err() != nil {
-		s.metrics.rejected.Add(1)
+		s.metrics.admission["rejected"].Add(1)
 		return http.StatusServiceUnavailable, errorBody(statusMessage(http.StatusServiceUnavailable)), false
 	}
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		s.metrics.rejected.Add(1)
+		s.metrics.admission["rejected"].Add(1)
 		return http.StatusServiceUnavailable, errorBody(statusMessage(http.StatusServiceUnavailable)), false
 	}
 	type result struct {
@@ -263,7 +267,7 @@ func (s *Server) dispatch(ctx context.Context, job func() (int, []byte)) (status
 	case res := <-ch:
 		return res.status, res.body, true
 	case <-ctx.Done():
-		s.metrics.deadline.Add(1)
+		s.metrics.admission["deadline"].Add(1)
 		return http.StatusGatewayTimeout, errorBody(statusMessage(http.StatusGatewayTimeout)), false
 	}
 }
@@ -276,7 +280,7 @@ func (s *Server) dispatch(ctx context.Context, job func() (int, []byte)) (status
 func (s *Server) runRecovered(job func() (int, []byte)) (status int, body []byte) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.metrics.internalPanics.Add(1)
+			s.metrics.admission["internal_panics"].Add(1)
 			status = http.StatusInternalServerError
 			body = errorBody(fmt.Sprintf("internal error: recovered panic: %v", r))
 		}

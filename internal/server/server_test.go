@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -138,8 +140,11 @@ func TestHandlerErrors(t *testing.T) {
 		{"compile error", "POST", "/v1/run", `{"source":"int main() { return }"}`, http.StatusUnprocessableEntity},
 		{"wrong method run", "GET", "/v1/run", "", http.StatusMethodNotAllowed},
 		{"unknown juliet case", "POST", "/v1/juliet", `{"case":"CWE999_nope"}`, http.StatusNotFound},
+		{"juliet bad json", "POST", "/v1/juliet", `{"case":`, http.StatusBadRequest},
 		{"juliet bad mode", "POST", "/v1/juliet", `{"case":"x","mode":"fat"}`, http.StatusBadRequest},
 		{"unknown workload", "POST", "/v1/workload", `{"name":"nope"}`, http.StatusNotFound},
+		{"workload bad json", "POST", "/v1/workload", `{"name":`, http.StatusBadRequest},
+		{"workload bad mode", "POST", "/v1/workload", `{"name":"treeadd","mode":"fat"}`, http.StatusBadRequest},
 		{"scale out of range", "POST", "/v1/workload", `{"name":"treeadd","scale":99}`, http.StatusBadRequest},
 		{"negative scale", "POST", "/v1/workload", `{"name":"treeadd","scale":-1}`, http.StatusBadRequest},
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound},
@@ -160,6 +165,16 @@ func TestHandlerErrors(t *testing.T) {
 			}
 		})
 	}
+	// Every rejected body counts once under bad_request; a 404 does not.
+	var rejected uint64
+	for _, tc := range tests {
+		if tc.want == http.StatusBadRequest || tc.want == http.StatusRequestEntityTooLarge {
+			rejected++
+		}
+	}
+	if got := s.snapshot().Admission["bad_request"]; got != rejected {
+		t.Errorf("bad_request = %d, want %d", got, rejected)
+	}
 }
 
 // TestDeadlineExceeded: with an expired per-request deadline the request
@@ -178,7 +193,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	if st := s.memo.KindStats(memo.KindRun); st.Entries != 0 {
 		t.Fatalf("failed request left %d cache entries", st.Entries)
 	}
-	if got := s.metrics.rejected.Load(); got != 1 {
+	if got := s.metrics.admission["rejected"].Load(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
 }
@@ -530,6 +545,66 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if total != 3 { // latency is observed after the response is written
 		t.Fatalf("latency histogram total = %d, want 3 completed requests", total)
+	}
+}
+
+// TestMetricsSnapshotKeys pins the rendered /metrics shape: a fresh
+// server renders exactly these sections with exactly these keys, and
+// every counter the server owns reads 0. The compile and pool sections
+// are process-global, so only their keys are checked.
+func TestMetricsSnapshotKeys(t *testing.T) {
+	b, err := json.Marshal(New(Config{}).snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(b, &sections); err != nil {
+		t.Fatal(err)
+	}
+	stats := []string{"entries", "evictions", "hits", "misses"}
+	want := map[string][]string{
+		"requests":   {"batch", "chaos", "grid", "healthz", "juliet", "metrics", "run", "total", "workload"},
+		"admission":  {"bad_request", "deadline", "deadline_propagated", "internal_panics", "rejected"},
+		"cache":      stats,
+		"compile":    stats,
+		"memo":       {"bytes", "entries", "evictions", "hits", "loaded", "misses", "skipped"},
+		"batch":      {"cancelled", "cell_errors", "cells", "streams"},
+		"traps":      {"fuel", "internal", "none", "other", "spatial", "temporal"},
+		"latency_ms": {"gt_10s", "le_100ms", "le_10ms", "le_10s", "le_1ms", "le_1s"},
+		"pool":       {"discards", "hits", "idle", "misses", "releases"},
+	}
+	var names []string
+	for name := range sections {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	wantNames := []string{"in_flight"}
+	for name := range want {
+		wantNames = append(wantNames, name)
+	}
+	sort.Strings(wantNames)
+	if !reflect.DeepEqual(names, wantNames) {
+		t.Fatalf("sections %v, want %v", names, wantNames)
+	}
+	if string(sections["in_flight"]) != "0" {
+		t.Errorf("in_flight = %s, want 0", sections["in_flight"])
+	}
+	for name, keys := range want {
+		var sec map[string]uint64
+		if err := json.Unmarshal(sections[name], &sec); err != nil {
+			t.Fatalf("section %s: %v", name, err)
+		}
+		var got []string
+		for k, v := range sec {
+			got = append(got, k)
+			if v != 0 && name != "compile" && name != "pool" {
+				t.Errorf("fresh %s[%s] = %d, want 0", name, k, v)
+			}
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, keys) {
+			t.Errorf("section %s keys %v, want %v", name, got, keys)
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func (s *Shard) handleCampaign(route server.CampaignRoute) http.HandlerFunc {
 // backend, and closes with the merged trailer.
 func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path string, camp server.Campaign) {
 	cells := camp.Cells()
-	s.metrics.batchStreams.Add(1)
+	s.metrics["batch_streams"].Add(1)
 	ctx := r.Context()
 
 	w.Header().Set("Content-Type", server.NDJSONContentType)
@@ -116,7 +116,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 		mu.Lock()
 		defer mu.Unlock()
 		if !sc.deliver(seq) {
-			s.metrics.dupSuppressed.Add(1)
+			s.metrics["dup_suppressed"].Add(1)
 			return
 		}
 		if isErr {
@@ -128,9 +128,9 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 			s.dirMu.Unlock()
 		}
 		if f.steal {
-			s.metrics.stolenCells.Add(1)
+			s.metrics["stolen_cells"].Add(1)
 		}
-		s.metrics.batchCells.Add(1)
+		s.metrics["batch_cells"].Add(1)
 		emitLocked(line)
 		fillLocked()
 	}
@@ -152,7 +152,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 			}
 		}
 		for hb, part := range parts {
-			s.metrics.hedgedCells.Add(uint64(len(part)))
+			s.metrics["hedged_cells"].Add(uint64(len(part)))
 			start(sc.send(&flight{b: hb, cells: part, hedge: true}))
 		}
 	}
@@ -197,7 +197,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 			mu.Lock()
 			defer mu.Unlock()
 			if moved := sc.end(f, err != nil); moved > 0 {
-				s.metrics.reassignedCells.Add(uint64(moved))
+				s.metrics["reassigned_cells"].Add(uint64(moved))
 			}
 			fillLocked()
 		}()
@@ -229,7 +229,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 		if sc.deliver(i) {
 			m := camp.Meta(i)
 			failed++
-			s.metrics.shedCells.Add(1)
+			s.metrics["shed_cells"].Add(1)
 			emitLocked(mustShardJSON(server.BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config,
 				Error: "no backend available"}))
 		}
@@ -281,7 +281,7 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp s
 	}, func(line []byte) error {
 		cell, done, err := relayLine(camp, assigned, line)
 		if err != nil {
-			s.metrics.corruptLines.Add(1)
+			s.metrics["corrupt_lines"].Add(1)
 			return fmt.Errorf("shard: %s: %w: %v", b.url, ErrCorruptLine, err)
 		}
 		if done {

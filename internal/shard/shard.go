@@ -133,23 +133,6 @@ type backend struct {
 // backend has fewer than DownAfter consecutive failures.
 func (b *backend) isUp() bool { return b.fails.Load() < b.downAfter }
 
-// shardMetrics are the front tier's own counters, reported under
-// "shard" in /metrics alongside the backend aggregate.
-type shardMetrics struct {
-	proxied         atomic.Uint64 // unary requests forwarded
-	failovers       atomic.Uint64 // unary retries on a different backend
-	noBackend       atomic.Uint64 // requests failed with no backend available
-	batchStreams    atomic.Uint64 // batch/grid/chaos fan-outs started
-	batchCells      atomic.Uint64 // cells merged into client streams
-	reassignedCells atomic.Uint64 // cells re-scattered after a backend loss
-	stolenCells     atomic.Uint64 // cells run by a backend other than their home queue's
-	hedgedCells     atomic.Uint64 // straggler cells re-dispatched to a second backend
-	shedCells       atomic.Uint64 // cells emitted as error cells (no backend could run them)
-	corruptLines    atomic.Uint64 // backend stream lines rejected by validation
-	dupSuppressed   atomic.Uint64 // duplicate cell lines dropped by seq dedup
-	transitions     atomic.Uint64 // backend failure counts crossing DownAfter, either way
-}
-
 // Shard is the front tier: an http.Handler serving the same API surface
 // as one ifp-serve, fanned over Config.Backends. Construct with New;
 // Close stops the health loop.
@@ -158,7 +141,7 @@ type Shard struct {
 	backends []*backend
 	ring     *ring
 	mux      *http.ServeMux
-	metrics  shardMetrics
+	metrics  server.Counters // reported under "shard" in /metrics
 
 	// dir maps the digest of every cell a backend has delivered to that
 	// backend, which holds it in its memo store; a campaign pins those
@@ -184,7 +167,21 @@ func New(cfg Config) (*Shard, error) {
 		return nil, errors.New("shard: at least one backend required")
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
-	s := &Shard{cfg: cfg, mux: http.NewServeMux(), dir: make(map[memo.Digest]int), stop: make(chan struct{})}
+	s := &Shard{cfg: cfg, mux: http.NewServeMux(), dir: make(map[memo.Digest]int), stop: make(chan struct{}),
+		metrics: server.NewCounters(
+			"proxied",          // unary requests forwarded
+			"failovers",        // unary retries on a different backend
+			"no_backend",       // requests failed with no backend available
+			"batch_streams",    // batch/grid/chaos fan-outs started
+			"batch_cells",      // cells merged into client streams
+			"reassigned_cells", // cells re-scattered after a backend loss
+			"stolen_cells",     // cells run by a backend other than their home queue's
+			"hedged_cells",     // straggler cells re-dispatched to a second backend
+			"shed_cells",       // cells emitted as error cells (no backend could run them)
+			"corrupt_lines",    // backend stream lines rejected by validation
+			"dup_suppressed",   // duplicate cell lines dropped by seq dedup
+			"transitions",      // backend failure counts crossing DownAfter, either way
+		)}
 	for _, u := range cfg.Backends {
 		if seen[u] {
 			return nil, fmt.Errorf("shard: duplicate backend %q", u)
@@ -318,7 +315,7 @@ func (s *Shard) probe(b *backend) {
 // the failure streak resets, and a drained backend rejoins the ring.
 func (s *Shard) noteSuccess(b *backend) {
 	if b.fails.Swap(0) >= b.downAfter {
-		s.metrics.transitions.Add(1)
+		s.metrics["transitions"].Add(1)
 	}
 }
 
@@ -327,7 +324,7 @@ func (s *Shard) noteSuccess(b *backend) {
 // the backend.
 func (s *Shard) noteFailure(b *backend) {
 	if b.fails.Add(1) == b.downAfter {
-		s.metrics.transitions.Add(1)
+		s.metrics["transitions"].Add(1)
 	}
 }
 
@@ -372,17 +369,17 @@ func (s *Shard) proxy(w http.ResponseWriter, r *http.Request, key, path string, 
 	for {
 		bi := s.ring.owner(key, func(i int) bool { return !tried[i] && s.backends[i].isUp() })
 		if bi < 0 {
-			s.metrics.noBackend.Add(1)
+			s.metrics["no_backend"].Add(1)
 			writeShardError(w, http.StatusBadGateway, errors.New("no backend available"))
 			return
 		}
 		tried[bi] = true
 		if !first {
-			s.metrics.failovers.Add(1)
+			s.metrics["failovers"].Add(1)
 		}
 		first = false
 		if s.forward(w, r, s.backends[bi], path, body) {
-			s.metrics.proxied.Add(1)
+			s.metrics["proxied"].Add(1)
 			return
 		}
 		// Transport failure: count it toward the health verdict and try
@@ -423,7 +420,7 @@ func (s *Shard) forward(w http.ResponseWriter, r *http.Request, b *backend, path
 	}
 	defer resp.Body.Close()
 	s.noteSuccess(b)
-	for _, h := range []string{"Content-Type", server.CacheHeader, server.MemoHeader, server.RetryAfterHeader} {
+	for _, h := range server.RelayHeaders {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -466,24 +463,8 @@ type MetricsResponse struct {
 }
 
 func (s *Shard) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	resp := MetricsResponse{
-		Shard: map[string]uint64{
-			"proxied":          s.metrics.proxied.Load(),
-			"failovers":        s.metrics.failovers.Load(),
-			"no_backend":       s.metrics.noBackend.Load(),
-			"batch_streams":    s.metrics.batchStreams.Load(),
-			"batch_cells":      s.metrics.batchCells.Load(),
-			"reassigned_cells": s.metrics.reassignedCells.Load(),
-			"stolen_cells":     s.metrics.stolenCells.Load(),
-			"hedged_cells":     s.metrics.hedgedCells.Load(),
-			"shed_cells":       s.metrics.shedCells.Load(),
-			"corrupt_lines":    s.metrics.corruptLines.Load(),
-			"dup_suppressed":   s.metrics.dupSuppressed.Load(),
-			"transitions":      s.metrics.transitions.Load(),
-			"backends_up":      uint64(len(s.UpBackends())),
-		},
-		Backends: make(map[string]any, len(s.backends)),
-	}
+	resp := MetricsResponse{Shard: s.metrics.Snapshot(), Backends: make(map[string]any, len(s.backends))}
+	resp.Shard["backends_up"] = uint64(len(s.UpBackends()))
 	type scraped struct {
 		url  string
 		snap *server.MetricsSnapshot

@@ -192,7 +192,7 @@ func TestShardFailover(t *testing.T) {
 	if want := exp.Report(serial, serialMem); got != want {
 		t.Fatal("post-failover shard batch report differs from serial run")
 	}
-	if sh.metrics.reassignedCells.Load() == 0 && sh.metrics.failovers.Load() == 0 {
+	if sh.metrics["reassigned_cells"].Load() == 0 && sh.metrics["failovers"].Load() == 0 {
 		t.Error("failover left no trace in shard metrics")
 	}
 
@@ -280,7 +280,7 @@ func TestShardUnaryRequestErrors(t *testing.T) {
 			}
 		}
 	}
-	if n := sh.metrics.proxied.Load(); n != 0 {
+	if n := sh.metrics["proxied"].Load(); n != 0 {
 		t.Errorf("rejected requests reached a backend: proxied = %d", n)
 	}
 	resp, err := http.Get(c.BaseURL + "/v1/juliet")
@@ -288,8 +288,8 @@ func TestShardUnaryRequestErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || sh.metrics.proxied.Load() != 1 {
-		t.Errorf("GET /v1/juliet: status %d, proxied %d; want 200 through one backend", resp.StatusCode, sh.metrics.proxied.Load())
+	if resp.StatusCode != http.StatusOK || sh.metrics["proxied"].Load() != 1 {
+		t.Errorf("GET /v1/juliet: status %d, proxied %d; want 200 through one backend", resp.StatusCode, sh.metrics["proxied"].Load())
 	}
 }
 
@@ -568,7 +568,7 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
 		t.Fatal("post-kill chaos report differs from serial campaign")
 	}
-	if n := sh.metrics.reassignedCells.Load(); n == 0 {
+	if n := sh.metrics["reassigned_cells"].Load(); n == 0 {
 		t.Error("mid-stream kill reassigned no cells")
 	}
 	// The metric is also visible on the wire.
@@ -747,7 +747,7 @@ func TestShardRejectsAlienCells(t *testing.T) {
 			sh.dirMu.Lock()
 			clear(sh.dir)
 			sh.dirMu.Unlock()
-			before := sh.metrics.corruptLines.Load()
+			before := sh.metrics["corrupt_lines"].Load()
 			got, err := cp.run()
 			if err != nil {
 				t.Fatalf("%s campaign over hostile backend: %v", cp.path, err)
@@ -755,14 +755,14 @@ func TestShardRejectsAlienCells(t *testing.T) {
 			if got != cp.want {
 				t.Fatalf("%s: hostile backend corrupted the assembled report", cp.path)
 			}
-			if sh.metrics.corruptLines.Load() == before {
+			if sh.metrics["corrupt_lines"].Load() == before {
 				t.Errorf("%s: hostile line drew no corrupt_lines", cp.path)
 			}
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if n := sh.metrics.corruptLines.Load(); n != uint64(badLines) {
+	if n := sh.metrics["corrupt_lines"].Load(); n != uint64(badLines) {
 		t.Errorf("corrupt_lines = %d, hostile sent %d bad lines", n, badLines)
 	}
 	for path, all := range lines {
@@ -774,7 +774,7 @@ func TestShardRejectsAlienCells(t *testing.T) {
 			}
 		}
 	}
-	if n := sh.metrics.reassignedCells.Load(); n == 0 {
+	if n := sh.metrics["reassigned_cells"].Load(); n == 0 {
 		t.Error("hostile backend's part was not reassigned")
 	}
 }
@@ -813,6 +813,27 @@ func TestShardMetricsAggregation(t *testing.T) {
 	}
 	if m.Aggregate.Memo["misses"] == 0 || m.Aggregate.Memo["entries"] == 0 {
 		t.Errorf("aggregate memo %v, want misses and entries after a run", m.Aggregate.Memo)
+	}
+}
+
+// TestShardMetricsKeys pins the shard section of /metrics: exactly the
+// front tier's twelve counters plus backends_up.
+func TestShardMetricsKeys(t *testing.T) {
+	_, _, c := newFleet(t, 2)
+	var m MetricsResponse
+	getJSON(t, c.BaseURL+"/metrics", &m)
+	var got []string
+	for k := range m.Shard {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	want := []string{"backends_up", "batch_cells", "batch_streams", "corrupt_lines", "dup_suppressed", "failovers",
+		"hedged_cells", "no_backend", "proxied", "reassigned_cells", "shed_cells", "stolen_cells", "transitions"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("shard section keys %v, want %v", got, want)
+	}
+	if m.Shard["backends_up"] != 2 {
+		t.Errorf("backends_up = %d, want 2", m.Shard["backends_up"])
 	}
 }
 
@@ -944,7 +965,7 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 	if got != want {
 		t.Fatal("chaos report over a slow backend differs from the serial campaign")
 	}
-	stolen := sh.metrics.stolenCells.Load()
+	stolen := sh.metrics["stolen_cells"].Load()
 	if stolen == 0 {
 		t.Error("the fast backend took none of the slow backend's cells")
 	}
@@ -961,10 +982,10 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 	if hits, misses := fleetMemo(t, backs); hits != n || misses != n {
 		t.Errorf("replay: %d memo hits and %d misses, want %d and %d", hits, misses, n, n)
 	}
-	if s := sh.metrics.stolenCells.Load(); s != stolen {
+	if s := sh.metrics["stolen_cells"].Load(); s != stolen {
 		t.Errorf("replay moved cells: stolen_cells %d -> %d", stolen, s)
 	}
-	for name, v := range map[string]uint64{"hedged_cells": sh.metrics.hedgedCells.Load(), "reassigned_cells": sh.metrics.reassignedCells.Load()} {
+	for name, v := range map[string]uint64{"hedged_cells": sh.metrics["hedged_cells"].Load(), "reassigned_cells": sh.metrics["reassigned_cells"].Load()} {
 		if v != 0 {
 			t.Errorf("%s = %d on a healthy fleet", name, v)
 		}
@@ -1040,7 +1061,7 @@ func TestShardEarlyTrailerMovesCells(t *testing.T) {
 	if n := posts.Load(); n != 1 {
 		t.Errorf("cell-dropping backend received %d requests, want 1", n)
 	}
-	if sh.metrics.reassignedCells.Load() == 0 {
+	if sh.metrics["reassigned_cells"].Load() == 0 {
 		t.Error("the dropped cells were not reassigned")
 	}
 }
