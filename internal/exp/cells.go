@@ -228,8 +228,9 @@ func (p Plan) LookupCell(i int) (CellResult, bool) {
 	return CellResult{Perf: m}, ok
 }
 
-// ComputeCell executes cell i unconditionally — a memory cell untimed,
-// through computeFootprint — and, when the plan carries a store,
+// ComputeCell executes cell i unconditionally — a memory cell on the
+// footprint-only path, through computeFootprint, which maps the same
+// guest pages as the full path — and, when the plan carries a store,
 // publishes the result for the next identical cell. It never reads the
 // store, so pairing LookupCell + ComputeCell counts exactly one miss.
 func (p Plan) ComputeCell(i int) (CellResult, error) {

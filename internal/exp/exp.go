@@ -50,17 +50,17 @@ type Result struct {
 	Temporal ModeResult
 }
 
-// runOne executes a workload in one configuration. An untimed run skips
-// the L1D model (machine.Machine.Untimed): its Counters.Cycles and
-// L1DMisses leave out the cache, and every other observable is the timed
-// run's. Only memory cells run untimed; a timed run relies on the Reset
-// inside rt.Acquire to have cleared the state.
-func runOne(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, untimed bool) (ModeResult, error) {
+// runOne executes a workload in one configuration. A footprint run — a
+// Figure-12 memory cell — takes the runtime's footprint-only path
+// (rt.Runtime.FootprintOnly): its Footprint, Checksum and Stats are the
+// full run's, and its Counters and L1DMisses are not the mode's. A full
+// run relies on the Reset inside rt.Acquire to have cleared the state.
+func runOne(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, footprint bool) (ModeResult, error) {
 	r := rt.Acquire(mode)
 	defer rt.Release(r)
 	r.M.NoPromote = noPromote
-	if untimed {
-		r.M.Untimed = true
+	if footprint {
+		r.FootprintOnly()
 	}
 	sum, err := w.Run(r, scale)
 	if err != nil {

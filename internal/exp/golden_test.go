@@ -37,7 +37,10 @@ func modelledState(w workloads.Workload, mode rt.Mode, noPromote bool, scale int
 // TestModelledStateGolden pins the modelled state of the report campaign
 // cell by cell: each workload in the five spatial configurations plus
 // ifp-temporal, timed at scale 1, and each Figure-12 memory cell,
-// untimed at scale 1 × MemScale. It then appends every cell of the
+// untimed at scale 1 × MemScale on the full access path. The golden is
+// the oracle for the footprint-only path memory cells take: each memory
+// cell's Plan.ComputeCell footprint must equal the one its block
+// records. It then appends every cell of the
 // scale-1 chaos campaign, run in plan order on the same pooled runtimes,
 // as its bucket and detail: those pin MAC detection (a swapped key must
 // still be caught after the pool has recycled a machine) and every other
@@ -55,6 +58,15 @@ func TestModelledStateGolden(t *testing.T) {
 			t.Fatalf("cell %d (%s): %v", i, p.Key(i), err)
 		}
 		fmt.Fprintf(&b, "== %s scale %d\n%s", p.Key(i), scale, s)
+		if !perf {
+			c, err := p.ComputeCell(i)
+			if err != nil {
+				t.Fatalf("cell %d (%s): %v", i, p.Key(i), err)
+			}
+			if rec := fmt.Sprintf("\nfootprint %d checksum ", c.Footprint); !strings.Contains(s, rec) {
+				t.Errorf("cell %d (%s): Plan.ComputeCell footprint %d is not the one its block records:\n%s", i, p.Key(i), c.Footprint, s)
+			}
+		}
 	}
 	cp := NewChaosPlan(1)
 	for i := 0; i < cp.NumCells(); i++ {

@@ -122,8 +122,8 @@ func ComputeOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote boo
 
 // footprintDigest keys one Figure-12 memory cell in the footprint domain
 // (memo.FootprintDigest): workload identity, mode, and effective scale.
-// It never equals a perf cell's digest, so an untimed memory-cell result
-// cannot be served as a perf cell or a /v1/workload answer.
+// It never equals a perf cell's digest, so a footprint-only memory-cell
+// result cannot be served as a perf cell or a /v1/workload answer.
 func footprintDigest(w workloads.Workload, mode rt.Mode, scale int) memo.Digest {
 	return memo.FootprintDigest(memo.WorkloadDigest(w.Name, w.Suite, workloads.Version), mode.String(), uint64(scale))
 }
@@ -143,10 +143,11 @@ func lookupFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale in
 }
 
 // computeFootprint is the one footprint function: it runs a memory cell
-// (w in mode at the already multiplied scale) on an untimed machine —
-// Figure 12 keeps only the footprint, so the L1D model's cycles would be
-// thrown away — and, when s is non-nil, publishes the footprint. It
-// never reads the store.
+// (w in mode at the already multiplied scale) on the footprint-only path
+// — Figure 12 keeps only the footprint, which depends only on the pages
+// the run touches, so the L1D model and the access helpers' promotes,
+// MAC checks, narrowing and tag arithmetic would be thrown away — and,
+// when s is non-nil, publishes the footprint. It never reads the store.
 func computeFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale int) (uint64, error) {
 	m, err := runOne(w, mode, false, scale, true)
 	if err != nil {
@@ -187,7 +188,7 @@ func (p Plan) cellSpec(i int) (w workloads.Workload, mode rt.Mode, noPromote boo
 // function of the cell's coordinates, not of this particular plan. Memory
 // cells are keyed in the footprint domain, so a memory cell never shares
 // a digest with a perf cell, even at the same effective coordinates: it
-// runs untimed and keeps only the footprint.
+// runs on the footprint-only path and keeps only the footprint.
 func (p Plan) CellDigest(i int) memo.Digest {
 	w, mode, noPromote, scale, perf := p.cellSpec(i)
 	if !perf {

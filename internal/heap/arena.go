@@ -62,6 +62,9 @@ func (a *Arena) Sbrk(n uint64) (uint64, error) {
 	return p, nil
 }
 
+// Holds reports whether addr lies in the arena's live range [base, brk).
+func (a *Arena) Holds(addr uint64) bool { return addr >= a.base && addr < a.brk }
+
 // Mark snapshots the current break for a later Release (LIFO regions such
 // as the guest stack).
 func (a *Arena) Mark() uint64 { return a.brk }

@@ -157,8 +157,8 @@ type Machine struct {
 	// memory — runs exactly as before, and every counter but Cycles is
 	// unchanged: the cache model never reads or writes guest memory, so
 	// skipping it cannot change what the guest computes (DESIGN.md §12).
-	// The evaluation harness sets it for Figure-12 memory cells, which
-	// keep only the footprint.
+	// The runtime's footprint-only path (rt.Runtime.FootprintOnly), which
+	// Figure-12 memory cells take to keep only the footprint, sets it.
 	Untimed bool
 
 	// macKey and macMemo memoize the MAC promote verifies on every

@@ -206,8 +206,8 @@ func ChaosDigest(scheme, fault string, seed uint64, version string) Digest {
 // FootprintDigest keys one Figure-12 memory cell: the workload's content
 // address (WorkloadDigest), the run mode, and the effective scale. The
 // machine cost model is left out because a footprint does not depend on
-// it; the domain keeps a memory cell, which runs untimed, from ever
-// answering a perf cell at the same coordinates.
+// it; the domain keeps a memory cell, which runs footprint-only, from
+// ever answering a perf cell at the same coordinates.
 func FootprintDigest(workload Digest, mode string, scale uint64) Digest {
 	var g Digester
 	g.Init(domainFootprint)

@@ -20,8 +20,8 @@ const (
 	// KindRun is one /v1/run HTTP result (status + response bytes).
 	KindRun byte = 3
 	// KindFootprint is one Figure-12 memory cell's footprint (uint64),
-	// keyed by FootprintDigest. Memory cells run untimed, so they never
-	// share an entry with a perf cell.
+	// keyed by FootprintDigest. Memory cells run footprint-only, so they
+	// never share an entry with a perf cell.
 	KindFootprint byte = 4
 	// KindProgram is one compiled MiniC program or the front-end error
 	// that rejected it (internal/minic's compile cache), keyed by

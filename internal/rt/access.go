@@ -10,7 +10,10 @@ import (
 // instructions the In-Fat Pointer compiler would (Listing 2); in Baseline
 // mode it emits the uninstrumented equivalent, so comparing two runs of
 // the same workload measures the instrumentation overhead, which is the
-// paper's §5.2 methodology.
+// paper's §5.2 methodology. A footprint-only run (FootprintOnly) gives
+// LoadPtr, StorePtr, GEP, SetSub, Bnd and Promote their Baseline
+// semantics; the spill helpers keep the mode's, because a bounds spill
+// writes guest memory.
 
 // Load reads size bytes through p with the implicit access-size check when
 // b holds bounds (or an explicit ifpchk under the ExplicitChecks
@@ -41,7 +44,7 @@ func (r *Runtime) LoadPtr(p Ptr, b machine.BoundsReg) (Ptr, machine.BoundsReg, e
 	if err != nil {
 		return 0, machine.Cleared, err
 	}
-	if !r.Instrumented() {
+	if !r.ifpAccess {
 		return v, machine.Cleared, nil
 	}
 	q, qb := r.M.Promote(v)
@@ -51,7 +54,7 @@ func (r *Runtime) LoadPtr(p Ptr, b machine.BoundsReg) (Ptr, machine.BoundsReg, e
 // StorePtr demotes a pointer (dropping its bounds register, §4.1) and
 // stores it. The tag is stored with the value — tags persist in memory.
 func (r *Runtime) StorePtr(p Ptr, b machine.BoundsReg, v Ptr, vb machine.BoundsReg) error {
-	if r.Instrumented() {
+	if r.ifpAccess {
 		v = r.M.IfpExtract(v, vb)
 	}
 	return r.Store(p, v, 8, b)
@@ -62,7 +65,7 @@ func (r *Runtime) StorePtr(p Ptr, b machine.BoundsReg, v Ptr, vb machine.BoundsR
 // add one-for-one), and a plain add for untagged pointers — the compiler
 // only emits ifpadd where there is a tag to maintain.
 func (r *Runtime) GEP(p Ptr, delta int64, b machine.BoundsReg) Ptr {
-	if !r.Instrumented() || tag.IsLegacy(p) {
+	if !r.ifpAccess || tag.IsLegacy(p) {
 		r.M.Tick(1)
 		return p + uint64(delta)
 	}
@@ -76,7 +79,7 @@ func (r *Runtime) GEP(p Ptr, delta int64, b machine.BoundsReg) Ptr {
 // and the pointer passes through unchanged (subobject narrowing is the
 // capability the temporal mode trades away, DESIGN.md §14).
 func (r *Runtime) SetSub(p Ptr, idx uint16) Ptr {
-	if !r.Instrumented() || r.mode == IFPTemporal {
+	if !r.ifpAccess || r.mode == IFPTemporal {
 		return p
 	}
 	return r.M.IfpIdx(p, idx)
@@ -86,7 +89,7 @@ func (r *Runtime) SetSub(p Ptr, idx uint16) Ptr {
 // uses it when deriving a subobject pointer whose extent it knows, so no
 // promote is needed (§3.4 static-bounds case).
 func (r *Runtime) Bnd(p Ptr, size uint64) machine.BoundsReg {
-	if !r.Instrumented() {
+	if !r.ifpAccess {
 		return machine.Cleared
 	}
 	return r.M.IfpBnd(p, size)
@@ -94,7 +97,7 @@ func (r *Runtime) Bnd(p Ptr, size uint64) machine.BoundsReg {
 
 // Promote re-retrieves bounds for a pointer (explicit promote site).
 func (r *Runtime) Promote(p Ptr) (Ptr, machine.BoundsReg) {
-	if !r.Instrumented() {
+	if !r.ifpAccess {
 		return p, machine.Cleared
 	}
 	return r.M.Promote(p)

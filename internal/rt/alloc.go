@@ -368,7 +368,7 @@ func (r *Runtime) freeDispatch(o Obj) error {
 		return fmt.Errorf("rt: wrapped free of unknown chunk %#x", base)
 	}
 	delete(r.wrapped, base)
-	if err := r.DeallocLocal(o); err != nil {
+	if err := r.deregister(o); err != nil {
 		return err
 	}
 	return r.fl.Free(base)

@@ -144,12 +144,22 @@ func (r *Runtime) allocLocalSized(t *layout.Type, size uint64) (Obj, error) {
 	return r.placeInArena(r.stackArena, t, size, &r.Stats.LocalObjects, &r.Stats.LocalWithLT)
 }
 
-// DeallocLocal clears the metadata record o's tag names (IFP_Deregister
-// in Listing 2): the local-offset record its granule offset locates or
-// the global-table row it indexes. Legacy pointers carry no record. The
-// VM calls it for every frame slot when the frame dies, and then pops the
-// frame with StackRelease; Free calls it for a live wrapped heap chunk.
+// DeallocLocal deregisters a stack local or a global (IFP_Deregister in
+// Listing 2). The VM calls it for every frame slot when the frame dies,
+// and then pops the frame with StackRelease. An object outside the live
+// stack and globals arenas — a heap chunk, which Free releases — is
+// rejected before anything is written.
 func (r *Runtime) DeallocLocal(o Obj) error {
+	if base := o.Base(); !r.stackArena.Holds(base) && !r.globalArena.Holds(base) {
+		return fmt.Errorf("rt: DeallocLocal of %#x, which is not a stack local or a global", base)
+	}
+	return r.deregister(o)
+}
+
+// deregister clears the metadata record o's tag names: the local-offset
+// record its granule offset locates or the global-table row it indexes.
+// Legacy pointers carry no record.
+func (r *Runtime) deregister(o Obj) error {
 	switch tag.SchemeOf(o.P) {
 	case tag.SchemeLocalOffset:
 		off, _ := tag.LocalFields(o.P)

@@ -97,7 +97,7 @@ func dirty(t *testing.T, r *Runtime) {
 	}
 	r.M.NoPromote = true
 	r.M.NoNarrow = true
-	r.M.Untimed = true
+	r.FootprintOnly()
 	r.M.FuelLimit = 123
 	r.M.Cost.MissPenalty = 999
 	r.ForceGlobalTable = true

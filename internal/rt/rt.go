@@ -135,6 +135,11 @@ type Runtime struct {
 	M    *machine.Machine
 	mode Mode
 
+	// ifpAccess selects the access helpers' semantics: set by setMode for
+	// every instrumented mode, cleared by FootprintOnly. The allocators,
+	// layout interning and bounds spills test the mode instead.
+	ifpAccess bool
+
 	layoutArena *heap.Arena
 	globalArena *heap.Arena
 	stackArena  *heap.Arena
@@ -143,9 +148,12 @@ type Runtime struct {
 
 	tables map[*layout.Type]*ltInfo
 
-	// Global metadata table row management.
+	// Global metadata table row management. liveRows has bit i set while
+	// row i is handed out, so a second release of a row is rejected
+	// instead of queueing the row twice.
 	freeRows []uint16
 	nextRow  uint16
+	liveRows [globalTableCap / 64]uint64
 
 	// Subheap pools.
 	pools    map[poolKey]*pool
@@ -228,6 +236,7 @@ func New(mode Mode) *Runtime {
 // The machine must be in its New or Reset state.
 func (r *Runtime) setMode(mode Mode) {
 	r.mode = mode
+	r.ifpAccess = mode != Baseline
 	if mode != Baseline {
 		r.M.GlobalBase = globalTableBase
 		r.M.GlobalCap = uint32(globalTableCap)
@@ -256,6 +265,7 @@ func (r *Runtime) Reset(mode Mode) {
 	clear(r.tables)
 	r.freeRows = r.freeRows[:0]
 	r.nextRow = 0
+	clear(r.liveRows[:])
 	clear(r.pools)
 	clear(r.blocks)
 	clear(r.crOfBits)
@@ -280,6 +290,20 @@ func (r *Runtime) Gens() *temporal.Store { return r.gens }
 
 // Instrumented reports whether the run carries IFP instrumentation.
 func (r *Runtime) Instrumented() bool { return r.mode != Baseline }
+
+// FootprintOnly switches the run to the footprint-only path of Figure-12
+// memory cells (DESIGN.md §12): everything that writes guest memory — the
+// mode's allocators, layout interning, object registration and release,
+// bounds spills — runs as in the mode, while LoadPtr, StorePtr, GEP,
+// SetSub, Bnd and Promote take their Baseline semantics, and the machine
+// runs untimed. Those helpers only read metadata or rewrite tags, so the
+// run maps the same guest pages, computes the same checksum and counts
+// the same Stats as the full path; the machine counters are not the
+// mode's. Call it before the run; Reset restores the mode's semantics.
+func (r *Runtime) FootprintOnly() {
+	r.ifpAccess = false
+	r.M.Untimed = true
+}
 
 // LayoutOf interns the layout table for t, writing it into guest memory on
 // first use, and returns its guest address. Layout tables are generated at
@@ -330,16 +354,18 @@ func (r *Runtime) SubobjIndexOf(t *layout.Type, path string) (uint16, error) {
 
 // allocRow reserves a free global-table row.
 func (r *Runtime) allocRow() (uint16, error) {
-	if n := len(r.freeRows); n > 0 {
-		idx := r.freeRows[n-1]
+	var idx uint16
+	switch n := len(r.freeRows); {
+	case n > 0:
+		idx = r.freeRows[n-1]
 		r.freeRows = r.freeRows[:n-1]
-		return idx, nil
-	}
-	if int(r.nextRow) >= globalTableCap {
+	case int(r.nextRow) >= globalTableCap:
 		return 0, fmt.Errorf("%w (%d rows)", ErrTableFull, globalTableCap)
+	default:
+		idx = r.nextRow
+		r.nextRow++
 	}
-	idx := r.nextRow
-	r.nextRow++
+	r.liveRows[idx/64] |= 1 << (idx % 64)
 	return idx, nil
 }
 
@@ -370,12 +396,19 @@ func (r *Runtime) registerGlobalRow(base, size, layoutPtr uint64) (uint16, error
 	return idx, nil
 }
 
-// releaseGlobalRow zeroes and recycles a row.
+// releaseGlobalRow zeroes and recycles a row. A row that is not live
+// (never handed out, or already released) is rejected before anything is
+// charged or written.
 func (r *Runtime) releaseGlobalRow(idx uint16) error {
+	bit := uint64(1) << (idx % 64)
+	if r.liveRows[idx/64]&bit == 0 {
+		return fmt.Errorf("rt: release of global-table row %d that is not live", idx)
+	}
 	r.M.Tick(rowRegisterCost)
 	if err := r.writeRow(idx, metadata.GlobalRow{}); err != nil {
 		return err
 	}
+	r.liveRows[idx/64] &^= bit
 	r.freeRows = append(r.freeRows, idx)
 	return nil
 }

@@ -555,6 +555,74 @@ func TestSubheapDoubleFreeRejected(t *testing.T) {
 	}
 }
 
+// TestGlobalRowDoubleReleaseRejected: a global-table row is released at
+// most once. Without row liveness, DeallocLocal of a wrapped heap chunk
+// followed by its Free, or a second DeallocLocal of an oversized local,
+// queued the row twice, so the next two oversized objects shared it and
+// the first promoted to the second's bounds. Both sequences must now
+// fail, and the next two objects must get distinct rows that each
+// promote to their own bounds.
+func TestGlobalRowDoubleReleaseRejected(t *testing.T) {
+	ownRows := func(t *testing.T, r *Runtime, x, y Obj) {
+		t.Helper()
+		if tag.SchemeOf(x.P) != tag.SchemeGlobalTable || tag.SchemeOf(y.P) != tag.SchemeGlobalTable {
+			t.Fatalf("schemes = %v, %v, want the global table", tag.SchemeOf(x.P), tag.SchemeOf(y.P))
+		}
+		if tag.GlobalIndex(x.P) == tag.GlobalIndex(y.P) {
+			t.Errorf("two live objects share global-table row %d", tag.GlobalIndex(x.P))
+		}
+		for _, o := range []Obj{x, y} {
+			if _, b := r.M.Promote(o.P); b != o.B {
+				t.Errorf("object at %#x promotes to %+v, want %+v", o.Base(), b, o.B)
+			}
+		}
+	}
+	t.Run("heap chunk", func(t *testing.T) {
+		r := New(Wrapped)
+		h, err := r.MallocBytes(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.DeallocLocal(h); err == nil {
+			t.Error("DeallocLocal of a heap chunk accepted")
+		}
+		if err := r.Free(h); err != nil {
+			t.Fatal(err)
+		}
+		x, err := r.MallocBytes(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := r.MallocBytes(8192)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ownRows(t, r, x, y)
+	})
+	t.Run("oversized local", func(t *testing.T) {
+		r := New(Wrapped)
+		l, err := r.AllocLocalBytes(2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.DeallocLocal(l); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.DeallocLocal(l); err == nil {
+			t.Error("second DeallocLocal of an oversized local accepted")
+		}
+		x, err := r.AllocLocalBytes(2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := r.AllocLocalBytes(4000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ownRows(t, r, x, y)
+	})
+}
+
 func TestOverflowDetectionEndToEnd(t *testing.T) {
 	// The headline property: a heap overflow past the object is caught in
 	// both instrumented modes, and intra-object overflow is caught when

@@ -420,8 +420,8 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	// A warm cell — computed by an earlier /v1/workload call or a batch
 	// stream's perf cell, which share the same canonical cell digests — is
 	// served instantly: no worker slot, no runtime checkout. Memory cells
-	// run untimed and live in their own footprint domain, so they never
-	// answer here.
+	// run footprint-only and live in their own footprint domain, so they
+	// never answer here.
 	if m, ok := exp.LookupOne(s.memo, wl, mode, req.NoPromote, req.Scale); ok {
 		writeRaw(w, http.StatusOK, renderResponse(m), "hit")
 		return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -287,6 +288,9 @@ func TestShardUnaryRequestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The shard counts the exchange after relaying the body, and the body
+	// ends only once its handler has returned: read to the end first.
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || sh.metrics["proxied"].Load() != 1 {
 		t.Errorf("GET /v1/juliet: status %d, proxied %d; want 200 through one backend", resp.StatusCode, sh.metrics["proxied"].Load())
