@@ -5,19 +5,25 @@
 //
 // Usage:
 //
-//	ifp-bench [-scale N] [-parallel N] [-table4] [-fig10] [-fig11] [-fig12] [-bench name] [-chaos]
-//	          [-temporal] [-memo-dir DIR] [-cpuprofile path] [-memprofile path]
+//	ifp-bench [-scale N] [-memscale N] [-parallel N] [-table4] [-fig10] [-fig11] [-fig12] [-bench name]
+//	          [-chaos] [-ablations] [-hybrid] [-asic] [-related] [-temporal]
+//	          [-memo-dir DIR] [-cpuprofile path] [-memprofile path]
 //
-// With no selection flags, everything is printed. The (workload ×
-// configuration) grid fans out over -parallel worker goroutines (default:
-// the number of CPUs); every cell runs in its own isolated runtime and
-// results are collected deterministically, so the output is byte-identical
-// at any worker count. -parallel 1 restores the fully serial run.
-// -memo-dir routes the main report grid through a content-addressed memo
-// store that loads its snapshot from DIR at startup and saves it on exit,
-// so a repeated invocation replays its cells instead of re-simulating them
-// (a corrupt or version-skewed snapshot is discarded and recomputed, never
-// trusted). Reports are byte-identical with memoization on or off.
+// With no selection flags, the report (Table 4 and Figures 10–12) is
+// printed; -memscale multiplies -scale for Figure 12's memory cells. A
+// section flag (-chaos, -ablations, -hybrid, -asic, -related, -temporal)
+// prints that section instead; the first one set, in that order, wins.
+// Every (workload × configuration) grid — the report's and each
+// section's — fans out over -parallel worker goroutines (default: the
+// number of CPUs); every cell runs in its own isolated runtime and
+// results are collected deterministically, so the output is
+// byte-identical at any worker count. -parallel 1 restores the fully
+// serial run. -memo-dir routes every grid's cells through a
+// content-addressed memo store that loads its snapshot from DIR at
+// startup and saves it on exit, so a repeated invocation replays its
+// cells instead of re-simulating them (a corrupt or version-skewed
+// snapshot is discarded and recomputed, never trusted). Output is
+// byte-identical with memoization on or off.
 // -cpuprofile and -memprofile write pprof-format host profiles of the
 // selected run, so perf work starts from a measurement instead of a guess.
 package main
@@ -55,7 +61,7 @@ func run() int {
 	asic := flag.Bool("asic", false, "print the §5.2.4 ASIC extrapolation sweep")
 	related := flag.Bool("related", false, "print the related-work comparison")
 	temporal := flag.Bool("temporal", false, "print the temporal axis: generation-tagging overhead over the grid plus CWE-415/416 detection rates")
-	memoDir := flag.String("memo-dir", "", "memoize report-grid cells, loading the snapshot from DIR at startup and saving it on exit (byte-identical output)")
+	memoDir := flag.String("memo-dir", "", "memoize the report's and sections' cells, loading the snapshot from DIR at startup and saving it on exit (byte-identical output)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path (pprof format)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this path on exit (pprof format)")
 	flag.Parse()
@@ -65,9 +71,9 @@ func run() int {
 		return 1
 	}
 
-	// With -memo-dir a memo store backs the main report grid and
-	// round-trips through a snapshot file, so a second invocation starts
-	// warm; a bad snapshot is reported and recomputed from scratch.
+	// With -memo-dir a memo store backs every grid and round-trips
+	// through a snapshot file, so a second invocation starts warm; a bad
+	// snapshot is reported and recomputed from scratch.
 	var store *memo.Store
 	if *memoDir != "" {
 		store = memo.NewStore(memo.DefaultEntries)
@@ -132,30 +138,35 @@ func run() int {
 		}
 		return 0
 	}
-	if *ablations {
-		out, err := exp.Ablations(*scale, *parallel)
+	// Every grid, the report's and each section's, is a plan whose cells
+	// run at -parallel workers through the memo store.
+	runPlan := func(p exp.Plan) ([]exp.Result, []exp.MemResult, error) {
+		cells, err := exp.RunCampaign(p.WithMemo(store), *parallel)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p.Results(cells)
+	}
+	// section prints a section's plan rendered, then after, if any.
+	section := func(p exp.Plan, after string) int {
+		out, err := exp.RunReport(p.WithMemo(store), *parallel)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Println(out)
-		fmt.Println(exp.TagLayouts())
+		if after != "" {
+			fmt.Println(after)
+		}
 		return 0
+	}
+	if *ablations {
+		return section(exp.AblationPlan(*scale), exp.TagLayouts())
 	}
 	if *hybrid {
-		out, err := exp.HybridReport(*scale, *parallel)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(out)
-		return 0
+		return section(exp.HybridPlan(*scale), "")
 	}
 	if *asic {
-		out, err := exp.ASICSweep(*scale)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(out)
-		return 0
+		return section(exp.ASICPlan(*scale), "")
 	}
 	if *related {
 		out, err := baseline.Compare(1500)
@@ -166,12 +177,7 @@ func run() int {
 		return 0
 	}
 	if *temporal {
-		out, err := exp.TemporalReport(*scale, *parallel)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println(out)
-		return 0
+		return section(exp.TemporalPlan(*scale), exp.TemporalDetection(*parallel))
 	}
 
 	any := *table4 || *fig10 || *fig11 || *fig12
@@ -179,20 +185,16 @@ func run() int {
 	needMem := !any || *fig12
 
 	var results []exp.Result
-	if needPerf {
-		r, _, err := runPlan(exp.NewPlan(selected, *scale).WithMemo(store), *parallel)
-		if err != nil {
-			return fail(err)
-		}
-		results = r
-	}
 	var mem []exp.MemResult
-	if needMem {
-		_, m, err := runPlan(exp.NewMemPlan(selected, *scale**memScale).WithMemo(store), *parallel)
-		if err != nil {
-			return fail(err)
-		}
-		mem = m
+	var err error
+	if needPerf {
+		results, _, err = runPlan(exp.NewPlan(selected, *scale))
+	}
+	if err == nil && needMem {
+		_, mem, err = runPlan(exp.NewMemPlan(selected, *scale**memScale))
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	if !any || *table4 {
@@ -208,14 +210,4 @@ func run() int {
 		fmt.Println(exp.Fig12(mem))
 	}
 	return 0
-}
-
-// runPlan runs every cell of the plan and folds them into its result
-// slices.
-func runPlan(p exp.Plan, workers int) ([]exp.Result, []exp.MemResult, error) {
-	cells, err := exp.RunCampaign(p, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Results(cells)
 }

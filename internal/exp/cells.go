@@ -16,12 +16,13 @@ package exp
 // The enumeration contract (relied on by clients reassembling streams):
 //
 //   - Perf cells come first: seq = wi*len(configs) + ci, where wi
-//     indexes the plan's workload list and ci the configurations in
-//     paper comparison order (baseline, subheap, wrapped,
-//     subheap-nopromote, wrapped-nopromote). Plans built WithTemporal
-//     append a sixth configuration, ifp-temporal, after the five — the
-//     spatial five keep their relative order, and a plan without the
-//     flag enumerates exactly as before the temporal axis existed.
+//     indexes the plan's workload list and ci its configurations — for
+//     the report grid, paper comparison order (baseline, subheap,
+//     wrapped, subheap-nopromote, wrapped-nopromote). Plans built
+//     WithTemporal append a sixth configuration, ifp-temporal, after the
+//     five — the spatial five keep their relative order, and a plan
+//     without the flag enumerates exactly as before the temporal axis
+//     existed. A report section's plan lists its own, baseline first.
 //   - Memory cells (plans built with NewReportPlan) follow: seq =
 //     perfCells + wi*len(memModes) + mi, with mi over baseline, subheap,
 //     wrapped. Memory cells run at scale*memScale (Figure 12's larger
@@ -33,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"infat/internal/chaos"
 	"infat/internal/memo"
@@ -94,15 +96,16 @@ func duplicateCell(seq int, format string, args ...any) error {
 }
 
 // Plan is the cell-level view of a (workload × configuration) evaluation
-// campaign: the §5.2 perf grid, optionally plus the Figure-12 memory
-// cells. The zero value is empty; build with NewPlan or NewReportPlan.
+// campaign: the §5.2 perf grid or a report section's, optionally plus the
+// Figure-12 memory cells. The zero value is empty; build with a New*Plan
+// or a section's *Plan function.
 type Plan struct {
 	ws       []workloads.Workload
 	scale    int
-	memScale int         // 0 = no memory cells
-	memOnly  bool        // no perf cells (NewMemPlan)
-	temporal bool        // append the ifp-temporal configuration per workload
-	memo     *memo.Store // nil = no memoization (WithMemo attaches one)
+	memScale int                                     // 0 = no memory cells
+	cfgs     []Config                                // run per workload; none in NewMemPlan
+	render   func(p Plan, cells []CellResult) string // the report of a verified cell set
+	memo     *memo.Store                             // nil = no memoization (WithMemo attaches one)
 }
 
 // NewPlan enumerates the perf grid only (the /v1/grid campaign):
@@ -111,7 +114,15 @@ func NewPlan(ws []workloads.Workload, scale int) Plan {
 	if scale < 1 {
 		scale = 1
 	}
-	return Plan{ws: ws, scale: scale}
+	return Plan{ws: ws, scale: scale, render: renderReport}.WithTemporal(false)
+}
+
+// sectionPlan enumerates every workload of ws in every configuration of
+// cfgs (baseline first: the checksum reference), rendered by render.
+func sectionPlan(ws []workloads.Workload, scale int, cfgs []Config, render func(Plan, []CellResult) string) Plan {
+	p := NewPlan(ws, scale)
+	p.cfgs, p.render = cfgs, render
+	return p
 }
 
 // NewReportPlan enumerates the full-report campaign (the /v1/batch
@@ -134,7 +145,7 @@ func NewMemPlan(ws []workloads.Workload, scale int) Plan {
 	if scale < 1 {
 		scale = 1
 	}
-	return Plan{ws: ws, scale: 1, memScale: scale, memOnly: true}
+	return Plan{ws: ws, scale: 1, memScale: scale, render: renderReport}
 }
 
 // Scale returns the perf-grid scale.
@@ -147,30 +158,20 @@ func (p Plan) MemScale() int { return p.memScale }
 // HasMem reports whether the plan includes the Figure-12 memory cells.
 func (p Plan) HasMem() bool { return p.memScale > 0 }
 
-// WithTemporal returns a copy of the plan with the temporal axis toggled:
-// when on, each workload gains a sixth perf cell running rt.IFPTemporal
-// after the five spatial configurations. Default plans stay off, which is
-// what keeps pre-temporal campaigns (and their streamed cells) enumerated
-// and reported byte-identically.
+// WithTemporal returns a copy of the report plan with the temporal axis
+// toggled: when on, each workload gains a sixth perf cell running
+// rt.IFPTemporal after the five spatial configurations. Default plans
+// stay off, which is what keeps pre-temporal campaigns (and their
+// streamed cells) enumerated and reported byte-identically.
 func (p Plan) WithTemporal(on bool) Plan {
-	p.temporal = on
+	p.cfgs = reportConfigs[:len(reportConfigs)-1]
+	if on {
+		p.cfgs = reportConfigs
+	}
 	return p
 }
 
-// configs returns the plan's per-workload configuration list.
-func (p Plan) configs() []cellConfig {
-	if p.temporal {
-		return temporalConfigs
-	}
-	return cellConfigs
-}
-
-func (p Plan) perfCells() int {
-	if p.memOnly {
-		return 0
-	}
-	return len(p.ws) * len(p.configs())
-}
+func (p Plan) perfCells() int { return len(p.ws) * len(p.cfgs) }
 
 func (p Plan) memCells() int {
 	if p.memScale == 0 {
@@ -184,15 +185,11 @@ func (p Plan) NumCells() int { return p.perfCells() + p.memCells() }
 
 // Meta returns cell i's identity. i must be in [0, NumCells()).
 func (p Plan) Meta(i int) CellMeta {
-	if pc := p.perfCells(); i < pc {
-		cfgs := p.configs()
-		wi, ci := i/len(cfgs), i%len(cfgs)
-		return CellMeta{Seq: i, Kind: CellPerf, Workload: p.ws[wi].Name, Config: cfgs[ci].label}
-	} else {
-		j := i - pc
-		wi, mi := j/len(memModes), j%len(memModes)
-		return CellMeta{Seq: i, Kind: CellMem, Workload: p.ws[wi].Name, Config: memModes[mi].mode.String()}
+	w, c, _, perf := p.cellSpec(i)
+	if !perf {
+		return CellMeta{Seq: i, Kind: CellMem, Workload: w.Name, Config: c.Mode.String()}
 	}
+	return CellMeta{Seq: i, Kind: CellPerf, Workload: w.Name, Config: c.String()}
 }
 
 // Key returns cell i's stable identity key. The key is a pure function
@@ -211,6 +208,9 @@ func (p Plan) Key(i int) string {
 type CellResult struct {
 	Perf      *ModeResult `json:"perf,omitempty"`
 	Footprint uint64      `json:"footprint,omitempty"`
+	// failed is an ablated cell's run error, which the ablation report
+	// renders as a FAILED row. Never serialized or memoized.
+	failed error
 }
 
 // LookupCell serves cell i from the plan's memo store. ok=false means a
@@ -219,12 +219,12 @@ type CellResult struct {
 // memoizable: the hit path is zero-allocation, never touches rt.Pool,
 // and returns the shared cached result (callers must not mutate it).
 func (p Plan) LookupCell(i int) (CellResult, bool) {
-	w, mode, noPromote, scale, perf := p.cellSpec(i)
+	w, c, scale, perf := p.cellSpec(i)
 	if !perf {
-		fp, ok := lookupFootprint(p.memo, w, mode, scale)
+		fp, ok := lookupFootprint(p.memo, w, c.Mode, scale)
 		return CellResult{Footprint: fp}, ok
 	}
-	m, ok := LookupOne(p.memo, w, mode, noPromote, scale)
+	m, ok := LookupOne(p.memo, w, c, scale)
 	return CellResult{Perf: m}, ok
 }
 
@@ -232,15 +232,19 @@ func (p Plan) LookupCell(i int) (CellResult, bool) {
 // footprint-only path, through computeFootprint, which maps the same
 // guest pages as the full path — and, when the plan carries a store,
 // publishes the result for the next identical cell. It never reads the
-// store, so pairing LookupCell + ComputeCell counts exactly one miss.
+// store, so pairing LookupCell + ComputeCell counts exactly one miss. An
+// ablated cell's run error is its result.
 func (p Plan) ComputeCell(i int) (CellResult, error) {
-	w, mode, noPromote, scale, perf := p.cellSpec(i)
+	w, c, scale, perf := p.cellSpec(i)
 	if !perf {
-		fp, err := computeFootprint(p.memo, w, mode, scale)
+		fp, err := computeFootprint(p.memo, w, c.Mode, scale)
 		return CellResult{Footprint: fp}, err
 	}
-	m, err := ComputeOne(p.memo, w, mode, noPromote, scale)
+	m, err := ComputeOne(p.memo, w, c, scale)
 	if err != nil {
+		if c.ablated() {
+			return CellResult{failed: err}, nil
+		}
 		return CellResult{}, err
 	}
 	return CellResult{Perf: m}, nil
@@ -251,7 +255,7 @@ func (p Plan) ComputeCell(i int) (CellResult, error) {
 // payload.
 func (p Plan) CheckPayload(seq int, c CellResult) error {
 	if seq < p.perfCells() {
-		if c.Perf == nil {
+		if c.Perf == nil && c.failed == nil {
 			return corruptCell(seq, "exp: perf cell %d missing perf result", seq)
 		}
 		if c.Footprint != 0 {
@@ -263,64 +267,90 @@ func (p Plan) CheckPayload(seq int, c CellResult) error {
 	return nil
 }
 
+// verify checks that every configuration of a workload reproduces its
+// first (baseline) configuration's checksum; a failed cell has none.
+func (p Plan) verify(cells []CellResult) error {
+	var errs []error
+	for seq := 0; seq < p.perfCells(); seq++ {
+		ci := seq % len(p.cfgs)
+		base, m := cells[seq-ci].Perf, cells[seq].Perf
+		if ci > 0 && m != nil && m.Checksum != base.Checksum {
+			errs = append(errs, fmt.Errorf("%s: %s checksum %#x != baseline %#x",
+				p.ws[seq/len(p.cfgs)].Name, p.cfgs[ci], m.Checksum, base.Checksum))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// fold folds a complete cell set into the slices a serial run produces.
+func (p Plan) fold(cells []CellResult) ([]Result, []MemResult) {
+	results := make([]Result, len(p.ws))
+	var mem []MemResult
+	if p.HasMem() {
+		mem = make([]MemResult, len(p.ws))
+	}
+	for i, w := range p.ws {
+		results[i].Name, results[i].Suite = w.Name, w.Suite
+		if mem != nil {
+			mem[i].Name = w.Name
+		}
+	}
+	pc := p.perfCells()
+	for seq, c := range cells {
+		if seq < pc {
+			if ri := slices.Index(reportConfigs, p.cfgs[seq%len(p.cfgs)]); ri >= 0 {
+				*results[seq/len(p.cfgs)].fields()[ri] = *c.Perf
+			}
+		} else {
+			j := seq - pc
+			*mem[j/len(memModes)].fields()[j%len(memModes)] = c.Footprint
+		}
+	}
+	return results, mem
+}
+
 // Results folds a complete cell set into the slices a serial run
 // produces, after verifying the cross-mode checksum contract: every
 // instrumented configuration reproduces its workload's baseline checksum.
 func (p Plan) Results(cells []CellResult) ([]Result, []MemResult, error) {
-	results := make([]Result, len(p.ws))
-	for i, w := range p.ws {
-		results[i].Name, results[i].Suite = w.Name, w.Suite
-	}
-	var mem []MemResult
-	if p.HasMem() {
-		mem = make([]MemResult, len(p.ws))
-		for i, w := range p.ws {
-			mem[i].Name = w.Name
-		}
-	}
-	cfgs := p.configs()
-	pc := p.perfCells()
-	for seq, c := range cells {
-		if seq < pc {
-			*cfgs[seq%len(cfgs)].dst(&results[seq/len(cfgs)]) = *c.Perf
-		} else {
-			j := seq - pc
-			*memModes[j%len(memModes)].dst(&mem[j/len(memModes)]) = c.Footprint
-		}
-	}
-	var errs []error
-	for i := range results {
-		if err := results[i].verifyChecksums(cfgs); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := p.verify(cells); err != nil {
 		return nil, nil, err
 	}
+	results, mem := p.fold(cells)
 	return results, mem, nil
 }
 
-// Render folds a complete cell set into the campaign's report: the full
-// Report (Table 4 + Figures 10–12) for plans with memory cells,
-// PerfReport otherwise — byte-identical to a serial run over the same
-// workloads and scales. Plans built WithTemporal append the temporal-axis
-// section after the spatial report, leaving the spatial portion's bytes
-// unchanged.
+// Render verifies a complete cell set's checksums and renders it as the
+// plan's report — byte-identical to a serial run over the same workloads
+// and scales.
 func (p Plan) Render(cells []CellResult) (string, error) {
-	results, mem, err := p.Results(cells)
-	if err != nil {
+	if err := p.verify(cells); err != nil {
 		return "", err
 	}
+	return p.render(p, cells), nil
+}
+
+// cell returns workload wi's cell in configuration c, one of p's.
+func (p Plan) cell(cells []CellResult, wi int, c Config) CellResult {
+	return cells[wi*len(p.cfgs)+slices.Index(p.cfgs, c)]
+}
+
+// renderReport renders the report grid: the full Report (Table 4 +
+// Figures 10–12) for plans with memory cells, PerfReport otherwise. Plans
+// built WithTemporal append the temporal-axis section after the spatial
+// report, leaving the spatial portion's bytes unchanged.
+func renderReport(p Plan, cells []CellResult) string {
+	results, mem := p.fold(cells)
 	var rep string
 	if p.HasMem() {
 		rep = Report(results, mem)
 	} else {
 		rep = PerfReport(results)
 	}
-	if p.temporal {
-		rep += "\n" + TemporalSection(results)
+	if slices.Contains(p.cfgs, cfgTemporal) {
+		rep += "\n" + temporalSection(p, cells)
 	}
-	return rep, nil
+	return rep
 }
 
 // NewAssembly builds an empty assembly for the plan.

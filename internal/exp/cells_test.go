@@ -31,7 +31,7 @@ func cellTestWorkloads(t *testing.T) []workloads.Workload {
 func TestPlanCellEnumeration(t *testing.T) {
 	ws := cellTestWorkloads(t)
 	p := NewReportPlan(ws, 1, MemScale)
-	wantCells := len(ws)*len(cellConfigs) + len(ws)*len(memModes)
+	wantCells := len(ws)*len(p.cfgs) + len(ws)*len(memModes)
 	if got := p.NumCells(); got != wantCells {
 		t.Fatalf("NumCells = %d, want %d", got, wantCells)
 	}
@@ -49,9 +49,9 @@ func TestPlanCellEnumeration(t *testing.T) {
 	// Keys are position-independent: the same cell in a differently
 	// ordered plan has the same key.
 	rev := NewReportPlan([]workloads.Workload{ws[2], ws[1], ws[0]}, 1, MemScale)
-	if p.Key(0) != rev.Key(2*len(cellConfigs)) {
+	if p.Key(0) != rev.Key(2*len(p.cfgs)) {
 		t.Errorf("treeadd/baseline key differs across plans: %q vs %q",
-			p.Key(0), rev.Key(2*len(cellConfigs)))
+			p.Key(0), rev.Key(2*len(p.cfgs)))
 	}
 	// All keys distinct within a plan.
 	seen := map[string]bool{}

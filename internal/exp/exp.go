@@ -13,8 +13,8 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"infat/internal/machine"
@@ -32,8 +32,8 @@ type ModeResult struct {
 	L1DMisses uint64
 }
 
-// Result holds all five configurations of one workload — plus, for
-// plans with the temporal axis enabled, the ifp-temporal run.
+// Result holds one workload's runs in the report configurations: the
+// five spatial ones, plus ifp-temporal for plans built WithTemporal.
 type Result struct {
 	Name     string
 	Suite    string
@@ -50,21 +50,92 @@ type Result struct {
 	Temporal ModeResult
 }
 
+// fields returns r's runs in reportConfigs order.
+func (r *Result) fields() [6]*ModeResult {
+	return [...]*ModeResult{&r.Baseline, &r.Subheap, &r.Wrapped, &r.SubheapNP, &r.WrappedNP, &r.Temporal}
+}
+
+// Config is one perf cell's run configuration: the mode, the promote
+// toggle, the design-choice ablation knobs (DESIGN.md §5) and the whole
+// cost model, every field as given (PromoteBase 0 is a real ASIC point),
+// so build one from ModeConfig. Equal configurations are one cell.
+type Config struct {
+	Mode      rt.Mode
+	NoPromote bool
+	// No layout walker, the global table as the only scheme, ifpchk per access.
+	NoNarrow, ForceGlobalTable, ExplicitChecks bool
+	Cost                                       machine.CostModel
+}
+
+// ModeConfig is mode's configuration with every knob at its default.
+func ModeConfig(mode rt.Mode, noPromote bool) Config {
+	return Config{Mode: mode, NoPromote: noPromote, Cost: machine.DefaultCost}
+}
+
+// The report configurations, in the paper's comparison order, then the
+// temporal axis's ifp-temporal, which only plans WithTemporal run.
+var (
+	cfgBaseline   = ModeConfig(rt.Baseline, false)
+	cfgSubheap    = ModeConfig(rt.Subheap, false)
+	cfgWrapped    = ModeConfig(rt.Wrapped, false)
+	cfgTemporal   = ModeConfig(rt.IFPTemporal, false)
+	reportConfigs = []Config{cfgBaseline, cfgSubheap, cfgWrapped,
+		ModeConfig(rt.Subheap, true), ModeConfig(rt.Wrapped, true), cfgTemporal}
+)
+
+// ablated reports whether an ablation knob is set.
+func (c Config) ablated() bool { return c.NoNarrow || c.ForceGlobalTable || c.ExplicitChecks }
+
+// String is the cell label: the mode, "-nopromote", "+Knob" per ablation
+// knob set and "+Field=value" per cost field off machine.DefaultCost, so
+// a default-knob configuration keeps the report grid's label.
+func (c Config) String() string {
+	s := c.Mode.String()
+	if c.NoPromote {
+		s += "-nopromote"
+	}
+	if c.NoNarrow {
+		s += "+NoNarrow"
+	}
+	if c.ForceGlobalTable {
+		s += "+ForceGlobalTable"
+	}
+	if c.ExplicitChecks {
+		s += "+ExplicitChecks"
+	}
+	if c.Cost != machine.DefaultCost {
+		cost, def := reflect.ValueOf(c.Cost), reflect.ValueOf(machine.DefaultCost)
+		for i := range cost.NumField() {
+			if v := cost.Field(i).Uint(); v != def.Field(i).Uint() {
+				s += fmt.Sprintf("+%s=%d", cost.Type().Field(i).Name, v)
+			}
+		}
+	}
+	return s
+}
+
+// acquire checks a runtime out of the pool configured as c.
+func (c Config) acquire() *rt.Runtime {
+	r := rt.Acquire(c.Mode)
+	r.M.NoPromote, r.M.NoNarrow, r.M.Cost = c.NoPromote, c.NoNarrow, c.Cost
+	r.ForceGlobalTable, r.ExplicitChecks = c.ForceGlobalTable, c.ExplicitChecks
+	return r
+}
+
 // runOne executes a workload in one configuration. A footprint run — a
 // Figure-12 memory cell — takes the runtime's footprint-only path
 // (rt.Runtime.FootprintOnly): its Footprint, Checksum and Stats are the
 // full run's, and its Counters and L1DMisses are not the mode's. A full
 // run relies on the Reset inside rt.Acquire to have cleared the state.
-func runOne(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, footprint bool) (ModeResult, error) {
-	r := rt.Acquire(mode)
+func runOne(w workloads.Workload, c Config, scale int, footprint bool) (ModeResult, error) {
+	r := c.acquire()
 	defer rt.Release(r)
-	r.M.NoPromote = noPromote
 	if footprint {
 		r.FootprintOnly()
 	}
 	sum, err := w.Run(r, scale)
 	if err != nil {
-		return ModeResult{}, fmt.Errorf("%s/%v(np=%v): %w", w.Name, mode, noPromote, err)
+		return ModeResult{}, fmt.Errorf("%s/%v(np=%v): %w", w.Name, c.Mode, c.NoPromote, err)
 	}
 	return ModeResult{
 		Counters:  r.M.C,
@@ -73,45 +144,6 @@ func runOne(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, footp
 		Checksum:  sum,
 		L1DMisses: r.M.L1D.Stats().Misses,
 	}, nil
-}
-
-// cellConfig is one per-workload run configuration of the evaluation
-// grid; dst selects the slot a cell's result lands in.
-type cellConfig struct {
-	label     string
-	mode      rt.Mode
-	noPromote bool
-	dst       func(*Result) *ModeResult
-}
-
-// cellConfigs enumerates the five per-workload configurations in the
-// paper's comparison order.
-var cellConfigs = []cellConfig{
-	{"baseline", rt.Baseline, false, func(r *Result) *ModeResult { return &r.Baseline }},
-	{"subheap", rt.Subheap, false, func(r *Result) *ModeResult { return &r.Subheap }},
-	{"wrapped", rt.Wrapped, false, func(r *Result) *ModeResult { return &r.Wrapped }},
-	{"subheap-nopromote", rt.Subheap, true, func(r *Result) *ModeResult { return &r.SubheapNP }},
-	{"wrapped-nopromote", rt.Wrapped, true, func(r *Result) *ModeResult { return &r.WrappedNP }},
-}
-
-// temporalConfigs is the temporal-axis enumeration: the five spatial
-// configurations (unchanged, in the same order, so every spatial cell of
-// a temporal plan has the same seq as in a spatial plan's prefix)
-// followed by the ifp-temporal run.
-var temporalConfigs = append(append([]cellConfig{}, cellConfigs...),
-	cellConfig{"ifp-temporal", rt.IFPTemporal, false, func(r *Result) *ModeResult { return &r.Temporal }})
-
-// verifyChecksums asserts the instrumented configurations reproduced the
-// baseline checksum, naming each diverging mode and both values.
-func (r *Result) verifyChecksums(cfgs []cellConfig) error {
-	var errs []error
-	for _, cfg := range cfgs[1:] {
-		if got := cfg.dst(r).Checksum; got != r.Baseline.Checksum {
-			errs = append(errs, fmt.Errorf("%s: %s checksum %#x != baseline %#x",
-				r.Name, cfg.label, got, r.Baseline.Checksum))
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // RunSet executes the five configurations of each given workload, fanning
@@ -221,14 +253,10 @@ const MemScale = 4
 
 // memModes enumerates the three configurations the memory experiment
 // compares, in column order.
-var memModes = []struct {
-	mode rt.Mode
-	dst  func(*MemResult) *uint64
-}{
-	{rt.Baseline, func(m *MemResult) *uint64 { return &m.Baseline }},
-	{rt.Subheap, func(m *MemResult) *uint64 { return &m.Subheap }},
-	{rt.Wrapped, func(m *MemResult) *uint64 { return &m.Wrapped }},
-}
+var memModes = []rt.Mode{rt.Baseline, rt.Subheap, rt.Wrapped}
+
+// fields returns m's footprints in memModes order.
+func (m *MemResult) fields() [3]*uint64 { return [...]*uint64{&m.Baseline, &m.Subheap, &m.Wrapped} }
 
 // RunMemSet measures the given workloads' footprints at the given
 // (already multiplied) scale, fanning the (workload × mode) cells of a

@@ -2,10 +2,12 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"infat/internal/rt"
+	"infat/internal/stats"
 	"infat/internal/workloads"
 )
 
@@ -222,6 +224,37 @@ func TestEmptySeriesGeomeanRendersNA(t *testing.T) {
 	}
 }
 
+// ablationCell computes workload name's cell in the ablation row
+// labelled label of p.
+func ablationCell(t *testing.T, p Plan, name, label string) CellResult {
+	t.Helper()
+	wi := slices.IndexFunc(p.ws, func(w workloads.Workload) bool { return w.Name == name })
+	ci := -1
+	for _, row := range ablationRows {
+		if row.label == label {
+			ci = slices.Index(p.cfgs, row.cfg)
+		}
+	}
+	if wi < 0 || ci < 0 {
+		t.Fatalf("no ablation cell %s/%s", name, label)
+	}
+	c, err := p.ComputeCell(wi*len(p.cfgs) + ci)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// ablationRun is ablationCell for a row that must run.
+func ablationRun(t *testing.T, p Plan, name, label string) ModeResult {
+	t.Helper()
+	c := ablationCell(t, p, name, label)
+	if c.failed != nil {
+		t.Fatal(c.failed)
+	}
+	return *c.Perf
+}
+
 func TestAblationsRender(t *testing.T) {
 	out, err := Ablations(1, 1)
 	if err != nil {
@@ -233,15 +266,9 @@ func TestAblationsRender(t *testing.T) {
 		}
 	}
 	// The explicit-check ablation must cost instructions vs standard on
-	// a check-heavy workload: extract the ft rows and compare.
-	std, err := runConfigured("ft", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := runConfigured("ft", 1, func(r *rt.Runtime) { r.ExplicitChecks = true })
-	if err != nil {
-		t.Fatal(err)
-	}
+	// a check-heavy workload: compare the ft cells.
+	p := AblationPlan(1)
+	std, exp := ablationRun(t, p, "ft", "standard"), ablationRun(t, p, "ft", "explicit-chk")
 	if exp.Counters.Instrs <= std.Counters.Instrs {
 		t.Errorf("explicit checks did not add instructions: %d vs %d",
 			exp.Counters.Instrs, std.Counters.Instrs)
@@ -250,14 +277,7 @@ func TestAblationsRender(t *testing.T) {
 		t.Error("explicit-check run issued no ifpchk")
 	}
 	// The no-walker ablation must coarsen health's narrowing.
-	stdH, err := runConfigured("health", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := runConfigured("health", 1, func(r *rt.Runtime) { r.M.NoNarrow = true })
-	if err != nil {
-		t.Fatal(err)
-	}
+	stdH, nw := ablationRun(t, p, "health", "standard"), ablationRun(t, p, "health", "no-walker")
 	if stdH.Counters.NarrowSuccess == 0 {
 		t.Error("health performed no successful narrowing")
 	}
@@ -270,16 +290,13 @@ func TestAblationsRender(t *testing.T) {
 }
 
 func TestForceGlobalTableAblation(t *testing.T) {
-	m, err := runConfigured("treeadd", 1, func(r *rt.Runtime) { r.ForceGlobalTable = true })
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := ablationRun(t, AblationPlan(1), "treeadd", "global-only")
 	if m.Counters.NarrowSuccess != 0 {
 		t.Error("global-table-only narrowed")
 	}
 	// 2047 concurrent rows fit; a larger scale exhausts the 4096-row
 	// table — the capacity constraint the multi-scheme design avoids.
-	if _, err := runConfigured("treeadd", 4, func(r *rt.Runtime) { r.ForceGlobalTable = true }); err == nil {
+	if c := ablationCell(t, AblationPlan(4), "treeadd", "global-only"); c.failed == nil {
 		t.Error("global table never filled at scale 4 (expected capacity failure)")
 	}
 }
@@ -293,13 +310,35 @@ func TestTagLayouts(t *testing.T) {
 	}
 }
 
+// TestASICSweep checks E10 (§5.2.4) on the ASIC plan's cells: a deeper
+// memory hierarchy (miss penalty 20 → 40) lowers subheap's geo-mean
+// overhead, and hiding the promote occupancy (PromoteBase 0) lowers it
+// again. It pins the four overheads EXPERIMENTS.md E10 quotes.
 func TestASICSweep(t *testing.T) {
-	out, err := ASICSweep(1)
+	p := ASICPlan(1)
+	cells, err := RunCampaign(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Render(cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "FPGA prototype") || !strings.Contains(out, "Geo-mean") {
 		t.Error("sweep output malformed")
+	}
+	for i, want := range []string{"+7.4%", "+3.5%", "+1.1%", "+6.7%"} {
+		pt := asicPoints[i]
+		if got := fmt.Sprintf("%+.1f%%", stats.Overhead(asicOverhead(p, cells, pt))); got != want {
+			t.Errorf("%s: geo-mean overhead %s, EXPERIMENTS.md E10 quotes %s", pt.label, got, want)
+		}
+	}
+	fpga, deep, hidden := asicOverhead(p, cells, asicPoints[0]), asicOverhead(p, cells, asicPoints[1]), asicOverhead(p, cells, asicPoints[2])
+	if deep >= fpga {
+		t.Errorf("miss penalty 40 did not lower the overhead: %.4f vs %.4f at 20", deep, fpga)
+	}
+	if hidden >= deep {
+		t.Errorf("PromoteBase 0 did not lower the overhead: %.4f vs %.4f at 2", hidden, deep)
 	}
 }
 
@@ -319,11 +358,11 @@ func TestHybridMode(t *testing.T) {
 	// the static choices on the representative pair.
 	for _, name := range []string{"treeadd", "yacr2"} {
 		w, _ := workloads.ByName(name)
-		base, err := runOne(w, rt.Baseline, false, 1, false)
+		base, err := runOne(w, cfgBaseline, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hyb, err := runOne(w, rt.Hybrid, false, 1, false)
+		hyb, err := runOne(w, cfgHybrid, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}

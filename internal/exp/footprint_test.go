@@ -44,7 +44,7 @@ func TestUntimedMatchesTimed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			timed, err := runOne(w, mode, false, 1, false)
+			timed, err := runOne(w, ModeConfig(mode, false), 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func checkFootprintPath(t *testing.T, modes []rt.Mode, scales []int) {
 	for _, scale := range scales {
 		for _, w := range workloads.All {
 			for _, mode := range modes {
-				fast, err := runOne(w, mode, false, scale, true)
+				fast, err := runOne(w, ModeConfig(mode, false), scale, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,9 +148,9 @@ func TestMemoFootprintIsolation(t *testing.T) {
 	runPlanReport(t, p, 1)
 	scale := p.Scale() * p.MemScale()
 	for _, w := range ws {
-		for _, m := range memModes {
-			if _, ok := LookupOne(store, w, m.mode, false, scale); ok {
-				t.Errorf("%s/%v: perf lookup at scale %d hit a memory cell's entry", w.Name, m.mode, scale)
+		for _, mode := range memModes {
+			if _, ok := LookupOne(store, w, ModeConfig(mode, false), scale); ok {
+				t.Errorf("%s/%v: perf lookup at scale %d hit a memory cell's entry", w.Name, mode, scale)
 			}
 		}
 	}

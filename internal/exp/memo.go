@@ -1,8 +1,8 @@
 package exp
 
 // Cell memoization: every campaign cell is a pure, byte-deterministic
-// function of its coordinates — (workload, mode, noPromote, scale) under
-// the machine cost model for perf cells, (workload, mode, scale) for
+// function of its coordinates — (workload, Config, scale) for perf
+// cells, the Config carrying the cost model, (workload, mode, scale) for
 // memory cells, (scheme, fault, seed) for chaos cells; the assembly- and
 // dispatch-equivalence gates pin exactly that — so a plan carrying a
 // memo.Store (WithMemo) consults it before checking a runtime out of
@@ -22,7 +22,6 @@ import (
 	"errors"
 
 	"infat/internal/chaos"
-	"infat/internal/machine"
 	"infat/internal/memo"
 	"infat/internal/rt"
 	"infat/internal/workloads"
@@ -51,32 +50,32 @@ func init() {
 	}})
 }
 
-// cellDigestCost is the canonical grid-cell key: the workload's
-// content-address (name, suite, kernel version), the run mode, the
-// promote toggle, the effective scale, and every field of the machine
-// cost model (a recalibration changes cycle counts, so it must change
-// the key). The cost model is passed explicitly so tests can pin the
-// composition against a known calibration.
-func cellDigestCost(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, cost machine.CostModel) memo.Digest {
+// digest is the canonical perf-cell key: the workload's content-address
+// (name, suite, kernel version), the run mode, the promote toggle, the
+// effective scale, and every field of the machine cost model (a
+// recalibration changes cycle counts, so it must change the key). The
+// ablation knobs are folded in only when one is set, so every default
+// cell keeps the digest it had before they existed.
+func (c Config) digest(w workloads.Workload, scale int) memo.Digest {
 	var g memo.Digester
 	g.Init(memo.DomainCell)
 	g.Raw(memo.WorkloadDigest(w.Name, w.Suite, workloads.Version))
-	g.Str(mode.String())
-	g.Bool(noPromote)
+	g.Str(c.Mode.String())
+	g.Bool(c.NoPromote)
 	g.U64(uint64(scale))
-	g.U64(cost.MissPenalty)
-	g.U64(cost.PromoteBase)
-	g.U64(cost.DivCycles)
-	g.U64(cost.SlotDivCycles)
-	g.U64(cost.MacCycles)
-	g.U64(cost.GenCheckCycles)
+	g.U64(c.Cost.MissPenalty)
+	g.U64(c.Cost.PromoteBase)
+	g.U64(c.Cost.DivCycles)
+	g.U64(c.Cost.SlotDivCycles)
+	g.U64(c.Cost.MacCycles)
+	g.U64(c.Cost.GenCheckCycles)
+	if c.ablated() {
+		g.Str("ablation")
+		g.Bool(c.NoNarrow)
+		g.Bool(c.ForceGlobalTable)
+		g.Bool(c.ExplicitChecks)
+	}
 	return g.Sum()
-}
-
-// CellDigest keys one grid cell under the standard calibration
-// (machine.DefaultCost) — what runOne executes.
-func CellDigest(w workloads.Workload, mode rt.Mode, noPromote bool, scale int) memo.Digest {
-	return cellDigestCost(w, mode, noPromote, scale, machine.DefaultCost)
 }
 
 // chaosCellDigest keys one fault-injection cell.
@@ -84,16 +83,16 @@ func chaosCellDigest(s chaos.Scheme, f chaos.Fault, seed uint64) memo.Digest {
 	return memo.ChaosDigest(s.String(), f.String(), seed, chaos.Version)
 }
 
-// LookupOne serves one (workload, mode, noPromote, scale) cell from the
-// store (ok=false: miss, or nil store). The returned *ModeResult is the
-// shared cached value — read-only. Zero-allocation, never touches
+// LookupOne serves one (workload, configuration, scale) perf cell from
+// the store (ok=false: miss, or nil store). The returned *ModeResult is
+// the shared cached value — read-only. Zero-allocation, never touches
 // rt.Pool. Callers that gate real computation behind admission control
 // (the unary /v1/workload endpoint) pair this with ComputeOne.
-func LookupOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote bool, scale int) (*ModeResult, bool) {
+func LookupOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeResult, bool) {
 	if s == nil {
 		return nil, false
 	}
-	if v, ok := s.GetKind(CellDigest(w, mode, noPromote, scale), memo.KindCell); ok {
+	if v, ok := s.GetKind(c.digest(w, scale), memo.KindCell); ok {
 		return v.(*ModeResult), true
 	}
 	return nil, false
@@ -101,10 +100,10 @@ func LookupOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote bool
 
 // ComputeOne executes the cell unconditionally via runOne and, when s is
 // non-nil, publishes the result for the next identical cell — wherever
-// it runs (batch stream, unary endpoint, bench grid). It never reads the
-// store, so a LookupOne + ComputeOne pair counts exactly one miss.
-func ComputeOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote bool, scale int) (*ModeResult, error) {
-	m, err := runOne(w, mode, noPromote, scale, false)
+// it runs (batch stream, unary endpoint, bench section). It never reads
+// the store, so a LookupOne + ComputeOne pair counts exactly one miss.
+func ComputeOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeResult, error) {
+	m, err := runOne(w, c, scale, false)
 	if err != nil {
 		// Errors are never memoized: a failed cell re-runs on every
 		// request, so a transient failure cannot poison the store.
@@ -115,7 +114,7 @@ func ComputeOne(s *memo.Store, w workloads.Workload, mode rt.Mode, noPromote boo
 		if encErr != nil {
 			enc = nil // memory-only entry; snapshots just skip it
 		}
-		s.Put(CellDigest(w, mode, noPromote, scale), memo.KindCell, &m, enc)
+		s.Put(c.digest(w, scale), memo.KindCell, &m, enc)
 	}
 	return &m, nil
 }
@@ -149,7 +148,7 @@ func lookupFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale in
 // MAC checks, narrowing and tag arithmetic would be thrown away — and,
 // when s is non-nil, publishes the footprint. It never reads the store.
 func computeFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale int) (uint64, error) {
-	m, err := runOne(w, mode, false, scale, true)
+	m, err := runOne(w, ModeConfig(mode, false), scale, true)
 	if err != nil {
 		return 0, err
 	}
@@ -170,18 +169,14 @@ func (p Plan) WithMemo(s *memo.Store) Plan {
 }
 
 // cellSpec resolves cell i to the runOne coordinates it executes:
-// (workload, mode, noPromote, effective scale), plus whether it is a
-// perf cell (false = memory cell, whose result is the footprint).
-func (p Plan) cellSpec(i int) (w workloads.Workload, mode rt.Mode, noPromote bool, scale int, perf bool) {
+// (workload, configuration, effective scale), plus whether it is a perf
+// cell (false = memory cell, whose result is the footprint).
+func (p Plan) cellSpec(i int) (w workloads.Workload, c Config, scale int, perf bool) {
 	if pc := p.perfCells(); i < pc {
-		cfgs := p.configs()
-		wi, ci := i/len(cfgs), i%len(cfgs)
-		cfg := cfgs[ci]
-		return p.ws[wi], cfg.mode, cfg.noPromote, p.scale, true
+		return p.ws[i/len(p.cfgs)], p.cfgs[i%len(p.cfgs)], p.scale, true
 	}
 	j := i - p.perfCells()
-	wi, mi := j/len(memModes), j%len(memModes)
-	return p.ws[wi], memModes[mi].mode, false, p.scale * p.memScale, false
+	return p.ws[j/len(memModes)], ModeConfig(memModes[j%len(memModes)], false), p.scale * p.memScale, false
 }
 
 // CellDigest returns cell i's canonical memo key. Like Key, it is a pure
@@ -190,17 +185,17 @@ func (p Plan) cellSpec(i int) (w workloads.Workload, mode rt.Mode, noPromote boo
 // a digest with a perf cell, even at the same effective coordinates: it
 // runs on the footprint-only path and keeps only the footprint.
 func (p Plan) CellDigest(i int) memo.Digest {
-	w, mode, noPromote, scale, perf := p.cellSpec(i)
+	w, c, scale, perf := p.cellSpec(i)
 	if !perf {
-		return footprintDigest(w, mode, scale)
+		return footprintDigest(w, c.Mode, scale)
 	}
-	return CellDigest(w, mode, noPromote, scale)
+	return c.digest(w, scale)
 }
 
 // CellScale returns cell i's effective scale: the plan's scale for a perf
 // cell, scale×memScale for a memory cell.
 func (p Plan) CellScale(i int) int {
-	_, _, _, scale, _ := p.cellSpec(i)
+	_, _, scale, _ := p.cellSpec(i)
 	return scale
 }
 

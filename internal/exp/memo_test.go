@@ -12,6 +12,17 @@ import (
 	"infat/internal/workloads"
 )
 
+// CellDigest keys one default-knob perf cell, what LookupOne and
+// ComputeOne key on; cellDigestCost keys it under an explicit cost model,
+// so tests can pin the composition against a known calibration.
+func CellDigest(w workloads.Workload, mode rt.Mode, noPromote bool, scale int) memo.Digest {
+	return ModeConfig(mode, noPromote).digest(w, scale)
+}
+
+func cellDigestCost(w workloads.Workload, mode rt.Mode, noPromote bool, scale int, cost machine.CostModel) memo.Digest {
+	return Config{Mode: mode, NoPromote: noPromote, Cost: cost}.digest(w, scale)
+}
+
 func costWithMissPenalty(v uint64) machine.CostModel {
 	c := machine.DefaultCost
 	c.MissPenalty = v
@@ -159,20 +170,35 @@ func TestAllocBudgetMemoHit(t *testing.T) {
 
 // TestCellDigestsDistinctAndStable: digests are a pure function of cell
 // coordinates — stable across plan constructions, distinct across every
-// cell of a campaign, and sensitive to each coordinate axis.
+// cell of every campaign unless two cells run equal configurations (the
+// report sections share their default cells with the report grid, under
+// the same key), and sensitive to each coordinate axis.
 func TestCellDigestsDistinctAndStable(t *testing.T) {
-	p1 := NewReportPlan(workloads.All, 1, 4).WithTemporal(true)
-	p2 := NewReportPlan(workloads.All, 1, 4).WithTemporal(true)
+	plans := func() []Plan {
+		return []Plan{NewReportPlan(workloads.All, 1, 4).WithTemporal(true), AblationPlan(1), ASICPlan(1), HybridPlan(1)}
+	}
+	again := plans()
 	seen := map[memo.Digest]string{}
-	for i := 0; i < p1.NumCells(); i++ {
-		d := p1.CellDigest(i)
-		if d != p2.CellDigest(i) {
-			t.Fatalf("cell %d digest unstable across plan constructions", i)
+	digestOf := map[string]memo.Digest{}
+	for pi, p1 := range plans() {
+		keys := map[string]bool{}
+		for i := 0; i < p1.NumCells(); i++ {
+			d, k := p1.CellDigest(i), p1.Key(i)
+			if d != again[pi].CellDigest(i) {
+				t.Fatalf("cell %s digest unstable across plan constructions", k)
+			}
+			if keys[k] {
+				t.Fatalf("plan %d enumerates cell %s twice", pi, k)
+			}
+			keys[k] = true
+			if prev, dup := seen[d]; dup && prev != k {
+				t.Fatalf("cells %s and %s collide", prev, k)
+			}
+			if prev, ok := digestOf[k]; ok && prev != d {
+				t.Fatalf("cell %s has two digests across plans", k)
+			}
+			seen[d], digestOf[k] = k, d
 		}
-		if prev, dup := seen[d]; dup {
-			t.Fatalf("cells %s and %s collide", prev, p1.Key(i))
-		}
-		seen[d] = p1.Key(i)
 	}
 	cp := NewChaosPlan(1)
 	for i := 0; i < cp.NumCells(); i++ {
@@ -186,11 +212,21 @@ func TestCellDigestsDistinctAndStable(t *testing.T) {
 	// Axis sensitivity: flipping any one coordinate changes the key.
 	w := workloads.All[0]
 	base := CellDigest(w, rt.Subheap, false, 1)
+	knob := func(set func(*Config)) memo.Digest {
+		c := cfgSubheap
+		set(&c)
+		return c.digest(w, 1)
+	}
 	for name, other := range map[string]memo.Digest{
-		"workload": CellDigest(workloads.All[1], rt.Subheap, false, 1),
-		"mode":     CellDigest(w, rt.Wrapped, false, 1),
-		"promote":  CellDigest(w, rt.Subheap, true, 1),
-		"scale":    CellDigest(w, rt.Subheap, false, 2),
+		"workload":         CellDigest(workloads.All[1], rt.Subheap, false, 1),
+		"mode":             CellDigest(w, rt.Wrapped, false, 1),
+		"promote":          CellDigest(w, rt.Subheap, true, 1),
+		"scale":            CellDigest(w, rt.Subheap, false, 2),
+		"NoNarrow":         knob(func(c *Config) { c.NoNarrow = true }),
+		"ForceGlobalTable": knob(func(c *Config) { c.ForceGlobalTable = true }),
+		"ExplicitChecks":   knob(func(c *Config) { c.ExplicitChecks = true }),
+		"MissPenalty":      knob(func(c *Config) { c.Cost.MissPenalty = 40 }),
+		"PromoteBase":      knob(func(c *Config) { c.Cost.PromoteBase = 0 }),
 	} {
 		if other == base {
 			t.Errorf("digest insensitive to %s axis", name)

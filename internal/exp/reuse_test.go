@@ -75,24 +75,23 @@ func TestReuseEquivalenceChaosReport(t *testing.T) {
 }
 
 // TestReuseEquivalenceAblations: the configured-runtime paths (ablation
-// flags, cost-model overrides) must leave no residue in pooled runtimes.
+// knobs, cost-model overrides, hybrid's allocator selection) must leave
+// no residue in pooled runtimes.
 func TestReuseEquivalenceAblations(t *testing.T) {
 	report := func(reuse bool) string {
 		var out string
 		withReuse(reuse, func() {
-			s, err := Ablations(1, runtime.NumCPU())
-			if err != nil {
-				t.Fatal(err)
+			for _, section := range []func(scale, workers int) (string, error){Ablations, ASICSweep, HybridReport} {
+				s, err := section(1, runtime.NumCPU())
+				if err != nil {
+					t.Fatal(err)
+				}
+				out += s
 			}
-			a, err := ASICSweep(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = s + a
 		})
 		return out
 	}
 	if fresh, reused := report(false), report(true); fresh != reused {
-		t.Error("pooled ablation/ASIC reports differ from fresh")
+		t.Error("pooled ablation/ASIC/hybrid reports differ from fresh")
 	}
 }

@@ -16,30 +16,16 @@ import (
 	"infat/internal/workloads"
 )
 
-// TemporalSection renders the temporal-overhead table from results whose
-// Temporal slot is populated (a plan built WithTemporal): per-workload
-// cycle overhead of the spatial schemes and of ifp-temporal vs baseline,
-// the generation-check volume, and the geo-mean comparison line that
-// prices the temporal upgrade against spatial-only protection.
-func TemporalSection(results []Result) string {
-	var t stats.Table
-	t.Add("Benchmark", "Subheap", "Wrapped", "IFP-Temporal", "GenChecks", "GenCheckFails")
-	var sr, wr, tr []float64
-	for _, r := range results {
-		base := r.Baseline.Counters.Cycles
-		rs := stats.Ratio(r.Subheap.Counters.Cycles, base)
-		rw := stats.Ratio(r.Wrapped.Counters.Cycles, base)
-		rtp := stats.Ratio(r.Temporal.Counters.Cycles, base)
-		sr, wr, tr = append(sr, rs), append(wr, rw), append(tr, rtp)
-		t.Add(r.Name, pctCell(rs), pctCell(rw), pctCell(rtp),
-			stats.SI(r.Temporal.Counters.GenChecks),
-			fmt.Sprint(r.Temporal.Counters.GenCheckFails))
-	}
-	return "Temporal axis: generation tagging (ifp-temporal) vs spatial-only (cycles vs baseline)\n" +
-		t.String() +
-		fmt.Sprintf("geo-mean overhead: subheap %s, wrapped %s, ifp-temporal %s\n",
-			stats.GeomeanOverhead(sr), stats.GeomeanOverhead(wr),
-			stats.GeomeanOverhead(tr))
+// temporalSection renders the temporal-overhead table of a plan built
+// WithTemporal: per-workload cycle overhead of the spatial schemes and of
+// ifp-temporal vs baseline, the generation-check volume, and the geo-mean
+// comparison line that prices the temporal upgrade against spatial-only
+// protection.
+func temporalSection(p Plan, cells []CellResult) string {
+	return versusStatic(p, cells, "Temporal axis: generation tagging (ifp-temporal) vs spatial-only (cycles vs baseline)",
+		cfgTemporal, []string{"IFP-Temporal", "GenChecks", "GenCheckFails"}, func(m ModeResult) []string {
+			return []string{stats.SI(m.Counters.GenChecks), fmt.Sprint(m.Counters.GenCheckFails)}
+		})
 }
 
 // TemporalDetection runs the CWE-415/416 Juliet families under a spatial
@@ -60,20 +46,22 @@ func TemporalDetection(workers int) string {
 	return "CWE-415/416 detection (spatial-only vs generation tagging)\n" + t.String()
 }
 
-// TemporalReport runs the temporal campaign: the full workload grid with
-// the ifp-temporal configuration appended (a WithTemporal plan, so the
-// spatial cells are the exact cells a spatial plan enumerates), fanned
-// over at most workers goroutines, plus the CWE-415/416 detection table.
-// Output is byte-identical at any worker count.
-func TemporalReport(scale, workers int) (string, error) {
+// TemporalPlan enumerates the temporal campaign: the full grid with
+// ifp-temporal appended (a WithTemporal plan, so its spatial cells are a
+// spatial plan's), rendered as the temporal section alone.
+func TemporalPlan(scale int) Plan {
 	p := NewPlan(workloads.All, scale).WithTemporal(true)
-	cells, err := RunCampaign(p, workers)
+	p.render = temporalSection
+	return p
+}
+
+// TemporalReport runs the TemporalPlan over at most workers goroutines
+// and renders it followed by the CWE-415/416 detection table. Output is
+// byte-identical at any worker count.
+func TemporalReport(scale, workers int) (string, error) {
+	rep, err := RunReport(TemporalPlan(scale), workers)
 	if err != nil {
 		return "", err
 	}
-	results, _, err := p.Results(cells)
-	if err != nil {
-		return "", err
-	}
-	return TemporalSection(results) + "\n" + TemporalDetection(workers), nil
+	return rep + "\n" + TemporalDetection(workers), nil
 }

@@ -422,12 +422,12 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	// served instantly: no worker slot, no runtime checkout. Memory cells
 	// run footprint-only and live in their own footprint domain, so they
 	// never answer here.
-	if m, ok := exp.LookupOne(s.memo, wl, mode, req.NoPromote, req.Scale); ok {
+	if m, ok := exp.LookupOne(s.memo, wl, exp.ModeConfig(mode, req.NoPromote), req.Scale); ok {
 		writeRaw(w, http.StatusOK, renderResponse(m), "hit")
 		return
 	}
 	status, body, ok := s.dispatch(r.Context(), func() (int, []byte) {
-		m, err := exp.ComputeOne(s.memo, wl, mode, req.NoPromote, req.Scale)
+		m, err := exp.ComputeOne(s.memo, wl, exp.ModeConfig(mode, req.NoPromote), req.Scale)
 		if err != nil {
 			return http.StatusInternalServerError, errorBody(err.Error())
 		}
