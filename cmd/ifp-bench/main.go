@@ -36,6 +36,7 @@ import (
 	"runtime/pprof"
 
 	"infat/internal/baseline"
+	"infat/internal/chaos"
 	"infat/internal/exp"
 	"infat/internal/memo"
 	"infat/internal/workloads"
@@ -130,9 +131,12 @@ func run() int {
 	}
 
 	if *chaosFlag {
-		report, internal := exp.ChaosReport(*scale, *parallel)
-		fmt.Println(report)
-		if internal > 0 {
+		outcomes, err := exp.RunCampaign(exp.NewChaosPlan(*scale).WithMemo(store), *parallel)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Println(chaos.Report(outcomes))
+		if internal := chaos.Summarize(outcomes).Internal; internal > 0 {
 			fmt.Fprintf(os.Stderr, "ifp-bench: %d internal outcomes (simulator bugs)\n", internal)
 			return 1
 		}

@@ -2,8 +2,8 @@ package exp
 
 // Cell-level decomposition of the evaluation campaigns.
 //
-// The batch serving tier (internal/server's /v1/batch, /v1/grid, and
-// /v1/chaos endpoints, and internal/shard's fan-out front tier) needs the
+// The batch serving tier (internal/server's /v1/batch and /v1/chaos
+// endpoints, and internal/shard's fan-out front tier) needs the
 // grid, memory, and chaos campaigns as flat lists of independent cells:
 // every cell has a stable sequence number and identity key, runs in its
 // own runtime, and can execute on any worker of any process — locally,
@@ -108,8 +108,8 @@ type Plan struct {
 	memo     *memo.Store                             // nil = no memoization (WithMemo attaches one)
 }
 
-// NewPlan enumerates the perf grid only (the /v1/grid campaign):
-// len(ws) × 5 cells at the given scale. scale < 1 is raised to 1.
+// NewPlan enumerates the perf grid only: len(ws) × 5 cells at the given
+// scale, the first cells of NewReportPlan's. scale < 1 is raised to 1.
 func NewPlan(ws []workloads.Workload, scale int) Plan {
 	if scale < 1 {
 		scale = 1
@@ -357,7 +357,7 @@ func renderReport(p Plan, cells []CellResult) string {
 func (p Plan) NewAssembly() *Assembly { return NewAssembly[CellResult](p) }
 
 // PerfReport renders the perf-grid-only report (Table 4 and Figures 10
-// and 11) — what a /v1/grid stream reassembles to.
+// and 11) — what the perf cells of a /v1/batch stream reassemble to.
 func PerfReport(results []Result) string {
 	return Table4(results) + "\n" + Fig10(results) + "\n" + Fig11(results)
 }

@@ -179,7 +179,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		p.blackhole(w, r)
 		return
 	case FaultLatency:
-		p.sleepCtx(r.Context(), p.cfg.Latency)
+		sleepCtx(r.Context(), p.cfg.Latency)
 	}
 	p.relay(w, r, fault)
 }
@@ -193,16 +193,15 @@ func (p *Proxy) blackhole(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
 	}
-	p.sleepCtx(r.Context(), p.cfg.StallCap)
+	sleepCtx(r.Context(), p.cfg.StallCap)
 	abort()
 }
 
-func (p *Proxy) sleepCtx(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
+// sleepCtx sleeps for d or until ctx is done.
+func sleepCtx(ctx context.Context, d time.Duration) {
 	select {
 	case <-ctx.Done():
-	case <-t.C:
+	case <-time.After(d):
 	}
 }
 
@@ -270,7 +269,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, fault Fault) {
 					d = slowBudget
 				}
 				slowBudget -= d
-				p.sleepCtx(r.Context(), d)
+				sleepCtx(r.Context(), d)
 				emit(line)
 			default:
 				emit(line)

@@ -1,7 +1,7 @@
 package server
 
-// The batch serving tier: POST /v1/batch, /v1/grid, and /v1/chaos accept
-// a whole campaign — the (workload × configuration) evaluation matrix or
+// The batch serving tier: POST /v1/batch and /v1/chaos accept a whole
+// campaign — the (workload × configuration) evaluation matrix or
 // the (scheme × fault × seed) chaos grid — in one request and stream
 // per-cell results back as NDJSON while the cells fan out over the same
 // bounded worker semaphore the unary endpoints use. Each line carries
@@ -11,7 +11,7 @@ package server
 // serial ifp-bench run prints (exp.CampaignAssembly). A request may name
 // an explicit cell subset, which is how the shard front tier
 // (internal/shard) scatters one campaign across several backends and
-// merges the streams. The three endpoints are rows of one route table
+// merges the streams. The two endpoints are rows of one route table
 // (CampaignRoutes) over one generic campaign stream.
 
 import (
@@ -49,7 +49,6 @@ var RelayHeaders = []string{"Content-Type", CacheHeader, MemoHeader, RetryAfterH
 // Batch endpoint paths, shared with the client and the shard tier.
 const (
 	BatchPath = "/v1/batch"
-	GridPath  = "/v1/grid"
 	ChaosPath = "/v1/chaos"
 )
 
@@ -59,8 +58,8 @@ const (
 // scale.
 const MaxScale = 4
 
-// BatchRequest is the POST /v1/batch and /v1/grid body: a whole
-// (workload × configuration) campaign.
+// BatchRequest is the POST /v1/batch body: a whole (workload ×
+// configuration) campaign.
 type BatchRequest struct {
 	// Workloads selects the workload rows by name; empty selects the full
 	// §5.2 suite.
@@ -70,7 +69,7 @@ type BatchRequest struct {
 	Scale int `json:"scale,omitempty"`
 	// MemScale is the memory-cell scale multiplier (values below 1 select
 	// exp.MemScale). Memory cells run at Scale*MemScale, bounded by
-	// MaxScale*exp.MemScale; /v1/grid ignores it (no memory cells).
+	// MaxScale*exp.MemScale.
 	MemScale int `json:"mem_scale,omitempty"`
 	// Cells restricts the run to an explicit subset of plan sequence
 	// numbers (empty = every cell). The shard tier uses this to scatter
@@ -93,8 +92,8 @@ func (r BatchRequest) BatchPlan() (exp.Plan, error) {
 	return exp.NewReportPlan(ws, r.Scale, r.MemScale).WithTemporal(r.Temporal), nil
 }
 
-// GridPlan resolves the request onto its perf-only cell plan (the
-// /v1/grid campaign).
+// GridPlan resolves the request onto its perf-only cell plan: the first
+// cells of BatchPlan's, with the same seqs and identities.
 func (r BatchRequest) GridPlan() (exp.Plan, error) {
 	ws, err := resolveWorkloads(r.Workloads)
 	if err != nil {
@@ -200,7 +199,6 @@ type CampaignRoute struct {
 // CampaignRoutes is the campaign route table.
 var CampaignRoutes = []CampaignRoute{
 	{BatchPath, resolveBatch(BatchRequest.BatchPlan)},
-	{GridPath, resolveBatch(BatchRequest.GridPlan)},
 	{ChaosPath, resolveChaos},
 }
 

@@ -34,8 +34,8 @@ func batchWorkloadSet(t *testing.T) []workloads.Workload {
 }
 
 // TestBatchStreamEquivalence: one /v1/batch request streams the whole
-// campaign and reassembles to the exact bytes of a serial run; the
-// perf-only /v1/grid likewise.
+// campaign and reassembles to the exact bytes of a serial run; its perf
+// cells alone (GridReport) reassemble to the perf-only report.
 func TestBatchStreamEquivalence(t *testing.T) {
 	ws := batchWorkloadSet(t)
 	workers := runtime.NumCPU()

@@ -148,14 +148,20 @@ func (c *Client) BatchReport(ctx context.Context, req BatchRequest) (string, err
 	return streamReport(ctx, c, BatchPath, req, plan)
 }
 
-// GridReport is BatchReport for the perf-only campaign, reassembling
-// exp.PerfReport.
+// GridReport is BatchReport for the perf grid alone, reassembling
+// exp.PerfReport from the perf cells of the request's /v1/batch
+// campaign: its first cells, with the grid plan's seqs and identities.
+// MemScale is cleared, since no memory cell is asked for.
 func (c *Client) GridReport(ctx context.Context, req BatchRequest) (string, error) {
 	plan, err := req.GridPlan()
 	if err != nil {
 		return "", err
 	}
-	return streamReport(ctx, c, GridPath, req, plan)
+	req.MemScale, req.Cells = 0, make([]int, plan.NumCells())
+	for i := range req.Cells {
+		req.Cells[i] = i
+	}
+	return streamReport(ctx, c, BatchPath, req, plan)
 }
 
 // ChaosReport streams a whole /v1/chaos campaign and reassembles the

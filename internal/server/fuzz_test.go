@@ -62,15 +62,15 @@ func FuzzDecodeRunRequest(f *testing.F) {
 func FuzzCampaignRequest(f *testing.F) {
 	for _, seed := range []struct{ path, body string }{
 		{BatchPath, `{"scale":5}`},
-		{GridPath, `{"scale":5}`},
+		{BatchPath, `{"workloads":["treeadd"],"scale":5,"cells":[0,1,2,3,4]}`},
 		{ChaosPath, `{"scale":5}`},
 		{ChaosPath, `{"scale":20000}`},
 		{BatchPath, `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`},
 		{BatchPath, `{"workloads":["treeadd"],"scale":4,"mem_scale":4}`},
 		{BatchPath, `{"workloads":["treeadd"],"cells":[0,7]}`},
-		{GridPath, `{"workloads":["treeadd"],"cells":[0,4]}`},
+		{BatchPath, `{"workloads":["treeadd"],"cells":[0,4]}`},
 		{ChaosPath, `{"scale":1,"cells":[0,215]}`},
-		{GridPath, `{"workloads":["treeadd"],"temporal":true,"cells":[5,5]}`},
+		{BatchPath, `{"workloads":["treeadd"],"temporal":true,"cells":[5,5]}`},
 		{ChaosPath, `{"workloads":["treeadd"]}`},
 		{"/v1/run", `{}`},
 	} {

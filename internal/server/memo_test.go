@@ -20,6 +20,10 @@ import (
 	"infat/internal/memo"
 )
 
+// treeaddPerfCells is a /v1/batch body asking for treeadd's perf cells,
+// the first five of its plan: the perf grid GridReport streams.
+const treeaddPerfCells = `{"workloads":["treeadd"],"cells":[0,1,2,3,4]}`
+
 // postNDJSON issues a raw campaign POST and returns the response header,
 // the cell lines sorted by seq, and the decoded trailer.
 func postNDJSON(t *testing.T, url, body string) (http.Header, [][]byte, BatchTrailer) {
@@ -83,7 +87,7 @@ func TestMemoCrossEndpointWorkloadToBatch(t *testing.T) {
 	}
 	hitsBefore := s.memo.Stats().Hits
 
-	hdr, lines, trailer := postNDJSON(t, c.BaseURL+GridPath, `{"workloads":["treeadd"]}`)
+	hdr, lines, trailer := postNDJSON(t, c.BaseURL+BatchPath, treeaddPerfCells)
 	warm, err := strconv.Atoi(hdr.Get(MemoHeader))
 	if err != nil || warm < 1 {
 		t.Fatalf("%s = %q, want >= 1 warm cell", MemoHeader, hdr.Get(MemoHeader))
@@ -106,7 +110,7 @@ func TestMemoCrossEndpointBatchToWorkload(t *testing.T) {
 	defer coldDone()
 	ctx := context.Background()
 
-	postNDJSON(t, c.BaseURL+GridPath, `{"workloads":["treeadd"]}`)
+	postNDJSON(t, c.BaseURL+BatchPath, treeaddPerfCells)
 
 	req := WorkloadRequest{Name: "treeadd", Mode: "baseline"}
 	body, _ := json.Marshal(req)
@@ -206,8 +210,8 @@ func TestMetricsMemoSection(t *testing.T) {
 	defer done()
 	ctx := context.Background()
 
-	postNDJSON(t, c.BaseURL+GridPath, `{"workloads":["treeadd"]}`)
-	postNDJSON(t, c.BaseURL+GridPath, `{"workloads":["treeadd"]}`)
+	postNDJSON(t, c.BaseURL+BatchPath, treeaddPerfCells)
+	postNDJSON(t, c.BaseURL+BatchPath, treeaddPerfCells)
 	if _, _, err := c.Run(ctx, RunRequest{Source: cleanProg}); err != nil {
 		t.Fatal(err)
 	}

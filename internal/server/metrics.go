@@ -67,7 +67,7 @@ type metrics struct {
 // newMetrics declares every counter the server renders, each exactly once.
 func newMetrics() *metrics {
 	return &metrics{
-		requests: NewCounters("run", "juliet", "workload", "batch", "grid", "chaos", "healthz", "metrics"),
+		requests: NewCounters("run", "juliet", "workload", "batch", "chaos", "healthz", "metrics"),
 		admission: NewCounters(
 			"bad_request",         // malformed or rejected request bodies (4xx)
 			"rejected",            // deadline hit while queued for a worker

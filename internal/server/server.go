@@ -29,8 +29,8 @@
 //     never in payload bytes.
 //
 // Endpoints: POST /v1/run, POST /v1/juliet (GET lists cases),
-// POST /v1/workload, the streaming campaigns POST /v1/batch, /v1/grid
-// and /v1/chaos (CampaignRoutes), GET /healthz, GET /metrics.
+// POST /v1/workload, the streaming campaigns POST /v1/batch and
+// /v1/chaos (CampaignRoutes), GET /healthz, GET /metrics.
 package server
 
 import (

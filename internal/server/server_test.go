@@ -563,7 +563,7 @@ func TestMetricsSnapshotKeys(t *testing.T) {
 	}
 	stats := []string{"entries", "evictions", "hits", "misses"}
 	want := map[string][]string{
-		"requests":   {"batch", "chaos", "grid", "healthz", "juliet", "metrics", "run", "total", "workload"},
+		"requests":   {"batch", "chaos", "healthz", "juliet", "metrics", "run", "total", "workload"},
 		"admission":  {"bad_request", "deadline", "deadline_propagated", "internal_panics", "rejected"},
 		"cache":      stats,
 		"compile":    stats,

@@ -1,8 +1,8 @@
 package shard
 
 // Batch fan-out: the shard serves the same streaming campaign endpoints
-// as one backend (/v1/batch, /v1/grid, /v1/chaos: server.CampaignRoutes,
-// resolved and bounded by the backends' own resolvers) by scattering the
+// as one backend (/v1/batch, /v1/chaos: server.CampaignRoutes, resolved
+// and bounded by the backends' own resolvers) by scattering the
 // campaign's cells across the fleet and merging the backends' NDJSON
 // streams into one, in completion order, cell lines passed through
 // byte-for-byte. A client cannot tell a shard from a single ifp-serve,
@@ -19,11 +19,12 @@ package shard
 // Draining: when a relay fails (transport error, truncated stream,
 // corrupt line), its backend is excluded from the campaign and the cells
 // it never delivered go back to the held queues of the backends that
-// remain. Cells still undelivered HedgeAfter into their chunk's dispatch
-// are hedged — re-sent to a second backend while the first keeps
-// running — and whichever answer lands first wins (seq dedup drops the
-// other). Cells that no backend can run are emitted as error cells, so
-// the stream still ends with an honest trailer.
+// remain. A flight silent for long by the campaign's own pace
+// (scatter.go) is hedged — its undelivered cells re-sent to a second
+// backend while the first keeps running — and whichever answer lands
+// first wins (seq dedup drops the other); the flight left with nothing
+// to deliver is cancelled. Cells that no backend can run are emitted as
+// error cells, so the stream still ends with an honest trailer.
 //
 // Trust boundary: backend stream lines are validated, not relayed
 // blindly. A line must decode, carry a seq the backend was actually
@@ -111,11 +112,16 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	// deliver merges one relayed cell line: deduplicated on seq. Dedup is
 	// the invariant that makes hedging and reassignment safe — whichever
 	// copy of a cell arrives first wins, every later copy (hedge answer,
-	// duplicated backend line) is counted and dropped.
+	// duplicated backend line) is counted and dropped. The flights a line
+	// covers have nothing left to deliver: their relays are cancelled.
 	deliver := func(f *flight, seq int, line []byte, isErr bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if !sc.deliver(seq) {
+		first, covered := sc.relayed(f, seq, time.Now())
+		for _, g := range covered {
+			g.cancel()
+		}
+		if !first {
 			s.metrics["dup_suppressed"].Add(1)
 			return
 		}
@@ -134,49 +140,35 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 		emitLocked(line)
 		fillLocked()
 	}
-	// hedgeLocked re-sends f's undelivered cells, each to its ring owner
-	// among the other backends. The first backend keeps running — first
-	// answer wins, dedup absorbs the loser — so a stalled-but-alive
-	// backend costs the campaign one hedge budget, not a relay timeout.
-	hedgeLocked := func(f *flight) {
-		if f.ended || ctx.Err() != nil {
-			return
-		}
-		parts := make(map[int][]int)
-		for _, i := range sc.undelivered(f) {
-			hb := s.ring.owner(camp.Key(i), func(b int) bool {
-				return b != f.b && !sc.gone[b] && s.backends[b].isUp()
-			})
-			if hb >= 0 {
-				parts[hb] = append(parts[hb], i)
-			}
-		}
-		for hb, part := range parts {
-			s.metrics["hedged_cells"].Add(uint64(len(part)))
-			start(sc.send(&flight{b: hb, cells: part, hedge: true}))
-		}
-	}
 	// start relays flight f under the relay timeout, feeding the health
-	// verdict with the outcome. A failed relay excludes its backend for
-	// the rest of the campaign.
+	// verdict with the outcome, and arms f's straggler timer, which starts
+	// its hedges. A failed relay excludes its backend for the rest of the
+	// campaign; so does a cancelled straggler, as if its relay timed out.
+	// A cancelled hedge lost a race, which says nothing of its backend.
 	start = func(f *flight) {
 		wg.Add(1)
-		var hedge *time.Timer
-		if !f.hedge && s.cfg.HedgeAfter > 0 && len(s.backends) > 1 {
-			hedge = time.AfterFunc(s.cfg.HedgeAfter, func() {
-				mu.Lock()
-				defer mu.Unlock()
-				hedgeLocked(f)
-			})
-		}
+		f.quiet = time.Now()
+		rctx, cancel := context.WithTimeout(ctx, s.cfg.RelayTimeout)
+		f.cancel = cancel
+		var straggler *time.Timer
+		straggler = time.AfterFunc(hedgeFloor, func() {
+			mu.Lock()
+			defer mu.Unlock()
+			if ctx.Err() != nil {
+				return
+			}
+			hedges, wait := sc.straggle(f, time.Now())
+			for _, h := range hedges {
+				s.metrics["hedged_cells"].Add(uint64(len(h.cells)))
+				start(h)
+			}
+			if wait > 0 {
+				straggler.Reset(wait)
+			}
+		})
 		go func() {
 			defer wg.Done()
-			rctx := ctx
-			if s.cfg.RelayTimeout > 0 {
-				var cancel context.CancelFunc
-				rctx, cancel = context.WithTimeout(ctx, s.cfg.RelayTimeout)
-				defer cancel()
-			}
+			defer cancel()
 			workers := func(n int) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -185,18 +177,17 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 			}
 			err := s.relayStream(rctx, s.backends[f.b], path, camp, f.cells, workers,
 				func(seq int, line []byte, isErr bool) { deliver(f, seq, line, isErr) })
-			if hedge != nil {
-				hedge.Stop()
-			}
+			mu.Lock()
+			defer mu.Unlock()
+			straggler.Stop()
+			relayFailed := err != nil && !(f.hedge && len(sc.undelivered(f)) == 0)
 			switch {
 			case err == nil:
 				s.noteSuccess(s.backends[f.b])
-			case ctx.Err() == nil: // a client that left says nothing about the backend
+			case relayFailed && ctx.Err() == nil: // a client that left says nothing about the backend
 				s.noteFailure(s.backends[f.b])
 			}
-			mu.Lock()
-			defer mu.Unlock()
-			if moved := sc.end(f, err != nil); moved > 0 {
+			if moved := sc.end(f, relayFailed); moved > 0 {
 				s.metrics["reassigned_cells"].Add(uint64(moved))
 			}
 			fillLocked()
@@ -305,8 +296,12 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp s
 }
 
 // relayLine decodes and validates one backend stream line: either the
-// trailer (done) or a cell line validateCell accepts. Anything else is a
-// corrupt line.
+// trailer (done) or a cell line that keeps the stream contract — a seq
+// the backend was assigned, then the campaign's own check: the plan's
+// identity for that seq and, unless it is an error cell, the payload
+// shape its kind requires, as the client's checked assembly applies it.
+// Anything else is a corrupt line: the backend answered a question it
+// was not asked, a corrupted stream rather than a failed simulation.
 func relayLine(camp server.Campaign, assigned map[int]bool, line []byte) (cell server.BatchCell, done bool, err error) {
 	var probe struct {
 		Done bool `json:"done"`
@@ -320,20 +315,10 @@ func relayLine(camp server.Campaign, assigned map[int]bool, line []byte) (cell s
 	if err := json.Unmarshal(line, &cell); err != nil {
 		return cell, false, fmt.Errorf("undecodable cell: %v", err)
 	}
-	return cell, false, validateCell(camp, assigned, cell)
-}
-
-// validateCell enforces the stream contract on one decoded cell line: a
-// seq the backend was assigned, then the campaign's own check — the
-// plan's identity for that seq and, unless it is an error cell, the
-// payload shape its kind requires: the same check the client's checked
-// assembly applies. A violation means the backend answered a question it
-// was not asked — a corrupted stream, not a failed simulation.
-func validateCell(camp server.Campaign, assigned map[int]bool, cell server.BatchCell) error {
 	if !assigned[cell.Seq] {
-		return fmt.Errorf("cell seq %d not in this backend's assignment", cell.Seq)
+		return cell, false, fmt.Errorf("cell seq %d not in this backend's assignment", cell.Seq)
 	}
-	return camp.CheckCell(cell)
+	return cell, false, camp.CheckCell(cell)
 }
 
 func mustShardJSON(v any) []byte {

@@ -12,7 +12,8 @@ import (
 )
 
 // relayPlan is one campaign a fuzzed line is validated against, with
-// every cell assigned, and the checked assembly its client folds into.
+// every requested cell assigned, and the checked assembly its client
+// folds into.
 type relayPlan struct {
 	path   string
 	camp   server.Campaign
@@ -29,10 +30,16 @@ func relayPlans(t testing.TB) []relayPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// GridReport's campaign: the perf cells of /v1/batch, assembled into
+	// the grid plan.
+	perf := req
+	for i := 0; i < grid.NumCells(); i++ {
+		perf.Cells = append(perf.Cells, i)
+	}
 	chaosReq := server.ChaosRequest{Scale: 1}
 	return []relayPlan{
 		{server.BatchPath, resolveRoute(t, server.BatchPath, req), clientAccepts(batch)},
-		{server.GridPath, resolveRoute(t, server.GridPath, req), clientAccepts(grid)},
+		{server.BatchPath, resolveRoute(t, server.BatchPath, perf), clientAccepts(grid)},
 		{server.ChaosPath, resolveRoute(t, server.ChaosPath, chaosReq), clientAccepts(chaosReq.Plan())},
 	}
 }
@@ -71,10 +78,11 @@ func streamLines(t testing.TB, plans []relayPlan) [][]byte {
 	c := server.NewClient(ts.URL)
 	var lines [][]byte
 	for _, rp := range plans {
-		last := rp.camp.NumCells() - 1
-		var req any = server.BatchRequest{Workloads: []string{"treeadd"}, Cells: []int{0, last}}
+		cells := rp.camp.Cells()
+		ends := []int{cells[0], cells[len(cells)-1]}
+		var req any = server.BatchRequest{Workloads: []string{"treeadd"}, Cells: ends}
 		if rp.path == server.ChaosPath {
-			req = server.ChaosRequest{Scale: 1, Cells: []int{0, last}}
+			req = server.ChaosRequest{Scale: 1, Cells: ends}
 		}
 		if err := c.StreamNDJSON(context.Background(), rp.path, req, nil, func(line []byte) error {
 			lines = append(lines, append([]byte(nil), line...))
@@ -87,8 +95,9 @@ func streamLines(t testing.TB, plans []relayPlan) [][]byte {
 }
 
 // FuzzRelayLine fuzzes the shard's trust boundary: one backend stream
-// line, decoded and validated (relayLine) against a batch, a grid and a
-// chaos plan with every cell assigned. Validation must never panic, and
+// line, decoded and validated (relayLine) against a whole batch
+// campaign, its perf cells alone and a chaos campaign, with every
+// requested cell assigned. Validation must never panic, and
 // a cell line it accepts must be one the matching checked assembly — the
 // client's side of the same contract — accepts too: otherwise the shard
 // relays a line that fails the client's campaign instead of failing
@@ -104,8 +113,8 @@ func FuzzRelayLine(f *testing.F) {
 	f.Add([]byte(`{"seq":-1,"kind":"perf","error":"x"}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		for _, rp := range plans {
-			assigned := make(map[int]bool, rp.camp.NumCells())
-			for i := 0; i < rp.camp.NumCells(); i++ {
+			assigned := make(map[int]bool, len(rp.camp.Cells()))
+			for _, i := range rp.camp.Cells() {
 				assigned[i] = true
 			}
 			cell, done, err := relayLine(rp.camp, assigned, line)

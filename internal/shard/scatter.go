@@ -18,20 +18,41 @@ package shard
 // A cell the shard has already seen a backend serve skips the queues: it
 // is pinned to that backend, because that backend's memo store holds it.
 //
+// Stragglers are judged by the campaign's own pace (straggle), and a
+// flight whose remaining cells other flights delivered is covered
+// (relayed): the shard cancels its relay.
+//
 // scatter holds the placement decisions and their bookkeeping and does
 // no I/O, so tests can drive it on a simulated clock. It is not safe for
 // concurrent use; the shard guards it with the campaign's mutex.
 
-import "sort"
+import (
+	"sort"
+	"time"
+)
+
+const (
+	// hedgeGaps is the margin over the longest gap. A campaign's cells
+	// differ in cost a hundredfold and its first lines come from the
+	// cheapest, so an honest flight was seen silent for 6.3 longest gaps
+	// beyond the floor (DESIGN.md §15).
+	hedgeGaps = 16
+	// hedgeFloor keeps a GC pause or a descheduled relay from hedging a
+	// campaign whose gaps are memo hits, well under a millisecond apart.
+	hedgeFloor = 2 * time.Second
+)
 
 // flight is one relay of cells to backend b: a chunk, the cells pinned
 // to b, or a hedge.
 type flight struct {
-	b     int
-	cells []int
-	steal bool // a chunk taken from another backend's held queue
-	hedge bool // second copies of another flight's undelivered cells
-	ended bool // retired by end
+	b      int
+	cells  []int
+	steal  bool      // a chunk taken from another backend's held queue
+	hedge  bool      // second copies of another flight's undelivered cells
+	hedged bool      // its undelivered cells have been hedged
+	ended  bool      // retired by end
+	quiet  time.Time // its dispatch or latest line
+	cancel func()    // ends its relay
 }
 
 // scatter is one campaign's placement state over n backends.
@@ -49,8 +70,9 @@ type scatter struct {
 	workers []int  // per backend: cells it simulates at once (1 until it reports)
 	gone    []bool // per backend: excluded from the campaign by a failed relay
 
-	done []bool      // per cell: delivered
-	on   [][]*flight // per cell: live flights carrying it
+	done []bool        // per cell: delivered
+	on   [][]*flight   // per cell: live flights carrying it
+	gap  time.Duration // the longest gap so far (0: no line yet)
 }
 
 func newScatter(backends, cells int, owner func(int, func(int) bool) int, up func(int) bool, weight func(int) int) *scatter {
@@ -164,6 +186,57 @@ func (s *scatter) deliver(c int) bool {
 	}
 	s.on[c] = nil
 	return true
+}
+
+// relayed records flight f relaying cell c at now. It reports whether
+// this is c's first delivery, the copy the client receives, and returns
+// the other flights the delivery covers. A flight that delivers its own
+// last cell is not covered: it ends on its trailer.
+func (s *scatter) relayed(f *flight, c int, now time.Time) (first bool, covered []*flight) {
+	s.gap, f.quiet = max(s.gap, now.Sub(f.quiet)), now
+	others := s.on[c]
+	if !s.deliver(c) {
+		return false, nil
+	}
+	for _, g := range others {
+		if g != f && len(s.undelivered(g)) == 0 {
+			covered = append(covered, g)
+		}
+	}
+	return true, covered
+}
+
+// straggle hedges flight f if it is due its one hedge at now. A gap is
+// the time from a flight's dispatch to its first line, or from one line
+// to its next; once the campaign has relayed a line, a flight silent for
+// hedgeGaps times the longest gap so far, and at least hedgeFloor, is
+// due. Each of its undelivered cells goes to its ring owner among the
+// other backends serving the campaign and up, while f keeps running.
+// Otherwise straggle returns how long to wait before asking again (0:
+// never).
+func (s *scatter) straggle(f *flight, now time.Time) (hedges []*flight, wait time.Duration) {
+	switch {
+	case f.hedge || f.hedged || f.ended:
+		return nil, 0
+	case s.gap == 0:
+		return nil, hedgeFloor
+	}
+	if wait = f.quiet.Add(max(hedgeFloor, hedgeGaps*s.gap)).Sub(now); wait > 0 {
+		return nil, wait
+	}
+	f.hedged = true
+	parts := make([][]int, len(s.held))
+	for _, c := range s.undelivered(f) {
+		if b := s.owner(c, func(b int) bool { return b != f.b && !s.gone[b] && s.up(b) }); b >= 0 {
+			parts[b] = append(parts[b], c)
+		}
+	}
+	for b, cs := range parts {
+		if len(cs) > 0 {
+			hedges = append(hedges, s.send(&flight{b: b, cells: cs, hedge: true}))
+		}
+	}
+	return hedges, 0
 }
 
 // undelivered lists f's cells not yet delivered.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"infat/internal/exp"
 	"infat/internal/splitmix"
@@ -268,4 +269,99 @@ func TestScatterFactoringMakespan(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestScatterStragglerRule drives the hedge and cancel rule on a
+// simulated clock. Before the campaign's first line no flight is due a
+// hedge, however long it is silent. After it, a flight silent for
+// hedgeGaps times the campaign's longest gap, and at least hedgeFloor,
+// is due exactly one hedge; a flight that keeps delivering never is. A
+// flight whose remaining cells another flight delivered is covered,
+// whether it is the straggler or its hedge, and a flight that delivers
+// its own last cell is not.
+func TestScatterStragglerRule(t *testing.T) {
+	const floor, k = hedgeFloor, hedgeGaps
+	t0 := time.Unix(0, 0)
+	owner := func(c int, ok func(int) bool) int {
+		for b := 0; b < 2; b++ {
+			if ok(b) {
+				return b
+			}
+		}
+		return -1
+	}
+	sc := newScatter(2, 8, owner, func(int) bool { return true }, func(int) int { return 1 })
+	dispatch := func(f *flight, at time.Time) *flight {
+		f.quiet = at
+		return sc.send(f)
+	}
+	// due asks whether f is due its hedge at at, and dispatches the hedge
+	// it gets.
+	due := func(f *flight, at time.Time, wantHedge bool, wantWait time.Duration) *flight {
+		t.Helper()
+		hedges, wait := sc.straggle(f, at)
+		if (len(hedges) > 0) != wantHedge || wait != wantWait {
+			t.Fatalf("straggle(flight on %d %v) at %v = %d hedges, %v; want %v, %v",
+				f.b, f.cells, at.Sub(t0), len(hedges), wait, wantHedge, wantWait)
+		}
+		if !wantHedge {
+			return nil
+		}
+		h := hedges[0]
+		if len(hedges) != 1 || h.b == f.b || !h.hedge || !slices.Equal(h.cells, sc.undelivered(f)) {
+			t.Fatalf("flight on %d %v hedged as %d flights, the first on %d %v", f.b, f.cells, len(hedges), h.b, h.cells)
+		}
+		h.quiet = at
+		return h
+	}
+	relay := func(f *flight, c int, at time.Time, want ...*flight) {
+		t.Helper()
+		first, covered := sc.relayed(f, c, at)
+		if !first {
+			t.Fatalf("cell %d: not a first delivery", c)
+		}
+		if !slices.Equal(covered, want) {
+			t.Fatalf("cell %d covers %d flights, want %d", c, len(covered), len(want))
+		}
+	}
+
+	slow := dispatch(&flight{b: 0, cells: []int{0, 1}}, t0)
+	steady := dispatch(&flight{b: 1, cells: []int{2, 3, 4, 5}}, t0)
+	due(slow, t0.Add(time.Hour), false, floor)
+
+	// A short gap: the floor bounds the silence.
+	short := floor / (2 * k)
+	relay(steady, 2, t0.Add(short))
+	due(slow, t0.Add(floor/2), false, floor/2)
+	// A longer gap: k of them, twice the floor, do.
+	long := 2 * floor / k
+	relay(steady, 3, t0.Add(short+long))
+	due(slow, t0.Add(floor), false, floor)
+	due(steady, t0.Add(floor), false, short+long+floor)
+	hedge := due(slow, t0.Add(2*floor), true, 0)
+	due(slow, t0.Add(time.Hour), false, 0) // hedged once
+
+	// The hedge carries slow's undelivered cells to the other backend and
+	// is never hedged itself. Delivering them all covers slow; the hedge,
+	// delivering its own last cell, is not covered.
+	due(hedge, t0.Add(time.Hour), false, 0)
+	relay(hedge, 0, t0.Add(2*floor+short))
+	relay(hedge, 1, t0.Add(2*floor+2*short), slow)
+	// slow's late copy is its first line: the longest gap so far.
+	if first, covered := sc.relayed(slow, 0, t0.Add(3*floor)); first || covered != nil {
+		t.Fatalf("straggler's late copy of cell 0: first %v, covers %d flights", first, len(covered))
+	}
+
+	// A steady flight finishing its own cells covers nobody.
+	relay(steady, 4, t0.Add(3*floor+short))
+	relay(steady, 5, t0.Add(3*floor+2*short))
+
+	// A straggler that resumes and beats its hedge covers the hedge.
+	t1 := t0.Add(4 * floor)
+	late := dispatch(&flight{b: 0, cells: []int{6, 7}}, t1)
+	bound := k * 3 * floor
+	due(late, t1, false, bound)
+	lateHedge := due(late, t1.Add(bound), true, 0)
+	relay(late, 6, t1.Add(bound+short))
+	relay(late, 7, t1.Add(bound+2*short), lateHedge)
 }

@@ -53,15 +53,10 @@ const (
 	DefaultHealthInterval = time.Second
 	DefaultHealthTimeout  = 2 * time.Second
 	DefaultDownAfter      = 2
-	// DefaultHedgeAfter is the straggler budget per dispatched chunk:
-	// cells still undelivered this long after dispatch are hedged to a
-	// second backend (dedup-by-seq makes the duplicate answer safe to
-	// absorb).
-	DefaultHedgeAfter = 10 * time.Second
 	// DefaultRelayTimeout bounds one backend relay stream, so a backend
 	// that accepts the campaign and then stalls (a blackhole, not a
 	// crash) is cut off and its cells reassigned rather than hanging the
-	// whole merged stream.
+	// whole merged stream when no other backend is left to hedge to.
 	DefaultRelayTimeout = 2 * time.Minute
 	// DefaultSeed seeds the shard's deterministic jitter stream.
 	DefaultSeed = 1
@@ -81,12 +76,8 @@ type Config struct {
 	// DownAfter is the consecutive failed probes or requests that mark a
 	// backend down (0 = DefaultDownAfter).
 	DownAfter int
-	// HedgeAfter is the straggler budget before undelivered batch cells
-	// are hedged to a second backend (0 = DefaultHedgeAfter, < 0 disables
-	// hedging).
-	HedgeAfter time.Duration
 	// RelayTimeout bounds one backend relay stream during a batch
-	// fan-out (0 = DefaultRelayTimeout, < 0 disables the bound).
+	// fan-out (0 = DefaultRelayTimeout).
 	RelayTimeout time.Duration
 	// Seed seeds the shard's deterministic jitter (probe
 	// desynchronization). 0 = DefaultSeed, so runs reproduce by default.
@@ -103,10 +94,7 @@ func (c Config) withDefaults() Config {
 	if c.DownAfter <= 0 {
 		c.DownAfter = DefaultDownAfter
 	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = DefaultHedgeAfter
-	}
-	if c.RelayTimeout == 0 {
+	if c.RelayTimeout <= 0 {
 		c.RelayTimeout = DefaultRelayTimeout
 	}
 	if c.Seed == 0 {
@@ -147,8 +135,8 @@ type Shard struct {
 	// backend, which holds it in its memo store; a campaign pins those
 	// cells to it. Keys are digests of cells an accepted campaign request
 	// enumerates, so dir is bounded by construction: at MaxScale, every
-	// /v1/batch, /v1/grid and /v1/chaos request together enumerates 2,160
-	// distinct cells (432 perf, 864 memory, 864 chaos).
+	// /v1/batch and /v1/chaos request together enumerates 2,160 distinct
+	// cells (432 perf, 864 memory, 864 chaos).
 	dirMu sync.Mutex
 	dir   map[memo.Digest]int
 
@@ -172,7 +160,7 @@ func New(cfg Config) (*Shard, error) {
 			"proxied",          // unary requests forwarded
 			"failovers",        // unary retries on a different backend
 			"no_backend",       // requests failed with no backend available
-			"batch_streams",    // batch/grid/chaos fan-outs started
+			"batch_streams",    // batch and chaos fan-outs started
 			"batch_cells",      // cells merged into client streams
 			"reassigned_cells", // cells re-scattered after a backend loss
 			"stolen_cells",     // cells run by a backend other than their home queue's
@@ -245,17 +233,6 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// UpBackends returns the URLs currently routed to, for observability.
-func (s *Shard) UpBackends() []string {
-	var up []string
-	for _, b := range s.backends {
-		if b.isUp() {
-			up = append(up, b.url)
-		}
-	}
-	return up
-}
-
 // probeLoop health-checks one backend forever. Each backend has its own
 // loop and jitter stream: the delay between probes is the interval plus
 // seeded jitter, doubled per consecutive failure (see probeDelay), so
@@ -286,13 +263,7 @@ func (s *Shard) probeLoop(idx int, b *backend) {
 // grows with fleet size and lands exactly when a recovering backend is
 // most fragile.
 func probeDelay(base time.Duration, fails int, rng *splitmix.Stream) time.Duration {
-	d := base
-	for i := 0; i < fails && d < 8*base; i++ {
-		d *= 2
-	}
-	if d > 8*base {
-		d = 8 * base
-	}
+	d := base << min(fails, 3)
 	if j := int(base / 4); j > 0 {
 		d += time.Duration(rng.Intn(j))
 	}
@@ -464,7 +435,11 @@ type MetricsResponse struct {
 
 func (s *Shard) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := MetricsResponse{Shard: s.metrics.Snapshot(), Backends: make(map[string]any, len(s.backends))}
-	resp.Shard["backends_up"] = uint64(len(s.UpBackends()))
+	for _, b := range s.backends {
+		if b.isUp() {
+			resp.Shard["backends_up"]++
+		}
+	}
 	type scraped struct {
 		url  string
 		snap *server.MetricsSnapshot

@@ -226,7 +226,7 @@ func TestShardSubsetAndValidation(t *testing.T) {
 	ctx := context.Background()
 
 	var seqs []int
-	trailer, err := c.CampaignStream(ctx, server.GridPath, server.BatchRequest{Workloads: testWorkloads, Cells: []int{0, 7, 3}},
+	trailer, err := c.CampaignStream(ctx, server.BatchPath, server.BatchRequest{Workloads: testWorkloads, Cells: []int{0, 7, 3}},
 		func(cell server.BatchCell) error {
 			seqs = append(seqs, cell.Seq)
 			return nil
@@ -252,7 +252,7 @@ func TestShardSubsetAndValidation(t *testing.T) {
 		"bad subset":       `{"cells":[99999]}`,
 		"unknown field":    `{"bogus":1}`,
 	} {
-		resp, err := http.Post(c.BaseURL+server.GridPath, "application/json", strings.NewReader(body))
+		resp, err := http.Post(c.BaseURL+server.BatchPath, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,14 +609,11 @@ func hostileLines(t *testing.T) map[string][]hostileLine {
 	}
 	bad := `"chaos":` + string(outcome)
 	return map[string][]hostileLine{
-		server.GridPath: {
+		server.BatchPath: {
 			{"", `"result":{"perf":{}}`},
 			{exp.CellPerf, `"result":{"footprint":4096}`},
 			{exp.CellPerf, `"result":{"perf":{},"footprint":4096}`},
 			{exp.CellPerf, bad},
-		},
-		server.BatchPath: {
-			{exp.CellPerf, `"result":{"footprint":4096}`},
 			{exp.CellMem, `"result":{"perf":{},"footprint":4096}`},
 			{exp.CellMem, bad},
 		},
@@ -636,7 +633,7 @@ func hostileLines(t *testing.T) map[string][]hostileLine {
 // and each campaign's payload swapped for another's). The shard must
 // reject every such line at the trust boundary — corrupt_lines, never a
 // wrong report or a client-side rejection — fail that backend's stream,
-// and complete each /v1/grid, /v1/batch and /v1/chaos campaign on the
+// and complete each perf-grid, full-report and chaos campaign on the
 // honest survivor with byte-identical output.
 func TestShardRejectsAlienCells(t *testing.T) {
 	serial, serialMem := serialRun(t)
@@ -668,10 +665,7 @@ func TestShardRejectsAlienCells(t *testing.T) {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			p, err := req.GridPlan()
-			if r.URL.Path == server.BatchPath {
-				p, err = req.BatchPlan()
-			}
+			p, err := req.BatchPlan()
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -709,24 +703,31 @@ func TestShardRejectsAlienCells(t *testing.T) {
 		fmt.Fprintf(w, `{"done":true,"cells":%d,"completed":%d}`+"\n", len(part), len(part))
 	}))
 	t.Cleanup(hostile.Close)
-	honest := httptest.NewServer(server.New(server.Config{}))
+	honest := httptest.NewUnstartedServer(nil)
 	t.Cleanup(honest.Close)
 
 	// No draining and no hedging: every campaign sends the
 	// hostile exactly one chunk (it reports no workers, so it is topped
 	// up only once that chunk is delivered, which it never is), so each
-	// campaign meets the next line.
+	// campaign meets the next line. The honest backend holds its streams
+	// until the hostile's chunk has moved: a hedge waits for the
+	// campaign's first line and goes to a backend still in the campaign,
+	// so with the hostile out before any line, none is sent.
 	sh, err := New(Config{
-		Backends:       []string{hostile.URL, honest.URL},
+		Backends:       []string{hostile.URL, "http://" + honest.Listener.Addr().String()},
 		HealthInterval: 50 * time.Millisecond,
 		HealthTimeout:  time.Second,
 		DownAfter:      1 << 20,
-		HedgeAfter:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sh.Close)
+	var moved atomic.Uint64 // reassigned_cells before the running campaign
+	honest.Config.Handler = holdStreams(server.New(server.Config{}), func() bool {
+		return sh.metrics["reassigned_cells"].Load() > moved.Load()
+	})
+	honest.Start()
 	front := httptest.NewServer(sh)
 	t.Cleanup(front.Close)
 	c := server.NewClient(front.URL)
@@ -739,7 +740,7 @@ func TestShardRejectsAlienCells(t *testing.T) {
 		run  func() (string, error)
 		want string
 	}{
-		{server.GridPath, func() (string, error) { return c.GridReport(ctx, req) }, exp.PerfReport(serial)},
+		{server.BatchPath, func() (string, error) { return c.GridReport(ctx, req) }, exp.PerfReport(serial)},
 		{server.BatchPath, func() (string, error) { return c.BatchReport(ctx, req) }, exp.Report(serial, serialMem)},
 		{server.ChaosPath, func() (string, error) { return c.ChaosReport(ctx, server.ChaosRequest{Scale: 1}) }, wantChaos},
 	}
@@ -751,6 +752,7 @@ func TestShardRejectsAlienCells(t *testing.T) {
 			sh.dirMu.Lock()
 			clear(sh.dir)
 			sh.dirMu.Unlock()
+			moved.Store(sh.metrics["reassigned_cells"].Load())
 			before := sh.metrics["corrupt_lines"].Load()
 			got, err := cp.run()
 			if err != nil {
@@ -870,7 +872,7 @@ func TestShardRejectsOutOfRangeScale(t *testing.T) {
 	overScale := fmt.Sprintf(`{"scale":%d}`, server.MaxScale+1)
 	for _, req := range []struct{ path, body string }{
 		{server.BatchPath, overScale},
-		{server.GridPath, overScale},
+		{server.BatchPath, fmt.Sprintf(`{"scale":%d,"cells":[0,1,2,3,4]}`, server.MaxScale+1)},
 		{server.ChaosPath, overScale},
 		{server.BatchPath, `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`},
 	} {
@@ -997,8 +999,10 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 }
 
 // TestDirectoryBound pins the bound the served-cell directory's comment
-// states: every cell an accepted /v1/batch, /v1/grid or /v1/chaos request
-// can enumerate, at every admissible scale, has one of 2,160 digests.
+// states: every cell an accepted /v1/batch or /v1/chaos request can
+// enumerate, at every admissible scale, has one of 2,160 digests. The
+// perf-grid campaign (GridReport) is a /v1/batch request for a plan's
+// first cells, so it adds none.
 func TestDirectoryBound(t *testing.T) {
 	digests := map[memo.Digest]bool{}
 	add := func(p server.Campaign) {
@@ -1011,7 +1015,6 @@ func TestDirectoryBound(t *testing.T) {
 			for _, temporal := range []bool{false, true} {
 				req := server.BatchRequest{Scale: scale, MemScale: memScale, Temporal: temporal}
 				add(resolveRoute(t, server.BatchPath, req))
-				add(resolveRoute(t, server.GridPath, req))
 			}
 		}
 		add(resolveRoute(t, server.ChaosPath, server.ChaosRequest{Scale: scale}))
@@ -1038,18 +1041,24 @@ func TestShardEarlyTrailerMovesCells(t *testing.T) {
 		fmt.Fprintln(w, `{"done":true,"cells":0,"completed":0}`)
 	}))
 	t.Cleanup(lazy.Close)
-	honest := httptest.NewServer(server.New(server.Config{}))
+	// The honest backend holds its streams until the lazy one's cells
+	// have moved, so no hedge can reach the lazy backend: hedges wait for
+	// the campaign's first line.
+	honest := httptest.NewUnstartedServer(nil)
 	t.Cleanup(honest.Close)
 	sh, err := New(Config{
-		Backends:       []string{lazy.URL, honest.URL},
+		Backends:       []string{lazy.URL, "http://" + honest.Listener.Addr().String()},
 		HealthInterval: time.Hour,
 		DownAfter:      1 << 20,
-		HedgeAfter:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sh.Close)
+	honest.Config.Handler = holdStreams(server.New(server.Config{}), func() bool {
+		return sh.metrics["reassigned_cells"].Load() > 0
+	})
+	honest.Start()
 	front := httptest.NewServer(sh)
 	t.Cleanup(front.Close)
 
@@ -1067,5 +1076,65 @@ func TestShardEarlyTrailerMovesCells(t *testing.T) {
 	}
 	if sh.metrics["reassigned_cells"].Load() == 0 {
 		t.Error("the dropped cells were not reassigned")
+	}
+}
+
+// holdStreams delays every campaign stream h serves until ready reports
+// true.
+func holdStreams(h http.Handler, ready func() bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for r.Method == http.MethodPost && !ready() && r.Context().Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestShardHedgeEndsStalledRelay: one backend accepts every campaign
+// stream and then stalls until the shard hangs up; the other is honest.
+// Under the default relay timeout of two minutes, the stalled backend's
+// cells are hedged to the honest one once its silence outlasts the
+// campaign's pace, its relay is cancelled as soon as they are
+// delivered, and the trailer comes within 30 s with the byte-identical
+// chaos report.
+func TestShardHedgeEndsStalledRelay(t *testing.T) {
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
+		w.Header().Set("Content-Type", server.NDJSONContentType)
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	t.Cleanup(stalled.Close)
+	honest := httptest.NewServer(server.New(server.Config{}))
+	t.Cleanup(honest.Close)
+	sh, err := New(Config{Backends: []string{stalled.URL, honest.URL}, HealthInterval: 50 * time.Millisecond, HealthTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+	// Release a relay still stalled when the test ends, so a failing run
+	// does not wait out the relay timeout in cleanup too.
+	t.Cleanup(stalled.CloseClientConnections)
+
+	const within = 30 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	start := time.Now()
+	got, err := server.NewClient(front.URL).ChaosReport(ctx, server.ChaosRequest{Scale: 1})
+	if err != nil {
+		t.Fatalf("chaos campaign over a stalled backend: no trailer within %v: %v", within, err)
+	}
+	t.Logf("trailer after %v, %d cells hedged", time.Since(start).Round(time.Millisecond), sh.metrics["hedged_cells"].Load())
+	if want, _ := exp.ChaosReport(1, runtime.NumCPU()); got != want {
+		t.Fatal("chaos report over a stalled backend differs from the serial campaign")
+	}
+	if sh.metrics["hedged_cells"].Load() == 0 {
+		t.Error("the stalled backend's cells were not hedged")
 	}
 }
