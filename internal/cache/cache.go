@@ -46,52 +46,39 @@ func (s Stats) String() string {
 		s.Accesses, s.Misses, 100*s.MissRate(), s.Writebacks)
 }
 
-// Line state is packed as tag<<2 | dirty<<1 | valid, so the tag probe of
-// an 8-way set scans a single 64-byte host cache line; key 0 means
-// invalid (a valid key always has bit 0 set). LRU stamps live in a
-// parallel array touched only on hit or fill.
+// Line state is packed as tag<<2 | dirty<<1 | valid; key 0 means invalid
+// (a valid key always has bit 0 set).
 const (
 	keyValid = 1 << 0
 	keyDirty = 1 << 1
 )
 
-// way pairs a line's packed key with its LRU stamp. Keeping the two
-// side by side means the hit path — key compare plus stamp update —
-// touches one host cache line instead of two parallel arrays.
-type way struct {
-	key uint64 // tag<<2 | dirty<<1 | valid; 0 = invalid
-	lru uint64 // last-touch tick
-}
-
 // Cache is a set-associative write-back, write-allocate cache model.
+//
+// Each set is a recency list: its keys sit most recently used first, so
+// the list order is the LRU order, and an 8-way set of CVA6's L1D is one
+// 64-byte host line. A hit on the front key changes nothing but the dirty
+// bit; any other hit moves its key to the front; a miss evicts the last
+// key and inserts the fill at the front. Fills always enter at the front
+// and only Reset invalidates, so invalid keys only ever sit at a set's
+// tail: the last key is the set's first invalid way when it has one and
+// its least recently used line otherwise, which is LRU's victim with
+// invalid ways filled first.
 type Cache struct {
 	cfg Config
-	// w holds every way of every set contiguously (set i occupies index
-	// range [i*ways, (i+1)*ways)).
-	w        []way
+	// keys holds every set's keys contiguously (set i occupies index
+	// range [i*ways, (i+1)*ways)), each set most recently used first.
+	keys     []uint64
 	ways     int
 	setMask  uint64
 	lineBits uint
 	setBits  uint // log2(set count); tag = line number >> setBits
 
-	// tick is the LRU clock. It advances exactly once per line touch —
-	// the same event Stats counts as an access — so Accesses is derived
-	// from tick instead of being incremented separately on the hot path.
+	// tick counts line touches — the event Stats counts as an access —
+	// so Accesses is derived from it instead of being incremented
+	// separately on the hot path.
 	tick  uint64
 	stats Stats // Accesses field unused internally; see Stats()
-
-	// mru holds, per set, a pointer to the way of that set's most
-	// recently touched line. Access probes it before the full set scan,
-	// so the common cases — back-to-back words within one line, and
-	// loops alternating between lines that live in different sets — hit
-	// with a single key compare and no second function call. The probe
-	// is validated against the packed key, and a line occupies at most
-	// one way of its set, so an MRU hit is exactly the hit the scan
-	// would have found: it can never change hit/miss outcomes, LRU
-	// order, or dirty bits. The pointers target c.w's backing array,
-	// which is allocated once in New and never reallocated, so they
-	// stay valid across Reset.
-	mru []*way
 }
 
 // New builds a cache; it panics on a non-power-of-two geometry since that
@@ -110,11 +97,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint64(nsets - 1)}
 	c.lineBits = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 	c.setBits = uint(bits.Len64(c.setMask))
-	c.w = make([]way, nsets*cfg.Ways)
-	c.mru = make([]*way, nsets)
-	for i := range c.mru {
-		c.mru[i] = &c.w[i*cfg.Ways]
-	}
+	c.keys = make([]uint64, nsets*cfg.Ways)
 	return c
 }
 
@@ -137,13 +120,12 @@ func (c *Cache) Access(addr uint64, size int, store bool) (misses int) {
 	last := (addr + uint64(size) - 1) >> c.lineBits
 	for ln := first; ln <= last; ln++ {
 		c.tick++
-		// MRU probe: a single key compare against the set's most
-		// recently touched way resolves the overwhelming majority of
-		// touches without the set scan in touch.
-		if wy := c.mru[ln&c.setMask]; wy.key&^keyDirty == ln>>c.setBits<<2|keyValid {
-			wy.lru = c.tick
+		// Front-key probe: back-to-back words within one line, and loops
+		// alternating between lines in different sets, hit the set's
+		// most recently used key with one compare and no call.
+		if i := int(ln&c.setMask) * c.ways; c.keys[i]&^keyDirty == ln>>c.setBits<<2|keyValid {
 			if store {
-				wy.key |= keyDirty
+				c.keys[i] |= keyDirty
 			}
 			continue
 		}
@@ -155,29 +137,28 @@ func (c *Cache) Access(addr uint64, size int, store bool) (misses int) {
 	return misses
 }
 
-// TryHit attempts the single-line MRU-hit fast path of Access without a
-// function call: it is small enough to inline into the machine's data-
-// access hot path. It returns true only when the access touches exactly
-// one line and that line is the set's most recently touched way, in which
-// case it performs the full effect of Access (tick, LRU stamp, dirty bit;
-// zero misses). On false it has no effect at all and the caller must run
-// Access, which repeats the probe — the duplicated compare is the price of
-// keeping this under the inlining budget. A non-positive size wraps the
-// last-byte computation and falls out through the line-mismatch branch, so
-// the size<=0 normalization stays Access's business.
+// TryHit attempts the front-key fast path of Access without a function
+// call: it is small enough to inline into the machine's data-access hot
+// path. It returns true only when the access touches exactly one line and
+// that line is its set's most recently used, in which case it performs the
+// full effect of Access (tick, dirty bit; zero misses; the recency order
+// is already right). On false it has no effect at all and the caller must
+// run Access, which repeats the probe — the duplicated compare is the
+// price of keeping this under the inlining budget. A non-positive size
+// wraps the last-byte computation and falls out through the line-mismatch
+// branch, so the size<=0 normalization stays Access's business.
 func (c *Cache) TryHit(addr uint64, size int, store bool) bool {
 	ln := addr >> c.lineBits
 	if (addr+uint64(size-1))>>c.lineBits != ln {
 		return false
 	}
-	wy := c.mru[ln&c.setMask]
-	if wy.key&^keyDirty != ln>>c.setBits<<2|keyValid {
+	i := int(ln&c.setMask) * c.ways
+	if c.keys[i]&^keyDirty != ln>>c.setBits<<2|keyValid {
 		return false
 	}
 	c.tick++
-	wy.lru = c.tick
 	if store {
-		wy.key |= keyDirty
+		c.keys[i] |= keyDirty
 	}
 	return true
 }
@@ -185,12 +166,12 @@ func (c *Cache) TryHit(addr uint64, size int, store bool) bool {
 // AccessWords simulates n consecutive 8-byte reads starting at addr —
 // exactly equivalent to n successive Access(addr+8*i, 8, false) calls, but
 // with one tag probe per distinct line: consecutive same-line touches
-// cannot miss after the first (nothing intervenes to evict the line), so a
-// group collapses to a single probe whose LRU stamp is the group's last
-// tick. Accesses (via tick), misses, writebacks, and LRU order all come
-// out bit-identical to the unbatched form; the equivalence test drives
-// both against random streams. Promote's multi-word metadata records are
-// the intended caller.
+// cannot miss after the first (nothing intervenes to evict the line, and
+// the first leaves it at the front of its set), so a group collapses to a
+// single probe. Accesses (via tick), misses, writebacks, and LRU order all
+// come out bit-identical to the unbatched form; the equivalence test
+// drives both against random streams. Promote's multi-word metadata
+// records are the intended caller.
 func (c *Cache) AccessWords(addr uint64, n int) (misses int) {
 	if addr&7 != 0 || c.cfg.LineBytes < 8 {
 		// A word could straddle lines; the collapse argument needs whole
@@ -209,8 +190,7 @@ func (c *Cache) AccessWords(addr uint64, n int) (misses int) {
 		}
 		c.tick += uint64(g - i)
 		i = g
-		if wy := c.mru[ln&c.setMask]; wy.key&^keyDirty == ln>>c.setBits<<2|keyValid {
-			wy.lru = c.tick
+		if c.keys[int(ln&c.setMask)*c.ways]&^keyDirty == ln>>c.setBits<<2|keyValid {
 			continue
 		}
 		if !c.touch(ln, false) {
@@ -221,53 +201,42 @@ func (c *Cache) AccessWords(addr uint64, n int) (misses int) {
 	return misses
 }
 
-// touch looks up line number ln, filling on miss; reports hit. Access has
-// already ruled out the set's MRU way.
+// touch looks line number ln up in its set, whose front key the caller has
+// already ruled out, and moves it to the front: a hit keeps its dirty bit,
+// a miss evicts the set's last key (counting a writeback when that key is
+// valid and dirty) and fills. It reports whether ln hit.
 func (c *Cache) touch(ln uint64, store bool) bool {
 	want := ln>>c.setBits<<2 | keyValid
-	set := int(ln & c.setMask)
-	base := set * c.ways
-	ws := c.w[base : base+c.ways : base+c.ways]
-	for i := range ws {
-		if ws[i].key&^keyDirty == want {
-			ws[i].lru = c.tick
-			if store {
-				ws[i].key |= keyDirty
-			}
-			c.mru[set] = &ws[i]
-			return true
+	base := int(ln&c.setMask) * c.ways
+	ks := c.keys[base : base+c.ways : base+c.ways]
+	i := 1
+	for i < len(ks) && ks[i]&^keyDirty != want {
+		i++
+	}
+	hit := i < len(ks)
+	k := want
+	if hit {
+		k = ks[i]
+	} else {
+		i = len(ks) - 1
+		if ks[i]&(keyValid|keyDirty) == keyValid|keyDirty {
+			c.stats.Writebacks++
 		}
 	}
-	// Miss: evict LRU way (first invalid way wins, matching a fill of an
-	// un-warmed set).
-	victim := 0
-	for i := 1; i < c.ways; i++ {
-		if ws[i].key == 0 {
-			victim = i
-			break
-		}
-		if ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	if ws[victim].key&(keyValid|keyDirty) == keyValid|keyDirty {
-		c.stats.Writebacks++
-	}
-	fill := want
+	copy(ks[1:i+1], ks[:i])
 	if store {
-		fill |= keyDirty
+		k |= keyDirty
 	}
-	ws[victim] = way{key: fill, lru: c.tick}
-	c.mru[set] = &ws[victim]
-	return false
+	ks[0] = k
+	return hit
 }
 
-// Reset returns the cache to its power-on state: every line invalid, the
-// LRU clock and all counters at zero. It models a cold start rather than
-// an invalidation event, so dirty lines do not count as writebacks — a
-// reset cache is indistinguishable from one built by New.
+// Reset returns the cache to its power-on state: every line invalid and
+// every counter at zero. It models a cold start rather than an
+// invalidation event, so dirty lines do not count as writebacks — a reset
+// cache is indistinguishable from one built by New.
 func (c *Cache) Reset() {
-	clear(c.w)
+	clear(c.keys)
 	c.tick = 0
 	c.stats = Stats{}
 }

@@ -50,7 +50,7 @@ func TestGeometryAllPowerOfTwoConfigs(t *testing.T) {
 				if got, want := int(c.setBits), refLen64(c.setMask); got != want {
 					t.Fatalf("%+v: setBits = %d, want %d", cfg, got, want)
 				}
-				if got, want := len(c.w), nsets*ways; got != want {
+				if got, want := len(c.keys), nsets*ways; got != want {
 					t.Fatalf("%+v: len(ways) = %d, want %d", cfg, got, want)
 				}
 			}

@@ -50,15 +50,17 @@ func NewArena(base, size uint64) *Arena {
 }
 
 // Sbrk advances the break by n bytes (rounded to 16) and returns the old
-// break.
+// break. A request the arena cannot hold fails with ErrOutOfMemory and
+// leaves the break unchanged, including one within 15 bytes of 2^64,
+// whose rounding wraps.
 func (a *Arena) Sbrk(n uint64) (uint64, error) {
-	n = (n + 15) &^ 15
-	if a.brk+n > a.limit || a.brk+n < a.brk {
+	r := (n + 15) &^ 15
+	if r < n || a.brk+r > a.limit || a.brk+r < a.brk {
 		return 0, fmt.Errorf("%w: arena %#x..%#x brk %#x request %d",
-			ErrOutOfMemory, a.base, a.limit, a.brk, n)
+			ErrOutOfMemory, a.base, a.limit, a.brk, max(r, n))
 	}
 	p := a.brk
-	a.brk += n
+	a.brk += r
 	return p, nil
 }
 

@@ -31,6 +31,41 @@ func TestArenaSbrk(t *testing.T) {
 	}
 }
 
+// TestSizesNear2to64 pins every request within 16 bytes of 2^64. Rounding
+// such a size up to 16 wrapped: Sbrk returned the break without moving
+// it, so two objects shared an address, and Malloc carved a chunk whose
+// payload was shorter than its own header (or empty). Both must now fail
+// with ErrOutOfMemory and change nothing.
+func TestSizesNear2to64(t *testing.T) {
+	for n := uint64(1<<64 - 16); n != 0; n++ {
+		a := NewArena(0x1000, 0x1000)
+		if _, err := a.Sbrk(16); err != nil {
+			t.Fatal(err)
+		}
+		if p, err := a.Sbrk(n); !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("Sbrk(%#x) = %#x, %v; want ErrOutOfMemory", n, p, err)
+		}
+		if a.Mark() != 0x1010 {
+			t.Errorf("Sbrk(%#x) moved the break to %#x", n, a.Mark())
+		}
+
+		_, f := newFL(t)
+		first, err := f.Malloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := f.Malloc(n); !errors.Is(err, ErrOutOfMemory) {
+			t.Errorf("Malloc(%#x) = %#x, %v; want ErrOutOfMemory", n, p, err)
+		}
+		if f.LiveBytes() != 32 {
+			t.Errorf("Malloc(%#x) left live = %d, want 32", n, f.LiveBytes())
+		}
+		if q, err := f.Malloc(16); err != nil || q != first+32 {
+			t.Errorf("Malloc(16) after Malloc(%#x) = %#x (err %v), want %#x", n, q, err, first+32)
+		}
+	}
+}
+
 func newFL(t *testing.T) (*machine.Machine, *FreeList) {
 	t.Helper()
 	m := machine.New()
@@ -47,8 +82,8 @@ func TestFreeListMallocAligned(t *testing.T) {
 		if p%16 != 0 {
 			t.Errorf("size %d: unaligned payload %#x", sz, p)
 		}
-		if got, ok := f.allocated[p]; !ok || got < sz {
-			t.Errorf("size %d: usable = %d", sz, got)
+		if e := f.chunks.entry(p); e == nil || entryClass(*e) < sz {
+			t.Errorf("size %d: chunk entry %v", sz, e)
 		}
 	}
 }

@@ -818,3 +818,23 @@ func TestTestdataPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeSizesTrapAlloc: sizes within 16 bytes of 2^64 end in the typed
+// allocator trap. Rounding them to 16 bytes wrapped: in Baseline the huge
+// local array took no stack, so b shared its address and printed 5 (the
+// instrumented modes reject the array's layout table first), and
+// malloc(-1) returned a chunk with an empty payload whose next neighbour
+// started 16 bytes above it; the instrumented modes leaked that chunk and
+// failed on the global-table size cap with an untyped trap.
+func TestHugeSizesTrapAlloc(t *testing.T) {
+	const hugeLocal = `int main() { long a[2305843009213693951]; long b[2]; a[0] = 5; print(b[0]); return 0; }`
+	const hugeMalloc = `int main() { char *p = malloc(-1); char *q = malloc(16); print(q - p); return 0; }`
+	if out, _, err := run(t, hugeLocal, rt.Baseline); !machine.IsTrap(err, machine.TrapAlloc) {
+		t.Errorf("baseline huge local: out %v, err %v; want a typed alloc trap", out, err)
+	}
+	for _, mode := range rt.Modes {
+		if out, _, err := run(t, hugeMalloc, mode); !machine.IsTrap(err, machine.TrapAlloc) {
+			t.Errorf("%v malloc(-1): out %v, err %v; want a typed alloc trap", mode, out, err)
+		}
+	}
+}

@@ -127,7 +127,7 @@ func (r *Runtime) mallocWrapped(size uint64, layoutPtr uint64) (Obj, error) {
 	if err != nil {
 		return Obj{}, err
 	}
-	r.wrapped[o.Base()] = true
+	r.fl.SetWrapped(o.Base(), true)
 	return o, nil
 }
 
@@ -353,21 +353,26 @@ func (r *Runtime) TemporalFreeCheck(p Ptr) error {
 	return nil
 }
 
-// freeDispatch releases o by its tag's scheme. A wrapped chunk must be
-// live before anything is written: a stack local, a global or a chunk
-// never handed out (or already freed) is rejected untouched.
+// freeDispatch releases o by its tag's scheme. A wrapped free needs a
+// live wrapped chunk before anything is written: a stack local, a global
+// or a chunk never handed out (or already freed) is rejected untouched.
+// A legacy free of a live wrapped chunk is rejected too, since it would
+// leave the chunk's metadata record behind.
 func (r *Runtime) freeDispatch(o Obj) error {
 	base := o.Base()
 	switch tag.SchemeOf(o.P) {
 	case tag.SchemeLegacy:
+		if r.fl.Wrapped(base) {
+			return fmt.Errorf("rt: legacy free of wrapped chunk %#x", base)
+		}
 		return r.fl.Free(base)
 	case tag.SchemeSubheap:
 		return r.freeSubheap(o)
 	}
-	if !r.wrapped[base] {
+	if !r.fl.Wrapped(base) {
 		return fmt.Errorf("rt: wrapped free of unknown chunk %#x", base)
 	}
-	delete(r.wrapped, base)
+	r.fl.SetWrapped(base, false)
 	if err := r.deregister(o); err != nil {
 		return err
 	}

@@ -161,12 +161,6 @@ type Runtime struct {
 	crOfBits map[uint8]uint16
 	nextCR   int
 
-	// wrapped is the set of live wrapped-allocator chunks, by payload
-	// base. The chunk's registration itself is read from its pointer tag;
-	// the set only lets Free reject a chunk that is not live before it
-	// writes any metadata.
-	wrapped map[uint64]bool
-
 	// ForceGlobalTable is the single-scheme ablation (DESIGN.md §5.2):
 	// every heap allocation is registered in the global table, as a
 	// design that spent all 12 tag bits on one lookup scheme would —
@@ -222,7 +216,6 @@ func New(mode Mode) *Runtime {
 		pools:       make(map[poolKey]*pool),
 		blocks:      make(map[uint64]*block),
 		crOfBits:    make(map[uint8]uint16),
-		wrapped:     make(map[uint64]bool),
 		sigCount:    make(map[poolKey]int),
 		gens:        temporal.NewStore(),
 	}
@@ -270,7 +263,6 @@ func (r *Runtime) Reset(mode Mode) {
 	clear(r.blocks)
 	clear(r.crOfBits)
 	r.nextCR = 0
-	clear(r.wrapped)
 	clear(r.sigCount)
 	r.ForceGlobalTable = false
 	r.ExplicitChecks = false

@@ -519,6 +519,37 @@ func TestFreeErrors(t *testing.T) {
 	}
 }
 
+// TestLegacyFreeOfWrappedChunkRejected: a tag-stripped handle to a live
+// wrapped chunk cannot free it. The legacy free used to release the
+// chunk and leave its metadata record behind, so 4,096 such frees of
+// 4 KiB chunks leaked every global-table row and the next allocation
+// trapped on a full table. The free must fail untouched: the record stays
+// live, the chunk still promotes to its bounds, and the tagged free then
+// succeeds.
+func TestLegacyFreeOfWrappedChunkRejected(t *testing.T) {
+	for _, size := range []uint64{64, 4096} { // local-offset record, global-table row
+		r := New(Wrapped)
+		o, err := r.MallocBytes(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Free(Obj{P: tag.Addr(o.P), Size: o.Size}); err == nil {
+			t.Errorf("%d B: legacy free of a live wrapped chunk accepted", size)
+		}
+		if tag.SchemeOf(o.P) == tag.SchemeGlobalTable {
+			if row := tag.GlobalIndex(o.P); r.liveRows[row/64]&(1<<(row%64)) == 0 {
+				t.Errorf("%d B: global-table row %d released by the rejected free", size, row)
+			}
+		}
+		if _, b := r.M.Promote(o.P); b != o.B {
+			t.Errorf("%d B: chunk promotes to %+v after the rejected free, want %+v", size, b, o.B)
+		}
+		if err := r.Free(o); err != nil {
+			t.Errorf("%d B: tagged free after the rejected one: %v", size, err)
+		}
+	}
+}
+
 // TestSubheapDoubleFreeRejected: a second free of a subheap slot is an
 // error that leaves its block untouched. Without per-slot liveness the
 // slot went onto the block's free list twice and the live count hit
