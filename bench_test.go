@@ -288,7 +288,7 @@ func BenchmarkInstructions(b *testing.B) {
 // BenchmarkASICSweep regenerates the §5.2.4 extrapolation discussion.
 func BenchmarkASICSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.ASICSweep(1, 1); err != nil {
+		if _, err := exp.RunReport(exp.ASICPlan(1), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,7 +297,7 @@ func BenchmarkASICSweep(b *testing.B) {
 // BenchmarkAblations regenerates the DESIGN.md design-choice ablations.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Ablations(1, 1); err != nil {
+		if _, err := exp.RunReport(exp.AblationPlan(1), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,16 +15,17 @@
 //
 // -wait blocks startup until every backend answers /healthz (0 skips
 // the wait; backends that are still down merely start drained).
-// SIGINT/SIGTERM drain in-flight requests and exit. -selftest boots two
-// in-process backends plus the shard on loopback ports, proves the
-// routed, fanned-out, and failed-over answers byte-identical to a
-// serial run, and exits non-zero on any failure — the CI smoke test.
-// -netchaos runs the full network-fault campaign: in-process backends
-// behind deterministic fault-injecting proxies (latency, refused/reset
-// connections, blackholes, truncation, corruption, duplication,
-// slowloris), gating on zero lost, zero duplicated, zero
-// corrupt-accepted cells and byte-identical reports — the CI
-// resilience gate.
+// SIGINT/SIGTERM drain in-flight requests and exit. -netchaos runs the
+// full network-fault campaign: in-process backends behind deterministic
+// fault-injecting proxies (latency, refused/reset connections,
+// blackholes, truncation, corruption, duplication, slowloris), gating on
+// zero lost, zero duplicated, zero corrupt-accepted cells and
+// byte-identical reports, and on its fault-free control arm every cell
+// computed exactly once, replays served wholly from the backends' memo
+// stores, routed runs repeating as cache hits and every backend in the
+// fleet metrics — the CI resilience gate. -selftest runs the same
+// campaign's control arm and refused-connection arm at one seed, in a
+// few seconds, and exits non-zero on any failure — the CI smoke test.
 package main
 
 import (
@@ -38,34 +39,32 @@ import (
 	"syscall"
 	"time"
 
+	"infat/internal/netchaos"
 	"infat/internal/server"
 	"infat/internal/shard"
 )
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
-	backends := flag.String("backends", "", "comma-separated ifp-serve base URLs (required unless -selftest)")
+	backends := flag.String("backends", "", "comma-separated ifp-serve base URLs (required unless -selftest or -netchaos)")
 	healthInterval := flag.Duration("health-interval", shard.DefaultHealthInterval, "backend health probe period")
 	downAfter := flag.Int("down-after", shard.DefaultDownAfter, "consecutive failed probes or requests before a backend is drained")
 	wait := flag.Duration("wait", 0, "wait for every backend to be healthy before serving (0 = don't wait)")
-	selftest := flag.Bool("selftest", false, "boot two in-process backends and the shard, verify equivalence, exit")
+	selftest := flag.Bool("selftest", false, "run the network-fault campaign's control and refused-connection arms at one seed against an in-process fleet, verify, exit")
 	netchaosFlag := flag.Bool("netchaos", false, "run the full network-fault campaign grid against an in-process faulted fleet, verify self-healing, exit")
 	flag.Parse()
 
-	if *selftest {
-		if err := runSelftest(); err != nil {
-			fmt.Fprintln(os.Stderr, "ifp-shard: selftest FAILED:", err)
+	if *selftest || *netchaosFlag {
+		name, faults, seeds := "netchaos", []netchaos.Fault(nil), []uint64(nil)
+		if *selftest {
+			// The control arm gates the healthy fleet, the refuse arm failover.
+			name, faults, seeds = "selftest", []netchaos.Fault{netchaos.FaultNone, netchaos.FaultRefuse}, []uint64{1}
+		}
+		if err := runNetchaos(name, faults, seeds); err != nil {
+			fmt.Fprintf(os.Stderr, "ifp-shard: %s FAILED: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Println("ifp-shard: selftest ok")
-		return
-	}
-	if *netchaosFlag {
-		if err := runNetchaos(); err != nil {
-			fmt.Fprintln(os.Stderr, "ifp-shard: netchaos FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("ifp-shard: netchaos ok")
+		fmt.Printf("ifp-shard: %s ok\n", name)
 		return
 	}
 

@@ -6,23 +6,21 @@ import (
 	"infat/internal/netchaos"
 )
 
-// runNetchaos executes the full network-fault campaign grid — every
-// injectable fault × seed × {batch, chaos} — against an in-process
-// fleet fronted by fault proxies, and reports the verdict. The gates
-// (zero lost cells, zero corrupt-accepted cells, byte-identical
-// reports, sabotage observed) are enforced inside RunCampaign; this is
-// the CI entry point.
-func runNetchaos() error {
+// runNetchaos runs the network-fault campaign over faults × seeds ×
+// {batch, chaos} (nil faults or seeds: the full grid) against an
+// in-process fleet fronted by fault proxies, and reports the verdict
+// under name. The gates (zero lost cells, zero corrupt-accepted cells,
+// byte-identical reports, sabotage observed, and the control arm's
+// healthy-fleet contracts) are enforced inside RunCampaign; this is the
+// CI entry point of both -selftest and -netchaos.
+func runNetchaos(name string, faults []netchaos.Fault, seeds []uint64) error {
 	res, err := netchaos.RunCampaign(netchaos.CampaignConfig{
-		Logf: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
+		FaultSet: faults,
+		Seeds:    seeds,
+		Logf:     func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
 	})
 	if res != nil {
-		s := res.Summarize()
-		fmt.Printf("ifp-shard: netchaos: %d runs (%d failed), %d cells, %d faults injected, "+
-			"%d recovered, %d failed-over, %d stolen, %d hedged, %d shed, %d corrupt lines rejected, "+
-			"%d duplicates suppressed, %d lost\n",
-			s.Runs, s.Failed, s.Cells, s.Injected, s.Recovered, s.FailedOver, s.Stolen, s.Hedged,
-			s.Shed, s.CorruptLines, s.DupSuppressed, s.Lost)
+		fmt.Printf("ifp-shard: %s: %v\n", name, res.Summarize())
 	}
 	return err
 }

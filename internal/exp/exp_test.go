@@ -256,7 +256,7 @@ func ablationRun(t *testing.T, p Plan, name, label string) ModeResult {
 }
 
 func TestAblationsRender(t *testing.T) {
-	out, err := Ablations(1, 1)
+	out, err := RunReport(AblationPlan(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

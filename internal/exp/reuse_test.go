@@ -81,8 +81,8 @@ func TestReuseEquivalenceAblations(t *testing.T) {
 	report := func(reuse bool) string {
 		var out string
 		withReuse(reuse, func() {
-			for _, section := range []func(scale, workers int) (string, error){Ablations, ASICSweep, HybridReport} {
-				s, err := section(1, runtime.NumCPU())
+			for _, section := range []func(scale int) Plan{AblationPlan, ASICPlan, HybridPlan} {
+				s, err := RunReport(section(1), runtime.NumCPU())
 				if err != nil {
 					t.Fatal(err)
 				}

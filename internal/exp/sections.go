@@ -68,12 +68,6 @@ func renderAblations(p Plan, cells []CellResult) string {
 	return "Design-choice ablations (vs uninstrumented baseline of each workload)\n" + t.String()
 }
 
-// Ablations runs the AblationPlan over at most workers goroutines and
-// renders it.
-func Ablations(scale, workers int) (string, error) {
-	return RunReport(AblationPlan(scale), workers)
-}
-
 // namedWorkloads resolves workload names from the built-in suite.
 func namedWorkloads(names []string) []workloads.Workload {
 	ws := make([]workloads.Workload, len(names))
@@ -166,12 +160,6 @@ func renderASIC(p Plan, cells []CellResult) string {
 	return "ASIC extrapolation sweep (geo-mean subheap overhead over subset)\n" + t.String()
 }
 
-// ASICSweep runs the ASICPlan over at most workers goroutines and renders
-// it.
-func ASICSweep(scale, workers int) (string, error) {
-	return RunReport(ASICPlan(scale), workers)
-}
-
 var cfgHybrid = ModeConfig(rt.Hybrid, false)
 
 // HybridPlan enumerates the dynamic allocator-selection comparison
@@ -211,10 +199,4 @@ func versusStatic(p Plan, cells []CellResult, title string, x Config, heads []st
 	}
 	return title + "\n" + t.String() + fmt.Sprintf("geo-mean overhead: subheap %s, wrapped %s, %v %s\n",
 		stats.GeomeanOverhead(sr), stats.GeomeanOverhead(wr), x.Mode, stats.GeomeanOverhead(xr))
-}
-
-// HybridReport runs the HybridPlan over at most workers goroutines and
-// renders it.
-func HybridReport(scale, workers int) (string, error) {
-	return RunReport(HybridPlan(scale), workers)
 }

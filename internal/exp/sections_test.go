@@ -15,15 +15,15 @@ func TestSectionScaleClamp(t *testing.T) {
 	if raceEnabled {
 		t.Skip("three sections at three scales; the race step runs them in the reuse test")
 	}
-	for name, section := range map[string]func(scale, workers int) (string, error){
-		"ablations": Ablations, "asic": ASICSweep, "hybrid": HybridReport,
+	for name, section := range map[string]func(scale int) Plan{
+		"ablations": AblationPlan, "asic": ASICPlan, "hybrid": HybridPlan,
 	} {
-		want, err := section(1, 0)
+		want, err := RunReport(section(1), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, scale := range []int{0, -2} {
-			got, err := section(scale, 0)
+			got, err := RunReport(section(scale), 0)
 			if err != nil {
 				t.Fatalf("%s at scale %d: %v", name, scale, err)
 			}

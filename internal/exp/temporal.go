@@ -54,14 +54,3 @@ func TemporalPlan(scale int) Plan {
 	p.render = temporalSection
 	return p
 }
-
-// TemporalReport runs the TemporalPlan over at most workers goroutines
-// and renders it followed by the CWE-415/416 detection table. Output is
-// byte-identical at any worker count.
-func TemporalReport(scale, workers int) (string, error) {
-	rep, err := RunReport(TemporalPlan(scale), workers)
-	if err != nil {
-		return "", err
-	}
-	return rep + "\n" + TemporalDetection(workers), nil
-}

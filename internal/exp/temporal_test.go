@@ -139,14 +139,14 @@ func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 // byte-identically at any worker count, and the detection table shows the
 // generation mode catching everything the spatial mode misses.
 func TestTemporalReportDeterministic(t *testing.T) {
-	serial, err := TemporalReport(1, 1)
-	if err != nil {
-		t.Fatalf("serial: %v", err)
+	report := func(workers int) string {
+		rep, err := RunReport(TemporalPlan(1), workers)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		return rep + "\n" + TemporalDetection(workers)
 	}
-	par, err := TemporalReport(1, 4)
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	serial, par := report(1), report(4)
 	if serial != par {
 		t.Error("temporal report differs across worker counts")
 	}

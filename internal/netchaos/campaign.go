@@ -13,9 +13,16 @@ package netchaos
 //   - zero corrupt cells accepted: the final report is byte-identical
 //     to the serial ground truth, so no mangled payload slipped through;
 //   - sabotage actually happened: each faulted run must have injected
-//     at least one fault, or the run proved nothing.
+//     at least one fault, or the run proved nothing;
+//   - the control arm (FaultNone) holds the healthy fleet's contracts,
+//     read from the shard's /metrics: a cold leg computes every cell
+//     exactly once, a replay of it is byte-identical and served wholly
+//     from the memo stores of the backends that computed it, a repeated
+//     /v1/run is a cache hit, /metrics lists every backend, and no cell
+//     needs recovery work.
 //
-// The campaign is the -netchaos gate in CI: it fails loudly (typed
+// The campaign is the -netchaos gate in CI, and its control and refuse
+// arms at one seed are ifp-shard -selftest: it fails loudly (typed
 // per-run diagnostics) and passes only when the whole grid holds.
 
 import (
@@ -102,13 +109,9 @@ type RunStats struct {
 	DupRejected     int `json:"dup_rejected"`     // duplicates the assembly refused
 	CorruptRejected int `json:"corrupt_rejected"` // corrupt cells the assembly refused
 
-	// Shard-side accounting (this run's shard, so counters are absolute).
-	FailedOver    uint64 `json:"failed_over"`    // cells reassigned after a backend loss
-	Stolen        uint64 `json:"stolen"`         // cells run by a backend other than their home queue's
-	Hedged        uint64 `json:"hedged"`         // straggler cells re-dispatched
-	Shed          uint64 `json:"shed"`           // cells emitted as error cells
-	CorruptLines  uint64 `json:"corrupt_lines"`  // backend lines the shard's validation rejected
-	DupSuppressed uint64 `json:"dup_suppressed"` // duplicate lines the shard's dedup dropped
+	// Shard is the "shard" section of the run's /metrics, read after the
+	// run. The shard is the run's own, so every counter is absolute.
+	Shard map[string]uint64 `json:"shard"`
 
 	// Gates.
 	Lost            int    `json:"lost"`             // cells never assembled (must be 0)
@@ -117,7 +120,25 @@ type RunStats struct {
 }
 
 // recovered reports how many cells arrived despite needing some rescue.
-func (s RunStats) recovered() uint64 { return s.FailedOver + s.Hedged + uint64(s.RetriedCells) }
+func (s RunStats) recovered() uint64 {
+	return s.Shard["reassigned_cells"] + s.Shard["hedged_cells"] + uint64(s.RetriedCells)
+}
+
+// recoveryCounters are the shard counters of recovery work: cells
+// reassigned after a backend loss, hedged, shed as error cells, and
+// backend lines rejected as corrupt or dropped as duplicates. On a
+// healthy fleet each stays 0.
+var recoveryCounters = []string{"reassigned_cells", "hedged_cells", "shed_cells", "corrupt_lines", "dup_suppressed"}
+
+// formatCounters renders the shard counters a campaign reports: the
+// cells stolen to balance work, then the recovery work.
+func formatCounters(m map[string]uint64) string {
+	s := fmt.Sprintf("stolen_cells=%d", m["stolen_cells"])
+	for _, k := range recoveryCounters {
+		s += fmt.Sprintf(" %s=%d", k, m[k])
+	}
+	return s
+}
 
 // CampaignResult is the whole grid's outcome.
 type CampaignResult struct {
@@ -128,8 +149,8 @@ type CampaignResult struct {
 // RunCampaign executes the full (fault × seed × campaign) grid and
 // returns the per-run stats. The returned error is non-nil iff any
 // run's gates failed — zero lost, zero corrupt-accepted (byte-identical
-// report), sabotage observed — making the call directly usable as a CI
-// gate.
+// report), sabotage observed, and the control arm's healthy-fleet
+// contracts — making the call directly usable as a CI gate.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	cfg = cfg.withDefaults()
 	logf := cfg.Logf
@@ -171,10 +192,9 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 					res.Failed++
 				}
 				res.Runs = append(res.Runs, stats)
-				logf("netchaos: %-5s fault=%-9s seed=%d cells=%d injected=%d rounds=%d failed_over=%d stolen=%d hedged=%d shed=%d corrupt_lines=%d dup_suppressed=%d retried=%d lost=%d identical=%v",
+				logf("netchaos: %-5s fault=%-9s seed=%d cells=%d injected=%d rounds=%d %s retried=%d lost=%d identical=%v",
 					lg.name, fault, seed, stats.Cells, stats.Injected, stats.Rounds,
-					stats.FailedOver, stats.Stolen, stats.Hedged, stats.Shed, stats.CorruptLines,
-					stats.DupSuppressed, stats.RetriedCells, stats.Lost, stats.ReportIdentical)
+					formatCounters(stats.Shard), stats.RetriedCells, stats.Lost, stats.ReportIdentical)
 			}
 		}
 	}
@@ -305,28 +325,99 @@ func runLeg(cfg CampaignConfig, lg leg, fault Fault, seed uint64) (RunStats, err
 
 	err = lg.run(ctx, st.client, &stats)
 	stats.Injected = st.injected()
-	scrapeShard(ctx, st.shardURL, &stats)
-	if err != nil {
+	cold, scrapeErr := scrapeShard(ctx, st.shardURL)
+	stats.Shard = cold.Shard
+	if err := errors.Join(err, scrapeErr); err != nil {
 		return stats, err
 	}
 
 	// Gates.
+	if err := checkLeg(stats); err != nil {
+		return stats, err
+	}
+	if fault != FaultNone {
+		if stats.Injected == 0 {
+			return stats, errors.New("no faults injected: the run proved nothing")
+		}
+		return stats, nil
+	}
+	return stats, checkHealthy(ctx, st, lg, cold, &stats)
+}
+
+// checkLeg is every leg's gate: no cell lost, and the reassembled report
+// byte-identical to the serial ground truth.
+func checkLeg(stats RunStats) error {
 	if stats.Lost > 0 {
-		return stats, fmt.Errorf("%d of %d cells lost", stats.Lost, stats.Cells)
+		return fmt.Errorf("%d of %d cells lost", stats.Lost, stats.Cells)
 	}
 	if !stats.ReportIdentical {
-		return stats, errors.New("reassembled report differs from the serial ground truth")
+		return errors.New("reassembled report differs from the serial ground truth")
 	}
-	if fault != FaultNone && stats.Injected == 0 {
-		return stats, errors.New("no faults injected: the run proved nothing")
+	return nil
+}
+
+// checkHealthy gates the control arm. Its fleet is fresh and nothing
+// faults it, so cold, the /metrics read after the cold leg, holds that
+// leg's work alone: it must have a snapshot of every backend, and every
+// cell computed exactly once, which is one memo miss on the backend that
+// ran it. The same leg streamed again must be identical and served
+// wholly from the memo stores of the backends that computed it, with no
+// cell stolen off them. Neither leg may cause recovery work, and a
+// repeated /v1/run must land on the backend that cached it. stats.Shard
+// takes the final counters.
+func checkHealthy(ctx context.Context, st *stack, lg leg, cold shard.MetricsResponse, stats *RunStats) error {
+	listed := 0
+	for _, b := range cold.Backends {
+		if snap, ok := b.(map[string]any); ok && snap["error"] == nil {
+			listed++
+		}
 	}
+	if listed != fleetSize {
+		return fmt.Errorf("control arm: /metrics has the snapshots of %d backends, want %d", listed, fleetSize)
+	}
+	replay := RunStats{Cells: lg.cells}
+	if err := lg.run(ctx, st.client, &replay); err != nil {
+		return fmt.Errorf("control arm: replay: %w", err)
+	}
+	if err := checkLeg(replay); err != nil {
+		return fmt.Errorf("control arm: replay: %w", err)
+	}
+	warm, err := scrapeShard(ctx, st.shardURL)
+	if err != nil {
+		return err
+	}
+	stats.Shard = warm.Shard
 	// A healthy fleet gives the recovery machinery nothing to do: work
 	// there is a false alarm, such as a healthy cell computed twice.
-	if fault == FaultNone && stats.Injected+stats.Hedged+stats.DupSuppressed+stats.FailedOver+stats.Shed != 0 {
-		return stats, fmt.Errorf("control arm: %d faults injected, %d cells hedged, %d duplicates suppressed, %d failed over, %d shed",
-			stats.Injected, stats.Hedged, stats.DupSuppressed, stats.FailedOver, stats.Shed)
+	for _, k := range recoveryCounters {
+		if warm.Shard[k] != 0 {
+			return fmt.Errorf("control arm: recovery work on a healthy fleet: %s", formatCounters(warm.Shard))
+		}
 	}
-	return stats, nil
+	cells := uint64(lg.cells)
+	if hits, misses := cold.Aggregate.Memo["hits"], cold.Aggregate.Memo["misses"]; hits != 0 || misses != cells {
+		return fmt.Errorf("control arm: cold leg of %d cells made %d memo hits and %d misses, want 0 and %d", cells, hits, misses, cells)
+	}
+	hits := warm.Aggregate.Memo["hits"] - cold.Aggregate.Memo["hits"]
+	misses := warm.Aggregate.Memo["misses"] - cold.Aggregate.Memo["misses"]
+	if hits != cells || misses != 0 {
+		return fmt.Errorf("control arm: replay of %d cells made %d memo hits and %d misses, want %d and 0", cells, hits, misses, cells)
+	}
+	if stolen := warm.Shard["stolen_cells"] - cold.Shard["stolen_cells"]; stolen != 0 {
+		return fmt.Errorf("control arm: replay moved %d cells off the backends that served them", stolen)
+	}
+
+	run := server.RunRequest{Source: "int main() { print(42); return 7; }", Mode: "subheap"}
+	for i := 0; i < 2; i++ {
+		_, cached, err := st.client.Run(ctx, run)
+		if err != nil {
+			return fmt.Errorf("control arm: run: %w", err)
+		}
+		if cached != (i == 1) {
+			return fmt.Errorf("control arm: run %d of a program: cached=%v, so routing is unstable", i+1, cached)
+		}
+	}
+	return nil
 }
 
 // addOutcome classifies one assembly verdict into the client-side
@@ -393,64 +484,58 @@ func streamLeg[C any](ctx context.Context, c *server.Client, path string,
 	return nil
 }
 
-// scrapeShard folds the run's final shard counters into stats.
-// Best-effort: a scrape failure leaves the fields zero.
-func scrapeShard(ctx context.Context, shardURL string, stats *RunStats) {
+// scrapeShard reads the shard's GET /metrics: its own counters, the
+// fleet's aggregate, and each backend's snapshot.
+func scrapeShard(ctx context.Context, shardURL string) (shard.MetricsResponse, error) {
+	var m shard.MetricsResponse
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, shardURL+"/metrics", nil)
 	if err != nil {
-		return
+		return m, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return
+		return m, fmt.Errorf("scrape shard metrics: %w", err)
 	}
 	defer resp.Body.Close()
-	var m shard.MetricsResponse
-	if json.NewDecoder(resp.Body).Decode(&m) != nil {
-		return
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		return m, fmt.Errorf("decode shard metrics: %w", err)
 	}
-	stats.FailedOver = m.Shard["reassigned_cells"]
-	stats.Stolen = m.Shard["stolen_cells"]
-	stats.Hedged = m.Shard["hedged_cells"]
-	stats.Shed = m.Shard["shed_cells"]
-	stats.CorruptLines = m.Shard["corrupt_lines"]
-	stats.DupSuppressed = m.Shard["dup_suppressed"]
+	return m, nil
 }
 
 // Summary condenses a campaign result for reports.
 type Summary struct {
-	Runs          int    `json:"runs"`
-	Failed        int    `json:"failed"`
-	Cells         int    `json:"cells"`
-	Injected      uint64 `json:"injected"`
-	Recovered     uint64 `json:"recovered"`
-	FailedOver    uint64 `json:"failed_over"`
-	Stolen        uint64 `json:"stolen"`
-	Hedged        uint64 `json:"hedged"`
-	Shed          uint64 `json:"shed"`
-	CorruptLines  uint64 `json:"corrupt_lines"`
-	DupSuppressed uint64 `json:"dup_suppressed"`
-	Lost          int    `json:"lost"`
-	AllIdentical  bool   `json:"all_identical"`
+	Runs      int    `json:"runs"`
+	Failed    int    `json:"failed"`
+	Cells     int    `json:"cells"`
+	Injected  uint64 `json:"injected"`
+	Recovered uint64 `json:"recovered"`
+	// Shard sums every run's shard counters.
+	Shard        map[string]uint64 `json:"shard"`
+	Lost         int               `json:"lost"`
+	AllIdentical bool              `json:"all_identical"`
 }
 
 // Summarize folds per-run stats into campaign totals.
 func (r *CampaignResult) Summarize() Summary {
-	s := Summary{Runs: len(r.Runs), Failed: r.Failed, AllIdentical: true}
+	s := Summary{Runs: len(r.Runs), Failed: r.Failed, Shard: make(map[string]uint64), AllIdentical: true}
 	for _, run := range r.Runs {
 		s.Cells += run.Cells
 		s.Injected += run.Injected
 		s.Recovered += run.recovered()
-		s.FailedOver += run.FailedOver
-		s.Stolen += run.Stolen
-		s.Hedged += run.Hedged
-		s.Shed += run.Shed
-		s.CorruptLines += run.CorruptLines
-		s.DupSuppressed += run.DupSuppressed
+		for k, v := range run.Shard {
+			s.Shard[k] += v
+		}
 		s.Lost += run.Lost
 		if !run.ReportIdentical {
 			s.AllIdentical = false
 		}
 	}
 	return s
+}
+
+// String renders the summary as one report line.
+func (s Summary) String() string {
+	return fmt.Sprintf("%d runs (%d failed), %d cells, %d faults injected, %d recovered, %s, %d lost",
+		s.Runs, s.Failed, s.Cells, s.Injected, s.Recovered, formatCounters(s.Shard), s.Lost)
 }

@@ -245,10 +245,11 @@ func TestClientTruncatedStreamNoPartialReport(t *testing.T) {
 	}
 }
 
-// TestCampaignSmoke runs a reduced grid through the full harness: two
-// nasty faults, one seed, batch leg only. The full grid is the CLI/CI
-// -netchaos gate; this keeps `go test` minutes-free while still proving
-// the campaign machinery end to end.
+// TestCampaignSmoke runs a reduced grid through the full harness: the
+// control arm and two nasty faults, one seed, batch leg only. The full
+// grid is the CLI/CI -netchaos gate; this keeps `go test` minutes-free
+// while still proving the campaign machinery end to end, the control
+// arm's healthy-fleet gates included.
 func TestCampaignSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign boots a full serving stack")
@@ -256,7 +257,7 @@ func TestCampaignSmoke(t *testing.T) {
 	res, err := RunCampaign(CampaignConfig{
 		Workloads: []string{"treeadd"},
 		Seeds:     []uint64{1},
-		FaultSet:  []Fault{FaultTruncate, FaultCorrupt},
+		FaultSet:  []Fault{FaultNone, FaultTruncate, FaultCorrupt},
 		SkipChaos: true,
 		MaxFaults: 2,
 		Logf:      t.Logf,
@@ -265,7 +266,7 @@ func TestCampaignSmoke(t *testing.T) {
 		t.Fatalf("campaign failed: %v", err)
 	}
 	sum := res.Summarize()
-	if sum.Runs != 2 || sum.Failed != 0 || !sum.AllIdentical || sum.Lost != 0 {
+	if sum.Runs != 3 || sum.Failed != 0 || !sum.AllIdentical || sum.Lost != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
 	if sum.Injected == 0 {

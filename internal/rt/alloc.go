@@ -123,7 +123,7 @@ func (r *Runtime) mallocHybrid(size uint64, layoutPtr uint64) (Obj, error) {
 // objects the subheap pools do not serve, and the whole story under the
 // ForceGlobalTable ablation, which sends even small objects to the table.
 func (r *Runtime) mallocWrapped(size uint64, layoutPtr uint64) (Obj, error) {
-	o, err := r.place(r.fl.Malloc, size, layoutPtr, r.ForceGlobalTable)
+	o, err := r.place(r.fl.Malloc, r.fl.Free, size, layoutPtr, r.ForceGlobalTable)
 	if err != nil {
 		return Obj{}, err
 	}

@@ -30,8 +30,11 @@ func (o Obj) Base() uint64 { return tag.Addr(o.P) }
 // choice: local-offset metadata appended to the object when it fits the
 // scheme, a global-table row otherwise — or always when forceRow is set
 // (the ForceGlobalTable ablation). Stack locals, globals and wrapped heap
-// chunks all take this one path.
-func (r *Runtime) place(reserve func(uint64) (uint64, error), size, layoutPtr uint64, forceRow bool) (Obj, error) {
+// chunks all take this one path. A registration that fails (a full
+// global table, say) hands the reservation to release, which frees the
+// chunk or moves the arena break back to base, where it stood; release
+// cannot fail on a reservation just made, so its error is dropped.
+func (r *Runtime) place(reserve func(uint64) (uint64, error), release func(uint64) error, size, layoutPtr uint64, forceRow bool) (Obj, error) {
 	var p Ptr
 	if size <= tag.MaxLocalObjectSize && !forceRow {
 		_, footprint := metadata.LocalPlacement(0, size)
@@ -40,6 +43,7 @@ func (r *Runtime) place(reserve func(uint64) (uint64, error), size, layoutPtr ui
 			return Obj{}, err
 		}
 		if p, err = r.registerLocalOffset(base, size, layoutPtr); err != nil {
+			_ = release(base)
 			return Obj{}, err
 		}
 	} else {
@@ -49,6 +53,7 @@ func (r *Runtime) place(reserve func(uint64) (uint64, error), size, layoutPtr ui
 		}
 		row, err := r.registerGlobalRow(base, size, layoutPtr)
 		if err != nil {
+			_ = release(base)
 			return Obj{}, err
 		}
 		p = r.M.IfpMdGlobal(base, row)
@@ -203,7 +208,7 @@ func (r *Runtime) placeInArena(a *heap.Arena, t *layout.Type, size uint64, objec
 	if err != nil {
 		return Obj{}, err
 	}
-	o, err := r.place(a.Sbrk, size, layoutPtr, false)
+	o, err := r.place(a.Sbrk, a.Release, size, layoutPtr, false)
 	if err != nil {
 		return Obj{}, err
 	}

@@ -281,6 +281,38 @@ func TestAllocExhaustionIsTypedTrap(t *testing.T) {
 	}
 }
 
+// TestFailedRegistrationReleasesReservation: an allocation whose
+// registration fails (here: the global table is full) gives back the
+// memory it reserved — the free-list chunk, or the stack arena's bytes —
+// so a guest that retries a failing allocation cannot drain the heap.
+func TestFailedRegistrationReleasesReservation(t *testing.T) {
+	r := New(Wrapped)
+	for {
+		_, err := r.MallocBytes(4096)
+		if errors.Is(err, ErrTableFull) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	live, stack := r.fl.LiveBytes(), r.StackMark()
+	for i := 0; i < 10; i++ {
+		if _, err := r.MallocBytes(4096); !errors.Is(err, ErrTableFull) {
+			t.Fatalf("malloc on a full table = %v, want ErrTableFull", err)
+		}
+		if _, err := r.AllocLocalBytes(4096); !errors.Is(err, ErrTableFull) {
+			t.Fatalf("stack local on a full table = %v, want ErrTableFull", err)
+		}
+	}
+	if got := r.fl.LiveBytes(); got != live {
+		t.Errorf("failed mallocs left %d live bytes behind", got-live)
+	}
+	if got := r.StackMark(); got != stack {
+		t.Errorf("failed stack locals moved the stack break by %d bytes", got-stack)
+	}
+}
+
 func TestRegisterGlobal(t *testing.T) {
 	r := New(Wrapped)
 	small, err := r.RegisterGlobal(nodeT)

@@ -181,13 +181,17 @@ type BatchTrailer struct {
 	Failed    int  `json:"failed"`
 }
 
+// MaxCampaignBodyBytes bounds a campaign request body, on backends and
+// the shard alike.
+const MaxCampaignBodyBytes = 1 << 20
+
 // CampaignRoute is one row of the campaign route table: a streaming
 // endpoint's path and the resolver that decodes a request body into a
 // bounded campaign. Backends and the shard serve the same table through
-// the same resolvers, so both tiers accept and reject exactly the same
-// requests, and the shard rejects a bad one before it contacts any
-// backend. A backend counts a route's requests under its path after
-// "/v1/".
+// the same resolvers, reading at most MaxCampaignBodyBytes, so both
+// tiers accept and reject exactly the same requests, and the shard
+// rejects a bad one before it contacts any backend. A backend counts a
+// route's requests under its path after "/v1/".
 type CampaignRoute struct {
 	Path string
 	// Resolve strictly decodes one request body, resolves it onto its
@@ -376,7 +380,7 @@ func metaCell(m exp.CellMeta) BatchCell {
 // handleCampaign serves one route of the campaign table.
 func (s *Server) handleCampaign(route CampaignRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, 1<<20), s.memo)
+		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes), s.memo)
 		if err != nil {
 			s.metrics.admission["bad_request"].Add(1)
 			writeError(w, http.StatusBadRequest, err)

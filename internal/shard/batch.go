@@ -60,7 +60,7 @@ var ErrCorruptLine = errors.New("shard: corrupt stream line")
 // backend is contacted or charged with a failure.
 func (s *Shard) handleCampaign(route server.CampaignRoute) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, maxBodyBytes), nil)
+		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, server.MaxCampaignBodyBytes), nil)
 		if err != nil {
 			writeShardError(w, http.StatusBadRequest, err)
 			return
@@ -148,7 +148,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 	start = func(f *flight) {
 		wg.Add(1)
 		f.quiet = time.Now()
-		rctx, cancel := context.WithTimeout(ctx, s.cfg.RelayTimeout)
+		rctx, cancel := context.WithTimeout(ctx, relayTimeout)
 		f.cancel = cancel
 		var straggler *time.Timer
 		straggler = time.AfterFunc(hedgeFloor, func() {

@@ -45,19 +45,21 @@ import (
 // enough points that keys spread evenly over a small fleet.
 const ringReplicas = 64
 
-// maxBodyBytes bounds proxied request bodies.
+// maxBodyBytes bounds proxied unary request bodies.
 const maxBodyBytes = 8 << 20
+
+// relayTimeout bounds one backend relay stream during a campaign
+// fan-out, so a backend that accepts the campaign and then stalls (a
+// blackhole, not a crash) is cut off and its cells reassigned rather
+// than hanging the whole merged stream when no other backend is left to
+// hedge to.
+const relayTimeout = 2 * time.Minute
 
 // Defaults for Config zero values.
 const (
 	DefaultHealthInterval = time.Second
 	DefaultHealthTimeout  = 2 * time.Second
 	DefaultDownAfter      = 2
-	// DefaultRelayTimeout bounds one backend relay stream, so a backend
-	// that accepts the campaign and then stalls (a blackhole, not a
-	// crash) is cut off and its cells reassigned rather than hanging the
-	// whole merged stream when no other backend is left to hedge to.
-	DefaultRelayTimeout = 2 * time.Minute
 	// DefaultSeed seeds the shard's deterministic jitter stream.
 	DefaultSeed = 1
 )
@@ -76,9 +78,6 @@ type Config struct {
 	// DownAfter is the consecutive failed probes or requests that mark a
 	// backend down (0 = DefaultDownAfter).
 	DownAfter int
-	// RelayTimeout bounds one backend relay stream during a batch
-	// fan-out (0 = DefaultRelayTimeout).
-	RelayTimeout time.Duration
 	// Seed seeds the shard's deterministic jitter (probe
 	// desynchronization). 0 = DefaultSeed, so runs reproduce by default.
 	Seed uint64
@@ -93,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = DefaultDownAfter
-	}
-	if c.RelayTimeout <= 0 {
-		c.RelayTimeout = DefaultRelayTimeout
 	}
 	if c.Seed == 0 {
 		c.Seed = DefaultSeed

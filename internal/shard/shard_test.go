@@ -844,8 +844,9 @@ func TestShardMetricsKeys(t *testing.T) {
 }
 
 // TestShardRejectsOutOfRangeScale: a campaign request every backend would
-// reject — a scale one above the bound on each campaign path, or a
-// mem_scale whose product with the scale overflows — is answered 400 by
+// reject — a scale one above the bound on each campaign path, a
+// mem_scale whose product with the scale overflows, or a body past
+// server.MaxCampaignBodyBytes — is answered 400 by
 // the shard itself, resolved by the backends' own route table. No backend
 // is contacted, so the request can neither stream a campaign of error
 // cells nor count a backend's 400 as a backend failure and drain a
@@ -875,6 +876,8 @@ func TestShardRejectsOutOfRangeScale(t *testing.T) {
 		{server.BatchPath, fmt.Sprintf(`{"scale":%d,"cells":[0,1,2,3,4]}`, server.MaxScale+1)},
 		{server.ChaosPath, overScale},
 		{server.BatchPath, `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`},
+		// Past the body bound a backend reads, but valid JSON.
+		{server.ChaosPath, `{"scale":1` + strings.Repeat(" ", 2<<20) + `,"cells":[0]}`},
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
 			resp, err := http.Post(front.URL+req.path, "application/json", strings.NewReader(req.body))
@@ -883,7 +886,7 @@ func TestShardRejectsOutOfRangeScale(t *testing.T) {
 			}
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %s: shard status %d, want 400", req.path, req.body, resp.StatusCode)
+				t.Errorf("%s %.80s: shard status %d, want 400", req.path, req.body, resp.StatusCode)
 			}
 		}
 	}
