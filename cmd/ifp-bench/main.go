@@ -143,15 +143,8 @@ func run() int {
 		return 0
 	}
 	// Every grid, the report's and each section's, is a plan whose cells
-	// run at -parallel workers through the memo store.
-	runPlan := func(p exp.Plan) ([]exp.Result, []exp.MemResult, error) {
-		cells, err := exp.RunCampaign(p.WithMemo(store), *parallel)
-		if err != nil {
-			return nil, nil, err
-		}
-		return p.Results(cells)
-	}
-	// section prints a section's plan rendered, then after, if any.
+	// run at -parallel workers through the memo store. section prints a
+	// section's plan rendered, then after, if any.
 	section := func(p exp.Plan, after string) int {
 		out, err := exp.RunReport(p.WithMemo(store), *parallel)
 		if err != nil {
@@ -181,22 +174,27 @@ func run() int {
 		return 0
 	}
 	if *temporal {
-		return section(exp.TemporalPlan(*scale), exp.TemporalDetection(*parallel))
+		return section(exp.TemporalPlan(workloads.All, *scale), exp.TemporalDetection(*parallel))
 	}
 
 	any := *table4 || *fig10 || *fig11 || *fig12
 	needPerf := !any || *table4 || *fig10 || *fig11
 	needMem := !any || *fig12
-
-	var results []exp.Result
-	var mem []exp.MemResult
-	var err error
-	if needPerf {
-		results, _, err = runPlan(exp.NewPlan(selected, *scale))
+	// The report plan resolves -scale and -memscale as every other entry
+	// point does: scale < 1 is 1, memscale < 1 is exp.MemScale. A figure
+	// selection runs only the cells it needs.
+	plan := exp.NewReportPlan(selected, *scale, *memScale)
+	switch {
+	case !needMem:
+		plan = exp.NewPlan(selected, plan.Scale())
+	case !needPerf:
+		plan = exp.NewMemPlan(selected, plan.Scale()*plan.MemScale())
 	}
-	if err == nil && needMem {
-		_, mem, err = runPlan(exp.NewMemPlan(selected, *scale**memScale))
+	cells, err := exp.RunCampaign(plan.WithMemo(store), *parallel)
+	if err != nil {
+		return fail(err)
 	}
+	results, mem, err := plan.Results(cells)
 	if err != nil {
 		return fail(err)
 	}

@@ -3,7 +3,8 @@
 // pipeline into a long-running, admission-controlled service. Submit a
 // MiniC program and get back the spatial-safety verdict, trap
 // classification, printed output, and machine counters; run single
-// Juliet cases or §5.2 workload cells; scrape /healthz and /metrics.
+// Juliet cases; stream whole evaluation campaigns, or single cells of
+// them, from /v1/batch; scrape /healthz and /metrics.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,6 +33,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux for the -pprof listener
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -123,8 +126,8 @@ func main() {
 // runSelftest boots the service on a loopback listener and drives every
 // endpoint through the client, checking the contract end to end: clean
 // runs, cache hits, spatial and fuel trap classification, a Juliet
-// case, a workload cell, and the metrics counters all of that should
-// have moved.
+// case, a one-cell campaign and its memo hit, and the metrics counters
+// all of that should have moved.
 func runSelftest(cfg server.Config) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -221,13 +224,31 @@ func runSelftest(cfg server.Config) error {
 			}
 			return nil
 		}},
-		{"workload cell", func() error {
-			resp, err := c.Workload(ctx, server.WorkloadRequest{Name: "treeadd", Mode: "subheap"})
-			if err != nil {
-				return err
-			}
-			if resp.Counters.Instrs == 0 || resp.Suite != "olden" {
-				return fmt.Errorf("unexpected response %+v", resp)
+		{"workload cell served, then replayed from the memo store", func() error {
+			// treeadd under subheap: cell 1 of treeadd's report campaign,
+			// asked for twice. X-Ifp-Memo counts the stream's warm cells.
+			req := server.BatchRequest{Workloads: []string{"treeadd"}, Cells: []int{1}}
+			for warm := 0; warm < 2; warm++ {
+				var memoState string
+				var cell server.BatchCell
+				if err := c.StreamNDJSON(ctx, req, func(h http.Header) {
+					memoState = h.Get(server.MemoHeader)
+				}, func(line []byte) error {
+					var l server.BatchCell
+					if err := json.Unmarshal(line, &l); err != nil || l.Result == nil {
+						return err // the trailer carries no result
+					}
+					cell = l
+					return nil
+				}); err != nil {
+					return err
+				}
+				if cell.Config != "subheap" || cell.Result == nil || cell.Result.Perf == nil || cell.Result.Perf.Counters.Instrs == 0 {
+					return fmt.Errorf("unexpected cell %+v", cell)
+				}
+				if memoState != strconv.Itoa(warm) {
+					return fmt.Errorf("request %d: %s = %q, want %d", warm+1, server.MemoHeader, memoState, warm)
+				}
 			}
 			return nil
 		}},

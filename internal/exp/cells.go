@@ -2,27 +2,24 @@ package exp
 
 // Cell-level decomposition of the evaluation campaigns.
 //
-// The batch serving tier (internal/server's /v1/batch and /v1/chaos
-// endpoints, and internal/shard's fan-out front tier) needs the
-// grid, memory, and chaos campaigns as flat lists of independent cells:
-// every cell has a stable sequence number and identity key, runs in its
-// own runtime, and can execute on any worker of any process — locally,
-// on one backend, or scattered across a shard ring — in any order. Plan
-// and ChaosPlan are those enumerations, each a Campaign (campaign.go);
-// an assembly folds streamed cells back into the exact slices a serial
-// run produces, so the reassembled report is byte-identical to what
-// ifp-bench prints.
+// The batch serving tier (internal/server's /v1/batch endpoint, and
+// internal/shard's fan-out front tier) needs the grid, memory, and
+// chaos campaigns as flat lists of independent cells: every cell has a
+// stable sequence number and identity key, runs in its own runtime, and
+// can execute on any worker of any process — locally, on one backend, or
+// scattered across a shard ring — in any order. Plan and ChaosPlan are
+// those enumerations, each a Campaign (campaign.go); an assembly folds
+// streamed cells back into the exact slices a serial run produces, so
+// the reassembled report is byte-identical to what ifp-bench prints.
 //
 // The enumeration contract (relied on by clients reassembling streams):
 //
 //   - Perf cells come first: seq = wi*len(configs) + ci, where wi
 //     indexes the plan's workload list and ci its configurations — for
 //     the report grid, paper comparison order (baseline, subheap,
-//     wrapped, subheap-nopromote, wrapped-nopromote). Plans built
-//     WithTemporal append a sixth configuration, ifp-temporal, after the
-//     five — the spatial five keep their relative order, and a plan
-//     without the flag enumerates exactly as before the temporal axis
-//     existed. A report section's plan lists its own, baseline first.
+//     wrapped, subheap-nopromote, wrapped-nopromote). A report section's
+//     plan lists its own, baseline first; TemporalPlan's are the report
+//     grid's five, then ifp-temporal.
 //   - Memory cells (plans built with NewReportPlan) follow: seq =
 //     perfCells + wi*len(memModes) + mi, with mi over baseline, subheap,
 //     wrapped. Memory cells run at scale*memScale (Figure 12's larger
@@ -114,7 +111,7 @@ func NewPlan(ws []workloads.Workload, scale int) Plan {
 	if scale < 1 {
 		scale = 1
 	}
-	return Plan{ws: ws, scale: scale, render: renderReport}.WithTemporal(false)
+	return Plan{ws: ws, scale: scale, cfgs: reportConfigs, render: renderReport}
 }
 
 // sectionPlan enumerates every workload of ws in every configuration of
@@ -157,19 +154,6 @@ func (p Plan) MemScale() int { return p.memScale }
 
 // HasMem reports whether the plan includes the Figure-12 memory cells.
 func (p Plan) HasMem() bool { return p.memScale > 0 }
-
-// WithTemporal returns a copy of the report plan with the temporal axis
-// toggled: when on, each workload gains a sixth perf cell running
-// rt.IFPTemporal after the five spatial configurations. Default plans
-// stay off, which is what keeps pre-temporal campaigns (and their
-// streamed cells) enumerated and reported byte-identically.
-func (p Plan) WithTemporal(on bool) Plan {
-	p.cfgs = reportConfigs[:len(reportConfigs)-1]
-	if on {
-		p.cfgs = reportConfigs
-	}
-	return p
-}
 
 func (p Plan) perfCells() int { return len(p.ws) * len(p.cfgs) }
 
@@ -224,7 +208,7 @@ func (p Plan) LookupCell(i int) (CellResult, bool) {
 		fp, ok := lookupFootprint(p.memo, w, c.Mode, scale)
 		return CellResult{Footprint: fp}, ok
 	}
-	m, ok := LookupOne(p.memo, w, c, scale)
+	m, ok := lookupOne(p.memo, w, c, scale)
 	return CellResult{Perf: m}, ok
 }
 
@@ -240,7 +224,7 @@ func (p Plan) ComputeCell(i int) (CellResult, error) {
 		fp, err := computeFootprint(p.memo, w, c.Mode, scale)
 		return CellResult{Footprint: fp}, err
 	}
-	m, err := ComputeOne(p.memo, w, c, scale)
+	m, err := computeOne(p.memo, w, c, scale)
 	if err != nil {
 		if c.ablated() {
 			return CellResult{failed: err}, nil
@@ -336,28 +320,20 @@ func (p Plan) cell(cells []CellResult, wi int, c Config) CellResult {
 }
 
 // renderReport renders the report grid: the full Report (Table 4 +
-// Figures 10–12) for plans with memory cells, PerfReport otherwise. Plans
-// built WithTemporal append the temporal-axis section after the spatial
-// report, leaving the spatial portion's bytes unchanged.
+// Figures 10–12) for plans with memory cells, PerfReport otherwise.
 func renderReport(p Plan, cells []CellResult) string {
 	results, mem := p.fold(cells)
-	var rep string
 	if p.HasMem() {
-		rep = Report(results, mem)
-	} else {
-		rep = PerfReport(results)
+		return Report(results, mem)
 	}
-	if slices.Contains(p.cfgs, cfgTemporal) {
-		rep += "\n" + temporalSection(p, cells)
-	}
-	return rep
+	return PerfReport(results)
 }
 
 // NewAssembly builds an empty assembly for the plan.
 func (p Plan) NewAssembly() *Assembly { return NewAssembly[CellResult](p) }
 
 // PerfReport renders the perf-grid-only report (Table 4 and Figures 10
-// and 11) — what the perf cells of a /v1/batch stream reassemble to.
+// and 11): a NewPlan campaign's report.
 func PerfReport(results []Result) string {
 	return Table4(results) + "\n" + Fig10(results) + "\n" + Fig11(results)
 }

@@ -68,14 +68,15 @@ func TestPlanCellEnumeration(t *testing.T) {
 // perf cells, scale×memScale for memory cells, 1 for every chaos cell.
 func TestCellScale(t *testing.T) {
 	ws := cellTestWorkloads(t)
-	p := NewReportPlan(ws, 2, 3).WithTemporal(true)
-	for i := 0; i < p.NumCells(); i++ {
-		want := 2
-		if p.Meta(i).Kind == CellMem {
-			want = 6
-		}
-		if got := p.CellScale(i); got != want {
-			t.Errorf("%+v: CellScale = %d, want %d", p.Meta(i), got, want)
+	for _, p := range []Plan{NewReportPlan(ws, 2, 3), TemporalPlan(ws, 2)} {
+		for i := 0; i < p.NumCells(); i++ {
+			want := 2
+			if p.Meta(i).Kind == CellMem {
+				want = 6
+			}
+			if got := p.CellScale(i); got != want {
+				t.Errorf("%+v: CellScale = %d, want %d", p.Meta(i), got, want)
+			}
 		}
 	}
 	c := NewChaosPlan(3)

@@ -32,8 +32,7 @@ type ModeResult struct {
 	L1DMisses uint64
 }
 
-// Result holds one workload's runs in the report configurations: the
-// five spatial ones, plus ifp-temporal for plans built WithTemporal.
+// Result holds one workload's runs in the five report configurations.
 type Result struct {
 	Name     string
 	Suite    string
@@ -43,16 +42,11 @@ type Result struct {
 	// No-promote variants isolate the promote instruction's cost (§5.2).
 	SubheapNP ModeResult
 	WrappedNP ModeResult
-	// Temporal is the rt.IFPTemporal run (generation tagging). Zero unless
-	// the plan was built WithTemporal — the spatial campaigns never touch
-	// it, which keeps their reports byte-identical to the pre-temporal
-	// harness.
-	Temporal ModeResult
 }
 
 // fields returns r's runs in reportConfigs order.
-func (r *Result) fields() [6]*ModeResult {
-	return [...]*ModeResult{&r.Baseline, &r.Subheap, &r.Wrapped, &r.SubheapNP, &r.WrappedNP, &r.Temporal}
+func (r *Result) fields() [5]*ModeResult {
+	return [...]*ModeResult{&r.Baseline, &r.Subheap, &r.Wrapped, &r.SubheapNP, &r.WrappedNP}
 }
 
 // Config is one perf cell's run configuration: the mode, the promote
@@ -72,15 +66,13 @@ func ModeConfig(mode rt.Mode, noPromote bool) Config {
 	return Config{Mode: mode, NoPromote: noPromote, Cost: machine.DefaultCost}
 }
 
-// The report configurations, in the paper's comparison order, then the
-// temporal axis's ifp-temporal, which only plans WithTemporal run.
+// The report configurations, in the paper's comparison order.
 var (
 	cfgBaseline   = ModeConfig(rt.Baseline, false)
 	cfgSubheap    = ModeConfig(rt.Subheap, false)
 	cfgWrapped    = ModeConfig(rt.Wrapped, false)
-	cfgTemporal   = ModeConfig(rt.IFPTemporal, false)
 	reportConfigs = []Config{cfgBaseline, cfgSubheap, cfgWrapped,
-		ModeConfig(rt.Subheap, true), ModeConfig(rt.Wrapped, true), cfgTemporal}
+		ModeConfig(rt.Subheap, true), ModeConfig(rt.Wrapped, true)}
 )
 
 // ablated reports whether an ablation knob is set.

@@ -139,7 +139,7 @@ func TestMemoReportPlanLookups(t *testing.T) {
 // TestMemoFootprintIsolation: memory cells publish only into the
 // footprint domain. After a memoized report plan, a perf lookup at a
 // memory cell's coordinates (workload, mode, scale*memScale) must miss:
-// an untimed result never answers a perf cell or /v1/workload. The
+// an untimed result never answers a perf cell. The
 // memory cells themselves stay warm for the ifp-bench -fig12 path.
 func TestMemoFootprintIsolation(t *testing.T) {
 	ws := workloads.All[:2]
@@ -149,7 +149,7 @@ func TestMemoFootprintIsolation(t *testing.T) {
 	scale := p.Scale() * p.MemScale()
 	for _, w := range ws {
 		for _, mode := range memModes {
-			if _, ok := LookupOne(store, w, ModeConfig(mode, false), scale); ok {
+			if _, ok := lookupOne(store, w, ModeConfig(mode, false), scale); ok {
 				t.Errorf("%s/%v: perf lookup at scale %d hit a memory cell's entry", w.Name, mode, scale)
 			}
 		}

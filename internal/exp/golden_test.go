@@ -51,7 +51,8 @@ func modelledState(w workloads.Workload, c Config, scale int, untimed bool) (str
 // line identical; rewrite the file with -update only for a change that is
 // meant to alter the modelled machine.
 func TestModelledStateGolden(t *testing.T) {
-	p := NewReportPlan(workloads.All, 1, MemScale).WithTemporal(true)
+	p := NewReportPlan(workloads.All, 1, MemScale)
+	p.cfgs = TemporalPlan(workloads.All, 1).cfgs // the five report configurations, then ifp-temporal
 	var b strings.Builder
 	for i := 0; i < p.NumCells(); i++ {
 		w, c, scale, perf := p.cellSpec(i)

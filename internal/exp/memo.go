@@ -83,12 +83,11 @@ func chaosCellDigest(s chaos.Scheme, f chaos.Fault, seed uint64) memo.Digest {
 	return memo.ChaosDigest(s.String(), f.String(), seed, chaos.Version)
 }
 
-// LookupOne serves one (workload, configuration, scale) perf cell from
+// lookupOne serves one (workload, configuration, scale) perf cell from
 // the store (ok=false: miss, or nil store). The returned *ModeResult is
 // the shared cached value — read-only. Zero-allocation, never touches
-// rt.Pool. Callers that gate real computation behind admission control
-// (the unary /v1/workload endpoint) pair this with ComputeOne.
-func LookupOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeResult, bool) {
+// rt.Pool.
+func lookupOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeResult, bool) {
 	if s == nil {
 		return nil, false
 	}
@@ -98,11 +97,11 @@ func LookupOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeR
 	return nil, false
 }
 
-// ComputeOne executes the cell unconditionally via runOne and, when s is
+// computeOne executes the cell unconditionally via runOne and, when s is
 // non-nil, publishes the result for the next identical cell — wherever
-// it runs (batch stream, unary endpoint, bench section). It never reads
-// the store, so a LookupOne + ComputeOne pair counts exactly one miss.
-func ComputeOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeResult, error) {
+// it runs (batch stream, bench section). It never reads the store, so a
+// lookupOne + computeOne pair counts exactly one miss.
+func computeOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*ModeResult, error) {
 	m, err := runOne(w, c, scale, false)
 	if err != nil {
 		// Errors are never memoized: a failed cell re-runs on every
@@ -122,7 +121,7 @@ func ComputeOne(s *memo.Store, w workloads.Workload, c Config, scale int) (*Mode
 // footprintDigest keys one Figure-12 memory cell in the footprint domain
 // (memo.FootprintDigest): workload identity, mode, and effective scale.
 // It never equals a perf cell's digest, so a footprint-only memory-cell
-// result cannot be served as a perf cell or a /v1/workload answer.
+// result cannot be served as a perf cell.
 func footprintDigest(w workloads.Workload, mode rt.Mode, scale int) memo.Digest {
 	return memo.FootprintDigest(memo.WorkloadDigest(w.Name, w.Suite, workloads.Version), mode.String(), uint64(scale))
 }

@@ -12,8 +12,8 @@ import (
 	"infat/internal/workloads"
 )
 
-// CellDigest keys one default-knob perf cell, what LookupOne and
-// ComputeOne key on; cellDigestCost keys it under an explicit cost model,
+// CellDigest keys one default-knob perf cell, what lookupOne and
+// computeOne key on; cellDigestCost keys it under an explicit cost model,
 // so tests can pin the composition against a known calibration.
 func CellDigest(w workloads.Workload, mode rt.Mode, noPromote bool, scale int) memo.Digest {
 	return ModeConfig(mode, noPromote).digest(w, scale)
@@ -71,7 +71,7 @@ func TestMemoEquivalence(t *testing.T) {
 	plans := map[string]Plan{
 		"default":  NewReportPlan(ws, 1, 2),
 		"grid":     NewPlan(ws, 1),
-		"temporal": NewPlan(ws, 1).WithTemporal(true),
+		"temporal": TemporalPlan(ws, 1),
 	}
 	for name, p := range plans {
 		p := p
@@ -175,7 +175,7 @@ func TestAllocBudgetMemoHit(t *testing.T) {
 // the same key), and sensitive to each coordinate axis.
 func TestCellDigestsDistinctAndStable(t *testing.T) {
 	plans := func() []Plan {
-		return []Plan{NewReportPlan(workloads.All, 1, 4).WithTemporal(true), AblationPlan(1), ASICPlan(1), HybridPlan(1)}
+		return []Plan{NewReportPlan(workloads.All, 1, 4), TemporalPlan(workloads.All, 1), AblationPlan(1), ASICPlan(1), HybridPlan(1)}
 	}
 	again := plans()
 	seen := map[memo.Digest]string{}

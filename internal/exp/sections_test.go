@@ -44,7 +44,7 @@ func TestSectionPlansShareWarmStore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("163 cells; the race step runs TestMemoEquivalence")
 	}
-	sections := []Plan{AblationPlan(1), ASICPlan(1), HybridPlan(1), TemporalPlan(1)}
+	sections := []Plan{AblationPlan(1), ASICPlan(1), HybridPlan(1), TemporalPlan(workloads.All, 1)}
 	// Equal configurations are enumerated once: the ASIC sweep's 40 runs
 	// are 35 cells, the ablations' 36 are 20.
 	for i, want := range []int{20, 35, 72, 108} {

@@ -9,6 +9,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"infat/internal/juliet"
 	"infat/internal/rt"
@@ -16,8 +17,10 @@ import (
 	"infat/internal/workloads"
 )
 
-// temporalSection renders the temporal-overhead table of a plan built
-// WithTemporal: per-workload cycle overhead of the spatial schemes and of
+var cfgTemporal = ModeConfig(rt.IFPTemporal, false)
+
+// temporalSection renders the temporal-overhead table of a TemporalPlan:
+// per-workload cycle overhead of the spatial schemes and of
 // ifp-temporal vs baseline, the generation-check volume, and the geo-mean
 // comparison line that prices the temporal upgrade against spatial-only
 // protection.
@@ -46,11 +49,10 @@ func TemporalDetection(workers int) string {
 	return "CWE-415/416 detection (spatial-only vs generation tagging)\n" + t.String()
 }
 
-// TemporalPlan enumerates the temporal campaign: the full grid with
-// ifp-temporal appended (a WithTemporal plan, so its spatial cells are a
-// spatial plan's), rendered as the temporal section alone.
-func TemporalPlan(scale int) Plan {
-	p := NewPlan(workloads.All, scale).WithTemporal(true)
-	p.render = temporalSection
-	return p
+// TemporalPlan enumerates the temporal campaign over ws at scale (raised
+// to at least 1): each workload in the five report configurations, then
+// ifp-temporal, so its spatial cells are the report campaign's, rendered
+// as the temporal section alone.
+func TemporalPlan(ws []workloads.Workload, scale int) Plan {
+	return sectionPlan(ws, scale, append(slices.Clip(reportConfigs), cfgTemporal), temporalSection)
 }

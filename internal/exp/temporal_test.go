@@ -12,14 +12,14 @@ import (
 func temporalTestWorkloads() []workloads.Workload { return workloads.All[:2] }
 
 // TestTemporalPlanSpatialPrefixIdentity pins the enumeration contract:
-// per workload, a temporal plan runs the five spatial configurations in
+// per workload, the temporal plan runs the five spatial configurations in
 // the spatial plan's exact order (same metadata, same position-
-// independent keys) and appends ifp-temporal sixth, while a plan without
-// the flag enumerates exactly as before the temporal axis existed.
+// independent keys) and appends ifp-temporal sixth, while the spatial
+// plan enumerates exactly as before the temporal axis existed.
 func TestTemporalPlanSpatialPrefixIdentity(t *testing.T) {
 	ws := temporalTestWorkloads()
 	sp := NewPlan(ws, 1)
-	tp := NewPlan(ws, 1).WithTemporal(true)
+	tp := TemporalPlan(ws, 1)
 
 	if sp.NumCells() != len(ws)*5 {
 		t.Fatalf("spatial plan cells = %d, want %d (enumeration changed)", sp.NumCells(), len(ws)*5)
@@ -48,12 +48,12 @@ func TestTemporalPlanSpatialPrefixIdentity(t *testing.T) {
 	}
 }
 
-// TestTemporalAssemblyEquivalence: running a temporal plan's cells in
+// TestTemporalAssemblyEquivalence: running the temporal plan's cells in
 // reverse order and assembling must verify (including the ifp-temporal
-// checksum against baseline) and render the spatial perf report followed
-// by the temporal section.
+// checksum against baseline) and render the bytes a serial run of the
+// plan renders: the temporal section.
 func TestTemporalAssemblyEquivalence(t *testing.T) {
-	p := NewPlan(temporalTestWorkloads(), 1).WithTemporal(true)
+	p := TemporalPlan(temporalTestWorkloads(), 1)
 	a := p.NewAssembly()
 	for i := p.NumCells() - 1; i >= 0; i-- {
 		c, err := p.ComputeCell(i)
@@ -68,36 +68,38 @@ func TestTemporalAssemblyEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	results, _, err := p.Results(cells)
-	if err != nil {
-		t.Fatalf("Results: %v", err)
-	}
-	for _, r := range results {
-		if r.Temporal.Counters.Instrs == 0 {
-			t.Errorf("%s: temporal slot empty after assembly", r.Name)
+	for seq, c := range cells {
+		m := p.Meta(seq)
+		if m.Config != cfgTemporal.String() {
+			continue
 		}
-		if r.Temporal.Checksum != r.Baseline.Checksum {
-			t.Errorf("%s: temporal checksum %#x != baseline %#x",
-				r.Name, r.Temporal.Checksum, r.Baseline.Checksum)
+		base := cells[seq-seq%len(p.cfgs)].Perf
+		if c.Perf.Counters.Instrs == 0 {
+			t.Errorf("%s: temporal cell empty after assembly", m.Workload)
+		}
+		if c.Perf.Checksum != base.Checksum {
+			t.Errorf("%s: temporal checksum %#x != baseline %#x", m.Workload, c.Perf.Checksum, base.Checksum)
 		}
 	}
 	rep, err := a.Report()
 	if err != nil {
 		t.Fatalf("Report: %v", err)
 	}
-	spatial := PerfReport(results)
-	if !strings.HasPrefix(rep, spatial) {
-		t.Error("temporal report does not start with the byte-identical spatial report")
+	serial, err := RunReport(p, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(rep, "Temporal axis") {
-		t.Error("temporal report missing the temporal section")
+	if rep != serial {
+		t.Error("assembled temporal report differs from the serial run's")
+	}
+	if !strings.HasPrefix(rep, "Temporal axis") {
+		t.Errorf("temporal report is not the temporal section:\n%s", rep)
 	}
 }
 
 // TestSpatialAssemblyUnchangedByTemporalField: a default (spatial) plan's
-// assembled report must not mention the temporal axis and must leave the
-// Temporal slot zero — the new Result field cannot perturb existing
-// campaigns.
+// assembled report must not mention the temporal axis and must equal
+// PerfReport — the temporal axis cannot perturb existing campaigns.
 func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 	p := NewPlan(temporalTestWorkloads(), 1)
 	a := p.NewAssembly()
@@ -118,11 +120,6 @@ func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Results: %v", err)
 	}
-	for _, r := range results {
-		if r.Temporal != (ModeResult{}) {
-			t.Errorf("%s: spatial plan populated the temporal slot: %+v", r.Name, r.Temporal)
-		}
-	}
 	rep, err := a.Report()
 	if err != nil {
 		t.Fatalf("Report: %v", err)
@@ -140,7 +137,7 @@ func TestSpatialAssemblyUnchangedByTemporalField(t *testing.T) {
 // generation mode catching everything the spatial mode misses.
 func TestTemporalReportDeterministic(t *testing.T) {
 	report := func(workers int) string {
-		rep, err := RunReport(TemporalPlan(1), workers)
+		rep, err := RunReport(TemporalPlan(workloads.All, 1), workers)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}

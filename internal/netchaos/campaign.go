@@ -159,21 +159,15 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	}
 
 	// Ground truths, computed once locally: the byte-exact answers every
-	// faulted run must still produce. Resolving the batch plan rejects an
-	// unknown workload.
-	batchReq := server.BatchRequest{Workloads: cfg.Workloads, Scale: campaignScale}
-	batchPlan, err := batchReq.BatchPlan()
-	if err != nil {
-		return nil, err
-	}
-	batch, err := newLeg("batch", server.BatchPath, batchReq, batchPlan)
+	// faulted run must still produce. Resolving the batch request rejects
+	// an unknown workload.
+	batch, err := newLeg("batch", server.BatchRequest{Workloads: cfg.Workloads, Scale: campaignScale})
 	if err != nil {
 		return nil, err
 	}
 	legs := []leg{batch}
 	if !cfg.SkipChaos {
-		chaosReq := server.ChaosRequest{Scale: chaosScale}
-		lg, err := newLeg("chaos", server.ChaosPath, chaosReq, chaosReq.Plan())
+		lg, err := newLeg("chaos", server.BatchRequest{Plan: server.PlanChaos, Scale: chaosScale})
 		if err != nil {
 			return nil, err
 		}
@@ -204,29 +198,24 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	return res, nil
 }
 
-// leg is one campaign type of the grid: its cell count and the client
-// side of one faulted run.
+// leg is one campaign type of the grid: its campaign, resolved through
+// the servers' own campaign table, and its serial ground truth.
 type leg struct {
-	name  string
-	cells int
-	run   func(ctx context.Context, c *server.Client, stats *RunStats) error
+	name string
+	camp server.Campaign
+	want string
 }
 
-// newLeg computes the campaign's ground truth and binds the leg that
-// streams it from path.
-func newLeg[C any](name, path string, req campaignRequest, camp exp.Campaign[C]) (leg, error) {
-	want, err := exp.RunReport(camp, 0)
+// newLeg resolves the leg's campaign request and computes its ground
+// truth.
+func newLeg(name string, req server.BatchRequest) (leg, error) {
+	camp, err := req.Resolve(nil)
 	if err != nil {
 		return leg{}, err
 	}
-	return leg{name, camp.NumCells(), func(ctx context.Context, c *server.Client, stats *RunStats) error {
-		return streamLeg(ctx, c, path, req, camp, want, stats)
-	}}, nil
+	want, err := camp.RunLocal(0)
+	return leg{name, camp, want}, err
 }
-
-// campaignRequest is a campaign endpoint's request body
-// (server.BatchRequest or server.ChaosRequest).
-type campaignRequest interface{ WithCells(cells []int) any }
 
 // stack is one booted serving tier: backends, proxies, shard, and the
 // handles the campaign needs to drive and then tear it all down.
@@ -310,7 +299,7 @@ func bootStack(cfg CampaignConfig, fault Fault, seed uint64) (*stack, error) {
 // runLeg boots a fresh faulted stack and drives one campaign leg
 // through it, enforcing the gates.
 func runLeg(cfg CampaignConfig, lg leg, fault Fault, seed uint64) (RunStats, error) {
-	stats := RunStats{Campaign: lg.name, Fault: fault, Seed: seed, Cells: lg.cells}
+	stats := RunStats{Campaign: lg.name, Fault: fault, Seed: seed, Cells: lg.camp.NumCells()}
 	st, err := bootStack(cfg, fault, seed)
 	if err != nil {
 		return stats, err
@@ -323,7 +312,7 @@ func runLeg(cfg CampaignConfig, lg leg, fault Fault, seed uint64) (RunStats, err
 		return stats, err
 	}
 
-	err = lg.run(ctx, st.client, &stats)
+	err = streamLeg(ctx, st.client, lg, &stats)
 	stats.Injected = st.injected()
 	cold, scrapeErr := scrapeShard(ctx, st.shardURL)
 	stats.Shard = cold.Shard
@@ -375,8 +364,8 @@ func checkHealthy(ctx context.Context, st *stack, lg leg, cold shard.MetricsResp
 	if listed != fleetSize {
 		return fmt.Errorf("control arm: /metrics has the snapshots of %d backends, want %d", listed, fleetSize)
 	}
-	replay := RunStats{Cells: lg.cells}
-	if err := lg.run(ctx, st.client, &replay); err != nil {
+	replay := RunStats{Cells: lg.camp.NumCells()}
+	if err := streamLeg(ctx, st.client, lg, &replay); err != nil {
 		return fmt.Errorf("control arm: replay: %w", err)
 	}
 	if err := checkLeg(replay); err != nil {
@@ -394,7 +383,7 @@ func checkHealthy(ctx context.Context, st *stack, lg leg, cold shard.MetricsResp
 			return fmt.Errorf("control arm: recovery work on a healthy fleet: %s", formatCounters(warm.Shard))
 		}
 	}
-	cells := uint64(lg.cells)
+	cells := uint64(lg.camp.NumCells())
 	if hits, misses := cold.Aggregate.Memo["hits"], cold.Aggregate.Memo["misses"]; hits != 0 || misses != cells {
 		return fmt.Errorf("control arm: cold leg of %d cells made %d memo hits and %d misses, want 0 and %d", cells, hits, misses, cells)
 	}
@@ -437,12 +426,11 @@ func addOutcome(err error, stats *RunStats) error {
 	return nil
 }
 
-// streamLeg streams the campaign from path, re-requesting missing cells
+// streamLeg streams the leg's campaign, re-requesting missing cells
 // until the assembly completes (or rounds run out), then byte-compares
 // the reassembled report.
-func streamLeg[C any](ctx context.Context, c *server.Client, path string,
-	req campaignRequest, camp exp.Campaign[C], want string, stats *RunStats) error {
-	a := exp.NewAssembly(camp)
+func streamLeg(ctx context.Context, c *server.Client, lg leg, stats *RunStats) error {
+	a := lg.camp.NewAssembly()
 	for round := 0; round < maxRounds; round++ {
 		missing := a.Missing()
 		if len(missing) == 0 {
@@ -458,12 +446,12 @@ func streamLeg[C any](ctx context.Context, c *server.Client, path string,
 			// faster than the tier can heal.
 			sleepCtx(ctx, roundPause)
 		}
-		_, err := c.CampaignStream(ctx, path, req.WithCells(cells), func(cell server.BatchCell) error {
+		_, err := c.BatchStream(ctx, lg.camp.Request(cells), func(cell server.BatchCell) error {
 			if cell.Error != "" {
 				stats.ErrorCells++
 				return nil // shed cell: re-requested next round
 			}
-			return addOutcome(server.AddCell(a, cell), stats)
+			return addOutcome(a.Add(cell), stats)
 		})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -480,7 +468,7 @@ func streamLeg[C any](ctx context.Context, c *server.Client, path string,
 	if err != nil {
 		return err
 	}
-	stats.ReportIdentical = got == want
+	stats.ReportIdentical = got == lg.want
 	return nil
 }
 

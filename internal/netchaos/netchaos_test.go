@@ -178,7 +178,7 @@ func TestProxyHealthProbesPassClean(t *testing.T) {
 // ran one cell at a time.
 func TestProxyForwardsStreamHeaders(t *testing.T) {
 	base := serveHandler(t, New(Config{Target: serveHandler(t, server.New(server.Config{Workers: 3}))}))
-	resp, err := http.Post(base+server.ChaosPath, "application/json", strings.NewReader(`{"cells":[0]}`))
+	resp, err := http.Post(base+server.BatchPath, "application/json", strings.NewReader(`{"plan":"chaos","cells":[0]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestClientTruncatedStreamNoPartialReport(t *testing.T) {
 	c := server.NewClientSeeded(base, 3)
 	req := server.BatchRequest{Workloads: []string{"treeadd"}}
 
-	report, err := c.BatchReport(ctx, req)
+	report, err := c.Report(ctx, req)
 	if !errors.Is(err, server.ErrTruncatedStream) {
 		t.Fatalf("truncated campaign error = %v, want ErrTruncatedStream", err)
 	}
@@ -221,7 +221,7 @@ func TestClientTruncatedStreamNoPartialReport(t *testing.T) {
 
 	// Fault budget spent: the same client must now succeed, which also
 	// proves the truncated attempt released its worker slots.
-	got, err := c.BatchReport(ctx, req)
+	got, err := c.Report(ctx, req)
 	if err != nil || got == "" {
 		t.Fatalf("post-truncation campaign: err=%v", err)
 	}

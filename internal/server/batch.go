@@ -1,20 +1,21 @@
 package server
 
-// The batch serving tier: POST /v1/batch and /v1/chaos accept a whole
-// campaign — the (workload × configuration) evaluation matrix or
-// the (scheme × fault × seed) chaos grid — in one request and stream
-// per-cell results back as NDJSON while the cells fan out over the same
-// bounded worker semaphore the unary endpoints use. Each line carries
+// The batch serving tier: POST /v1/batch accepts a whole campaign — the
+// paper's §5.2 report, the temporal axis or the fault-injection grid,
+// named by the request's plan — in one request and streams per-cell
+// results back as NDJSON while the cells fan out over the same bounded
+// worker semaphore the unary endpoints use. Each line carries
 // deterministic ordering metadata (the cell's seq in the exp plan
 // enumeration), so a client can reassemble the stream — received in
 // completion order, not plan order — into the byte-identical report a
-// serial ifp-bench run prints (exp.CampaignAssembly). A request may name
+// serial ifp-bench run prints (Campaign.NewAssembly). A request may name
 // an explicit cell subset, which is how the shard front tier
 // (internal/shard) scatters one campaign across several backends and
-// merges the streams. The two endpoints are rows of one route table
-// (CampaignRoutes) over one generic campaign stream.
+// merges the streams. Every tier resolves a request's plan through one
+// table (campaignPlans) over one generic campaign stream.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,7 +29,7 @@ import (
 	"infat/internal/workloads"
 )
 
-// NDJSONContentType is the batch endpoints' response content type: one
+// NDJSONContentType is the batch endpoint's response content type: one
 // JSON object per line, cells in completion order, trailer last.
 const NDJSONContentType = "application/x-ndjson"
 
@@ -46,67 +47,107 @@ const WorkersHeader = "X-Ifp-Workers"
 // campaign streams set the last two.
 var RelayHeaders = []string{"Content-Type", CacheHeader, MemoHeader, RetryAfterHeader, CellsHeader, WorkersHeader}
 
-// Batch endpoint paths, shared with the client and the shard tier.
+// BatchPath is the campaign endpoint, shared with the client and the
+// shard tier.
+const BatchPath = "/v1/batch"
+
+// The plans a BatchRequest can name.
 const (
-	BatchPath = "/v1/batch"
-	ChaosPath = "/v1/chaos"
+	PlanReport   = "report"   // Table 4 and Figures 10–12: exp.NewReportPlan
+	PlanTemporal = "temporal" // the temporal axis: exp.TemporalPlan
+	PlanChaos    = "chaos"    // the fault-injection campaign: exp.NewChaosPlan
 )
 
-// MaxScale bounds every scale a request may ask for: /v1/workload's
-// scale, a campaign's perf or chaos scale, and — times exp.MemScale, so
-// the default memory experiment always fits — a campaign's memory-cell
-// scale.
+// MaxScale bounds every scale a campaign request may ask for: its perf
+// or chaos scale, and — times exp.MemScale, so the default memory
+// experiment always fits — its memory-cell scale.
 const MaxScale = 4
 
-// BatchRequest is the POST /v1/batch body: a whole (workload ×
-// configuration) campaign.
+// BatchRequest is the POST /v1/batch body: a whole campaign, or an
+// explicit subset of its cells.
 type BatchRequest struct {
+	// Plan names the campaign: PlanReport (the default when empty),
+	// PlanTemporal or PlanChaos.
+	Plan string `json:"plan,omitempty"`
 	// Workloads selects the workload rows by name; empty selects the full
-	// §5.2 suite.
+	// §5.2 suite. The chaos plan takes none.
 	Workloads []string `json:"workloads,omitempty"`
-	// Scale is the perf-grid scale factor (default 1), bounded by
-	// MaxScale.
+	// Scale is the plan's scale factor (default 1), bounded by MaxScale:
+	// the perf-grid scale, or the chaos plan's seeds per cell in units of
+	// exp.ChaosSeedsPerCell.
 	Scale int `json:"scale,omitempty"`
-	// MemScale is the memory-cell scale multiplier (values below 1 select
-	// exp.MemScale). Memory cells run at Scale*MemScale, bounded by
-	// MaxScale*exp.MemScale.
+	// MemScale is the report plan's memory-cell scale multiplier (values
+	// below 1 select exp.MemScale). Memory cells run at Scale*MemScale,
+	// bounded by MaxScale*exp.MemScale. No other plan takes it.
 	MemScale int `json:"mem_scale,omitempty"`
 	// Cells restricts the run to an explicit subset of plan sequence
 	// numbers (empty = every cell). The shard tier uses this to scatter
 	// one campaign across backends.
 	Cells []int `json:"cells,omitempty"`
-	// Temporal appends the ifp-temporal configuration per workload (the
-	// generation-tagging temporal axis). Requests without it enumerate —
-	// and stream — exactly as before the temporal subsystem existed.
-	Temporal bool `json:"temporal,omitempty"`
 }
 
-// BatchPlan resolves the request onto its full-report cell plan (perf +
-// memory cells) — the enumeration both the server and a reassembling
-// client must share.
-func (r BatchRequest) BatchPlan() (exp.Plan, error) {
-	ws, err := resolveWorkloads(r.Workloads)
-	if err != nil {
-		return exp.Plan{}, err
+// campaignPlans is the campaign table: each plan name's constructor,
+// which rejects the request fields its plan does not take. Backends, the
+// shard, the client and netchaos all resolve a request through it
+// (BatchRequest.Resolve), so every tier agrees on what a plan name means.
+var campaignPlans = map[string]func(r BatchRequest, store *memo.Store) (Campaign, error){
+	PlanReport: func(r BatchRequest, store *memo.Store) (Campaign, error) {
+		ws, err := resolveWorkloads(r.Workloads)
+		if err != nil {
+			return nil, err
+		}
+		p := exp.NewReportPlan(ws, r.Scale, r.MemScale)
+		return newCampaign(p.WithMemo(store), r, p.Scale(), p.MemScale())
+	},
+	PlanTemporal: func(r BatchRequest, store *memo.Store) (Campaign, error) {
+		if r.MemScale != 0 {
+			return nil, errors.New(`plan "temporal" takes no mem_scale`)
+		}
+		ws, err := resolveWorkloads(r.Workloads)
+		if err != nil {
+			return nil, err
+		}
+		p := exp.TemporalPlan(ws, r.Scale)
+		return newCampaign(p.WithMemo(store), r, p.Scale(), 0)
+	},
+	PlanChaos: func(r BatchRequest, store *memo.Store) (Campaign, error) {
+		if len(r.Workloads) > 0 || r.MemScale != 0 {
+			return nil, errors.New(`plan "chaos" takes no workloads and no mem_scale`)
+		}
+		p := exp.NewChaosPlan(r.Scale)
+		return newCampaign(p.WithMemo(store), r, p.Scale(), 0)
+	},
+}
+
+// Resolve resolves the request through the campaign table onto its
+// campaign, memoized through store (nil: none), with its scales bounded
+// and its cell subset validated.
+func (r BatchRequest) Resolve(store *memo.Store) (Campaign, error) {
+	name := r.Plan
+	if name == "" {
+		name = PlanReport
 	}
-	return exp.NewReportPlan(ws, r.Scale, r.MemScale).WithTemporal(r.Temporal), nil
-}
-
-// GridPlan resolves the request onto its perf-only cell plan: the first
-// cells of BatchPlan's, with the same seqs and identities.
-func (r BatchRequest) GridPlan() (exp.Plan, error) {
-	ws, err := resolveWorkloads(r.Workloads)
-	if err != nil {
-		return exp.Plan{}, err
+	build, ok := campaignPlans[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown plan %q (want %s, %s or %s)", r.Plan, PlanReport, PlanTemporal, PlanChaos)
 	}
-	return exp.NewPlan(ws, r.Scale).WithTemporal(r.Temporal), nil
+	return build(r, store)
 }
 
-// WithCells returns the request restricted to an explicit cell subset
-// (nil = every cell).
-func (r BatchRequest) WithCells(cells []int) any {
-	r.Cells = cells
-	return r
+// MaxCampaignBodyBytes bounds a campaign request body, on backends and
+// the shard alike.
+const MaxCampaignBodyBytes = 1 << 20
+
+// ReadCampaign strictly decodes one BatchRequest body and resolves it.
+// Backends and the shard both call it on at most MaxCampaignBodyBytes,
+// so both tiers accept and reject exactly the same requests, and the
+// shard rejects a bad one before it contacts any backend.
+func ReadCampaign(body io.Reader, store *memo.Store) (Campaign, error) {
+	var req BatchRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, err
+	}
+	return req.Resolve(store)
 }
 
 func resolveWorkloads(names []string) ([]workloads.Workload, error) {
@@ -127,26 +168,6 @@ func resolveWorkloads(names []string) ([]workloads.Workload, error) {
 		ws = append(ws, w)
 	}
 	return ws, nil
-}
-
-// ChaosRequest is the POST /v1/chaos body: one fault-injection campaign.
-type ChaosRequest struct {
-	// Scale multiplies the seeds per (scheme, fault) cell (default 1),
-	// bounded by MaxScale.
-	Scale int `json:"scale,omitempty"`
-	// Cells restricts the run to an explicit subset of plan sequence
-	// numbers (empty = every cell).
-	Cells []int `json:"cells,omitempty"`
-}
-
-// Plan resolves the request onto its chaos cell plan.
-func (r ChaosRequest) Plan() exp.ChaosPlan { return exp.NewChaosPlan(r.Scale) }
-
-// WithCells returns the request restricted to an explicit cell subset
-// (nil = every cell).
-func (r ChaosRequest) WithCells(cells []int) any {
-	r.Cells = cells
-	return r
 }
 
 // BatchCell is one NDJSON line of a batch stream: the cell's plan
@@ -181,66 +202,11 @@ type BatchTrailer struct {
 	Failed    int  `json:"failed"`
 }
 
-// MaxCampaignBodyBytes bounds a campaign request body, on backends and
-// the shard alike.
-const MaxCampaignBodyBytes = 1 << 20
-
-// CampaignRoute is one row of the campaign route table: a streaming
-// endpoint's path and the resolver that decodes a request body into a
-// bounded campaign. Backends and the shard serve the same table through
-// the same resolvers, reading at most MaxCampaignBodyBytes, so both
-// tiers accept and reject exactly the same requests, and the shard
-// rejects a bad one before it contacts any backend. A backend counts a
-// route's requests under its path after "/v1/".
-type CampaignRoute struct {
-	Path string
-	// Resolve strictly decodes one request body, resolves it onto its
-	// campaign (memoized through store, which may be nil), bounds its
-	// scales, and validates its cell subset.
-	Resolve func(body io.Reader, store *memo.Store) (Campaign, error)
-}
-
-// CampaignRoutes is the campaign route table.
-var CampaignRoutes = []CampaignRoute{
-	{BatchPath, resolveBatch(BatchRequest.BatchPlan)},
-	{ChaosPath, resolveChaos},
-}
-
-// resolveBatch resolves a BatchRequest body onto the plan planOf builds.
-func resolveBatch(planOf func(BatchRequest) (exp.Plan, error)) func(io.Reader, *memo.Store) (Campaign, error) {
-	return func(body io.Reader, store *memo.Store) (Campaign, error) {
-		var req BatchRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return nil, err
-		}
-		plan, err := planOf(req)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkScale(plan.Scale(), plan.MemScale()); err != nil {
-			return nil, err
-		}
-		return newCampaign[exp.CellResult](plan.WithMemo(store), req.Cells, req.WithCells)
-	}
-}
-
-func resolveChaos(body io.Reader, store *memo.Store) (Campaign, error) {
-	var req ChaosRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
-	plan := req.Plan()
-	if err := checkScale(plan.Scale(), 0); err != nil {
-		return nil, err
-	}
-	return newCampaign[chaos.Outcome](plan.WithMemo(store), req.Cells, req.WithCells)
-}
-
-// checkScale bounds campaign scales the way /v1/workload bounds its
-// scale: the perf scale (already at least 1) by MaxScale, and the memory
-// cells' effective scale (scale×memScale; 0 = no memory cells) by
-// MaxScale×exp.MemScale. The bound is divided rather than the scales
-// multiplied, so no mem_scale can overflow its way under it.
+// checkScale bounds campaign scales: the perf or chaos scale (already at
+// least 1) by MaxScale, and the memory cells' effective scale
+// (scale×memScale; 0 = no memory cells) by MaxScale×exp.MemScale. The
+// bound is divided rather than the scales multiplied, so no mem_scale can
+// overflow its way under it.
 func checkScale(scale, memScale int) error {
 	if scale > MaxScale {
 		return fmt.Errorf("scale %d out of range [1, %d]", scale, MaxScale)
@@ -275,8 +241,8 @@ func resolveSubset(n int, subset []int) ([]int, error) {
 	return subset, nil
 }
 
-// Campaign is a campaign request a CampaignRoute resolved: the exp
-// campaign it names and its validated cell subset.
+// Campaign is a campaign request resolved through the campaign table:
+// the exp campaign it names and its validated cell subset.
 type Campaign interface {
 	exp.CellPlan
 	// CellDigest is cell i's canonical memo key: what a backend that
@@ -288,34 +254,67 @@ type Campaign interface {
 	// none.
 	Cells() []int
 	// Request returns the request restricted to cells: the body the shard
-	// sends the backend that owns them.
-	Request(cells []int) any
+	// sends the backend that owns them, and a client re-requests.
+	Request(cells []int) BatchRequest
 	// CheckCell checks one decoded stream line against the campaign: an
 	// error cell's identity, or a cell's identity and payload (its
 	// campaign's payload field, and no other, of the shape its kind
 	// requires). Violations wrap exp.ErrCorruptCell.
 	CheckCell(cell BatchCell) error
+	// NewAssembly returns an empty checked assembly of the whole
+	// campaign.
+	NewAssembly() Assembly
+	// RunLocal runs every cell in-process over at most workers goroutines
+	// (exp.RunReport) and renders the report a served campaign must
+	// reassemble to.
+	RunLocal(workers int) (string, error)
 	// stream serves the campaign on a backend.
 	stream(s *Server, w http.ResponseWriter, r *http.Request)
+}
+
+// Assembly folds a campaign's streamed cell lines back into its report:
+// the client's side of the contract CheckCell enforces at the shard
+// relay.
+type Assembly interface {
+	// Add folds in one cell line, its identity and payload checked
+	// against the campaign (violations wrap exp.ErrCorruptCell, a repeat
+	// exp.ErrDuplicateCell). Error cells carry no payload and are the
+	// caller's to handle.
+	Add(cell BatchCell) error
+	// Missing lists the sequence numbers not yet added, in order.
+	Missing() []int
+	// Report renders the complete campaign, byte-identical to a serial
+	// run of it.
+	Report() (string, error)
 }
 
 // campaign is the Campaign of an exp campaign with payload type C.
 type campaign[C any] struct {
 	exp.Campaign[C]
 	cells []int
-	sub   func(cells []int) any
+	req   BatchRequest
 }
 
-func newCampaign[C any](c exp.Campaign[C], subset []int, sub func([]int) any) (Campaign, error) {
-	cells, err := resolveSubset(c.NumCells(), subset)
+// newCampaign bounds the campaign's scales and resolves the request's
+// cell subset against it.
+func newCampaign[C any](c exp.Campaign[C], req BatchRequest, scale, memScale int) (Campaign, error) {
+	if err := checkScale(scale, memScale); err != nil {
+		return nil, err
+	}
+	cells, err := resolveSubset(c.NumCells(), req.Cells)
 	if err != nil {
 		return nil, err
 	}
-	return campaign[C]{c, cells, sub}, nil
+	return campaign[C]{c, cells, req}, nil
 }
 
-func (c campaign[C]) Cells() []int            { return c.cells }
-func (c campaign[C]) Request(cells []int) any { return c.sub(cells) }
+func (c campaign[C]) Cells() []int { return c.cells }
+
+func (c campaign[C]) Request(cells []int) BatchRequest {
+	r := c.req
+	r.Cells = cells
+	return r
+}
 
 func (c campaign[C]) CheckCell(cell BatchCell) error {
 	if err := exp.CheckMeta(c, cell.Meta()); err != nil || cell.Error != "" {
@@ -328,10 +327,14 @@ func (c campaign[C]) CheckCell(cell BatchCell) error {
 	return c.CheckPayload(cell.Seq, v)
 }
 
-// AddCell folds one streamed cell line into a checked assembly: the
-// client's side of the contract CheckCell enforces at the shard relay.
-// Error cells carry no payload and are the caller's to handle.
-func AddCell[C any](a *exp.CampaignAssembly[C], cell BatchCell) error {
+func (c campaign[C]) NewAssembly() Assembly { return assembly[C]{exp.NewAssembly(c.Campaign)} }
+
+func (c campaign[C]) RunLocal(workers int) (string, error) { return exp.RunReport(c.Campaign, workers) }
+
+// assembly is the Assembly of a campaign with payload type C.
+type assembly[C any] struct{ *exp.CampaignAssembly[C] }
+
+func (a assembly[C]) Add(cell BatchCell) error {
 	v, err := cellPayload[C](cell)
 	if err != nil {
 		return err
@@ -377,17 +380,16 @@ func metaCell(m exp.CellMeta) BatchCell {
 	return BatchCell{Seq: m.Seq, Kind: m.Kind, Workload: m.Workload, Config: m.Config}
 }
 
-// handleCampaign serves one route of the campaign table.
-func (s *Server) handleCampaign(route CampaignRoute) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes), s.memo)
-		if err != nil {
-			s.metrics.admission["bad_request"].Add(1)
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		camp.stream(s, w, r)
+// handleBatch serves POST /v1/batch: the request resolved through the
+// campaign table, then streamed.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	camp, err := ReadCampaign(http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes), s.memo)
+	if err != nil {
+		s.metrics.admission["bad_request"].Add(1)
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
+	camp.stream(s, w, r)
 }
 
 // stream fans the requested cells over the worker semaphore and streams

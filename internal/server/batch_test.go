@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"infat/internal/exp"
+	"infat/internal/memo"
 	"infat/internal/rt"
 	"infat/internal/workloads"
 )
@@ -34,8 +37,8 @@ func batchWorkloadSet(t *testing.T) []workloads.Workload {
 }
 
 // TestBatchStreamEquivalence: one /v1/batch request streams the whole
-// campaign and reassembles to the exact bytes of a serial run; its perf
-// cells alone (GridReport) reassemble to the perf-only report.
+// report campaign and reassembles to the exact bytes of a serial run,
+// whether it names the report plan or leaves the plan empty.
 func TestBatchStreamEquivalence(t *testing.T) {
 	ws := batchWorkloadSet(t)
 	workers := runtime.NumCPU()
@@ -52,29 +55,24 @@ func TestBatchStreamEquivalence(t *testing.T) {
 	defer done()
 	ctx := context.Background()
 
-	got, err := c.BatchReport(ctx, BatchRequest{Workloads: batchTestWorkloads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := exp.Report(serial, serialMem); got != want {
-		t.Fatalf("streamed batch report differs from serial run:\n--- streamed ---\n%s\n--- serial ---\n%s", got, want)
-	}
-
-	gotGrid, err := c.GridReport(ctx, BatchRequest{Workloads: batchTestWorkloads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := exp.PerfReport(serial); gotGrid != want {
-		t.Fatal("streamed grid report differs from serial run")
+	want := exp.Report(serial, serialMem)
+	for _, plan := range []string{"", PlanReport} {
+		got, err := c.Report(ctx, BatchRequest{Plan: plan, Workloads: batchTestWorkloads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("plan %q: streamed batch report differs from serial run:\n--- streamed ---\n%s\n--- serial ---\n%s", plan, got, want)
+		}
 	}
 }
 
-// TestChaosStreamEquivalence: /v1/chaos reassembles the deterministic
-// fault-injection campaign byte-for-byte.
+// TestChaosStreamEquivalence: the chaos plan reassembles the
+// deterministic fault-injection campaign byte-for-byte.
 func TestChaosStreamEquivalence(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
-	got, err := c.ChaosReport(context.Background(), ChaosRequest{})
+	got, err := c.Report(context.Background(), BatchRequest{Plan: PlanChaos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +88,7 @@ func TestBatchSubsetAndTrailer(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
 	req := BatchRequest{Workloads: batchTestWorkloads, Cells: []int{4, 0, 9}}
-	plan, err := req.BatchPlan()
+	plan, err := req.Resolve(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +118,10 @@ func TestBatchSubsetAndTrailer(t *testing.T) {
 	}
 }
 
-// TestBatchValidation: malformed campaign requests are rejected with
-// 400 before any streaming starts.
+// TestBatchValidation: malformed campaign requests — including an
+// unknown plan, a field the named plan does not take, and the temporal
+// flag the temporal plan replaced — are rejected with 400 before any
+// streaming starts.
 func TestBatchValidation(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
@@ -133,8 +133,16 @@ func TestBatchValidation(t *testing.T) {
 		"duplicate cell":      `{"cells":[1,1]}`,
 		"unknown field":       `{"bogus":true}`,
 		"trailing data":       `{} {}`,
+		"trailing brace":      `{"cells":[0]}}`,
+		"trailing bracket":    `{"cells":[0]}]`,
 		// scale*mem_scale wraps around to a negative effective scale.
-		"mem_scale overflow": `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`,
+		"mem_scale overflow":      `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`,
+		"unknown plan":            `{"plan":"grid"}`,
+		"chaos with workloads":    `{"plan":"chaos","workloads":["treeadd"]}`,
+		"chaos with mem_scale":    `{"plan":"chaos","mem_scale":2}`,
+		"chaos scale too large":   `{"plan":"chaos","scale":5}`,
+		"temporal with mem_scale": `{"plan":"temporal","mem_scale":2}`,
+		"temporal flag":           `{"temporal":true}`,
 	} {
 		resp, err := http.Post(c.BaseURL+BatchPath, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -147,50 +155,36 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestGridStreamTemporalEquivalence: a Temporal grid request streams the
-// six-configuration plan (spatial five + ifp-temporal) and reassembles
-// to the exact bytes a local temporal assembly renders — spatial report
-// prefix plus the temporal section — while a request without the flag
-// never mentions the temporal axis.
-func TestGridStreamTemporalEquivalence(t *testing.T) {
-	ws := batchWorkloadSet(t)
-	plan := exp.NewPlan(ws, 1).WithTemporal(true)
-	a := plan.NewAssembly()
-	for i := 0; i < plan.NumCells(); i++ {
-		cell, err := plan.ComputeCell(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Add(i, cell); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := a.Report()
+// TestTemporalStreamEquivalence: the temporal plan streams its six
+// configurations per workload and reassembles to exactly what a serial
+// run of exp.TemporalPlan renders. Its spatial cells are the report
+// plan's, so after a stream of the perf grid they are all warm.
+func TestTemporalStreamEquivalence(t *testing.T) {
+	want, err := exp.RunReport(exp.TemporalPlan(batchWorkloadSet(t), 1), runtime.NumCPU())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	_, c, done := newTestServer(t, Config{})
 	defer done()
-	ctx := context.Background()
-
-	got, err := c.GridReport(ctx, BatchRequest{Workloads: batchTestWorkloads, Temporal: true})
+	req := BatchRequest{Plan: PlanTemporal, Workloads: batchTestWorkloads}
+	got, err := c.Report(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("streamed temporal grid report differs from local assembly:\n--- streamed ---\n%s\n--- local ---\n%s", got, want)
+		t.Fatalf("streamed temporal report differs from serial run:\n--- streamed ---\n%s\n--- serial ---\n%s", got, want)
 	}
-	if !strings.Contains(got, "Temporal axis") {
-		t.Fatal("temporal grid report missing the temporal section")
+	if !strings.HasPrefix(got, "Temporal axis") {
+		t.Fatalf("temporal report is not the temporal section:\n%s", got)
 	}
 
-	spatial, err := c.GridReport(ctx, BatchRequest{Workloads: batchTestWorkloads})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(spatial, "Temporal axis") || strings.Contains(spatial, "ifp-temporal") {
-		t.Fatal("spatial grid report mentions the temporal axis")
+	_, warmC, warmDone := newTestServer(t, Config{})
+	defer warmDone()
+	postNDJSON(t, warmC.BaseURL+BatchPath, `{"workloads":["treeadd","health"],"cells":[0,1,2,3,4,5,6,7,8,9]}`)
+	hdr, lines, _ := postNDJSON(t, warmC.BaseURL+BatchPath, string(mustJSON(req)))
+	if got := hdr.Get(MemoHeader); got != "10" || len(lines) != 12 {
+		t.Fatalf("temporal stream after the perf grid: %s = %q over %d cells, want 10 warm of 12", MemoHeader, got, len(lines))
 	}
 }
 
@@ -210,8 +204,8 @@ func TestBatchMidStreamCancellation(t *testing.T) {
 	before := rt.DefaultPool.Stats()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	body, _ := json.Marshal(ChaosRequest{Scale: 4})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+ChaosPath, strings.NewReader(string(body)))
+	body, _ := json.Marshal(BatchRequest{Plan: PlanChaos, Scale: 4})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+BatchPath, strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +305,89 @@ func TestBusyResponsesCarryRetryAfter(t *testing.T) {
 func TestCampaignStreamReportsWorkers(t *testing.T) {
 	_, c, done := newTestServer(t, Config{Workers: 3})
 	defer done()
-	for _, route := range CampaignRoutes {
-		hdr, _, _ := postNDJSON(t, c.BaseURL+route.Path, `{"cells":[0]}`)
+	for plan := range campaignPlans {
+		hdr, _, _ := postNDJSON(t, c.BaseURL+BatchPath, fmt.Sprintf(`{"plan":%q,"cells":[0]}`, plan))
 		if got := hdr.Get(WorkersHeader); got != "3" {
-			t.Errorf("%s: %s = %q, want 3", route.Path, WorkersHeader, got)
+			t.Errorf("%s: %s = %q, want 3", plan, WorkersHeader, got)
 		}
+	}
+}
+
+// faultyCampaign is a three-cell campaign whose second cell fails and
+// whose third panics, as a simulator bug would.
+type faultyCampaign struct{}
+
+func (faultyCampaign) NumCells() int { return 3 }
+func (faultyCampaign) Meta(i int) exp.CellMeta {
+	return exp.CellMeta{Seq: i, Kind: exp.CellPerf, Workload: "w", Config: "c"}
+}
+func (faultyCampaign) Key(i int) string                        { return fmt.Sprint(i) }
+func (faultyCampaign) CellDigest(int) memo.Digest              { return memo.Digest{} }
+func (faultyCampaign) CellScale(int) int                       { return 1 }
+func (faultyCampaign) ProbeCell(int) bool                      { return false }
+func (faultyCampaign) LookupCell(int) (exp.CellResult, bool)   { return exp.CellResult{}, false }
+func (faultyCampaign) CheckPayload(int, exp.CellResult) error  { return nil }
+func (faultyCampaign) Render([]exp.CellResult) (string, error) { return "", nil }
+func (faultyCampaign) ComputeCell(i int) (exp.CellResult, error) {
+	switch i {
+	case 1:
+		return exp.CellResult{}, errors.New("cell failed")
+	case 2:
+		panic("simulator bug")
+	}
+	return exp.CellResult{Perf: &exp.ModeResult{}}, nil
+}
+
+// TestCampaignStreamFailureAccounting: a cell whose computation fails
+// and one that panics each stream as an error line, the rest of the
+// campaign still streams, and the trailer and /metrics account for
+// both: every error cell under batch.cell_errors, the panic also under
+// admission.internal_panics. Every worker slot is free afterwards.
+func TestCampaignStreamFailureAccounting(t *testing.T) {
+	s := New(Config{Workers: 2})
+	camp, err := newCampaign[exp.CellResult](faultyCampaign{}, BatchRequest{}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	// A leaked slot would block the stream's next admission; the deadline
+	// ends it without a trailer instead.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	camp.stream(s, rec, httptest.NewRequest(http.MethodPost, BatchPath, nil).WithContext(ctx))
+
+	var errLines int
+	var trailer BatchTrailer
+	sc := bufio.NewScanner(rec.Body)
+	for sc.Scan() {
+		var cell BatchCell
+		if err := json.Unmarshal(sc.Bytes(), &trailer); err == nil && trailer.Done {
+			continue
+		}
+		if err := json.Unmarshal(sc.Bytes(), &cell); err != nil {
+			t.Fatal(err)
+		}
+		if cell.Error != "" {
+			errLines++
+			if cell.Result != nil || cell.Chaos != nil {
+				t.Errorf("error cell %d carries a payload: %s", cell.Seq, sc.Bytes())
+			}
+		}
+	}
+	if errLines != 2 {
+		t.Errorf("%d error lines, want 2:\n%s", errLines, rec.Body)
+	}
+	if want := (BatchTrailer{Done: true, Cells: 3, Completed: 1, Failed: 2}); trailer != want {
+		t.Errorf("trailer %+v, want %+v", trailer, want)
+	}
+	snap := s.snapshot()
+	if got := snap.Batch["cell_errors"]; got != 2 {
+		t.Errorf("batch.cell_errors = %d, want 2", got)
+	}
+	if got := snap.Admission["internal_panics"]; got != 1 {
+		t.Errorf("admission.internal_panics = %d, want 1", got)
+	}
+	if n := len(s.sem); n != 0 {
+		t.Errorf("%d worker slots still held", n)
 	}
 }

@@ -140,15 +140,6 @@ func (c *Client) JulietCases(ctx context.Context) ([]string, error) {
 	return resp.Cases, nil
 }
 
-// Workload runs one cell of the §5.2 evaluation grid.
-func (c *Client) Workload(ctx context.Context, req WorkloadRequest) (*WorkloadResponse, error) {
-	resp := new(WorkloadResponse)
-	if _, err := c.post(ctx, "/v1/workload", req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
 // Healthz checks liveness.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.get(ctx, "/healthz", &map[string]string{})

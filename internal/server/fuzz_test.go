@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -53,61 +54,80 @@ func FuzzDecodeRunRequest(f *testing.F) {
 	})
 }
 
-// FuzzCampaignRequest fuzzes the campaign resolver the backends and the
-// shard both call (CampaignRoutes): whatever the (path, body), resolution
-// must never panic, and an accepted request must be bounded — 1 ≤ scale
-// ≤ MaxScale, an effective memory scale within MaxScale×exp.MemScale
-// (checked without multiplying, so it cannot overflow), and a cell
-// subset in range with no repeats.
+// FuzzCampaignRequest fuzzes the campaign request decoder the backends
+// and the shard both call (ReadCampaign): whatever the body, resolution
+// must never panic, and an accepted request must name a plan of the
+// campaign table and no field that plan does not take, and be bounded —
+// 1 ≤ scale ≤ MaxScale, an effective memory scale within
+// MaxScale×exp.MemScale (checked without multiplying, so it cannot
+// overflow), and a cell subset in range with no repeats. The seeds after
+// the first block must be rejected.
 func FuzzCampaignRequest(f *testing.F) {
-	for _, seed := range []struct{ path, body string }{
-		{BatchPath, `{"scale":5}`},
-		{BatchPath, `{"workloads":["treeadd"],"scale":5,"cells":[0,1,2,3,4]}`},
-		{ChaosPath, `{"scale":5}`},
-		{ChaosPath, `{"scale":20000}`},
-		{BatchPath, `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`},
-		{BatchPath, `{"workloads":["treeadd"],"scale":4,"mem_scale":4}`},
-		{BatchPath, `{"workloads":["treeadd"],"cells":[0,7]}`},
-		{BatchPath, `{"workloads":["treeadd"],"cells":[0,4]}`},
-		{ChaosPath, `{"scale":1,"cells":[0,215]}`},
-		{BatchPath, `{"workloads":["treeadd"],"temporal":true,"cells":[5,5]}`},
-		{ChaosPath, `{"workloads":["treeadd"]}`},
-		{"/v1/run", `{}`},
+	for _, body := range []string{
+		`{"scale":5}`,
+		`{"workloads":["treeadd"],"scale":5,"cells":[0,1,2,3,4]}`,
+		`{"plan":"chaos","scale":5}`,
+		`{"plan":"chaos","scale":20000}`,
+		`{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`,
+		`{"workloads":["treeadd"],"scale":4,"mem_scale":4}`,
+		`{"plan":"report","workloads":["treeadd"],"cells":[0,7]}`,
+		`{"workloads":["treeadd"],"cells":[0,4]}`,
+		`{"plan":"chaos","scale":1,"cells":[0,215]}`,
+		`{"plan":"temporal","workloads":["treeadd"],"cells":[5,5]}`,
+		`{"plan":"temporal","workloads":["treeadd","health"],"scale":4,"cells":[11]}`,
 	} {
-		f.Add(seed.path, seed.body)
+		f.Add(body)
 	}
-	f.Fuzz(func(t *testing.T, path, body string) {
-		for _, route := range CampaignRoutes {
-			if route.Path != path {
-				continue
+	for _, body := range []string{
+		`{"plan":"grid"}`,
+		`{"plan":"chaos","workloads":["treeadd"]}`,
+		`{"plan":"chaos","mem_scale":2}`,
+		`{"plan":"temporal","mem_scale":2}`,
+		`{"temporal":true}`,
+		`{}}`,
+	} {
+		if _, err := ReadCampaign(strings.NewReader(body), nil); err == nil {
+			f.Fatalf("accepted %s", body)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		camp, err := ReadCampaign(strings.NewReader(body), nil)
+		if err != nil {
+			return
+		}
+		var req BatchRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatalf("%s: accepted a body that does not decode: %v", body, err)
+		}
+		scale, memScale := 0, 0
+		switch c := camp.(type) {
+		case campaign[exp.CellResult]:
+			p := c.Campaign.(exp.Plan)
+			scale, memScale = p.Scale(), p.MemScale()
+			if req.Plan == PlanTemporal && req.MemScale != 0 || req.Plan != PlanTemporal && req.Plan != PlanReport && req.Plan != "" {
+				t.Fatalf("%s: plan %q resolved to a report-grid campaign", body, req.Plan)
 			}
-			camp, err := route.Resolve(strings.NewReader(body), nil)
-			if err != nil {
-				return
+		case campaign[chaos.Outcome]:
+			scale = c.Campaign.(exp.ChaosPlan).Scale()
+			if req.Plan != PlanChaos || len(req.Workloads) > 0 || req.MemScale != 0 {
+				t.Fatalf("%s: resolved to a chaos campaign", body)
 			}
-			scale, memScale := 0, 0
-			switch c := camp.(type) {
-			case campaign[exp.CellResult]:
-				p := c.Campaign.(exp.Plan)
-				scale, memScale = p.Scale(), p.MemScale()
-			case campaign[chaos.Outcome]:
-				scale = c.Campaign.(exp.ChaosPlan).Scale()
-			default:
-				t.Fatalf("%s resolved to %T", path, camp)
+		default:
+			t.Fatalf("%s resolved to %T", body, camp)
+		}
+		if scale < 1 || scale > MaxScale {
+			t.Fatalf("%s: accepted scale %d", body, scale)
+		}
+		if memScale < 0 || memScale > MaxScale*exp.MemScale/scale {
+			t.Fatalf("%s: accepted mem_scale %d at scale %d", body, memScale, scale)
+		}
+		seen := make(map[int]bool)
+		for _, i := range camp.Cells() {
+			if i < 0 || i >= camp.NumCells() || seen[i] {
+				t.Fatalf("%s: accepted subset cell %d of %d (or a repeat)", body, i, camp.NumCells())
 			}
-			if scale < 1 || scale > MaxScale {
-				t.Fatalf("%s %s: accepted scale %d", path, body, scale)
-			}
-			if memScale < 0 || memScale > MaxScale*exp.MemScale/scale {
-				t.Fatalf("%s %s: accepted mem_scale %d at scale %d", path, body, memScale, scale)
-			}
-			seen := make(map[int]bool)
-			for _, i := range camp.Cells() {
-				if i < 0 || i >= camp.NumCells() || seen[i] {
-					t.Fatalf("%s %s: accepted subset cell %d of %d (or a repeat)", path, body, i, camp.NumCells())
-				}
-				seen[i] = true
-			}
+			seen[i] = true
 		}
 	})
 }

@@ -7,13 +7,11 @@ import (
 	"io"
 	"net/http"
 
-	"infat/internal/exp"
 	"infat/internal/juliet"
 	"infat/internal/machine"
 	"infat/internal/memo"
 	"infat/internal/minic"
 	"infat/internal/rt"
-	"infat/internal/workloads"
 )
 
 // Trap classes: the service's verdict on a trapped run.
@@ -32,9 +30,9 @@ const (
 // replayed from cache — and identical to a local RunC of the same input.
 const CacheHeader = "X-Ifp-Cache"
 
-// MemoHeader carries the memo-store disposition of a response. Unary
-// endpoints send "hit" or "miss"; the streaming batch endpoints send the
-// number of requested cells already warm in the store at stream start.
+// MemoHeader carries the memo-store disposition of a response. /v1/run
+// sends "hit" or "miss"; the streaming batch endpoint sends the number
+// of requested cells already warm in the store at stream start.
 // Like CacheHeader it is a header, never a body field — payload bytes
 // are identical either way.
 const MemoHeader = "X-Ifp-Memo"
@@ -119,33 +117,6 @@ type JulietListResponse struct {
 	Cases []string `json:"cases"`
 }
 
-// WorkloadRequest is the POST /v1/workload body: run one cell of the
-// §5.2 evaluation grid.
-type WorkloadRequest struct {
-	// Name is a workload name from workloads.All (e.g. "treeadd").
-	Name string `json:"name"`
-	// Mode defaults to subheap.
-	Mode string `json:"mode,omitempty"`
-	// NoPromote selects the no-promote variant of an instrumented mode.
-	NoPromote bool `json:"no_promote,omitempty"`
-	// Scale defaults to 1; bounded by MaxScale.
-	Scale int `json:"scale,omitempty"`
-}
-
-// WorkloadResponse is the POST /v1/workload result — the same
-// observables an exp grid cell records.
-type WorkloadResponse struct {
-	Name      string           `json:"name"`
-	Suite     string           `json:"suite"`
-	Mode      string           `json:"mode"`
-	NoPromote bool             `json:"no_promote"`
-	Scale     int              `json:"scale"`
-	Checksum  uint64           `json:"checksum"`
-	Footprint uint64           `json:"footprint"`
-	L1DMisses uint64           `json:"l1d_misses"`
-	Counters  machine.Counters `json:"counters"`
-}
-
 // ErrorResponse is the body of every non-2xx response.
 type ErrorResponse struct {
 	Error string `json:"error"`
@@ -191,10 +162,16 @@ func decodeStrict(r io.Reader, dst any) error {
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if dec.More() {
+	// dec.More would read a stray '}' or ']' after the object as the end
+	// of the body; Token returns io.EOF only at the real end.
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err == nil:
 		return errors.New("bad request body: trailing data after request object")
+	default:
+		return fmt.Errorf("bad request body: trailing data after request object: %w", err)
 	}
-	return nil
 }
 
 // parseModeDefault resolves a request mode string, defaulting to subheap.
@@ -375,69 +352,6 @@ func (s *Server) handleJuliet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJulietList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, JulietListResponse{Count: len(s.julietNames), Cases: s.julietNames})
-}
-
-func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	var req WorkloadRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, 64<<10), &req); err != nil {
-		s.metrics.admission["bad_request"].Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	mode, err := parseModeDefault(req.Mode)
-	if err != nil {
-		s.metrics.admission["bad_request"].Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Scale == 0 {
-		req.Scale = 1
-	}
-	if req.Scale < 1 || req.Scale > MaxScale {
-		s.metrics.admission["bad_request"].Add(1)
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("scale %d out of range [1, %d]", req.Scale, MaxScale))
-		return
-	}
-	wl, ok := workloads.ByName(req.Name)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown workload %q", req.Name))
-		return
-	}
-	renderResponse := func(m *exp.ModeResult) []byte {
-		return mustJSON(WorkloadResponse{
-			Name:      wl.Name,
-			Suite:     wl.Suite,
-			Mode:      mode.String(),
-			NoPromote: req.NoPromote,
-			Scale:     req.Scale,
-			Checksum:  m.Checksum,
-			Footprint: m.Footprint,
-			L1DMisses: m.L1DMisses,
-			Counters:  m.Counters,
-		})
-	}
-	// A warm cell — computed by an earlier /v1/workload call or a batch
-	// stream's perf cell, which share the same canonical cell digests — is
-	// served instantly: no worker slot, no runtime checkout. Memory cells
-	// run footprint-only and live in their own footprint domain, so they
-	// never answer here.
-	if m, ok := exp.LookupOne(s.memo, wl, exp.ModeConfig(mode, req.NoPromote), req.Scale); ok {
-		writeRaw(w, http.StatusOK, renderResponse(m), "hit")
-		return
-	}
-	status, body, ok := s.dispatch(r.Context(), func() (int, []byte) {
-		m, err := exp.ComputeOne(s.memo, wl, exp.ModeConfig(mode, req.NoPromote), req.Scale)
-		if err != nil {
-			return http.StatusInternalServerError, errorBody(err.Error())
-		}
-		return http.StatusOK, renderResponse(m)
-	})
-	if !ok {
-		s.writeBusy(w, status, body, "miss")
-		return
-	}
-	writeRaw(w, status, body, "miss")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

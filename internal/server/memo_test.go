@@ -1,8 +1,8 @@
 package server
 
 // Tests for the unified content-addressed memo store on the serving
-// tier: cross-endpoint cell sharing (/v1/workload and the streaming
-// campaigns hit the same canonical digests), warm-stream byte identity,
+// tier: cell sharing across requests (a one-cell request and a whole
+// campaign hit the same canonical digests), warm-stream byte identity,
 // /metrics exposure, and the disk-backed snapshot round trip.
 
 import (
@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -21,8 +22,12 @@ import (
 )
 
 // treeaddPerfCells is a /v1/batch body asking for treeadd's perf cells,
-// the first five of its plan: the perf grid GridReport streams.
+// the first five of its plan: its perf grid.
 const treeaddPerfCells = `{"workloads":["treeadd"],"cells":[0,1,2,3,4]}`
+
+// treeaddBaselineCell is a one-cell /v1/batch body: treeadd's baseline
+// perf cell.
+const treeaddBaselineCell = `{"workloads":["treeadd"],"cells":[0]}`
 
 // postNDJSON issues a raw campaign POST and returns the response header,
 // the cell lines sorted by seq, and the decoded trailer.
@@ -74,95 +79,79 @@ func postNDJSON(t *testing.T, url, body string) (http.Header, [][]byte, BatchTra
 	return resp.Header, lines, trailer
 }
 
-// TestMemoCrossEndpointWorkloadToBatch: a cell computed by the unary
-// /v1/workload endpoint is warm for a later grid stream — the stream's
-// MemoHeader counts it, and serving it costs no runtime-pool checkout.
+// TestMemoCrossEndpointWorkloadToBatch: a workload cell computed by a
+// one-cell /v1/batch request is warm for a later stream of the whole
+// perf grid: the stream's MemoHeader counts it, and it is served as a
+// memo hit.
 func TestMemoCrossEndpointWorkloadToBatch(t *testing.T) {
 	s, c, done := newTestServer(t, Config{})
 	defer done()
-	ctx := context.Background()
 
-	if _, err := c.Workload(ctx, WorkloadRequest{Name: "treeadd", Mode: "baseline"}); err != nil {
-		t.Fatal(err)
-	}
+	postNDJSON(t, c.BaseURL+BatchPath, treeaddBaselineCell)
 	hitsBefore := s.memo.Stats().Hits
 
 	hdr, lines, trailer := postNDJSON(t, c.BaseURL+BatchPath, treeaddPerfCells)
-	warm, err := strconv.Atoi(hdr.Get(MemoHeader))
-	if err != nil || warm < 1 {
-		t.Fatalf("%s = %q, want >= 1 warm cell", MemoHeader, hdr.Get(MemoHeader))
+	if warm := hdr.Get(MemoHeader); warm != "1" {
+		t.Fatalf("%s = %q, want 1 warm cell", MemoHeader, warm)
 	}
 	if trailer.Failed != 0 || trailer.Completed != len(lines) {
 		t.Fatalf("trailer = %+v over %d lines", trailer, len(lines))
 	}
-	if hits := s.memo.Stats().Hits; hits <= hitsBefore {
-		t.Fatalf("grid stream recorded no memo hits (before=%d after=%d)", hitsBefore, hits)
+	if hits := s.memo.Stats().Hits; hits != hitsBefore+1 {
+		t.Fatalf("grid stream recorded %d memo hits, want 1", hits-hitsBefore)
 	}
 }
 
-// TestMemoCrossEndpointBatchToWorkload: after a grid stream every one of
-// its cells answers /v1/workload instantly as a memo hit, byte-identical
-// to a cold unary computation on an independent server.
+// TestMemoCrossEndpointBatchToWorkload: after a perf-grid stream, a
+// one-cell request for one of its cells is a memo hit whose line is
+// byte-identical to a cold computation on an independent server.
 func TestMemoCrossEndpointBatchToWorkload(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
 	_, coldC, coldDone := newTestServer(t, Config{})
 	defer coldDone()
-	ctx := context.Background()
 
 	postNDJSON(t, c.BaseURL+BatchPath, treeaddPerfCells)
 
-	req := WorkloadRequest{Name: "treeadd", Mode: "baseline"}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(c.BaseURL+"/v1/workload", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	hdr, warm, _ := postNDJSON(t, c.BaseURL+BatchPath, treeaddBaselineCell)
+	if got := hdr.Get(MemoHeader); got != "1" {
+		t.Fatalf("%s = %q after grid stream, want 1", MemoHeader, got)
 	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get(MemoHeader); got != "hit" {
-		t.Fatalf("%s = %q after grid stream, want \"hit\"", MemoHeader, got)
-	}
-	var warmResp WorkloadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&warmResp); err != nil {
-		t.Fatal(err)
-	}
-	coldResp, err := coldC.Workload(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmResp != *coldResp {
-		t.Fatalf("memoized workload response %+v differs from cold %+v", warmResp, *coldResp)
+	_, cold, _ := postNDJSON(t, coldC.BaseURL+BatchPath, treeaddBaselineCell)
+	if len(warm) != 1 || len(cold) != 1 || !bytes.Equal(warm[0], cold[0]) {
+		t.Fatalf("memoized cell line %s differs from cold %s", warm, cold)
 	}
 }
 
-// TestMemoBatchMemoryCellsNeverAnswerWorkload: a /v1/batch stream's
-// memory cells run untimed at scale*MemScale, the same coordinates a
-// /v1/workload request with scale=4 names. They are keyed in their own
-// footprint domain, so that request must still get the timed answer a
-// cold server computes.
+// TestMemoBatchMemoryCellsNeverAnswerWorkload: a report stream's memory
+// cells run untimed at scale*MemScale, the coordinates of the perf cells
+// a scale-4 request names. They are keyed in their own footprint domain,
+// so those perf cells must still miss and stream the timed lines a cold
+// server computes.
 func TestMemoBatchMemoryCellsNeverAnswerWorkload(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
 	_, coldC, coldDone := newTestServer(t, Config{})
 	defer coldDone()
-	ctx := context.Background()
 
 	_, lines, trailer := postNDJSON(t, c.BaseURL+BatchPath, `{"workloads":["treeadd"]}`)
 	if trailer.Failed != 0 || trailer.Completed != len(lines) {
 		t.Fatalf("trailer = %+v over %d lines", trailer, len(lines))
 	}
-	for _, mode := range []string{"baseline", "subheap", "wrapped"} {
-		req := WorkloadRequest{Name: "treeadd", Mode: mode, Scale: exp.MemScale}
-		got, err := c.Workload(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := coldC.Workload(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Counters != want.Counters || *got != *want {
-			t.Fatalf("%s: /v1/workload after a batch stream answered %+v, a cold server %+v", mode, *got, *want)
+	// treeadd's baseline, subheap and wrapped perf cells at the memory
+	// cells' scale, 1×exp.MemScale.
+	body := fmt.Sprintf(`{"workloads":["treeadd"],"scale":%d,"cells":[0,1,2]}`, exp.MemScale)
+	hdr, got, _ := postNDJSON(t, c.BaseURL+BatchPath, body)
+	if warm := hdr.Get(MemoHeader); warm != "0" {
+		t.Fatalf("%s = %q: a memory cell answered a perf cell", MemoHeader, warm)
+	}
+	_, want, _ := postNDJSON(t, coldC.BaseURL+BatchPath, body)
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("%d and %d cell lines, want 3", len(got), len(want))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("perf cell after a report stream %s, on a cold server %s", got[i], want[i])
 		}
 	}
 }
@@ -175,28 +164,24 @@ func TestMemoWarmStreamByteIdentical(t *testing.T) {
 	defer done()
 	const body = `{"workloads":["treeadd","health"]}`
 
-	for _, path := range []string{BatchPath, ChaosPath} {
-		reqBody := body
-		if path == ChaosPath {
-			reqBody = `{}`
-		}
-		coldHdr, cold, coldTrailer := postNDJSON(t, c.BaseURL+path, reqBody)
+	for _, reqBody := range []string{body, `{"plan":"chaos"}`} {
+		coldHdr, cold, coldTrailer := postNDJSON(t, c.BaseURL+BatchPath, reqBody)
 		if got, _ := strconv.Atoi(coldHdr.Get(MemoHeader)); got != 0 {
-			t.Fatalf("%s: cold stream claims %d warm cells", path, got)
+			t.Fatalf("%s: cold stream claims %d warm cells", reqBody, got)
 		}
-		warmHdr, warm, warmTrailer := postNDJSON(t, c.BaseURL+path, reqBody)
+		warmHdr, warm, warmTrailer := postNDJSON(t, c.BaseURL+BatchPath, reqBody)
 		if got, _ := strconv.Atoi(warmHdr.Get(MemoHeader)); got != len(cold) {
-			t.Fatalf("%s: warm stream claims %d warm cells, want %d", path, got, len(cold))
+			t.Fatalf("%s: warm stream claims %d warm cells, want %d", reqBody, got, len(cold))
 		}
 		if coldTrailer != warmTrailer {
-			t.Fatalf("%s: trailers differ: %+v vs %+v", path, coldTrailer, warmTrailer)
+			t.Fatalf("%s: trailers differ: %+v vs %+v", reqBody, coldTrailer, warmTrailer)
 		}
 		if len(cold) != len(warm) {
-			t.Fatalf("%s: %d cold lines vs %d warm lines", path, len(cold), len(warm))
+			t.Fatalf("%s: %d cold lines vs %d warm lines", reqBody, len(cold), len(warm))
 		}
 		for i := range cold {
 			if !bytes.Equal(cold[i], warm[i]) {
-				t.Fatalf("%s: cell line %d differs:\ncold: %s\nwarm: %s", path, i, cold[i], warm[i])
+				t.Fatalf("%s: cell line %d differs:\ncold: %s\nwarm: %s", reqBody, i, cold[i], warm[i])
 			}
 		}
 	}
@@ -247,15 +232,9 @@ func TestMetricsMemoSection(t *testing.T) {
 // the same cell as a hit without recomputing.
 func TestServerMemoSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
 
 	s1, c1, done1 := newTestServer(t, Config{MemoDir: dir})
-	req := WorkloadRequest{Name: "treeadd", Mode: "baseline"}
-	cold, err := c1.Workload(ctx, req)
-	if err != nil {
-		done1()
-		t.Fatal(err)
-	}
+	_, cold, _ := postNDJSON(t, c1.BaseURL+BatchPath, treeaddBaselineCell)
 	if err := s1.SaveMemo(); err != nil {
 		done1()
 		t.Fatal(err)
@@ -267,21 +246,12 @@ func TestServerMemoSnapshotRoundTrip(t *testing.T) {
 	if loaded := s2.memo.Stats().Loaded; loaded == 0 {
 		t.Fatal("fresh server loaded no snapshot entries")
 	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(c2.BaseURL+"/v1/workload", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	hdr, warm, _ := postNDJSON(t, c2.BaseURL+BatchPath, treeaddBaselineCell)
+	if got := hdr.Get(MemoHeader); got != "1" {
+		t.Fatalf("%s = %q on snapshot-restored server, want 1", MemoHeader, got)
 	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get(MemoHeader); got != "hit" {
-		t.Fatalf("%s = %q on snapshot-restored server, want \"hit\"", MemoHeader, got)
-	}
-	var warm WorkloadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm != *cold {
-		t.Fatalf("restored response %+v differs from original %+v", warm, *cold)
+	if len(warm) != 1 || len(cold) != 1 || !bytes.Equal(warm[0], cold[0]) {
+		t.Fatalf("restored cell line %s differs from original %s", warm, cold)
 	}
 	if st := s2.memo.KindStats(memo.KindCell); st.Hits == 0 {
 		t.Fatalf("restored cell served without a recorded hit: %+v", st)

@@ -58,7 +58,7 @@ func (c Counters) Snapshot() map[string]uint64 {
 type metrics struct {
 	requests  Counters // per endpoint, named by the last element of its path
 	admission Counters
-	batch     Counters // the streaming campaign endpoints
+	batch     Counters // the streaming campaign endpoint
 	traps     Counters // per trap class; trapClassNone counts clean runs
 	latency   Counters // per latencyLabels bucket
 	inFlight  atomic.Int64
@@ -67,7 +67,7 @@ type metrics struct {
 // newMetrics declares every counter the server renders, each exactly once.
 func newMetrics() *metrics {
 	return &metrics{
-		requests: NewCounters("run", "juliet", "workload", "batch", "chaos", "healthz", "metrics"),
+		requests: NewCounters("run", "juliet", "batch", "healthz", "metrics"),
 		admission: NewCounters(
 			"bad_request",         // malformed or rejected request bodies (4xx)
 			"rejected",            // deadline hit while queued for a worker
@@ -109,7 +109,7 @@ type MetricsSnapshot struct {
 	// responses, grid cells, chaos cells): hits, misses, evictions,
 	// entries, bytes, plus snapshot accounting (loaded, skipped).
 	Memo map[string]uint64 `json:"memo"`
-	// Batch covers the streaming campaign endpoints: streams started,
+	// Batch covers the streaming campaign endpoint: streams started,
 	// cells streamed, cell_errors, and streams cancelled by a disconnect
 	// or deadline.
 	Batch   map[string]uint64 `json:"batch"`

@@ -1,6 +1,6 @@
 // Package server is the analysis-as-a-service layer over the In-Fat
 // Pointer simulator: a hardened HTTP/JSON daemon (cmd/ifp-serve) that
-// accepts MiniC programs, Juliet cases, and workload cells over the
+// accepts MiniC programs, Juliet cases, and evaluation campaigns over the
 // network and answers with the spatial-safety verdict, trap
 // classification, and machine counters a local run would produce.
 //
@@ -20,24 +20,23 @@
 //     fuel, finishes and frees its slot in the background.
 //   - Memoization: one content-addressed store (internal/memo) backs
 //     every repeated-work fast path. /v1/run responses are keyed by
-//     (sha256(source), mode, fuel) with request coalescing; workload and
-//     chaos cells — whether they arrive through /v1/workload or a batch
-//     stream — share cell entries keyed by their canonical coordinates,
-//     so a cell any endpoint has computed is replayed everywhere without
-//     re-simulation, a worker slot, or a runtime checkout. Hit state is
-//     surfaced only via headers (X-Ifp-Cache, X-Ifp-Memo) and /metrics,
-//     never in payload bytes.
+//     (sha256(source), mode, fuel) with request coalescing; campaign
+//     cells are keyed by their canonical coordinates, so a cell any
+//     campaign has computed — a one-cell request, a report, or the
+//     temporal plan sharing the report's spatial cells — is replayed
+//     everywhere without re-simulation, a worker slot, or a runtime
+//     checkout. Hit state is surfaced only via headers (X-Ifp-Cache,
+//     X-Ifp-Memo) and /metrics, never in payload bytes.
 //
-// Endpoints: POST /v1/run, POST /v1/juliet (GET lists cases),
-// POST /v1/workload, the streaming campaigns POST /v1/batch and
-// /v1/chaos (CampaignRoutes), GET /healthz, GET /metrics.
+// Endpoints: POST /v1/run, POST /v1/juliet (GET lists cases), the
+// streaming campaign endpoint POST /v1/batch (every campaign, named by
+// the request's plan), GET /healthz, GET /metrics.
 package server
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"infat/internal/juliet"
@@ -64,7 +63,7 @@ const (
 	DefaultMaxFuel        = 10 * DefaultFuel
 	DefaultMaxSourceBytes = 1 << 20
 	// DefaultBatchTimeout is the per-request deadline of the streaming
-	// batch endpoints, raised to RequestTimeout if smaller: a whole
+	// batch endpoint, raised to RequestTimeout if smaller: a whole
 	// campaign per request, so the budget is a multiple of the unary
 	// deadline rather than sharing it.
 	DefaultBatchTimeout = 5 * time.Minute
@@ -163,11 +162,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/run", s.instrument("run", true, s.handleRun))
 	s.mux.HandleFunc("POST /v1/juliet", s.instrument("juliet", true, s.handleJuliet))
 	s.mux.HandleFunc("GET /v1/juliet", s.instrument("juliet", false, s.handleJulietList))
-	s.mux.HandleFunc("POST /v1/workload", s.instrument("workload", true, s.handleWorkload))
-	batchTimeout := max(DefaultBatchTimeout, cfg.RequestTimeout)
-	for _, route := range CampaignRoutes {
-		s.mux.HandleFunc("POST "+route.Path, s.instrumentTimeout(strings.TrimPrefix(route.Path, "/v1/"), batchTimeout, s.handleCampaign(route)))
-	}
+	s.mux.HandleFunc("POST "+BatchPath, s.instrumentTimeout("batch", max(DefaultBatchTimeout, cfg.RequestTimeout), s.handleBatch))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", false, s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", false, s.handleMetrics))
 	return s
@@ -203,7 +198,7 @@ func (s *Server) instrument(endpoint string, deadline bool, h http.HandlerFunc) 
 }
 
 // instrumentTimeout is instrument with an explicit deadline (0 = none);
-// the streaming batch endpoints run under their own, longer budget. A
+// the streaming batch endpoint runs under its own, longer budget. A
 // propagated client deadline (DeadlineHeader) clamps the configured
 // timeout down — never up — so the worker gives up the moment the
 // original caller would, instead of simulating into the void. The

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"infat/internal/exp"
 	"infat/internal/memo"
 	"infat/internal/minic"
 	"infat/internal/rt"
@@ -133,6 +134,7 @@ func TestHandlerErrors(t *testing.T) {
 		{"bad json", "POST", "/v1/run", `{"source":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/run", `{"source":"int main(){return 0;}","mod":"subheap"}`, http.StatusBadRequest},
 		{"trailing data", "POST", "/v1/run", `{"source":"x"} {"source":"y"}`, http.StatusBadRequest},
+		{"trailing brace", "POST", "/v1/run", `{"source":"int main(){return 0;}"}}`, http.StatusBadRequest},
 		{"empty source", "POST", "/v1/run", `{"source":""}`, http.StatusBadRequest},
 		{"null body", "POST", "/v1/run", `null`, http.StatusBadRequest},
 		{"oversized source", "POST", "/v1/run", big, http.StatusRequestEntityTooLarge},
@@ -142,12 +144,14 @@ func TestHandlerErrors(t *testing.T) {
 		{"unknown juliet case", "POST", "/v1/juliet", `{"case":"CWE999_nope"}`, http.StatusNotFound},
 		{"juliet bad json", "POST", "/v1/juliet", `{"case":`, http.StatusBadRequest},
 		{"juliet bad mode", "POST", "/v1/juliet", `{"case":"x","mode":"fat"}`, http.StatusBadRequest},
-		{"unknown workload", "POST", "/v1/workload", `{"name":"nope"}`, http.StatusNotFound},
-		{"workload bad json", "POST", "/v1/workload", `{"name":`, http.StatusBadRequest},
-		{"workload bad mode", "POST", "/v1/workload", `{"name":"treeadd","mode":"fat"}`, http.StatusBadRequest},
-		{"scale out of range", "POST", "/v1/workload", `{"name":"treeadd","scale":99}`, http.StatusBadRequest},
-		{"negative scale", "POST", "/v1/workload", `{"name":"treeadd","scale":-1}`, http.StatusBadRequest},
+		{"unknown workload", "POST", "/v1/batch", `{"workloads":["nope"]}`, http.StatusBadRequest},
+		{"workload bad json", "POST", "/v1/batch", `{"workloads":`, http.StatusBadRequest},
+		{"workload bad mode", "POST", "/v1/batch", `{"workloads":["treeadd"],"mode":"fat"}`, http.StatusBadRequest},
+		{"scale out of range", "POST", "/v1/batch", `{"workloads":["treeadd"],"scale":99}`, http.StatusBadRequest},
+		{"unknown plan", "POST", "/v1/batch", `{"plan":"grid"}`, http.StatusBadRequest},
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound},
+		{"deleted workload path", "POST", "/v1/workload", `{"name":"treeadd"}`, http.StatusNotFound},
+		{"deleted chaos path", "POST", "/v1/chaos", `{}`, http.StatusNotFound},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -393,7 +397,8 @@ int main() {
 }
 
 // TestJulietAndWorkloadEndpoints drives the remaining simulation
-// endpoints through the client.
+// endpoints through the client: a Juliet case, and two workload cells as
+// a two-cell campaign.
 func TestJulietAndWorkloadEndpoints(t *testing.T) {
 	_, c, done := newTestServer(t, Config{})
 	defer done()
@@ -411,13 +416,20 @@ func TestJulietAndWorkloadEndpoints(t *testing.T) {
 		t.Fatalf("juliet response %+v", jr)
 	}
 
-	wr, err := c.Workload(ctx, WorkloadRequest{Name: "treeadd", Mode: "subheap"})
-	if err != nil {
+	// treeadd's baseline and subheap cells: seqs 0 and 1 of its report.
+	perf := map[string]*exp.ModeResult{}
+	if _, err := c.BatchStream(ctx, BatchRequest{Workloads: []string{"treeadd"}, Cells: []int{0, 1}}, func(cell BatchCell) error {
+		if cell.Result == nil || cell.Result.Perf == nil {
+			return fmt.Errorf("cell %+v carries no perf result", cell)
+		}
+		perf[cell.Config] = cell.Result.Perf
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	wb, err := c.Workload(ctx, WorkloadRequest{Name: "treeadd", Mode: "baseline"})
-	if err != nil {
-		t.Fatal(err)
+	wr, wb := perf["subheap"], perf["baseline"]
+	if wr == nil || wb == nil {
+		t.Fatalf("cells streamed: %v", perf)
 	}
 	if wr.Checksum != wb.Checksum {
 		t.Fatalf("instrumented checksum %#x != baseline %#x", wr.Checksum, wb.Checksum)
@@ -563,7 +575,7 @@ func TestMetricsSnapshotKeys(t *testing.T) {
 	}
 	stats := []string{"entries", "evictions", "hits", "misses"}
 	want := map[string][]string{
-		"requests":   {"batch", "chaos", "healthz", "juliet", "metrics", "run", "total", "workload"},
+		"requests":   {"batch", "healthz", "juliet", "metrics", "run", "total"},
 		"admission":  {"bad_request", "deadline", "deadline_propagated", "internal_panics", "rejected"},
 		"cache":      stats,
 		"compile":    stats,

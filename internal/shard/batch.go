@@ -1,12 +1,12 @@
 package shard
 
-// Batch fan-out: the shard serves the same streaming campaign endpoints
-// as one backend (/v1/batch, /v1/chaos: server.CampaignRoutes, resolved
-// and bounded by the backends' own resolvers) by scattering the
-// campaign's cells across the fleet and merging the backends' NDJSON
-// streams into one, in completion order, cell lines passed through
-// byte-for-byte. A client cannot tell a shard from a single ifp-serve,
-// and reassembles the identical report either way.
+// Batch fan-out: the shard serves the same streaming campaign endpoint
+// as one backend (/v1/batch, every plan resolved and bounded through the
+// backends' own campaign table) by scattering the campaign's cells
+// across the fleet and merging the backends' NDJSON streams into one, in
+// completion order, cell lines passed through byte-for-byte. A client
+// cannot tell a shard from a single ifp-serve, and reassembles the
+// identical report either way.
 //
 // Placement (scatter.go): cells a backend has served before are pinned
 // to it and sent in one request; every other cell waits on its ring
@@ -54,25 +54,23 @@ import (
 // get a new home — and never forwards the line to the client.
 var ErrCorruptLine = errors.New("shard: corrupt stream line")
 
-// handleCampaign serves one route of the backends' campaign table: the
-// request is resolved and bounded exactly as a backend resolves it, so a
-// request every backend would reject is answered 400 here, before any
-// backend is contacted or charged with a failure.
-func (s *Shard) handleCampaign(route server.CampaignRoute) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		camp, err := route.Resolve(http.MaxBytesReader(w, r.Body, server.MaxCampaignBodyBytes), nil)
-		if err != nil {
-			writeShardError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.streamScattered(w, r, route.Path, camp)
+// handleBatch serves POST /v1/batch: the request is resolved and bounded
+// exactly as a backend resolves it, so a request every backend would
+// reject is answered 400 here, before any backend is contacted or charged
+// with a failure.
+func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
+	camp, err := server.ReadCampaign(http.MaxBytesReader(w, r.Body, server.MaxCampaignBodyBytes), nil)
+	if err != nil {
+		writeShardError(w, http.StatusBadRequest, err)
+		return
 	}
+	s.streamScattered(w, r, camp)
 }
 
 // streamScattered places the campaign's cells on the fleet, merges the
 // backend streams into one NDJSON response, moves cells lost to a failed
 // backend, and closes with the merged trailer.
-func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path string, camp server.Campaign) {
+func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, camp server.Campaign) {
 	cells := camp.Cells()
 	s.metrics["batch_streams"].Add(1)
 	ctx := r.Context()
@@ -175,7 +173,7 @@ func (s *Shard) streamScattered(w http.ResponseWriter, r *http.Request, path str
 				sc.workers[f.b] = n
 				fillLocked()
 			}
-			err := s.relayStream(rctx, s.backends[f.b], path, camp, f.cells, workers,
+			err := s.relayStream(rctx, s.backends[f.b], camp, f.cells, workers,
 				func(seq int, line []byte, isErr bool) { deliver(f, seq, line, isErr) })
 			mu.Lock()
 			defer mu.Unlock()
@@ -257,7 +255,7 @@ func (s *Shard) pinned(camp server.Campaign, cells []int) (pinned [][]int, fresh
 // where the backend's remaining cells need a new home. Valid lines are
 // relayed byte-for-byte, so the client's reassembled report stays
 // identical to a serial run's.
-func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp server.Campaign, part []int,
+func (s *Shard) relayStream(ctx context.Context, b *backend, camp server.Campaign, part []int,
 	workers func(n int), deliver func(seq int, line []byte, isErr bool)) error {
 	assigned := make(map[int]bool, len(part))
 	for _, i := range part {
@@ -265,7 +263,7 @@ func (s *Shard) relayStream(ctx context.Context, b *backend, path string, camp s
 	}
 	seen := make(map[int]bool, len(part))
 	sawTrailer := false
-	err := b.client.StreamNDJSON(ctx, path, camp.Request(part), func(h http.Header) {
+	err := b.client.StreamNDJSON(ctx, camp.Request(part), func(h http.Header) {
 		if n, err := strconv.Atoi(h.Get(server.WorkersHeader)); err == nil && n > 0 {
 			workers(n)
 		}

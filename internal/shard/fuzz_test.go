@@ -1,90 +1,43 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
-	"infat/internal/exp"
 	"infat/internal/server"
 )
 
-// relayPlan is one campaign a fuzzed line is validated against, with
-// every requested cell assigned, and the checked assembly its client
-// folds into.
-type relayPlan struct {
-	path   string
-	camp   server.Campaign
-	accept func(server.BatchCell) error
-}
-
-func relayPlans(t testing.TB) []relayPlan {
-	req := server.BatchRequest{Workloads: []string{"treeadd"}}
-	batch, err := req.BatchPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := req.GridPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GridReport's campaign: the perf cells of /v1/batch, assembled into
-	// the grid plan.
-	perf := req
-	for i := 0; i < grid.NumCells(); i++ {
-		perf.Cells = append(perf.Cells, i)
-	}
-	chaosReq := server.ChaosRequest{Scale: 1}
-	return []relayPlan{
-		{server.BatchPath, resolveRoute(t, server.BatchPath, req), clientAccepts(batch)},
-		{server.BatchPath, resolveRoute(t, server.BatchPath, perf), clientAccepts(grid)},
-		{server.ChaosPath, resolveRoute(t, server.ChaosPath, chaosReq), clientAccepts(chaosReq.Plan())},
-	}
-}
-
-// resolveRoute resolves req through the campaign route at path, as the
-// shard's handler does.
-func resolveRoute(t testing.TB, path string, req any) server.Campaign {
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, route := range server.CampaignRoutes {
-		if route.Path == path {
-			camp, err := route.Resolve(bytes.NewReader(body), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return camp
+// relayCampaigns are the campaigns a fuzzed line is validated against, each
+// resolved through the campaign table with every cell requested: the
+// relay check and the client's checked assembly both come from it.
+func relayCampaigns(t testing.TB) []server.Campaign {
+	var camps []server.Campaign
+	for _, req := range []server.BatchRequest{
+		{Workloads: []string{"treeadd"}},
+		{Plan: server.PlanTemporal, Workloads: []string{"treeadd"}},
+		{Plan: server.PlanChaos, Scale: 1},
+	} {
+		camp, err := req.Resolve(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		camps = append(camps, camp)
 	}
-	t.Fatalf("no campaign route %s", path)
-	return nil
-}
-
-// clientAccepts is the client's side of the contract: the cell's payload
-// folded into the campaign's checked assembly.
-func clientAccepts[C any](c exp.Campaign[C]) func(server.BatchCell) error {
-	return func(cell server.BatchCell) error { return server.AddCell(exp.NewAssembly(c), cell) }
+	return camps
 }
 
 // streamLines runs a few cells of each campaign on a real backend and
 // returns its raw NDJSON lines, trailers included.
-func streamLines(t testing.TB, plans []relayPlan) [][]byte {
+func streamLines(t testing.TB, camps []server.Campaign) [][]byte {
 	ts := httptest.NewServer(server.New(server.Config{}))
 	defer ts.Close()
 	c := server.NewClient(ts.URL)
 	var lines [][]byte
-	for _, rp := range plans {
-		cells := rp.camp.Cells()
-		ends := []int{cells[0], cells[len(cells)-1]}
-		var req any = server.BatchRequest{Workloads: []string{"treeadd"}, Cells: ends}
-		if rp.path == server.ChaosPath {
-			req = server.ChaosRequest{Scale: 1, Cells: ends}
-		}
-		if err := c.StreamNDJSON(context.Background(), rp.path, req, nil, func(line []byte) error {
+	for _, camp := range camps {
+		cells := camp.Cells()
+		req := camp.Request([]int{cells[0], cells[len(cells)-1]})
+		if err := c.StreamNDJSON(context.Background(), req, nil, func(line []byte) error {
 			lines = append(lines, append([]byte(nil), line...))
 			return nil
 		}); err != nil {
@@ -95,16 +48,15 @@ func streamLines(t testing.TB, plans []relayPlan) [][]byte {
 }
 
 // FuzzRelayLine fuzzes the shard's trust boundary: one backend stream
-// line, decoded and validated (relayLine) against a whole batch
-// campaign, its perf cells alone and a chaos campaign, with every
-// requested cell assigned. Validation must never panic, and
-// a cell line it accepts must be one the matching checked assembly — the
-// client's side of the same contract — accepts too: otherwise the shard
-// relays a line that fails the client's campaign instead of failing
-// over to another backend.
+// line, decoded and validated (relayLine) against a report, a temporal
+// and a chaos campaign, with every requested cell assigned. Validation
+// must never panic, and a cell line it accepts must be one the same
+// campaign's checked assembly — the client's side of the same contract —
+// accepts too: otherwise the shard relays a line that fails the client's
+// campaign instead of failing over to another backend.
 func FuzzRelayLine(f *testing.F) {
-	plans := relayPlans(f)
-	for _, line := range streamLines(f, plans) {
+	camps := relayCampaigns(f)
+	for _, line := range streamLines(f, camps) {
 		f.Add(line)
 	}
 	// Identity right, payload wrong.
@@ -112,17 +64,17 @@ func FuzzRelayLine(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"kind":"chaos","workload":"local-offset","config":"corrupt-meta","chaos":{"Seed":7}}`))
 	f.Add([]byte(`{"seq":-1,"kind":"perf","error":"x"}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		for _, rp := range plans {
-			assigned := make(map[int]bool, len(rp.camp.Cells()))
-			for _, i := range rp.camp.Cells() {
+		for _, camp := range camps {
+			assigned := make(map[int]bool, len(camp.Cells()))
+			for _, i := range camp.Cells() {
 				assigned[i] = true
 			}
-			cell, done, err := relayLine(rp.camp, assigned, line)
+			cell, done, err := relayLine(camp, assigned, line)
 			if err != nil || done || cell.Error != "" {
 				continue
 			}
-			if err := rp.accept(cell); err != nil {
-				t.Fatalf("%s: relay accepts a cell its checked assembly rejects: %v\nline: %s", rp.path, err, line)
+			if err := camp.NewAssembly().Add(cell); err != nil {
+				t.Fatalf("%+v: relay accepts a cell its checked assembly rejects: %v\nline: %s", camp.Request(nil), err, line)
 			}
 		}
 	})

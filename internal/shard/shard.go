@@ -3,16 +3,15 @@
 // requests across N backend processes and merges their answers.
 //
 // Routing is by content, not by connection: /v1/run routes on
-// sha256(source), /v1/juliet on the case name, and /v1/workload on the
-// workload name. Consistent hashing with virtual nodes means every
-// backend sees a stable subset of the key space, so each backend's
-// program interner and result LRU stay hot on their own slice of the
-// workload — the property that makes N backends behave like one big
-// cache rather than N cold ones. The batch endpoints home each campaign
-// cell at the ring owner of its stable plan key (exp.Plan.Key), balance
-// the campaign's work by letting idle backends take other backends'
-// unstarted cells, and send a cell the shard has seen served back to
-// the backend that served it (batch.go, scatter.go).
+// sha256(source) and /v1/juliet on the case name. Consistent hashing
+// with virtual nodes means every backend sees a stable subset of the key
+// space, so each backend's program interner and result LRU stay hot on
+// their own slice of the workload — the property that makes N backends
+// behave like one big cache rather than N cold ones. The batch endpoint
+// homes each campaign cell at the ring owner of its stable plan key
+// (exp.Plan.Key), balances the campaign's work by letting idle backends
+// take other backends' unstarted cells, and sends a cell the shard has
+// seen served back to the backend that served it (batch.go, scatter.go).
 //
 // Each backend's health is one count of consecutive failures, fed by
 // health probes, proxied requests and campaign relays alike. A backend
@@ -130,9 +129,9 @@ type Shard struct {
 	// dir maps the digest of every cell a backend has delivered to that
 	// backend, which holds it in its memo store; a campaign pins those
 	// cells to it. Keys are digests of cells an accepted campaign request
-	// enumerates, so dir is bounded by construction: at MaxScale, every
-	// /v1/batch and /v1/chaos request together enumerates 2,160 distinct
-	// cells (432 perf, 864 memory, 864 chaos).
+	// enumerates, so dir is bounded by construction: up to MaxScale, every
+	// plan's requests together enumerate 2,160 distinct cells (432 perf,
+	// 864 memory, 864 chaos).
 	dirMu sync.Mutex
 	dir   map[memo.Digest]int
 
@@ -156,7 +155,7 @@ func New(cfg Config) (*Shard, error) {
 			"proxied",          // unary requests forwarded
 			"failovers",        // unary retries on a different backend
 			"no_backend",       // requests failed with no backend available
-			"batch_streams",    // batch and chaos fan-outs started
+			"batch_streams",    // campaign fan-outs started
 			"batch_cells",      // cells merged into client streams
 			"reassigned_cells", // cells re-scattered after a backend loss
 			"stolen_cells",     // cells run by a backend other than their home queue's
@@ -175,9 +174,9 @@ func New(cfg Config) (*Shard, error) {
 	}
 	s.ring = newRing(len(s.backends), ringReplicas, func(i int) string { return s.backends[i].url })
 
-	// Unary routing keys are namespaced so a workload named like a Juliet
-	// case still owns its own ring arc. The case list is identical on
-	// every backend (the generated suite), so any up backend may answer.
+	// Unary routing keys are namespaced so each route owns its own ring
+	// arcs. The case list is identical on every backend (the generated
+	// suite), so any up backend may answer.
 	s.mux.HandleFunc("POST /v1/run", unary(s, "/v1/run", func(q struct {
 		Source string `json:"source"`
 	}) string {
@@ -189,14 +188,7 @@ func New(cfg Config) (*Shard, error) {
 		return "juliet|" + q.Case
 	}))
 	s.mux.HandleFunc("GET /v1/juliet", unary(s, "/v1/juliet", func(struct{}) string { return "juliet-list" }))
-	s.mux.HandleFunc("POST /v1/workload", unary(s, "/v1/workload", func(q struct {
-		Name string `json:"name"`
-	}) string {
-		return "workload|" + q.Name
-	}))
-	for _, route := range server.CampaignRoutes {
-		s.mux.HandleFunc("POST "+route.Path, s.handleCampaign(route))
-	}
+	s.mux.HandleFunc("POST "+server.BatchPath, s.handleBatch)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 

@@ -143,14 +143,18 @@ func serialRun(t *testing.T) ([]exp.Result, []exp.MemResult) {
 }
 
 // TestShardBatchReportEquivalence is the tentpole acceptance test: a
-// batch campaign scattered over two backends reassembles to the exact
-// bytes a serial run produces — full report and perf-only grid.
+// report campaign and a temporal one scattered over two backends each
+// reassemble to the exact bytes a serial run produces.
 func TestShardBatchReportEquivalence(t *testing.T) {
 	serial, serialMem := serialRun(t)
+	wantTemporal, err := exp.RunReport(exp.TemporalPlan(workloadSet(t), 1), runtime.NumCPU())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	_, _, c := newFleet(t, 2)
 	ctx := context.Background()
-	got, err := c.BatchReport(ctx, server.BatchRequest{Workloads: testWorkloads})
+	got, err := c.Report(ctx, server.BatchRequest{Workloads: testWorkloads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +162,12 @@ func TestShardBatchReportEquivalence(t *testing.T) {
 		t.Fatalf("shard batch report differs from serial run:\n--- shard ---\n%s\n--- serial ---\n%s", got, want)
 	}
 
-	gotGrid, err := c.GridReport(ctx, server.BatchRequest{Workloads: testWorkloads})
+	got, err = c.Report(ctx, server.BatchRequest{Plan: server.PlanTemporal, Workloads: testWorkloads})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := exp.PerfReport(serial); gotGrid != want {
-		t.Fatal("shard grid report differs from serial run")
+	if got != wantTemporal {
+		t.Fatal("shard temporal report differs from serial run")
 	}
 }
 
@@ -186,7 +190,7 @@ func TestShardFailover(t *testing.T) {
 		t.Fatalf("repeat run after backend loss: cached=%v err=%v", cached, err)
 	}
 
-	got, err := c.BatchReport(ctx, server.BatchRequest{Workloads: testWorkloads})
+	got, err := c.Report(ctx, server.BatchRequest{Workloads: testWorkloads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +230,7 @@ func TestShardSubsetAndValidation(t *testing.T) {
 	ctx := context.Background()
 
 	var seqs []int
-	trailer, err := c.CampaignStream(ctx, server.BatchPath, server.BatchRequest{Workloads: testWorkloads, Cells: []int{0, 7, 3}},
+	trailer, err := c.BatchStream(ctx, server.BatchRequest{Workloads: testWorkloads, Cells: []int{0, 7, 3}},
 		func(cell server.BatchCell) error {
 			seqs = append(seqs, cell.Seq)
 			return nil
@@ -248,9 +252,11 @@ func TestShardSubsetAndValidation(t *testing.T) {
 	}
 
 	for name, body := range map[string]string{
-		"unknown workload": `{"workloads":["nope"]}`,
-		"bad subset":       `{"cells":[99999]}`,
-		"unknown field":    `{"bogus":1}`,
+		"unknown workload":     `{"workloads":["nope"]}`,
+		"bad subset":           `{"cells":[99999]}`,
+		"unknown field":        `{"bogus":1}`,
+		"unknown plan":         `{"plan":"grid"}`,
+		"chaos with workloads": `{"plan":"chaos","workloads":["treeadd"]}`,
 	} {
 		resp, err := http.Post(c.BaseURL+server.BatchPath, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -265,11 +271,22 @@ func TestShardSubsetAndValidation(t *testing.T) {
 
 // TestShardUnaryRequestErrors pins the shard's own answers on the unary
 // routes: an oversized body is 413 and an undecodable one 400, both
-// before any backend is asked; the body-less case list is proxied.
+// before any backend is asked, and the deleted /v1/workload and
+// /v1/chaos are 404; the body-less case list is proxied.
 func TestShardUnaryRequestErrors(t *testing.T) {
 	sh, _, c := newFleet(t, 1)
 	oversized := strings.Repeat(" ", maxBodyBytes+1)
-	for _, path := range []string{"/v1/run", "/v1/juliet", "/v1/workload"} {
+	for _, path := range []string{"/v1/workload", "/v1/chaos"} {
+		resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/v1/run", "/v1/juliet"} {
 		for body, want := range map[string]int{"{": http.StatusBadRequest, oversized: http.StatusRequestEntityTooLarge} {
 			resp, err := http.Post(c.BaseURL+path, "application/json", strings.NewReader(body))
 			if err != nil {
@@ -294,6 +311,38 @@ func TestShardUnaryRequestErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || sh.metrics["proxied"].Load() != 1 {
 		t.Errorf("GET /v1/juliet: status %d, proxied %d; want 200 through one backend", resp.StatusCode, sh.metrics["proxied"].Load())
+	}
+}
+
+// TestShardNoBackend: a unary request whose every backend is unreachable
+// — here the only one, a closed listener — is answered 502 "no backend
+// available" by the shard once failover has tried them all, and counted
+// under no_backend.
+func TestShardNoBackend(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	sh, err := New(Config{Backends: []string{dead.URL}, HealthInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	front := httptest.NewServer(sh)
+	t.Cleanup(front.Close)
+
+	resp, err := http.Post(front.URL+"/v1/run", "application/json", strings.NewReader(`{"source":"int main() { return 0; }"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e server.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadGateway || e.Error != "no backend available" {
+		t.Errorf("status %d, error %q; want 502 \"no backend available\"", resp.StatusCode, e.Error)
+	}
+	if n := sh.metrics["no_backend"].Load(); n != 1 {
+		t.Errorf("no_backend = %d, want 1", n)
 	}
 }
 
@@ -509,7 +558,7 @@ func (s *slowWriter) Flush() {
 func (s *slowWriter) Unwrap() http.ResponseWriter { return s.ResponseWriter }
 
 // TestShardChaosMidStreamBackendKill kills a backend in the middle of a
-// /v1/chaos campaign — connections dropped while its part is streaming
+// chaos campaign — connections dropped while its part is streaming
 // — and requires the campaign to finish anyway with the exact serial
 // bytes, the backend's undelivered cells reassigned to the survivor and
 // accounted in the reassigned_cells metric.
@@ -538,8 +587,12 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	req := server.ChaosRequest{Scale: 1}
-	a := exp.NewAssembly(req.Plan())
+	req := server.BatchRequest{Plan: server.PlanChaos, Scale: 1}
+	camp, err := req.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := camp.NewAssembly()
 	// The killer keeps cutting backend 0's connections for a window, not
 	// just once: the relay client retries a stream that died before its
 	// first line, so a single cut could be quietly absorbed by a clean
@@ -555,12 +608,12 @@ func TestShardChaosMidStreamBackendKill(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := c.CampaignStream(ctx, server.ChaosPath, req, func(cell server.BatchCell) error {
+	if _, err := c.BatchStream(ctx, req, func(cell server.BatchCell) error {
 		kill.Do(startKiller)
-		if cell.Error != "" || cell.Chaos == nil {
-			return fmt.Errorf("cell %d: error=%q chaos=%v", cell.Seq, cell.Error, cell.Chaos)
+		if cell.Error != "" {
+			return fmt.Errorf("cell %d: error=%q", cell.Seq, cell.Error)
 		}
-		return a.AddChecked(cell.Meta(), *cell.Chaos)
+		return a.Add(cell)
 	}); err != nil {
 		t.Fatalf("chaos campaign with mid-stream kill: %v", err)
 	}
@@ -599,7 +652,8 @@ type hostileLine struct {
 	payload string // JSON members after the cell identity
 }
 
-// hostileLines lists, per campaign endpoint, the wrong lines
+// hostileLines lists, per payload type — the report grid's (plans report
+// and temporal) and the chaos campaign's — the wrong lines
 // TestShardRejectsAlienCells's backend cycles through, one per request.
 func hostileLines(t *testing.T) map[string][]hostileLine {
 	// An outcome at coordinates no plan cell has.
@@ -609,7 +663,7 @@ func hostileLines(t *testing.T) map[string][]hostileLine {
 	}
 	bad := `"chaos":` + string(outcome)
 	return map[string][]hostileLine{
-		server.BatchPath: {
+		server.PlanReport: {
 			{"", `"result":{"perf":{}}`},
 			{exp.CellPerf, `"result":{"footprint":4096}`},
 			{exp.CellPerf, `"result":{"perf":{},"footprint":4096}`},
@@ -617,7 +671,7 @@ func hostileLines(t *testing.T) map[string][]hostileLine {
 			{exp.CellMem, `"result":{"perf":{},"footprint":4096}`},
 			{exp.CellMem, bad},
 		},
-		server.ChaosPath: {
+		server.PlanChaos: {
 			{"", bad},
 			{exp.CellChaos, bad},
 			{exp.CellChaos, `"result":{"footprint":4096}`},
@@ -633,44 +687,39 @@ func hostileLines(t *testing.T) map[string][]hostileLine {
 // and each campaign's payload swapped for another's). The shard must
 // reject every such line at the trust boundary — corrupt_lines, never a
 // wrong report or a client-side rejection — fail that backend's stream,
-// and complete each perf-grid, full-report and chaos campaign on the
-// honest survivor with byte-identical output.
+// and complete each temporal, report and chaos campaign on the honest
+// survivor with byte-identical output.
 func TestShardRejectsAlienCells(t *testing.T) {
 	serial, serialMem := serialRun(t)
 	wantChaos, _ := exp.ChaosReport(1, runtime.NumCPU())
+	wantTemporal, err := exp.RunReport(exp.TemporalPlan(workloadSet(t), 1), runtime.NumCPU())
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := hostileLines(t)
 
 	var mu sync.Mutex
-	requests := map[string]int{}      // per path: which line comes next
-	sent := map[string]map[int]bool{} // per path: line indexes sent
+	requests := map[string]int{}      // per payload type: which line comes next
+	sent := map[string]map[int]bool{} // per payload type: line indexes sent
 	badLines := 0
 	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			fmt.Fprintln(w, `{"status":"ok"}`)
 			return
 		}
-		var plan exp.CellPlan
-		var part []int
-		switch r.URL.Path {
-		case server.ChaosPath:
-			var req server.ChaosRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			plan, part = req.Plan(), req.Cells
-		default:
-			var req server.BatchRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			p, err := req.BatchPlan()
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			plan, part = p, req.Cells
+		var req server.BatchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		plan, err := req.Resolve(nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		part, kind := req.Cells, server.PlanReport
+		if req.Plan == server.PlanChaos {
+			kind = server.PlanChaos
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -678,21 +727,21 @@ func TestShardRejectsAlienCells(t *testing.T) {
 		// every part stands in when it has none of any listed kind.
 		seq, ln := 100000+part[0], hostileLine{"", `"result":{"perf":{}}`}
 		m := plan.Meta(part[0])
-		all := lines[r.URL.Path]
+		all := lines[kind]
 	pick:
 		for k := 0; k < len(all); k++ {
-			i := (requests[r.URL.Path] + k) % len(all)
+			i := (requests[kind] + k) % len(all)
 			for _, c := range part {
 				if cm := plan.Meta(c); all[i].kind == "" || cm.Kind == all[i].kind {
 					if all[i].kind != "" {
 						seq, m = c, cm
 					}
 					ln = all[i]
-					if sent[r.URL.Path] == nil {
-						sent[r.URL.Path] = map[int]bool{}
+					if sent[kind] == nil {
+						sent[kind] = map[int]bool{}
 					}
-					sent[r.URL.Path][i] = true
-					requests[r.URL.Path] = i + 1
+					sent[kind][i] = true
+					requests[kind] = i + 1
 					break pick
 				}
 			}
@@ -734,18 +783,20 @@ func TestShardRejectsAlienCells(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	req := server.BatchRequest{Workloads: testWorkloads}
 	campaigns := []struct {
-		path string
-		run  func() (string, error)
+		req  server.BatchRequest
 		want string
 	}{
-		{server.BatchPath, func() (string, error) { return c.GridReport(ctx, req) }, exp.PerfReport(serial)},
-		{server.BatchPath, func() (string, error) { return c.BatchReport(ctx, req) }, exp.Report(serial, serialMem)},
-		{server.ChaosPath, func() (string, error) { return c.ChaosReport(ctx, server.ChaosRequest{Scale: 1}) }, wantChaos},
+		{server.BatchRequest{Plan: server.PlanTemporal, Workloads: testWorkloads}, wantTemporal},
+		{server.BatchRequest{Workloads: testWorkloads}, exp.Report(serial, serialMem)},
+		{server.BatchRequest{Plan: server.PlanChaos, Scale: 1}, wantChaos},
 	}
 	for _, cp := range campaigns {
-		for range lines[cp.path] {
+		kind := server.PlanReport
+		if cp.req.Plan == server.PlanChaos {
+			kind = server.PlanChaos
+		}
+		for range lines[kind] {
 			// Forget which backend served each cell: a repeated campaign
 			// would otherwise send every cell back to the honest backend
 			// and never meet the hostile's next line.
@@ -754,15 +805,15 @@ func TestShardRejectsAlienCells(t *testing.T) {
 			sh.dirMu.Unlock()
 			moved.Store(sh.metrics["reassigned_cells"].Load())
 			before := sh.metrics["corrupt_lines"].Load()
-			got, err := cp.run()
+			got, err := c.Report(ctx, cp.req)
 			if err != nil {
-				t.Fatalf("%s campaign over hostile backend: %v", cp.path, err)
+				t.Fatalf("%+v campaign over hostile backend: %v", cp.req, err)
 			}
 			if got != cp.want {
-				t.Fatalf("%s: hostile backend corrupted the assembled report", cp.path)
+				t.Fatalf("%+v: hostile backend corrupted the assembled report", cp.req)
 			}
 			if sh.metrics["corrupt_lines"].Load() == before {
-				t.Errorf("%s: hostile line drew no corrupt_lines", cp.path)
+				t.Errorf("%+v: hostile line drew no corrupt_lines", cp.req)
 			}
 		}
 	}
@@ -771,12 +822,12 @@ func TestShardRejectsAlienCells(t *testing.T) {
 	if n := sh.metrics["corrupt_lines"].Load(); n != uint64(badLines) {
 		t.Errorf("corrupt_lines = %d, hostile sent %d bad lines", n, badLines)
 	}
-	for path, all := range lines {
+	for kind, all := range lines {
 		for i, ln := range all {
-			if !sent[path][i] {
+			if !sent[kind][i] {
 				// Only possible when the ring gave the hostile no cell of
 				// that kind (6 memory cells: 1 run in 64).
-				t.Logf("%s: line %d (%s cell, %s) never sent", path, i, ln.kind, ln.payload)
+				t.Logf("%s: line %d (%s cell, %s) never sent", kind, i, ln.kind, ln.payload)
 			}
 		}
 	}
@@ -844,13 +895,14 @@ func TestShardMetricsKeys(t *testing.T) {
 }
 
 // TestShardRejectsOutOfRangeScale: a campaign request every backend would
-// reject — a scale one above the bound on each campaign path, a
-// mem_scale whose product with the scale overflows, or a body past
-// server.MaxCampaignBodyBytes — is answered 400 by
-// the shard itself, resolved by the backends' own route table. No backend
-// is contacted, so the request can neither stream a campaign of error
-// cells nor count a backend's 400 as a backend failure and drain a
-// healthy fleet.
+// reject — a scale one above the bound on the report and chaos plans, a
+// mem_scale whose product with the scale overflows, an unknown plan, a
+// field its plan does not take, or a body past
+// server.MaxCampaignBodyBytes — is answered 400 by the shard itself,
+// resolved through the backends' own campaign table. No backend is
+// contacted, so the request can neither stream a campaign of error cells
+// nor count a backend's 400 as a backend failure and drain a healthy
+// fleet.
 func TestShardRejectsOutOfRangeScale(t *testing.T) {
 	var posts atomic.Int64
 	backend := server.New(server.Config{})
@@ -870,23 +922,25 @@ func TestShardRejectsOutOfRangeScale(t *testing.T) {
 	front := httptest.NewServer(sh)
 	t.Cleanup(front.Close)
 
-	overScale := fmt.Sprintf(`{"scale":%d}`, server.MaxScale+1)
-	for _, req := range []struct{ path, body string }{
-		{server.BatchPath, overScale},
-		{server.BatchPath, fmt.Sprintf(`{"scale":%d,"cells":[0,1,2,3,4]}`, server.MaxScale+1)},
-		{server.ChaosPath, overScale},
-		{server.BatchPath, `{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`},
+	for _, body := range []string{
+		fmt.Sprintf(`{"scale":%d}`, server.MaxScale+1),
+		fmt.Sprintf(`{"scale":%d,"cells":[0,1,2,3,4]}`, server.MaxScale+1),
+		fmt.Sprintf(`{"plan":"chaos","scale":%d}`, server.MaxScale+1),
+		`{"workloads":["treeadd"],"scale":2,"mem_scale":4611686018427387904,"cells":[5]}`,
+		`{"plan":"grid","cells":[0]}`,
+		`{"plan":"chaos","workloads":["treeadd"],"cells":[0]}`,
+		`{"plan":"temporal","mem_scale":2,"cells":[0]}`,
 		// Past the body bound a backend reads, but valid JSON.
-		{server.ChaosPath, `{"scale":1` + strings.Repeat(" ", 2<<20) + `,"cells":[0]}`},
+		`{"plan":"chaos","scale":1` + strings.Repeat(" ", 2<<20) + `,"cells":[0]}`,
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
-			resp, err := http.Post(front.URL+req.path, "application/json", strings.NewReader(req.body))
+			resp, err := http.Post(front.URL+server.BatchPath, "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s %.80s: shard status %d, want 400", req.path, req.body, resp.StatusCode)
+				t.Errorf("%.80s: shard status %d, want 400", body, resp.StatusCode)
 			}
 		}
 	}
@@ -946,8 +1000,11 @@ func fleetMemo(t *testing.T, backs []*httptest.Server) (hits, misses uint64) {
 // every cell is computed exactly once, and a replay sends every cell
 // back to the backend that computed it — all memo hits, nothing stolen.
 func TestShardStealsFromSlowBackend(t *testing.T) {
-	req := server.ChaosRequest{Scale: 1}
-	plan := req.Plan()
+	req := server.BatchRequest{Plan: server.PlanChaos, Scale: 1}
+	plan, err := req.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	backs := fleetByHome(t, 2, plan)
 	backs[0].Config.Handler = throttledHandler{h: server.New(server.Config{}), delay: 10 * time.Millisecond}
 	backs[1].Config.Handler = server.New(server.Config{})
@@ -967,7 +1024,7 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 	want, _ := exp.ChaosReport(1, runtime.NumCPU())
 	n := uint64(plan.NumCells())
 
-	got, err := c.ChaosReport(ctx, req)
+	got, err := c.Report(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -982,7 +1039,7 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 		t.Errorf("cold campaign: %d memo hits and %d misses over %d cells, want 0 and %d", hits, misses, n, n)
 	}
 
-	if got, err = c.ChaosReport(ctx, req); err != nil {
+	if got, err = c.Report(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -1002,25 +1059,26 @@ func TestShardStealsFromSlowBackend(t *testing.T) {
 }
 
 // TestDirectoryBound pins the bound the served-cell directory's comment
-// states: every cell an accepted /v1/batch or /v1/chaos request can
-// enumerate, at every admissible scale, has one of 2,160 digests. The
-// perf-grid campaign (GridReport) is a /v1/batch request for a plan's
-// first cells, so it adds none.
+// states: every cell an accepted /v1/batch request can enumerate — the
+// report plan at every admissible scale and mem scale, the temporal and
+// chaos plans at every admissible scale — has one of 2,160 digests.
 func TestDirectoryBound(t *testing.T) {
 	digests := map[memo.Digest]bool{}
-	add := func(p server.Campaign) {
-		for i := 0; i < p.NumCells(); i++ {
-			digests[p.CellDigest(i)] = true
+	add := func(req server.BatchRequest) {
+		camp, err := req.Resolve(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < camp.NumCells(); i++ {
+			digests[camp.CellDigest(i)] = true
 		}
 	}
 	for scale := 1; scale <= server.MaxScale; scale++ {
 		for memScale := 1; scale*memScale <= server.MaxScale*exp.MemScale; memScale++ {
-			for _, temporal := range []bool{false, true} {
-				req := server.BatchRequest{Scale: scale, MemScale: memScale, Temporal: temporal}
-				add(resolveRoute(t, server.BatchPath, req))
-			}
+			add(server.BatchRequest{Scale: scale, MemScale: memScale})
 		}
-		add(resolveRoute(t, server.ChaosPath, server.ChaosRequest{Scale: scale}))
+		add(server.BatchRequest{Plan: server.PlanTemporal, Scale: scale})
+		add(server.BatchRequest{Plan: server.PlanChaos, Scale: scale})
 	}
 	if len(digests) != 2160 {
 		t.Errorf("accepted campaigns enumerate %d distinct cells, the directory's stated bound is 2160", len(digests))
@@ -1067,7 +1125,7 @@ func TestShardEarlyTrailerMovesCells(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	got, err := server.NewClient(front.URL).ChaosReport(ctx, server.ChaosRequest{Scale: 1})
+	got, err := server.NewClient(front.URL).Report(ctx, server.BatchRequest{Plan: server.PlanChaos, Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1129,7 +1187,7 @@ func TestShardHedgeEndsStalledRelay(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), within)
 	defer cancel()
 	start := time.Now()
-	got, err := server.NewClient(front.URL).ChaosReport(ctx, server.ChaosRequest{Scale: 1})
+	got, err := server.NewClient(front.URL).Report(ctx, server.BatchRequest{Plan: server.PlanChaos, Scale: 1})
 	if err != nil {
 		t.Fatalf("chaos campaign over a stalled backend: no trailer within %v: %v", within, err)
 	}
