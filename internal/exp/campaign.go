@@ -4,6 +4,7 @@ package exp
 // one assembly and one runner written against it.
 
 import (
+	"errors"
 	"fmt"
 
 	"infat/internal/memo"
@@ -150,19 +151,34 @@ func (a *CampaignAssembly[C]) Report() (string, error) {
 // served from the campaign's memo store when warm and computed
 // otherwise, then folded through an assembly. Cells land in pre-indexed
 // slots, so the result is identical at any worker count. A failed cell
-// does not stop the rest; every cell error is joined in seq order.
+// does not stop the rest; every cell error is joined in seq order. A
+// plan starts its memory cells mode by mode (Plan.dispatchOrder), so
+// parallel workers record different Figure-12 rows instead of waiting
+// on one.
 func RunCampaign[C any](c Campaign[C], workers int) ([]C, error) {
 	a := NewAssembly(c)
-	if err := pool.Map(workers, c.NumCells(), func(i int) error {
+	order := make([]int, c.NumCells())
+	for i := range order {
+		order[i] = i
+	}
+	if p, ok := any(c).(Plan); ok {
+		order = p.dispatchOrder()
+	}
+	errs := make([]error, len(order))
+	pool.Map(workers, len(order), func(k int) error {
+		i := order[k]
 		v, ok := c.LookupCell(i)
 		if !ok {
 			var err error
 			if v, err = c.ComputeCell(i); err != nil {
-				return err
+				errs[i] = err
+				return nil
 			}
 		}
-		return a.Add(i, v)
-	}); err != nil {
+		errs[i] = a.Add(i, v)
+		return nil
+	})
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	return a.Cells()

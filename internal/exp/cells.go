@@ -5,9 +5,13 @@ package exp
 // The batch serving tier (internal/server's /v1/batch endpoint, and
 // internal/shard's fan-out front tier) needs the grid, memory, and
 // chaos campaigns as flat lists of independent cells: every cell has a
-// stable sequence number and identity key, runs in its own runtime, and
-// can execute on any worker of any process — locally, on one backend, or
-// scattered across a shard ring — in any order. Plan and ChaosPlan are
+// stable sequence number and identity key, and can execute on any worker
+// of any process — locally, on one backend, or scattered across a shard
+// ring — in any order. A perf or chaos cell runs in its own runtime. The
+// memory cells of one Figure-12 row (a workload's baseline, subheap and
+// wrapped footprints at one scale) share one recorded Baseline run when
+// the plan computes more than one of them (rows.go); each still returns
+// exactly the footprint its own run would. Plan and ChaosPlan are
 // those enumerations, each a Campaign (campaign.go); an assembly folds
 // streamed cells back into the exact slices a serial run produces, so
 // the reassembled report is byte-identical to what ifp-bench prints.
@@ -34,6 +38,7 @@ import (
 	"slices"
 
 	"infat/internal/chaos"
+	"infat/internal/mem"
 	"infat/internal/memo"
 	"infat/internal/workloads"
 )
@@ -103,6 +108,8 @@ type Plan struct {
 	cfgs     []Config                                // run per workload; none in NewMemPlan
 	render   func(p Plan, cells []CellResult) string // the report of a verified cell set
 	memo     *memo.Store                             // nil = no memoization (WithMemo attaches one)
+	rows     *rowTable                               // Figure-12 rows, shared by every copy; nil without memory cells
+	sel      []bool                                  // the cell selection (Select); nil = every cell
 }
 
 // NewPlan enumerates the perf grid only: len(ws) × 5 cells at the given
@@ -131,7 +138,7 @@ func NewReportPlan(ws []workloads.Workload, scale, memScale int) Plan {
 	if memScale < 1 {
 		memScale = MemScale
 	}
-	p.memScale = memScale
+	p.memScale, p.rows = memScale, newRowTable()
 	return p
 }
 
@@ -142,7 +149,7 @@ func NewMemPlan(ws []workloads.Workload, scale int) Plan {
 	if scale < 1 {
 		scale = 1
 	}
-	return Plan{ws: ws, scale: 1, memScale: scale, render: renderReport}
+	return Plan{ws: ws, scale: 1, memScale: scale, render: renderReport, rows: newRowTable()}
 }
 
 // Scale returns the perf-grid scale.
@@ -212,16 +219,19 @@ func (p Plan) LookupCell(i int) (CellResult, bool) {
 	return CellResult{Perf: m}, ok
 }
 
-// ComputeCell executes cell i unconditionally — a memory cell on the
-// footprint-only path, through computeFootprint, which maps the same
-// guest pages as the full path — and, when the plan carries a store,
-// publishes the result for the next identical cell. It never reads the
-// store, so pairing LookupCell + ComputeCell counts exactly one miss. An
-// ablated cell's run error is its result.
+// ComputeCell executes cell i unconditionally — a memory cell from its
+// Figure-12 row (memFootprint): one recorded Baseline run on the
+// footprint-only path, replayed through each sibling's allocators, or
+// computeFootprint alone when the plan computes no sibling — and, when
+// the plan carries a store, publishes the result for the next identical
+// cell. It never reads the store (ProbeCell, which counts nothing, tells
+// a memory cell which siblings are memoized), so pairing LookupCell +
+// ComputeCell counts exactly one miss. An ablated cell's run error is its
+// result.
 func (p Plan) ComputeCell(i int) (CellResult, error) {
 	w, c, scale, perf := p.cellSpec(i)
 	if !perf {
-		fp, err := computeFootprint(p.memo, w, c.Mode, scale)
+		fp, err := p.memFootprint(i, w, c.Mode, scale)
 		return CellResult{Footprint: fp}, err
 	}
 	m, err := computeOne(p.memo, w, c, scale)
@@ -236,17 +246,22 @@ func (p Plan) ComputeCell(i int) (CellResult, error) {
 
 // CheckPayload checks that c has the shape cell seq's kind requires: a
 // perf cell a perf payload and no footprint, a memory cell no perf
-// payload.
+// payload and a footprint of whole pages, at least one (every run maps
+// a page), so a relayed line that lost its footprint cannot render
+// Figure 12 against a zero baseline.
 func (p Plan) CheckPayload(seq int, c CellResult) error {
-	if seq < p.perfCells() {
+	switch {
+	case seq < p.perfCells():
 		if c.Perf == nil && c.failed == nil {
 			return corruptCell(seq, "exp: perf cell %d missing perf result", seq)
 		}
 		if c.Footprint != 0 {
 			return corruptCell(seq, "exp: perf cell %d carries a footprint payload", seq)
 		}
-	} else if c.Perf != nil {
+	case c.Perf != nil:
 		return corruptCell(seq, "exp: mem cell %d carries a perf payload", seq)
+	case c.Footprint == 0 || c.Footprint%mem.PageSize != 0:
+		return corruptCell(seq, "exp: mem cell %d footprint %d is not a positive number of %d-byte pages", seq, c.Footprint, mem.PageSize)
 	}
 	return nil
 }

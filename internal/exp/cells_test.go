@@ -210,7 +210,8 @@ func TestAddCheckedCellContract(t *testing.T) {
 	}
 
 	// Payload shape: a perf cell without a perf result, a perf cell
-	// smuggling a footprint, a mem cell smuggling a perf result.
+	// smuggling a footprint, a mem cell smuggling a perf result, and a
+	// mem cell whose footprint is zero or not whole pages.
 	memMeta := p.Meta(p.NumCells() - 1)
 	for name, bad := range map[string]struct {
 		m CellMeta
@@ -219,6 +220,8 @@ func TestAddCheckedCellContract(t *testing.T) {
 		"perf cell missing perf":     {good, CellResult{}},
 		"perf cell with footprint":   {good, CellResult{Perf: &ModeResult{}, Footprint: 7}},
 		"mem cell with perf payload": {memMeta, perf},
+		"mem cell without footprint": {memMeta, CellResult{}},
+		"mem cell of a part page":    {memMeta, CellResult{Footprint: 12345}},
 	} {
 		if err := a.AddChecked(bad.m, bad.c); !errors.Is(err, ErrCorruptCell) {
 			t.Errorf("%s: err = %v, want ErrCorruptCell", name, err)

@@ -245,7 +245,7 @@ const MemScale = 4
 
 // memModes enumerates the three configurations the memory experiment
 // compares, in column order.
-var memModes = []rt.Mode{rt.Baseline, rt.Subheap, rt.Wrapped}
+var memModes = [...]rt.Mode{rt.Baseline, rt.Subheap, rt.Wrapped}
 
 // fields returns m's footprints in memModes order.
 func (m *MemResult) fields() [3]*uint64 { return [...]*uint64{&m.Baseline, &m.Subheap, &m.Wrapped} }

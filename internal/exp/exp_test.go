@@ -340,6 +340,46 @@ func TestASICSweep(t *testing.T) {
 	if hidden >= deep {
 		t.Errorf("PromoteBase 0 did not lower the overhead: %.4f vs %.4f at 2", hidden, deep)
 	}
+
+	// The drop at miss penalty 40 is subheap's alone: over the sweep's
+	// own points and workloads, wrapped's overhead rises (E10 quotes
+	// these values). The sweep itself, and so -asic's output, stays
+	// subheap-only.
+	wrapped := func(pt asicPoint) (base, inst Config) {
+		base, inst = pt.configs()
+		inst.Mode = rt.Wrapped
+		return base, inst
+	}
+	var cfgs []Config
+	for _, pt := range asicPoints {
+		base, inst := wrapped(pt)
+		for _, c := range []Config{base, inst} {
+			if !slices.Contains(cfgs, c) {
+				cfgs = append(cfgs, c)
+			}
+		}
+	}
+	wp := sectionPlan(namedWorkloads(asicWorkloads), 1, cfgs, renderASIC)
+	wcells, err := RunCampaign(wp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var woh []float64
+	for i, want := range []string{"+31.6%", "+34.0%", "+31.7%", "+25.6%"} {
+		base, inst := wrapped(asicPoints[i])
+		var ratios []float64
+		for wi := range wp.ws {
+			ratios = append(ratios, stats.Ratio(wp.cell(wcells, wi, inst).Perf.Counters.Cycles,
+				wp.cell(wcells, wi, base).Perf.Counters.Cycles))
+		}
+		woh = append(woh, stats.Geomean(ratios))
+		if got := fmt.Sprintf("%+.1f%%", stats.Overhead(woh[i])); got != want {
+			t.Errorf("wrapped at %s: geo-mean overhead %s, EXPERIMENTS.md E10 quotes %s", asicPoints[i].label, got, want)
+		}
+	}
+	if woh[1] <= woh[0] {
+		t.Errorf("wrapped's overhead did not rise at miss penalty 40: %.4f vs %.4f at 20", woh[1], woh[0])
+	}
 }
 
 func TestReportComposes(t *testing.T) {

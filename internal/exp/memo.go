@@ -151,11 +151,16 @@ func computeFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale i
 	if err != nil {
 		return 0, err
 	}
-	if s != nil {
-		s.Put(footprintDigest(w, mode, scale), memo.KindFootprint, m.Footprint,
-			binary.LittleEndian.AppendUint64(nil, m.Footprint))
-	}
+	publishFootprint(s, w, mode, scale, m.Footprint)
 	return m.Footprint, nil
+}
+
+// publishFootprint publishes one memory cell's footprint to s (nil: no
+// store).
+func publishFootprint(s *memo.Store, w workloads.Workload, mode rt.Mode, scale int, fp uint64) {
+	if s != nil {
+		s.Put(footprintDigest(w, mode, scale), memo.KindFootprint, fp, binary.LittleEndian.AppendUint64(nil, fp))
+	}
 }
 
 // WithMemo returns a copy of the plan whose LookupCell serves from, and

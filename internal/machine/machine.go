@@ -161,6 +161,13 @@ type Machine struct {
 	// Figure-12 memory cells take to keep only the footprint, sets it.
 	Untimed bool
 
+	// Rec, when set on an untimed machine, sees every data access Load
+	// and Store make, by untagged address and size, once the access check
+	// has passed. Only the untimed branch tests it, so a timed run never
+	// does. The runtime's footprint recorder (rt.Runtime.Record,
+	// DESIGN.md §12) sets it for the Baseline run a Figure-12 row records.
+	Rec AccessRecorder
+
 	// macKey and macMemo memoize the MAC promote verifies on every
 	// metadata lookup (and ifpmac generates), so the host computes each
 	// (key, record) pair's SipHash once; see objectMAC. The hardware's
@@ -221,6 +228,13 @@ func (m *Machine) objectMAC(base, f2, f3 uint64) uint64 {
 	return got
 }
 
+// AccessRecorder observes the data accesses of an untimed machine (Rec).
+// Runtime metadata traffic (RawLoad64, RawStore64, promote's fetches) is
+// not data and is never reported.
+type AccessRecorder interface {
+	Access(addr uint64, size int)
+}
+
 // DefaultKeySeed seeds the MAC key of every freshly built (or reset)
 // machine. A fixed seed keeps runs reproducible; chaos scenarios swap the
 // key explicitly when they want mismatches.
@@ -253,7 +267,7 @@ func (m *Machine) Reset() {
 	m.NoPromote, m.NoNarrow = false, false
 	m.FuelLimit = 0
 	m.TemporalTags, m.Gens = false, nil
-	m.Untimed = false
+	m.Untimed, m.Rec = false, nil
 }
 
 // TrapKind classifies architectural traps.
@@ -386,9 +400,10 @@ func (m *Machine) Tick(n uint64) {
 //
 // TryHit's effect is exactly Access with zero misses, so the pair charges
 // what Access alone would, in the same order; an untimed machine charges
-// the base cycle only. The full model stays out of line, and the inline
-// test stays out of a helper because no helper holding TryHit fits the
-// inlining budget.
+// the base cycle only. Load and Store hang the recorder test (Rec) on the
+// untimed branch of the same pair, so the timed path tests nothing new.
+// The full model stays out of line, and the inline test stays out of a
+// helper because no helper holding TryHit fits the inlining budget.
 //
 //go:noinline
 func (m *Machine) dataAccess(addr uint64, size int, store bool) {
@@ -409,8 +424,12 @@ func (m *Machine) Load(p uint64, size int, breg BoundsReg) (uint64, error) {
 	}
 	addr := tag.Addr(p)
 	m.C.Cycles++
-	if !m.Untimed && !m.L1D.TryHit(addr, size, false) {
-		m.dataAccess(addr, size, false)
+	if !m.Untimed {
+		if !m.L1D.TryHit(addr, size, false) {
+			m.dataAccess(addr, size, false)
+		}
+	} else if m.Rec != nil {
+		m.Rec.Access(addr, size)
 	}
 	if size == 8 {
 		if v, ok := m.Mem.TryLoad64(addr); ok {
@@ -434,8 +453,12 @@ func (m *Machine) Store(p uint64, v uint64, size int, breg BoundsReg) error {
 	}
 	addr := tag.Addr(p)
 	m.C.Cycles++
-	if !m.Untimed && !m.L1D.TryHit(addr, size, true) {
-		m.dataAccess(addr, size, true)
+	if !m.Untimed {
+		if !m.L1D.TryHit(addr, size, true) {
+			m.dataAccess(addr, size, true)
+		}
+	} else if m.Rec != nil {
+		m.Rec.Access(addr, size)
 	}
 	if size == 8 && m.Mem.TryStore64(addr, v) {
 		return nil

@@ -108,6 +108,9 @@ func (r *Runtime) Promote(p Ptr) (Ptr, machine.BoundsReg) {
 // the GPR, which its own Store/Load already accounts for; the bounds words
 // are the instrumentation's additional traffic.
 func (r *Runtime) SpillBounds(addr uint64, b machine.BoundsReg) error {
+	if r.rec != nil {
+		r.rec.spill(evSpill, addr)
+	}
 	if !r.Instrumented() {
 		return nil
 	}
@@ -116,6 +119,9 @@ func (r *Runtime) SpillBounds(addr uint64, b machine.BoundsReg) error {
 
 // ReloadBounds restores a spilled bounds register.
 func (r *Runtime) ReloadBounds(addr uint64) (machine.BoundsReg, error) {
+	if r.rec != nil {
+		r.rec.spill(evReload, addr)
+	}
 	if !r.Instrumented() {
 		return machine.Cleared, nil
 	}

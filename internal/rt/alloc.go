@@ -24,12 +24,18 @@ func (r *Runtime) Malloc(t *layout.Type, n uint64) (Obj, error) {
 		return Obj{}, err
 	}
 	o, err := r.mallocSized(t.Size()*n, layoutPtr)
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evMalloc, o.Base(), o.Size, r.rec.typeRef(t), n)
+	}
 	return o, wrapAlloc(err)
 }
 
 // MallocBytes allocates an untyped heap object (no layout table).
 func (r *Runtime) MallocBytes(size uint64) (Obj, error) {
 	o, err := r.mallocSized(size, 0)
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evMallocBytes, o.Base(), o.Size, size)
+	}
 	return o, wrapAlloc(err)
 }
 
@@ -37,6 +43,14 @@ func (r *Runtime) MallocBytes(size uint64) (Obj, error) {
 // internals): it always goes through the baseline free list and returns an
 // untagged pointer with no metadata, even in instrumented modes.
 func (r *Runtime) MallocLegacy(size uint64) (Obj, error) {
+	o, err := r.mallocLegacy(size)
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evMallocLegacy, o.Base(), o.Size, size)
+	}
+	return o, err
+}
+
+func (r *Runtime) mallocLegacy(size uint64) (Obj, error) {
 	if size == 0 {
 		size = 1
 	}
@@ -299,13 +313,25 @@ func (r *Runtime) newBlock(pl *pool) (*block, error) {
 		}
 	}
 
-	blk := &block{pool: pl, base: base, order: order, nSlots: nSlots, live: make([]uint64, (nSlots+63)/64)}
-	blk.freeSlots = make([]uint32, nSlots)
+	blk := r.spareBlock()
+	*blk = block{pool: pl, base: base, order: order, nSlots: nSlots,
+		live: append(blk.live[:0], make([]uint64, (nSlots+63)/64)...), freeSlots: blk.freeSlots[:0]}
 	for i := uint32(0); i < nSlots; i++ {
-		blk.freeSlots[i] = nSlots - 1 - i // hand out slot 0 first
+		blk.freeSlots = append(blk.freeSlots, nSlots-1-i) // hand out slot 0 first
 	}
 	r.blocks[base] = blk
 	return blk, nil
+}
+
+// spareBlock returns a block record to fill: one a whole-block free or a
+// Reset retired, whose slices newBlock reuses, or a new one.
+func (r *Runtime) spareBlock() *block {
+	if n := len(r.spareBlocks); n > 0 {
+		blk := r.spareBlocks[n-1]
+		r.spareBlocks = r.spareBlocks[:n-1]
+		return blk
+	}
+	return new(block)
 }
 
 // Free releases a heap object allocated with Malloc/MallocBytes/
@@ -326,7 +352,11 @@ func (r *Runtime) Free(o Obj) error {
 		}
 		return err
 	}
-	return r.freeDispatch(o)
+	err := r.freeDispatch(o)
+	if r.rec != nil && err == nil {
+		r.rec.free(evFree, o.Base())
+	}
+	return err
 }
 
 // TemporalFreeCheck is the generation comparison guarding every temporal-
@@ -414,6 +444,7 @@ func (r *Runtime) freeSubheap(o Obj) error {
 		}
 		delete(r.blocks, base)
 		removeBlock(&pl.partial, blk)
+		r.spareBlocks = append(r.spareBlocks, blk)
 		return r.buddy.Free(base)
 	}
 	if wasFull {

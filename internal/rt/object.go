@@ -113,18 +113,32 @@ func (r *Runtime) layoutFor(t *layout.Type) (uint64, error) {
 func (r *Runtime) StackRaw(size uint64) (uint64, error) {
 	r.M.Tick(1)
 	p, err := r.stackArena.Sbrk(size)
+	if r.rec != nil && err == nil && size > 0 {
+		r.rec.alloc(evStackRaw, p, size, size)
+	}
 	return p, wrapAlloc(err)
 }
 
 // StackMark snapshots the stack break for LIFO release of local frames.
-func (r *Runtime) StackMark() uint64 { return r.stackArena.Mark() }
+func (r *Runtime) StackMark() uint64 {
+	m := r.stackArena.Mark()
+	if r.rec != nil {
+		r.rec.mark(m)
+	}
+	return m
+}
 
 // StackRelease pops local frames back to a mark (function return). Pages
 // stay mapped, like real stack RSS. A mark outside the stack's live
 // range (corrupted or stale) is rejected with a typed allocator trap and
 // leaves the stack unchanged.
 func (r *Runtime) StackRelease(mark uint64) error {
-	return wrapAlloc(r.stackArena.Release(mark))
+	top := r.stackArena.Mark()
+	err := r.stackArena.Release(mark)
+	if r.rec != nil && err == nil {
+		r.rec.release(mark, top)
+	}
+	return wrapAlloc(err)
 }
 
 // AllocLocal places a local variable of type t on the stack and registers
@@ -133,12 +147,18 @@ func (r *Runtime) StackRelease(mark uint64) error {
 // locals (§4.2.2). In baseline mode it is a plain stack bump.
 func (r *Runtime) AllocLocal(t *layout.Type) (Obj, error) {
 	o, err := r.allocLocalSized(t, t.Size())
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evLocal, o.Base(), o.Size, r.rec.typeRef(t))
+	}
 	return o, wrapAlloc(err)
 }
 
 // AllocLocalBytes places an untyped local buffer (no layout table).
 func (r *Runtime) AllocLocalBytes(size uint64) (Obj, error) {
 	o, err := r.allocLocalSized(nil, size)
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evLocalBytes, o.Base(), o.Size, size)
+	}
 	return o, wrapAlloc(err)
 }
 
@@ -158,7 +178,11 @@ func (r *Runtime) DeallocLocal(o Obj) error {
 	if base := o.Base(); !r.stackArena.Holds(base) && !r.globalArena.Holds(base) {
 		return fmt.Errorf("rt: DeallocLocal of %#x, which is not a stack local or a global", base)
 	}
-	return r.deregister(o)
+	err := r.deregister(o)
+	if r.rec != nil && err == nil {
+		r.rec.free(evDealloc, o.Base())
+	}
+	return err
 }
 
 // deregister clears the metadata record o's tag names: the local-offset
@@ -181,12 +205,18 @@ func (r *Runtime) deregister(o Obj) error {
 // use the local-offset scheme; large ones the global table.
 func (r *Runtime) RegisterGlobal(t *layout.Type) (Obj, error) {
 	o, err := r.placeInArena(r.globalArena, t, t.Size(), &r.Stats.GlobalObjects, &r.Stats.GlobalWithLT)
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evGlobal, o.Base(), o.Size, r.rec.typeRef(t))
+	}
 	return o, wrapAlloc(err)
 }
 
 // RegisterGlobalBytes registers an untyped global buffer.
 func (r *Runtime) RegisterGlobalBytes(size uint64) (Obj, error) {
 	o, err := r.placeInArena(r.globalArena, nil, size, &r.Stats.GlobalObjects, &r.Stats.GlobalWithLT)
+	if r.rec != nil && err == nil {
+		r.rec.alloc(evGlobalBytes, o.Base(), o.Size, size)
+	}
 	return o, wrapAlloc(err)
 }
 

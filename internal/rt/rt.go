@@ -155,11 +155,13 @@ type Runtime struct {
 	nextRow  uint16
 	liveRows [globalTableCap / 64]uint64
 
-	// Subheap pools.
-	pools    map[poolKey]*pool
-	blocks   map[uint64]*block
-	crOfBits map[uint8]uint16
-	nextCR   int
+	// Subheap pools. spareBlocks holds block records retired by a
+	// whole-block free or a Reset, for newBlock to refill.
+	pools       map[poolKey]*pool
+	blocks      map[uint64]*block
+	spareBlocks []*block
+	crOfBits    map[uint8]uint16
+	nextCR      int
 
 	// ForceGlobalTable is the single-scheme ablation (DESIGN.md §5.2):
 	// every heap allocation is registered in the global table, as a
@@ -186,6 +188,10 @@ type Runtime struct {
 	// runtime, reset with it). Only consulted when mode == IFPTemporal;
 	// the machine reads it through M.Gens during promote.
 	gens *temporal.Store
+
+	// rec records the allocation calls of a Baseline run (Record); nil
+	// on every other run.
+	rec *recorder
 
 	Stats Stats
 }
@@ -260,6 +266,9 @@ func (r *Runtime) Reset(mode Mode) {
 	r.nextRow = 0
 	clear(r.liveRows[:])
 	clear(r.pools)
+	for _, blk := range r.blocks {
+		r.spareBlocks = append(r.spareBlocks, blk)
+	}
 	clear(r.blocks)
 	clear(r.crOfBits)
 	r.nextCR = 0
@@ -268,6 +277,7 @@ func (r *Runtime) Reset(mode Mode) {
 	r.ExplicitChecks = false
 	r.allocFaultAt = 0
 	r.gens.Reset()
+	r.rec = nil
 	r.Stats = Stats{}
 	r.setMode(mode)
 }

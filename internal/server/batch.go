@@ -96,7 +96,9 @@ var campaignPlans = map[string]func(r BatchRequest, store *memo.Store) (Campaign
 		if err != nil {
 			return nil, err
 		}
-		p := exp.NewReportPlan(ws, r.Scale, r.MemScale)
+		// The request's cell subset is the plan's selection, so a memory
+		// cell's recording replays only siblings this request streams.
+		p := exp.NewReportPlan(ws, r.Scale, r.MemScale).Select(r.Cells)
 		return newCampaign(p.WithMemo(store), r, p.Scale(), p.MemScale())
 	},
 	PlanTemporal: func(r BatchRequest, store *memo.Store) (Campaign, error) {

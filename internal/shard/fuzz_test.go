@@ -2,9 +2,11 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 
+	"infat/internal/exp"
 	"infat/internal/server"
 )
 
@@ -63,6 +65,19 @@ func FuzzRelayLine(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"kind":"perf","workload":"treeadd","config":"baseline","result":{"footprint":4096}}`))
 	f.Add([]byte(`{"seq":0,"kind":"chaos","workload":"local-offset","config":"corrupt-meta","chaos":{"Seed":7}}`))
 	f.Add([]byte(`{"seq":-1,"kind":"perf","error":"x"}`))
+	// A memory cell without a footprint, and one of a part page: both
+	// corrupt, since every memory cell maps whole pages, at least one.
+	report := camps[0]
+	for _, line := range []string{
+		`{"seq":5,"kind":"mem","workload":"treeadd","config":"baseline","result":{}}`,
+		`{"seq":5,"kind":"mem","workload":"treeadd","config":"baseline","result":{"footprint":12345}}`,
+	} {
+		assigned := map[int]bool{5: true}
+		if _, _, err := relayLine(report, assigned, []byte(line)); !errors.Is(err, exp.ErrCorruptCell) {
+			f.Fatalf("relay check of %s: err = %v, want ErrCorruptCell", line, err)
+		}
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		for _, camp := range camps {
 			assigned := make(map[int]bool, len(camp.Cells()))

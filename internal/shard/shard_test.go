@@ -89,9 +89,16 @@ func workloadSet(t *testing.T) []workloads.Workload {
 	return ws
 }
 
-// newFleet boots n in-process backends plus the shard front tier and
+// newFleet boots n in-process backends plus the shard front tier, which
+// probes them every 50 ms and drains one after a single failure, and
 // returns a client against the shard.
 func newFleet(t *testing.T, n int) (*Shard, []*httptest.Server, *server.Client) {
+	t.Helper()
+	return newFleetProbing(t, n, 50*time.Millisecond)
+}
+
+// newFleetProbing is newFleet with the given health-probe interval.
+func newFleetProbing(t *testing.T, n int, probe time.Duration) (*Shard, []*httptest.Server, *server.Client) {
 	t.Helper()
 	var urls []string
 	var backs []*httptest.Server
@@ -103,7 +110,7 @@ func newFleet(t *testing.T, n int) (*Shard, []*httptest.Server, *server.Client) 
 	}
 	sh, err := New(Config{
 		Backends:       urls,
-		HealthInterval: 50 * time.Millisecond,
+		HealthInterval: probe,
 		HealthTimeout:  time.Second,
 		DownAfter:      1,
 	})
@@ -176,7 +183,10 @@ func TestShardBatchReportEquivalence(t *testing.T) {
 func TestShardFailover(t *testing.T) {
 	serial, serialMem := serialRun(t)
 
-	sh, backs, c := newFleet(t, 2)
+	// No probe runs during the test, so the dead backend stays up until
+	// a request to it fails: the unary request or the campaign must fail
+	// over, whichever backend owns the request's key.
+	sh, backs, c := newFleetProbing(t, 2, time.Hour)
 	ctx := context.Background()
 	backs[0].Close()
 
@@ -200,8 +210,14 @@ func TestShardFailover(t *testing.T) {
 	if sh.metrics["reassigned_cells"].Load() == 0 && sh.metrics["failovers"].Load() == 0 {
 		t.Error("failover left no trace in shard metrics")
 	}
+}
 
-	// The health loop drains the dead backend from /healthz.
+// TestShardHealthDrainsDeadBackend: the health probes alone, with no
+// request to the backend, drain a dead backend from /healthz while the
+// shard stays ok.
+func TestShardHealthDrainsDeadBackend(t *testing.T) {
+	_, backs, c := newFleet(t, 2)
+	backs[0].Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var h map[string]string
